@@ -670,8 +670,8 @@ func BenchmarkNaiveVsAdvancedRoundTrip(b *testing.B) {
 
 // BenchmarkHubParallel: concurrent exchange throughput over the in-proc
 // transport with simulated wire latency (2ms each way). The hub serves with
-// ServeConcurrent and a worker pool of the given size; one client per
-// worker drives round trips on its own endpoint. With one worker the run
+// ServeConcurrent on one scheduler shard of the given worker count; one
+// client per worker drives round trips on its own endpoint. With one worker the run
 // is wire-latency-bound; with more workers in-flight exchanges overlap the
 // latency, so throughput scales until the CPU saturates — the property the
 // concurrent submission API exists for. The exchanges/s metric is the one
@@ -684,7 +684,7 @@ func BenchmarkHubParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			h, err := core.NewHub(m)
+			h, err := core.NewHub(m, core.WithWorkersPerShard(workers))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -701,7 +701,7 @@ func BenchmarkHubParallel(b *testing.B) {
 			defer server.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			go server.ServeConcurrent(ctx, workers, nil)
+			go server.ServeConcurrent(ctx, nil)
 			defer h.StopWorkers()
 
 			clients := make([]*core.Client, workers)

@@ -281,7 +281,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 	if *workers > 1 || *shards > 0 {
-		go server.ServeConcurrent(ctx, *workers, nil)
+		go server.ServeConcurrent(ctx, nil)
 	} else {
 		go server.Serve(ctx, nil)
 	}
@@ -719,7 +719,7 @@ func printPlanMetrics(hub *core.Hub) {
 // printStageMetrics renders the per-stage latency summary derived from the
 // event stream.
 func printStageMetrics(hub *core.Hub) {
-	snaps := hub.Metrics().Snapshot()
+	snaps := hub.Status().Stages
 	if len(snaps) == 0 {
 		return
 	}

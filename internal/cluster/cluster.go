@@ -173,7 +173,7 @@ type Node struct {
 	hub   *core.Hub
 	bus   *obs.Bus
 	d     *server.Daemon
-	order []string         // sorted member IDs, the hash ring
+	order []string // sorted member IDs, the hash ring
 	addrs map[string]string
 	peers map[string]*peer // remote members only
 

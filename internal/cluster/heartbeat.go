@@ -117,9 +117,11 @@ func (n *Node) recordProbe(p *peer, ok bool) {
 // takeover replays the dead peer's journal for the partners this node now
 // owns. Other successors run the same scan concurrently against the same
 // read-only file, each claiming its own partition; partners neither owns
-// are skipped by the predicate and recovered by whichever node does.
+// are skipped by the predicate and recovered by whichever node does. The
+// takeover is counted only once its replay has returned, so a reader that
+// sees the count also sees the restored exchanges.
 func (n *Node) takeover(p *peer) {
-	n.takeovers.Add(1)
+	defer n.takeovers.Add(1)
 	if n.cfg.JournalDir == "" {
 		return
 	}

@@ -56,12 +56,6 @@ func xformKey(from, to formats.Format, dt doc.DocType) string {
 // active versions).
 func (h *Hub) ConfigStore() *cfgstore.Store { return h.cfg }
 
-// ConfigMetrics exposes the runtime change-management gauges derived from
-// the KindConfig event stream.
-//
-// Deprecated: use Status().Config.
-func (h *Hub) ConfigMetrics() *obs.ConfigMetrics { return h.configMetrics }
-
 // RegisterHandler registers (or replaces) a workflow step handler on the
 // hub's engine. Test batteries use it to inject deliberately failing
 // handlers into canary candidate types.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/doc"
 	"repro/internal/formats"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/transform"
 	"repro/internal/wf"
 )
@@ -48,6 +49,24 @@ func inboundPO(h *Hub, ctx context.Context, p formats.Format, wire []byte) ([]by
 func invoiceFor(h *Hub, ctx context.Context, partnerID, poID string) ([]byte, *Exchange, error) {
 	res, err := h.Do(ctx, Request{Kind: DocInvoice, PartnerID: partnerID, POID: poID})
 	return res.Wire, res.Exchange, err
+}
+
+// wirePO renders a normalized PO as a protocol-native wire document.
+func wirePO(t *testing.T, h *Hub, p formats.Format, po *doc.PurchaseOrder) []byte {
+	t.Helper()
+	native, err := h.reg.FromNormalized(p, doc.TypePO, po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := h.codecs.Lookup(p, doc.TypePO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := codec.Encode(native)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
 }
 
 // TestFig11PublicProcesses checks the public process shape: protocol
@@ -323,14 +342,9 @@ func TestProtocolMismatchRejected(t *testing.T) {
 	h := newFig14Hub(t)
 	g := doc.NewGenerator(6)
 	po := g.POWithAmount(tp1, seller, 1) // TP1 is an EDI partner
-	reg := &transform.Registry{}
-	transform.RegisterAll(reg)
-	native, err := reg.FromNormalized(formats.RosettaNet, doc.TypePO, po)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.processNative(context.Background(), formats.RosettaNet, native); err == nil {
-		t.Fatal("protocol mismatch accepted")
+	wire := wirePO(t, h, formats.RosettaNet, po)
+	if _, _, err := inboundPO(h, context.Background(), formats.RosettaNet, wire); !errors.Is(err, ErrProtocolMismatch) {
+		t.Fatalf("err %v, want ErrProtocolMismatch", err)
 	}
 }
 
@@ -553,24 +567,24 @@ func TestHubStats(t *testing.T) {
 	if _, _, err := invoiceFor(h, ctx, "TP1", po.ID); err != nil {
 		t.Fatal(err)
 	}
-	st := h.Stats()
-	if st.Exchanges != 2 || st.Invoices != 1 || st.Failed != 0 {
-		t.Fatalf("stats %+v", st)
+	st := h.Status().Exchanges
+	if st.ByFlow[obs.FlowPO] != 2 || st.ByFlow[obs.FlowInvoice] != 1 || st.Failed != 0 {
+		t.Fatalf("exchange counters %+v", st)
 	}
-	if st.PerPartner["TP1"] != 2 || st.PerPartner["TP2"] != 1 {
-		t.Fatalf("per-partner %+v", st.PerPartner)
+	if st.ByPartner["TP1"] != 2 || st.ByPartner["TP2"] != 1 {
+		t.Fatalf("per-partner %+v", st.ByPartner)
 	}
 	// A failed invoice (unbilled order) counts as failed.
 	if _, _, err := invoiceFor(h, ctx, "TP1", "PO-NOPE"); err == nil {
 		t.Fatal("expected failure")
 	}
-	if st := h.Stats(); st.Failed != 1 {
+	if st := h.Status().Exchanges; st.Failed != 1 {
 		t.Fatalf("failed %d", st.Failed)
 	}
 	// Snapshot is a copy: mutating it does not affect the hub.
-	snap := h.Stats()
-	snap.PerPartner["TP1"] = 999
-	if h.Stats().PerPartner["TP1"] == 999 {
-		t.Fatal("Stats returned shared map")
+	snap := h.Status().Exchanges
+	snap.ByPartner["TP1"] = 999
+	if h.Status().Exchanges.ByPartner["TP1"] == 999 {
+		t.Fatal("Status returned a shared per-partner map")
 	}
 }

@@ -93,73 +93,45 @@ func (h *Hub) CachedRoutes() int {
 	return len(h.routes)
 }
 
-// exchangeOpts carries per-exchange execution options through the pipeline.
-type exchangeOpts struct {
-	// resubmit marks a dead-letter replay: its app binding tolerates the
-	// backend's duplicate-order rejection.
-	resubmit bool
-	// journaled marks an exchange whose admission was write-ahead-logged.
-	journaled bool
-	// retry overrides the hub's retry policies for this exchange only.
-	retry *RetryPolicy
-	// canaryKey is the stable business identifier (PO ID) canary routing
-	// hashes on, so a resubmitted document lands on the same arm as its
-	// original run. Empty falls back to the exchange ID.
-	canaryKey string
-}
-
-// ProcessInboundPO drives one inbound purchase order (wire bytes in the
-// given B2B protocol) through the full chain and returns the outbound POA
-// wire bytes plus the completed exchange record.
-//
-// Deprecated: use Do with a DocWirePO Request.
-func (h *Hub) ProcessInboundPO(ctx context.Context, protocol formats.Format, wire []byte) ([]byte, *Exchange, error) {
-	return h.processInboundPO(ctx, protocol, wire, exchangeOpts{})
-}
-
-func (h *Hub) processInboundPO(ctx context.Context, protocol formats.Format, wire []byte, opts exchangeOpts) ([]byte, *Exchange, error) {
-	poCodec, err := h.codecs.Lookup(protocol, doc.TypePO)
+// processInboundPO decodes an inbound protocol-native purchase order, runs
+// it through the full chain and encodes the outbound POA wire bytes.
+func (h *Hub) processInboundPO(ctx context.Context, req Request) ([]byte, *Exchange, error) {
+	poCodec, err := h.codecs.Lookup(req.Protocol, doc.TypePO)
 	if err != nil {
 		return nil, nil, err
 	}
-	native, err := poCodec.Decode(wire)
+	native, err := poCodec.Decode(req.Wire)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: inbound %s PO: %w", protocol, err)
+		return nil, nil, fmt.Errorf("core: inbound %s PO: %w", req.Protocol, err)
 	}
-	ex, err := h.processNativeOpt(ctx, protocol, native, opts)
+	ex, err := h.processPO(ctx, req, req.Protocol, native)
 	if err != nil {
 		return nil, ex, err
 	}
-	poaCodec, err := h.codecs.Lookup(protocol, doc.TypePOA)
+	poaCodec, err := h.codecs.Lookup(req.Protocol, doc.TypePOA)
 	if err != nil {
 		return nil, ex, err
 	}
 	out, err := poaCodec.Encode(ex.Outbound)
 	if err != nil {
-		return nil, ex, fmt.Errorf("core: outbound %s POA: %w", protocol, err)
+		return nil, ex, fmt.Errorf("core: outbound %s POA: %w", req.Protocol, err)
 	}
 	return out, ex, nil
 }
 
-// RoundTrip is the normalized-document convenience: it encodes the PO in
-// the buyer's registered protocol, processes it, and decodes the returned
-// POA back to the normalized model.
-//
-// Deprecated: use Do with a DocPO Request.
-func (h *Hub) RoundTrip(ctx context.Context, po *doc.PurchaseOrder) (*doc.PurchaseOrderAck, *Exchange, error) {
-	return h.roundTrip(ctx, po, exchangeOpts{})
-}
-
-func (h *Hub) roundTrip(ctx context.Context, po *doc.PurchaseOrder, opts exchangeOpts) (*doc.PurchaseOrderAck, *Exchange, error) {
-	route, ok := h.resolveRoute(po.Buyer.ID)
+// roundTrip is the normalized-document flow: it converts the PO to the
+// buyer's registered protocol, processes it, and converts the returned POA
+// back to the normalized model.
+func (h *Hub) roundTrip(ctx context.Context, req Request) (*doc.PurchaseOrderAck, *Exchange, error) {
+	route, ok := h.resolveRoute(req.PO.Buyer.ID)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPartner, po.Buyer.ID)
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPartner, req.PO.Buyer.ID)
 	}
-	native, err := h.reg.FromNormalized(route.partner.Protocol, doc.TypePO, po)
+	native, err := h.reg.FromNormalized(route.partner.Protocol, doc.TypePO, req.PO)
 	if err != nil {
 		return nil, nil, err
 	}
-	ex, err := h.processNativeOpt(ctx, route.partner.Protocol, native, opts)
+	ex, err := h.processPO(ctx, req, route.partner.Protocol, native)
 	if err != nil {
 		return nil, ex, err
 	}
@@ -170,14 +142,9 @@ func (h *Hub) roundTrip(ctx context.Context, po *doc.PurchaseOrder, opts exchang
 	return nd.(*doc.PurchaseOrderAck), ex, nil
 }
 
-// processNative runs the chain for a decoded native PO.
-func (h *Hub) processNative(ctx context.Context, protocol formats.Format, native any) (*Exchange, error) {
-	return h.processNativeOpt(ctx, protocol, native, exchangeOpts{})
-}
-
-// processNativeOpt is processNative plus the per-exchange options: the
-// dead-letter resubmission flag and the per-call retry override.
-func (h *Hub) processNativeOpt(ctx context.Context, protocol formats.Format, native any, opts exchangeOpts) (*Exchange, error) {
+// processPO runs the chain for a decoded native PO of the request; a
+// failed exchange is parked on the dead-letter queue with the request.
+func (h *Hub) processPO(ctx context.Context, req Request, protocol formats.Format, native any) (*Exchange, error) {
 	// Identify the sending partner from the document itself (buyer ID).
 	nd, err := h.reg.ToNormalized(protocol, doc.TypePO, native)
 	if err != nil {
@@ -193,8 +160,7 @@ func (h *Hub) processNativeOpt(ctx context.Context, protocol formats.Format, nat
 			ErrProtocolMismatch, route.partner.ID, route.partner.Protocol, protocol)
 	}
 
-	opts.canaryKey = po.ID
-	ex := h.newExchange(route, obs.FlowPO, opts)
+	ex := h.newExchange(route, obs.FlowPO, &req, po.ID)
 	start := time.Now()
 	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
 	err = h.runPO(ctx, ex, native)
@@ -202,7 +168,7 @@ func (h *Hub) processNativeOpt(ctx context.Context, protocol formats.Format, nat
 	h.emitLifecycle(ex, terminalStep(err), time.Since(start), err)
 	h.recordCanaryOutcome(ex, err)
 	if err != nil {
-		h.deadLetter(ex, err, native, "")
+		h.deadLetter(ex, err, rerunRequest(req, ex))
 	}
 	return ex, err
 }
@@ -233,24 +199,28 @@ func (h *Hub) runPO(ctx context.Context, ex *Exchange, native any) error {
 	return nil
 }
 
-// newExchange allocates and registers an exchange record.
-func (h *Hub) newExchange(route resolvedRoute, flow obs.Flow, opts exchangeOpts) *Exchange {
+// newExchange allocates and registers an exchange record. It copies the
+// request's execution flags — never the request itself, since records are
+// kept for the process lifetime. canaryKey is the stable business
+// identifier (PO ID) canary routing hashes on, so a resubmitted document
+// lands on the same arm as its original run; empty falls back to the
+// exchange ID.
+func (h *Hub) newExchange(route resolvedRoute, flow obs.Flow, req *Request, canaryKey string) *Exchange {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.exchSeq++
 	ex := &Exchange{
-		ID:        fmt.Sprintf("ex-%06d", h.exchSeq),
-		Partner:   route.partner,
-		Protocol:  route.partner.Protocol,
-		Backend:   route.partner.Backend,
-		Flow:      flow,
-		route:     route,
-		cfg:       route.cfg,
-		resubmit:  opts.resubmit,
-		journaled: opts.journaled,
-		retry:     opts.retry,
+		ID:       fmt.Sprintf("ex-%06d", h.exchSeq),
+		Partner:  route.partner,
+		Protocol: route.partner.Protocol,
+		Backend:  route.partner.Backend,
+		Flow:     flow,
+		route:    route,
+		cfg:      route.cfg,
+		resubmit: req.resubmit,
+		retry:    req.Retry,
 	}
-	h.armCanary(ex, opts.canaryKey)
+	h.armCanary(ex, canaryKey)
 	h.exchanges[ex.ID] = ex
 	return ex
 }

@@ -134,11 +134,11 @@ func (h *Hub) ParkRequest(req Request, cause error) (*Result, error) {
 	if cause == nil {
 		cause = ErrPeerUnavailable
 	}
-	ex := h.newExchange(route, flow, exchangeOpts{journaled: req.journaled})
+	ex := h.newExchange(route, flow, &req, "")
 	werr := wrapExchangeErr(ex, obs.StageExchange, "", cause)
 	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
 	h.emitLifecycle(ex, obs.StepFailed, 0, werr)
-	h.deadLetterRequest(ex, werr, req)
+	h.deadLetter(ex, werr, req)
 	h.bus.Emit(obs.Event{
 		ExchangeID: ex.ID,
 		Partner:    partner,

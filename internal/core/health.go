@@ -22,12 +22,6 @@ import (
 // built without WithHealth).
 func (h *Hub) Health() *health.Tracker { return h.health }
 
-// HealthMetrics exposes the per-partner breaker gauges derived from the
-// KindHealth event stream.
-//
-// Deprecated: use Status().Partners.
-func (h *Hub) HealthMetrics() *obs.HealthMetrics { return h.healthMetrics }
-
 // breakerStep maps the state a breaker transitioned into onto its
 // KindHealth event step.
 func breakerStep(to health.State) string {
@@ -99,12 +93,12 @@ func (h *Hub) fastFail(req Request, partner string, step string) Result {
 	if req.Kind == DocInvoice {
 		flow = obs.FlowInvoice
 	}
-	ex := h.newExchange(route, flow, exchangeOpts{journaled: req.journaled})
+	ex := h.newExchange(route, flow, &req, "")
 	cause := fmt.Errorf("%w: circuit %s", ErrPartnerUnavailable, h.health.StateOf(partner))
 	err := wrapExchangeErr(ex, obs.StageExchange, "", cause)
 	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
 	h.emitLifecycle(ex, obs.StepFailed, 0, err)
-	h.deadLetterRequest(ex, err, req)
+	h.deadLetter(ex, err, req)
 	h.bus.Emit(obs.Event{
 		ExchangeID: ex.ID,
 		Partner:    partner,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/doc"
 	"repro/internal/formats"
 	"repro/internal/health"
@@ -74,7 +75,7 @@ func TestBreakerFastFailAndResubmit(t *testing.T) {
 			t.Fatalf("dead letter %+v, want TP1/ErrPartnerUnavailable", dl)
 		}
 	}
-	c := h.Counters()
+	c := h.Status().Exchanges
 	if c.Started != 2 || c.Failed != 2 || c.DeadLettered != 2 || c.Retries != 0 {
 		t.Fatalf("counters = %+v, want 2 started / 2 failed / 2 dead-lettered / 0 retries", c)
 	}
@@ -104,12 +105,126 @@ func TestBreakerFastFailAndResubmit(t *testing.T) {
 		t.Fatalf("dead-letter queue has %d entries after resubmission, want 0", n)
 	}
 
-	hm := h.HealthMetrics().Snapshot()
+	hm := h.Status().Partners
 	if len(hm) != 1 || hm[0].Partner != "TP1" {
 		t.Fatalf("health metrics = %+v, want one TP1 entry", hm)
 	}
 	if hm[0].FastFails != 2 || hm[0].Probes != 1 || hm[0].Opens != 1 || hm[0].Closes != 1 || hm[0].State != "closed" {
 		t.Fatalf("TP1 gauges = %+v, want 2 fast-fails / 1 probe / 1 open / 1 close / closed", hm[0])
+	}
+}
+
+// TestResubmitIsHealthGated pins the single rerun path for every flow: a
+// dead letter parked by a pipeline failure reruns through the same health
+// gate and breaker verdict as a fresh exchange. With the partner's circuit
+// open after the failure, Resubmit fast-fails and re-parks the entry even
+// though the backend has healed; once ProbeInterval has passed the rerun
+// is itself the probe that closes the circuit, completing exactly once.
+func TestResubmitIsHealthGated(t *testing.T) {
+	g := doc.NewGenerator(23)
+	rows := []struct {
+		name string
+		flow obs.Flow
+		// request builds the row's submission; it may run a healthy
+		// exchange first (the invoice row bills a fulfilled order).
+		request func(t *testing.T, h *Hub) Request
+		// opens reports whether the failed exchange's own outcome opens
+		// the circuit. A wire PO without a partner hint is not gated at
+		// admission (its partner is unknown until decode), and a failed
+		// invoice extraction is attributed to the exchange envelope rather
+		// than the app stage; those rows trip the breaker directly.
+		opens bool
+	}{
+		{"po", obs.FlowPO, func(t *testing.T, h *Hub) Request {
+			return Request{Kind: DocPO, PO: g.PO(tp1, seller)}
+		}, true},
+		{"wire-po without partner hint", obs.FlowPO, func(t *testing.T, h *Hub) Request {
+			return Request{Kind: DocWirePO, Protocol: formats.EDI, Wire: wirePO(t, h, formats.EDI, g.PO(tp1, seller))}
+		}, false},
+		{"invoice", obs.FlowInvoice, func(t *testing.T, h *Hub) Request {
+			po := g.PO(tp1, seller)
+			if _, _, err := roundTrip(h, context.Background(), po); err != nil {
+				t.Fatalf("billed order: %v", err)
+			}
+			return Request{Kind: DocInvoice, PartnerID: tp1.ID, POID: po.ID}
+		}, false},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			clock := health.NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+			h := newFig14Hub(t, WithHealth(health.Config{
+				MinSamples:    1,
+				ProbeInterval: time.Minute,
+				Now:           clock.Now,
+			}))
+			if _, err := h.EnableInvoicing(); err != nil {
+				t.Fatal(err)
+			}
+			var sap *backend.Faulty
+			h.WrapBackends(func(sys backend.System) backend.System {
+				f := backend.NewFaulty(sys, backend.FaultSchedule{})
+				if f.Name() == "SAP" {
+					sap = f
+				}
+				return f
+			})
+			ctx := context.Background()
+			req := row.request(t, h)
+
+			// The exchange fails in the pipeline and TP1's circuit opens.
+			sap.SetSchedule(backend.FaultSchedule{ErrProb: 1, Seed: 5})
+			if _, err := h.Do(ctx, req); !errors.Is(err, backend.ErrInjected) {
+				t.Fatalf("pipeline error = %v, want the injected backend fault", err)
+			}
+			if !row.opens {
+				h.Health().Breaker("TP1").Record(true)
+			}
+			if got := h.Health().StateOf("TP1"); got != health.StateOpen {
+				t.Fatalf("breaker after pipeline failure = %v, want open", got)
+			}
+			dls := h.DrainDeadLetters()
+			if len(dls) != 1 {
+				t.Fatalf("dead letters = %d, want 1", len(dls))
+			}
+			if dls[0].req == nil || dls[0].req.PartnerID != "TP1" {
+				t.Fatalf("parked request %+v, want one keyed to TP1", dls[0].req)
+			}
+
+			// Healed backend, circuit still open: the rerun fast-fails and
+			// the entry is parked again.
+			sap.SetSchedule(backend.FaultSchedule{})
+			if _, err := h.Resubmit(ctx, dls[0]); !errors.Is(err, ErrPartnerUnavailable) {
+				t.Fatalf("resubmit through open circuit = %v, want ErrPartnerUnavailable", err)
+			}
+			dls = h.DrainDeadLetters()
+			if len(dls) != 1 {
+				t.Fatalf("dead letters after gated resubmit = %d, want 1 (re-parked)", len(dls))
+			}
+
+			// Past ProbeInterval the rerun is the probe: it completes and
+			// closes the circuit.
+			clock.Advance(time.Minute)
+			if _, err := h.Resubmit(ctx, dls[0]); err != nil {
+				t.Fatalf("probe resubmit: %v", err)
+			}
+			if got := h.Health().StateOf("TP1"); got != health.StateClosed {
+				t.Fatalf("breaker after probe rerun = %v, want closed", got)
+			}
+			if n := len(h.DeadLetters()); n != 0 {
+				t.Fatalf("dead letters after probe rerun = %d, want 0", n)
+			}
+			c := h.Status().Exchanges
+			if done := c.ByFlow[row.flow] - c.Failed; done != 1 || c.Failed != 2 {
+				t.Fatalf("%s exchanges completed=%d failed=%d, want 1 completed / 2 failed", row.flow, done, c.Failed)
+			}
+			if n := sap.Inner().StoredOrders(); n != 1 {
+				t.Fatalf("backend stored %d orders, want 1", n)
+			}
+			ps := h.Status().Partners
+			if len(ps) != 1 || ps[0].Opens != 1 || ps[0].FastFails != 1 || ps[0].Probes != 1 || ps[0].Closes != 1 {
+				t.Fatalf("TP1 gauges %+v, want 1 open / 1 fast-fail / 1 probe / 1 close", ps)
+			}
+		})
 	}
 }
 
@@ -131,7 +246,7 @@ func TestShedNormalLaneBeforeHigh(t *testing.T) {
 	hangBackend(h, "Oracle")
 	cancel, wg := submitHung(h, tp2, 2)
 	waitFor(t, func() bool {
-		for _, sh := range h.SchedMetrics().Snapshot() {
+		for _, sh := range h.Status().Sched.PerShard {
 			if sh.Busy > 0 && sh.Queued > 0 {
 				return true
 			}
@@ -180,7 +295,7 @@ func TestShedNormalLaneBeforeHigh(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	hm := h.HealthMetrics().Snapshot()
+	hm := h.Status().Partners
 	if len(hm) != 1 || hm[0].Sheds != 1 || hm[0].FastFails != 0 {
 		t.Fatalf("health metrics = %+v, want TP2 with exactly 1 shed", hm)
 	}
@@ -400,7 +515,7 @@ func TestDrainDeadlineExpiry(t *testing.T) {
 	hangBackend(h, "Oracle")
 	cancel, wg := submitHung(h, tp2, 1)
 	waitFor(t, func() bool {
-		for _, sh := range h.SchedMetrics().Snapshot() {
+		for _, sh := range h.Status().Sched.PerShard {
 			if sh.Busy > 0 {
 				return true
 			}

@@ -66,10 +66,6 @@ type Exchange struct {
 	// backend's duplicate-order rejection.
 	resubmit bool
 
-	// journaled marks an exchange whose admission was write-ahead-logged;
-	// its dead letter survives a restart through the journal.
-	journaled bool
-
 	// deadLettered records that the exchange was parked on the dead-letter
 	// queue. Set by the goroutine driving the exchange before its result
 	// resolves; journalComplete classifies the terminal outcome by it.
@@ -221,48 +217,8 @@ type Hub struct {
 	clusterFn func() *ClusterStatus
 }
 
-// HubStats counts the hub's activity since startup. It is a compatibility
-// view derived from the exchange counters on the event bus.
-type HubStats struct {
-	// Exchanges counts inbound PO exchanges; Invoices counts outbound
-	// one-way invoice exchanges.
-	Exchanges int
-	Invoices  int
-	// Failed counts exchanges of either kind that ended in error.
-	Failed int
-	// PerPartner counts exchanges by trading partner.
-	PerPartner map[string]int
-}
-
-// Stats returns a snapshot of the hub's activity counters, derived from the
-// exchange lifecycle events.
-//
-// Deprecated: use Status; HubStats is a flattened subset of
-// StatusSnapshot.Exchanges.
-func (h *Hub) Stats() HubStats {
-	s := h.counters.Snapshot()
-	st := HubStats{
-		Exchanges:  int(s.ByFlow[obs.FlowPO]),
-		Invoices:   int(s.ByFlow[obs.FlowInvoice]),
-		Failed:     int(s.Failed),
-		PerPartner: make(map[string]int, len(s.ByPartner)),
-	}
-	for k, v := range s.ByPartner {
-		st.PerPartner[k] = int(v)
-	}
-	return st
-}
-
 // Bus exposes the hub's event bus; attach sinks to observe the pipeline.
 func (h *Hub) Bus() *obs.Bus { return h.bus }
-
-// Metrics exposes the per-stage latency histograms and counters.
-func (h *Hub) Metrics() *obs.Metrics { return h.metrics }
-
-// Counters exposes the exchange lifecycle counters.
-//
-// Deprecated: use Status().Exchanges.
-func (h *Hub) Counters() obs.CountersSnapshot { return h.counters.Snapshot() }
 
 // Events returns the retained event history of one exchange in emission
 // order.

@@ -210,37 +210,28 @@ func (h *Hub) EnableInvoicing() (*ChangeRecord, error) {
 	return rec, nil
 }
 
-// SendInvoice runs the outbound invoice flow for a fulfilled order: it
+// sendInvoice runs the outbound invoice flow for a fulfilled order: it
 // extracts the billing document from the partner's back end, drives it
 // through the invoice chain and returns the protocol-native wire bytes
-// ready to transmit, plus the exchange record.
-//
-// Deprecated: use Do with a DocInvoice Request.
-func (h *Hub) SendInvoice(ctx context.Context, partnerID, poID string) ([]byte, *Exchange, error) {
-	return h.sendInvoice(ctx, partnerID, poID, exchangeOpts{})
-}
-
-// sendInvoice is SendInvoice plus the per-exchange options dead-letter
-// replays and per-call overrides set; a failed invoice exchange is parked
-// on the dead-letter queue keyed by its order identifier.
-func (h *Hub) sendInvoice(ctx context.Context, partnerID, poID string, opts exchangeOpts) ([]byte, *Exchange, error) {
+// ready to transmit, plus the exchange record. A failed invoice exchange is
+// parked on the dead-letter queue with the request.
+func (h *Hub) sendInvoice(ctx context.Context, req Request) ([]byte, *Exchange, error) {
 	if h.Model.InvoicePrivate == nil {
 		return nil, nil, fmt.Errorf("core: invoicing is not enabled")
 	}
-	route, ok := h.resolveRoute(partnerID)
+	route, ok := h.resolveRoute(req.PartnerID)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPartner, partnerID)
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPartner, req.PartnerID)
 	}
-	opts.canaryKey = poID
-	ex := h.newExchange(route, obs.FlowInvoice, opts)
+	ex := h.newExchange(route, obs.FlowInvoice, &req, req.POID)
 	start := time.Now()
 	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
-	outbound, err := h.runInvoice(ctx, ex, poID)
+	outbound, err := h.runInvoice(ctx, ex, req.POID)
 	err = wrapExchangeErr(ex, obs.StageExchange, "", err)
 	h.emitLifecycle(ex, terminalStep(err), time.Since(start), err)
 	h.recordCanaryOutcome(ex, err)
 	if err != nil {
-		h.deadLetter(ex, err, nil, poID)
+		h.deadLetter(ex, err, rerunRequest(req, ex))
 		return nil, ex, err
 	}
 	codec, err := h.codecs.Lookup(route.partner.Protocol, doc.TypeINV)

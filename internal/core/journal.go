@@ -452,9 +452,12 @@ func (h *Hub) journalComplete(key string, req *Request, res *Result) {
 	}
 	if res.Err != nil {
 		out.Reason = res.Err.Error()
-		if res.Exchange != nil && res.Exchange.deadLettered {
+		if ex := res.Exchange; ex != nil && ex.deadLettered {
+			// Journal the rerun request, so the entry reruns the same
+			// way before and after a restart.
+			rerun := rerunRequest(*req, ex)
 			out.Outcome = outcomeDeadLetter
-			out.Request = toJournalRequest(req)
+			out.Request = toJournalRequest(&rerun)
 		} else {
 			out.Outcome = outcomeFailed
 		}
@@ -501,8 +504,9 @@ func (h *Hub) appendOutcome(key string, out journalOutcome) {
 // journalResubmitOutcome settles a dead letter's journal entry after a
 // Resubmit attempt: a successful rerun resolves it for good; a rerun that
 // dead-lettered again resolves the old entry and parks the new exchange's
-// record in its place; a rerun that never produced a dead letter (unknown
-// partner, lost payload) leaves the original entry recoverable.
+// record, with the same request, in its place; a rerun that never produced
+// a dead letter (unknown partner, no retained request) leaves the original
+// entry recoverable.
 func (h *Hub) journalResubmitOutcome(dl DeadLetter, ex *Exchange, err error) {
 	if h.jrn == nil {
 		return
@@ -531,33 +535,10 @@ func (h *Hub) journalResubmitOutcome(dl DeadLetter, ex *Exchange, err error) {
 			Protocol:   ex.Protocol,
 			Outcome:    outcomeDeadLetter,
 			Reason:     err.Error(),
-			Request:    h.replayableRequest(dl),
+			Request:    toJournalRequest(dl.req),
 		}
 		h.appendOutcome("", out)
 	}
-}
-
-// replayableRequest derives a Request that re-runs a dead letter: the
-// retained request if admission never ran it, the billing identifiers for
-// an invoice, or the native PO re-encoded to its wire form.
-func (h *Hub) replayableRequest(dl DeadLetter) *journalRequest {
-	switch {
-	case dl.req != nil:
-		return toJournalRequest(dl.req)
-	case dl.Flow == obs.FlowInvoice:
-		return &journalRequest{Kind: DocInvoice, PartnerID: dl.Partner, POID: dl.poID}
-	case dl.native != nil:
-		codec, err := h.codecs.Lookup(dl.Protocol, doc.TypePO)
-		if err != nil {
-			return nil
-		}
-		wire, err := codec.Encode(dl.native)
-		if err != nil {
-			return nil
-		}
-		return &journalRequest{Kind: DocWirePO, Protocol: dl.Protocol, Wire: wire, PartnerID: dl.Partner}
-	}
-	return nil
 }
 
 // RecoveryReport is what one Recover pass did.
@@ -852,9 +833,3 @@ func (h *Hub) CloseJournal() error {
 	h.stopDurabilityProbe()
 	return h.jrn.Close()
 }
-
-// RecoveryMetrics exposes the crash-recovery gauges derived from the
-// KindRecovery event stream.
-//
-// Deprecated: use Status().Recovery.
-func (h *Hub) RecoveryMetrics() *obs.RecoveryMetrics { return h.recoveryMetrics }

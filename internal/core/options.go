@@ -10,14 +10,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Scheduler defaults. A hub constructed without options behaves like the
-// former single worker pool: one shard whose worker count is chosen at
-// StartWorkers/first-submission time.
+// Scheduler defaults. A hub constructed without options runs one shard of
+// DefaultWorkers workers, started on first DoAsync or by StartScheduler.
 const (
 	// DefaultShards is the shard count when WithShards is not given.
 	DefaultShards = 1
 	// DefaultWorkers is the per-shard worker count when WithWorkersPerShard
-	// is not given (and the historical default pool size).
+	// is not given.
 	DefaultWorkers = 4
 	// DefaultQueueDepthPerWorker sizes each shard's queue at a few jobs per
 	// worker: enough to keep workers busy, small enough that submitters
@@ -44,10 +43,6 @@ type hubConfig struct {
 	legacyInterp    bool
 	canaryPolicy    cfgstore.CanaryPolicy
 	exchIDBase      int
-	// schedConfigured records that a scheduler topology option was given
-	// explicitly, so compat entry points (ServeConcurrent's workers
-	// argument) defer to it instead of imposing the single-pool shape.
-	schedConfigured bool
 }
 
 // HubOption configures NewHub without growing its signature.
@@ -61,7 +56,6 @@ func WithShards(n int) HubOption {
 		if n >= 1 {
 			c.shards = n
 		}
-		c.schedConfigured = true
 	}
 }
 
@@ -72,7 +66,6 @@ func WithWorkersPerShard(n int) HubOption {
 		if n >= 1 {
 			c.workersPerShard = n
 		}
-		c.schedConfigured = true
 	}
 }
 
@@ -83,7 +76,6 @@ func WithQueueDepth(n int) HubOption {
 		if n >= 1 {
 			c.queueDepth = n
 		}
-		c.schedConfigured = true
 	}
 }
 
@@ -122,8 +114,7 @@ func WithHealth(cfg health.Config) HubOption {
 // completion records, and Recover replays the log after a restart —
 // unfinished admissions re-run with duplicate tolerance, dead letters come
 // back replayable via Resubmit. NewHub fails when the journal cannot be
-// opened. The deprecated direct entry points (RoundTrip, ProcessInboundPO,
-// SendInvoice) bypass admission and are not journaled.
+// opened.
 func WithJournal(path string) HubOption {
 	return func(c *hubConfig) { c.journalPath = path }
 }
@@ -176,7 +167,7 @@ func WithJournalScrub() HubOption {
 // default, is unbounded). When the queue is full, a hub with a journal
 // spills its oldest journaled entry to journal-only retention (a later
 // Recover restores it); a hub without one rejects the incoming entry.
-// Either way a KindHealth dlq-evict event feeds HealthMetrics.
+// Either way a KindHealth dlq-evict event feeds Status().Partners.
 func WithDLQCap(n int) HubOption {
 	return func(c *hubConfig) {
 		if n >= 0 {

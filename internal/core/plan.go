@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/obs"
 	"repro/internal/wf"
 )
 
@@ -112,8 +111,3 @@ func sendsOnPublicOut(t *wf.TypeDef) bool {
 	}
 	return false
 }
-
-// PlanMetrics exposes the hub's deploy-time compilation gauges.
-//
-// Deprecated: use Status().Plans.
-func (h *Hub) PlanMetrics() *obs.PlanMetrics { return h.planMetrics }

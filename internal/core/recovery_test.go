@@ -78,7 +78,7 @@ func TestRecoverRestoresCompletedExchanges(t *testing.T) {
 			t.Fatalf("exchange %s not restored", id)
 		}
 	}
-	if snap := h2.RecoveryMetrics().Snapshot(); snap.Recoveries != 1 || snap.Restored != 3 {
+	if snap := h2.Status().Recovery; snap.Recoveries != 1 || snap.Restored != 3 {
 		t.Fatalf("recovery metrics %+v", snap)
 	}
 	// The restored sequence floor keeps new IDs collision-free.
@@ -387,7 +387,7 @@ func TestDLQCapSpillsOldestToJournal(t *testing.T) {
 		t.Fatalf("queue %v, want the two newest entries", dls)
 	}
 	var evicted int64
-	for _, s := range h1.HealthMetrics().Snapshot() {
+	for _, s := range h1.Status().Partners {
 		evicted += s.DLQEvicted
 	}
 	if evicted != 1 {
@@ -434,7 +434,7 @@ func TestDLQCapRejectsWithoutJournal(t *testing.T) {
 		t.Fatalf("queue %v, want the two oldest entries", dls)
 	}
 	var evicted int64
-	for _, s := range h.HealthMetrics().Snapshot() {
+	for _, s := range h.Status().Partners {
 		evicted += s.DLQEvicted
 	}
 	if evicted != 1 {

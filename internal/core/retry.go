@@ -200,8 +200,9 @@ func (h *Hub) WrapBackends(wrap func(backend.System) backend.System) {
 }
 
 // DeadLetter is one exchange parked on the hub's dead-letter queue after
-// exhausting its retry policy. The original inbound payload is retained so
-// the exchange can be resubmitted once the endpoint heals.
+// exhausting its retry policy (or being rejected at admission). The
+// exchange's Request is retained so the exchange can be resubmitted once
+// the endpoint heals.
 type DeadLetter struct {
 	ExchangeID string
 	Partner    string
@@ -217,39 +218,32 @@ type DeadLetter struct {
 	// spill it from memory without losing it.
 	journaled bool
 
-	// native is the decoded native inbound PO (FlowPO); poID identifies the
-	// billed order (FlowInvoice).
-	native any
-	poID   string
-	// req is the original submission, retained when the exchange was
-	// rejected at admission (circuit fast-fail or shed) and never reached
-	// the pipeline: Resubmit simply reruns it.
+	// req is the submission Resubmit reruns: the failed exchange's own
+	// Request, or the one restored from the journal.
 	req *Request
 }
 
-// deadLetter parks a failed exchange on the queue and emits the
-// dead-letter lifecycle event.
-func (h *Hub) deadLetter(ex *Exchange, reason error, native any, poID string) {
-	dl := DeadLetter{
-		ExchangeID: ex.ID,
-		Partner:    ex.Partner.ID,
-		Flow:       ex.Flow,
-		Protocol:   ex.Protocol,
-		Reason:     reason,
-		At:         time.Now(),
-		journaled:  ex.journaled,
-		native:     native,
-		poID:       poID,
+// rerunRequest is the request a failed pipeline exchange is parked with:
+// the submission itself with resubmit set — the failed run may have stored
+// the order before a downstream step failed, so the rerun tolerates the
+// backend's duplicate-order rejection — and, when the submitter gave no
+// partner hint, the partner decoded from the document, so a DocWirePO
+// rerun is health-gated and sharded by partner like a DocPO one.
+func rerunRequest(req Request, ex *Exchange) Request {
+	req.resubmit = true
+	if req.PartnerID == "" {
+		req.PartnerID = ex.Partner.ID
 	}
-	ex.deadLettered = true
-	h.parkDeadLetter(dl)
-	h.emitLifecycle(ex, obs.StepDeadLetter, 0, reason)
+	return req
 }
 
-// deadLetterRequest parks a request rejected at admission (fast-fail or
-// shed) on the queue, retaining the request itself: it never touched the
-// pipeline or a backend, so Resubmit can rerun it without duplicate risk.
-func (h *Hub) deadLetterRequest(ex *Exchange, reason error, req Request) {
+// deadLetter parks a failed exchange on the queue with the request
+// Resubmit reruns and emits the dead-letter lifecycle event. Pipeline
+// failures park their rerunRequest; requests rejected at admission
+// (fast-fail, shed, unreachable owner peer) are parked as submitted: they
+// never touched the pipeline or a backend, so a rerun has no duplicate
+// risk.
+func (h *Hub) deadLetter(ex *Exchange, reason error, req Request) {
 	dl := DeadLetter{
 		ExchangeID: ex.ID,
 		Partner:    ex.Partner.ID,
@@ -275,8 +269,8 @@ func (h *Hub) deadLetterRequest(ex *Exchange, reason error, req Request) {
 // journal-only retention cannot be trusted when the journal cannot be
 // written, so the queue falls back to bounded in-memory retention and
 // rejects the incoming entry. Either way the pushed-out entry is emitted
-// as a KindHealth dlq-evict event, feeding the HealthMetrics DLQEvicted
-// gauge.
+// as a KindHealth dlq-evict event, feeding the DLQEvicted gauge of
+// Status().Partners.
 func (h *Hub) parkDeadLetter(dl DeadLetter) {
 	var evicted *DeadLetter
 	h.dlqMu.Lock()
@@ -320,11 +314,16 @@ func (h *Hub) DrainDeadLetters() []DeadLetter {
 	return out
 }
 
-// Resubmit reruns a dead-lettered exchange from its retained inbound
-// payload as a fresh exchange. Resubmissions tolerate the duplicate-order
-// rejection of the back end (the paper's Section 1 duplicate elimination):
-// when the dead-lettered run already stored the order, the store step is
-// satisfied by the existing copy instead of double-mutating the backend.
+// Resubmit reruns a dead-lettered exchange from its retained Request as a
+// fresh exchange. The rerun takes the same path as every other admission:
+// it is health-gated (an open circuit fast-fails it with
+// ErrPartnerUnavailable and parks it again) and its outcome feeds the
+// partner's breaker. Resubmissions of pipeline failures tolerate the
+// duplicate-order rejection of the back end (the paper's Section 1
+// duplicate elimination): when the dead-lettered run already stored the
+// order, the store step is satisfied by the existing copy instead of
+// double-mutating the backend. A DocWirePO entry keeps the caller's Wire
+// slice rather than a copy, so a submitter must not modify it afterwards.
 func (h *Hub) Resubmit(ctx context.Context, dl DeadLetter) (*Exchange, error) {
 	ex, err := h.resubmit(ctx, dl)
 	// Settle the journal: a successful rerun resolves the entry for good, a
@@ -335,29 +334,16 @@ func (h *Hub) Resubmit(ctx context.Context, dl DeadLetter) (*Exchange, error) {
 }
 
 func (h *Hub) resubmit(ctx context.Context, dl DeadLetter) (*Exchange, error) {
-	if dl.req != nil {
-		// Rejected at admission (fast-fail or shed) or restored from the
-		// journal with its request intact: a plain rerun — health-gated
-		// again, and its outcome feeds the breaker like any other exchange.
-		req := *dl.req
-		partner, probe, rejected := h.healthGate(req)
-		if rejected != nil {
-			return rejected.Exchange, rejected.Err
-		}
-		res := h.runTracked(ctx, req, partner, probe)
-		return res.Exchange, res.Err
+	if dl.req == nil {
+		return nil, fmt.Errorf("core: dead letter %s retains no request", dl.ExchangeID)
 	}
-	opts := exchangeOpts{resubmit: true, journaled: dl.journaled && h.jrn != nil}
-	switch dl.Flow {
-	case obs.FlowInvoice:
-		_, ex, err := h.sendInvoice(ctx, dl.Partner, dl.poID, opts)
-		return ex, err
-	default:
-		if dl.native == nil {
-			return nil, fmt.Errorf("core: dead letter %s retains no payload", dl.ExchangeID)
-		}
-		return h.processNativeOpt(ctx, dl.Protocol, dl.native, opts)
+	req := *dl.req
+	partner, probe, rejected := h.healthGate(req)
+	if rejected != nil {
+		return rejected.Exchange, rejected.Err
 	}
+	res := h.runTracked(ctx, req, partner, probe)
+	return res.Exchange, res.Err
 }
 
 // tolerateDuplicate converts the backend's duplicate-order rejection into

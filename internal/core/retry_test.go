@@ -53,7 +53,7 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 			t.Fatalf("order %d: correlation %q != %q", i, poa.POID, po.ID)
 		}
 	}
-	c := h.Counters()
+	c := h.Status().Exchanges
 	if c.Retries == 0 {
 		t.Fatal("no retry events despite 40% injected error rate")
 	}
@@ -102,7 +102,7 @@ func TestDeadLetterAndResubmit(t *testing.T) {
 	if !sawDL {
 		t.Fatal("no dead-letter event in the exchange's stream")
 	}
-	c := h.Counters()
+	c := h.Status().Exchanges
 	if c.DeadLettered != 1 || c.Failed != 1 {
 		t.Fatalf("counters deadLettered=%d failed=%d, want 1/1", c.DeadLettered, c.Failed)
 	}
@@ -208,7 +208,7 @@ func TestPerAttemptTimeoutUnsticksHangs(t *testing.T) {
 			t.Fatalf("order %d: %v", i, err)
 		}
 	}
-	if c := h.Counters(); c.Retries == 0 {
+	if c := h.Status().Exchanges; c.Retries == 0 {
 		t.Fatal("no retries recorded despite 50% hang probability")
 	}
 }

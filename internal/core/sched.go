@@ -348,9 +348,3 @@ func (h *Hub) ShardCount() int {
 	}
 	return len(h.sched.shards)
 }
-
-// SchedMetrics exposes the per-shard scheduler gauges (queue depth, busy
-// workers, completed throughput, bypass admissions).
-//
-// Deprecated: use Status().Sched.PerShard.
-func (h *Hub) SchedMetrics() *obs.SchedMetrics { return h.schedMetrics }

@@ -114,7 +114,7 @@ func TestShardIsolationHungPartner(t *testing.T) {
 
 	// The gauges agree: every TP1 exchange completed, TP2's hung jobs are
 	// either busy on their shard or still queued, and none of them completed.
-	snaps := h.SchedMetrics().Snapshot()
+	snaps := h.Status().Sched.PerShard
 	var completed, busy, queued int64
 	for _, s := range snaps {
 		completed += s.Completed

@@ -136,25 +136,17 @@ func (s *Server) Serve(ctx context.Context, errs chan<- error) {
 	}
 }
 
-// ServeConcurrent processes inbound purchase orders with up to `workers`
-// exchanges in flight at once: the receive loop submits each inbound order
-// to the hub's sharded scheduler (the sender's partner ID is the shard
-// key) and a reply goroutine per exchange sends the response as soon as
-// its future resolves — replies are not serialized behind slower
-// exchanges. A hub configured with WithShards/WithWorkersPerShard runs its
-// configured topology; otherwise a single shard with `workers` workers
-// preserves the old pool semantics. It returns when the context is done or
-// the endpoint closes, after in-flight replies finish. Per-exchange errors
-// are sent to errs if non-nil and do not stop the loop.
-func (s *Server) ServeConcurrent(ctx context.Context, workers int, errs chan<- error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if s.Hub.schedCfg.schedConfigured {
-		s.Hub.StartScheduler()
-	} else {
-		s.Hub.startSingleShard(workers)
-	}
+// ServeConcurrent processes inbound purchase orders concurrently: the
+// receive loop submits each inbound order to the hub's sharded scheduler
+// (the sender's partner ID is the shard key), which runs the topology the
+// hub was built with (WithShards, WithWorkersPerShard, WithQueueDepth), and
+// a reply goroutine per exchange sends the response as soon as its future
+// resolves — replies are not serialized behind slower exchanges. It
+// returns when the context is done or the endpoint closes, after in-flight
+// replies finish. Per-exchange errors are sent to errs if non-nil and do
+// not stop the loop.
+func (s *Server) ServeConcurrent(ctx context.Context, errs chan<- error) {
+	s.Hub.StartScheduler()
 	report := func(err error) {
 		if errs != nil {
 			select {

@@ -8,11 +8,9 @@ import (
 
 // The unified read API: everything an operator (or a remote admin client)
 // can ask the hub collapses into one versioned, JSON-serializable
-// StatusSnapshot returned by Hub.Status. The per-subsystem accessors that
-// predate it — Stats, Counters, SchedMetrics, HealthMetrics,
-// RecoveryMetrics, ConfigMetrics, PlanMetrics — survive as thin deprecated
-// wrappers over the same sinks; internal/server serves Status verbatim as
-// the ops endpoint and `b2bctl status` renders it.
+// StatusSnapshot returned by Hub.Status, the only read path over the
+// hub's metric sinks; internal/server serves Status verbatim as the ops
+// endpoint and `b2bctl status` renders it.
 
 // StatusVersion is the schema version of StatusSnapshot. It is bumped when
 // a field changes meaning or is removed; additive fields do not bump it.
@@ -95,9 +93,7 @@ type StatusSnapshot struct {
 
 // Status returns the hub's unified observability snapshot: lifecycle
 // counters, stage latencies, scheduler gauges, partner health, DLQ and
-// journal depths, recovery, config and plan gauges — one versioned struct
-// replacing the Stats/Counters/SchedMetrics/HealthMetrics/RecoveryMetrics/
-// ConfigMetrics/PlanMetrics accessor family.
+// journal depths, recovery, config and plan gauges — one versioned struct.
 func (h *Hub) Status() StatusSnapshot {
 	s := StatusSnapshot{
 		Version:   StatusVersion,

@@ -43,9 +43,9 @@ func TestStatusSnapshot(t *testing.T) {
 	if st.Time.IsZero() || time.Since(st.Time) > time.Minute {
 		t.Fatalf("implausible snapshot time %v", st.Time)
 	}
-	if got, want := st.Exchanges, h.Counters(); got.Started != want.Started ||
+	if got, want := st.Exchanges, h.counters.Snapshot(); got.Started != want.Started ||
 		got.Failed != want.Failed || got.ByPartner["TP1"] != want.ByPartner["TP1"] {
-		t.Fatalf("Exchanges diverges from Counters: %+v vs %+v", got, want)
+		t.Fatalf("Exchanges diverges from the counters sink: %+v vs %+v", got, want)
 	}
 	if st.Exchanges.Started != 4 {
 		t.Fatalf("started %d, want 4", st.Exchanges.Started)

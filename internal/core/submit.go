@@ -12,25 +12,25 @@ import (
 // The unified submission API: every way into the hub — normalized PO round
 // trips, protocol-native wire documents, outbound invoices — is one Request
 // run by Do (synchronous, on the caller's goroutine) or DoAsync (queued
-// onto the sharded scheduler, resolved through a Future). The legacy
-// Submit/SubmitWire/SubmitInvoice and RoundTrip/ProcessInboundPO/SendInvoice
-// entry points survive as thin deprecated wrappers.
+// onto the sharded scheduler, resolved through a Future). Dead-letter
+// reruns and recovery replays re-enter through the same Request, so every
+// exchange passes the same journal, health gate and breaker verdict.
 
 // DocKind selects the business flow of a Request.
 type DocKind string
 
 // Request kinds.
 const (
-	// DocPO runs the normalized purchase order round trip (the RoundTrip
-	// flow): Request.PO is required.
+	// DocPO runs the normalized purchase order round trip: Request.PO is
+	// required.
 	DocPO DocKind = "po"
-	// DocWirePO runs an inbound protocol-native purchase order (the
-	// ProcessInboundPO flow): Request.Protocol and Request.Wire are
-	// required; Request.PartnerID is an optional scheduler shard-key hint
-	// for async submissions (the partner is not known until decode).
+	// DocWirePO runs an inbound protocol-native purchase order:
+	// Request.Protocol and Request.Wire are required; Request.PartnerID is
+	// an optional health-gate and scheduler shard-key hint (the partner is
+	// not known until decode).
 	DocWirePO DocKind = "wire-po"
-	// DocInvoice runs the outbound invoice flow (the SendInvoice flow):
-	// Request.PartnerID and Request.POID are required.
+	// DocInvoice runs the outbound invoice flow: Request.PartnerID and
+	// Request.POID are required.
 	DocInvoice DocKind = "invoice"
 )
 
@@ -243,18 +243,18 @@ func (h *Hub) doAsync(ctx context.Context, req Request, key string) (*Future, er
 	return fut, nil
 }
 
-// run executes a normalized request.
+// run executes a normalized request. It is the only caller of the three
+// flow drivers.
 func (h *Hub) run(ctx context.Context, req Request) Result {
-	opts := exchangeOpts{retry: req.Retry, resubmit: req.resubmit, journaled: req.journaled}
 	switch req.Kind {
 	case DocPO:
-		poa, ex, err := h.roundTrip(ctx, req.PO, opts)
+		poa, ex, err := h.roundTrip(ctx, req)
 		return Result{POA: poa, Exchange: ex, Err: err}
 	case DocWirePO:
-		out, ex, err := h.processInboundPO(ctx, req.Protocol, req.Wire, opts)
+		out, ex, err := h.processInboundPO(ctx, req)
 		return Result{Wire: out, Exchange: ex, Err: err}
 	case DocInvoice:
-		wire, ex, err := h.sendInvoice(ctx, req.PartnerID, req.POID, opts)
+		wire, ex, err := h.sendInvoice(ctx, req)
 		return Result{Wire: wire, Exchange: ex, Err: err}
 	}
 	err := fmt.Errorf("%w: unknown kind %q", ErrInvalidRequest, req.Kind)
@@ -276,31 +276,6 @@ func (h *Hub) ensureScheduler() (*scheduler, error) {
 	return h.sched, nil
 }
 
-// StartWorkers starts the scheduler as a single shard with n workers — the
-// semantics of the former global worker pool. It is a no-op when the
-// scheduler is already running; to resize, StopWorkers first.
-//
-// Deprecated: configure the scheduler with NewHub(m, WithShards(…),
-// WithWorkersPerShard(…)) and let DoAsync start it, or call StartScheduler.
-func (h *Hub) StartWorkers(n int) {
-	h.startSingleShard(n)
-}
-
-// startSingleShard starts the scheduler as one shard with n workers — the
-// compat topology behind StartWorkers and ServeConcurrent's workers
-// argument.
-func (h *Hub) startSingleShard(n int) {
-	if n < 1 {
-		n = 1
-	}
-	h.schedMu.Lock()
-	defer h.schedMu.Unlock()
-	if h.sched == nil {
-		h.schedClosed = false
-		h.sched = newScheduler(h, 1, n, DefaultQueueDepthPerWorker*n)
-	}
-}
-
 // StartScheduler starts the sharded scheduler with the hub's configured
 // options (WithShards, WithWorkersPerShard, WithQueueDepth). It is a no-op
 // when the scheduler is already running.
@@ -316,7 +291,7 @@ func (h *Hub) StartScheduler() {
 
 // StopWorkers stops the scheduler and waits for in-flight exchanges to
 // finish. Jobs still queued when it stops resolve with ErrHubStopped. The
-// scheduler can be restarted with StartWorkers/StartScheduler.
+// scheduler can be restarted with StartScheduler.
 func (h *Hub) StopWorkers() {
 	h.schedMu.Lock()
 	s := h.sched
@@ -358,7 +333,7 @@ type DrainSummary struct {
 // summary of what had finished by then, while the shutdown continues in
 // the background — dead letters are left queued for a later flush
 // (DrainDeadLetters or another Drain), and once the background shutdown
-// completes the hub can be restarted with StartScheduler/StartWorkers.
+// completes the hub can be restarted with StartScheduler.
 func (h *Hub) Drain(ctx context.Context) (DrainSummary, error) {
 	h.schedMu.Lock()
 	s := h.sched
@@ -390,7 +365,7 @@ func (h *Hub) Drain(ctx context.Context) (DrainSummary, error) {
 
 // drainSummary derives the drain outcome from the lifecycle counters.
 func (h *Hub) drainSummary(dls []DeadLetter) DrainSummary {
-	c := h.Counters()
+	c := h.counters.Snapshot()
 	var terminal int64
 	for _, n := range c.ByFlow {
 		terminal += n
@@ -402,28 +377,4 @@ func (h *Hub) drainSummary(dls []DeadLetter) DrainSummary {
 		DeadLettered: int64(len(dls)),
 		DeadLetters:  dls,
 	}
-}
-
-// Submit enqueues a normalized purchase order for a full round trip through
-// the exchange pipeline and returns a future for its acknowledgment.
-//
-// Deprecated: use DoAsync with a DocPO Request.
-func (h *Hub) Submit(ctx context.Context, po *doc.PurchaseOrder) (*Future, error) {
-	return h.DoAsync(ctx, Request{Kind: DocPO, PO: po})
-}
-
-// SubmitWire enqueues an inbound protocol-native purchase order and returns
-// a future for the outbound POA wire bytes.
-//
-// Deprecated: use DoAsync with a DocWirePO Request.
-func (h *Hub) SubmitWire(ctx context.Context, protocol formats.Format, wire []byte) (*Future, error) {
-	return h.DoAsync(ctx, Request{Kind: DocWirePO, Protocol: protocol, Wire: wire})
-}
-
-// SubmitInvoice enqueues the outbound invoice flow for a fulfilled order
-// and returns a future for the protocol-native invoice wire bytes.
-//
-// Deprecated: use DoAsync with a DocInvoice Request.
-func (h *Hub) SubmitInvoice(ctx context.Context, partnerID, poID string) (*Future, error) {
-	return h.DoAsync(ctx, Request{Kind: DocInvoice, PartnerID: partnerID, POID: poID})
 }

@@ -92,23 +92,19 @@ func TestSubmitStress(t *testing.T) {
 	perPartner := workersPerPartner * ordersPerWorker
 	totalPOs := len(parties) * perPartner
 
-	// Stats reconcile exactly: every PO and every invoice exchange landed,
-	// nothing failed, and the per-partner counts add up.
-	st := h.Stats()
-	if st.Exchanges != totalPOs || st.Invoices != totalPOs || st.Failed != 0 {
-		t.Fatalf("stats %+v, want %d/%d/0", st, totalPOs, totalPOs)
+	// Counters reconcile exactly: every PO and every invoice exchange
+	// landed, nothing failed, and the per-partner counts add up.
+	cs := h.Status().Exchanges
+	if cs.ByFlow[obs.FlowPO] != int64(totalPOs) || cs.ByFlow[obs.FlowInvoice] != int64(totalPOs) || cs.Failed != 0 {
+		t.Fatalf("exchange counters %+v, want %d/%d/0", cs, totalPOs, totalPOs)
 	}
 	for _, party := range parties {
-		if st.PerPartner[party.ID] != 2*perPartner {
-			t.Fatalf("partner %s count %d, want %d", party.ID, st.PerPartner[party.ID], 2*perPartner)
+		if cs.ByPartner[party.ID] != int64(2*perPartner) {
+			t.Fatalf("partner %s count %d, want %d", party.ID, cs.ByPartner[party.ID], 2*perPartner)
 		}
 	}
-	cs := h.Counters()
 	if cs.Started != int64(2*totalPOs) {
 		t.Fatalf("started %d, want %d", cs.Started, 2*totalPOs)
-	}
-	if cs.ByFlow[obs.FlowPO] != int64(totalPOs) || cs.ByFlow[obs.FlowInvoice] != int64(totalPOs) {
-		t.Fatalf("by-flow %+v", cs.ByFlow)
 	}
 
 	// Event counts reconcile exactly per exchange: two lifecycle events and
@@ -189,8 +185,8 @@ func TestSubmitCancellationAbortsPipeline(t *testing.T) {
 	}
 	// The exchange is counted failed and its terminal event carries the
 	// context error.
-	if st := h.Stats(); st.Failed != 1 || st.Exchanges != 1 {
-		t.Fatalf("stats %+v", st)
+	if c := h.Status().Exchanges; c.Failed != 1 || c.ByFlow[obs.FlowPO] != 1 {
+		t.Fatalf("exchange counters %+v", c)
 	}
 	var terminal *obs.Event
 	for _, e := range h.Events(res.Exchange.ID) {
@@ -231,5 +227,32 @@ func TestStopWorkersRejectsAndRestarts(t *testing.T) {
 	}
 	if res := fut.Result(ctx); res.Err != nil {
 		t.Fatal(res.Err)
+	}
+}
+
+// TestRequestValidation pins the Request normalization rules.
+func TestRequestValidation(t *testing.T) {
+	h := newFig14Hub(t)
+	ctx := context.Background()
+	for _, req := range []Request{
+		{},                               // nothing to infer
+		{Kind: DocPO},                    // missing PO
+		{Kind: DocWirePO},                // missing protocol+wire
+		{Kind: DocInvoice},               // missing partner+poid
+		{Kind: DocKind("bogus")},         // unknown kind
+		{Kind: DocInvoice, POID: "PO-1"}, // missing partner
+	} {
+		if _, err := h.Do(ctx, req); !errors.Is(err, ErrInvalidRequest) {
+			t.Fatalf("req %+v: err %v, want ErrInvalidRequest", req, err)
+		}
+	}
+	// Kind inference from the populated field.
+	g := doc.NewGenerator(3)
+	res, err := h.Do(ctx, Request{PO: g.PO(tp1, seller)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.POA == nil {
+		t.Fatal("inferred DocPO returned no POA")
 	}
 }

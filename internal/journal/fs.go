@@ -48,8 +48,8 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return f, nil
 }
 
-func (osFS) ReadFile(name string) ([]byte, error)        { return os.ReadFile(name) }
-func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                    { return os.Remove(name) }
-func (osFS) Truncate(name string, size int64) error      { return os.Truncate(name, size) }
-func (osFS) Stat(name string) (os.FileInfo, error)       { return os.Stat(name) }
+func (osFS) ReadFile(name string) ([]byte, error)   { return os.ReadFile(name) }
+func (osFS) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error               { return os.Remove(name) }
+func (osFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
+func (osFS) Stat(name string) (os.FileInfo, error)  { return os.Stat(name) }

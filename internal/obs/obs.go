@@ -4,10 +4,10 @@
 // is emitted as a typed Event on a Bus that fans out to pluggable Sinks.
 //
 // The package replaces two ad-hoc mechanisms that grew with the seed:
-// the per-exchange Trace []string journal and the hand-rolled mutex
-// counters of HubStats. Both are now derived views over the event stream
-// (see Collector and ExchangeCounters); latency histograms per pipeline
-// stage come for free (see Metrics).
+// the per-exchange Trace []string journal and hand-rolled mutex counters.
+// Both are now derived views over the event stream (see Collector and
+// ExchangeCounters), which the hub's Status snapshot reads; latency
+// histograms per pipeline stage come for free (see Metrics).
 package obs
 
 import (

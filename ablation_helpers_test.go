@@ -32,6 +32,6 @@ func mustParseCondition(b *testing.B) expr.Node {
 	return n
 }
 
-func evalCondition(n expr.Node, env expr.MapEnv) (bool, error) {
+func evalCondition(n expr.Node, env expr.Env) (bool, error) {
 	return expr.EvalBool(n, env)
 }

@@ -130,9 +130,9 @@ func TestResubmitIsHealthGated(t *testing.T) {
 		request func(t *testing.T, h *Hub) Request
 		// opens reports whether the failed exchange's own outcome opens
 		// the circuit. A wire PO without a partner hint is not gated at
-		// admission (its partner is unknown until decode), and a failed
-		// invoice extraction is attributed to the exchange envelope rather
-		// than the app stage; those rows trip the breaker directly.
+		// admission (its partner is unknown until decode), so that row
+		// trips the breaker directly; a failed invoice extraction is an
+		// app-stage failure and opens it by itself.
 		opens bool
 	}{
 		{"po", obs.FlowPO, func(t *testing.T, h *Hub) Request {
@@ -147,7 +147,7 @@ func TestResubmitIsHealthGated(t *testing.T) {
 				t.Fatalf("billed order: %v", err)
 			}
 			return Request{Kind: DocInvoice, PartnerID: tp1.ID, POID: po.ID}
-		}, false},
+		}, true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -150,7 +150,8 @@ func (s *Set) Clone() *Set {
 
 // Evaluate selects the applicable rule for (source, target, document) and
 // returns its boolean result. The document is exposed to conditions through
-// doc.Env. It returns ErrNoRuleApplies when no rule's selectors match.
+// doc.Env, which resolves only the paths the matched rule reads. It returns
+// ErrNoRuleApplies when no rule's selectors match.
 func (s *Set) Evaluate(source, target string, document any) (Decision, error) {
 	dt, err := doc.TypeOf(document)
 	if err != nil {

@@ -90,9 +90,13 @@ type Store interface {
 	HasType(name string, version int) bool
 	// ListTypes lists stored type keys (name@version), sorted.
 	ListTypes() ([]string, error)
-	// PutInstance stores an instance snapshot.
+	// PutInstance stores an instance snapshot. The store owns the instance
+	// from then on and may hand it to readers as is: the caller must not
+	// change it afterwards.
 	PutInstance(in *Instance) error
-	// GetInstance loads an instance snapshot.
+	// GetInstance loads an instance snapshot. Snapshots are shared and
+	// immutable: callers must not change one they read (the engine
+	// advances a copy).
 	GetInstance(id string) (*Instance, error)
 	// ListInstances lists stored instance IDs, sorted.
 	ListInstances() ([]string, error)
@@ -324,8 +328,8 @@ func (e *Engine) nextID() string {
 
 // Start creates an instance of the named type (latest version) with the
 // given initial data and advances it until it completes or parks on a
-// receive step. The returned instance is the engine's live state; treat it
-// as read-only.
+// receive step. The returned instance is the snapshot the engine stored;
+// it is read-only.
 func (e *Engine) Start(ctx context.Context, typeName string, data map[string]any) (*Instance, error) {
 	return e.startChildVersion(ctx, typeName, 0, data, "", "")
 }
@@ -376,11 +380,11 @@ func (e *Engine) startChildVersion(ctx context.Context, typeName string, version
 // then advances the instance. It returns ErrNotWaiting if no step of the
 // instance is parked on that port.
 func (e *Engine) Deliver(ctx context.Context, instanceID, port string, payload any) error {
-	in, err := e.store.GetInstance(instanceID)
+	snap, err := e.store.GetInstance(instanceID)
 	if err != nil {
 		return err
 	}
-	t, err := e.store.GetType(in.Type, in.Version)
+	t, err := e.store.GetType(snap.Type, snap.Version)
 	if err != nil {
 		return err
 	}
@@ -390,7 +394,7 @@ func (e *Engine) Deliver(ctx context.Context, instanceID, port string, payload a
 		if s.Port != port {
 			continue
 		}
-		if run := in.Steps[s.Name]; run != nil && run.State == StepWaiting {
+		if run := snap.Steps[s.Name]; run != nil && run.State == StepWaiting {
 			target = s
 			break
 		}
@@ -398,6 +402,7 @@ func (e *Engine) Deliver(ctx context.Context, instanceID, port string, payload a
 	if target == nil {
 		return fmt.Errorf("%w: instance %s has no step waiting on port %q", ErrNotWaiting, instanceID, port)
 	}
+	in := snap.clone()
 	key := target.DataKey
 	if key == "" {
 		key = "document"
@@ -421,11 +426,11 @@ var ErrNotWaiting = errors.New("wf: no step waiting on port")
 // skipped (its normal continuation dead-path-eliminated) and its OnTimeout
 // step is activated instead — the paper's public-process time-out behavior.
 func (e *Engine) Expire(ctx context.Context, instanceID, stepName string) error {
-	in, err := e.store.GetInstance(instanceID)
+	snap, err := e.store.GetInstance(instanceID)
 	if err != nil {
 		return err
 	}
-	t, err := e.store.GetType(in.Type, in.Version)
+	t, err := e.store.GetType(snap.Type, snap.Version)
 	if err != nil {
 		return err
 	}
@@ -436,11 +441,11 @@ func (e *Engine) Expire(ctx context.Context, instanceID, stepName string) error 
 	if s.OnTimeout == "" {
 		return fmt.Errorf("wf: step %q declares no timeout branch", stepName)
 	}
-	run := in.Steps[s.Name]
-	if run == nil || run.State != StepWaiting {
+	if run := snap.Steps[s.Name]; run == nil || run.State != StepWaiting {
 		return fmt.Errorf("%w: step %q is not waiting", ErrNotWaiting, stepName)
 	}
-	run.State = StepSkipped
+	in := snap.clone()
+	in.Steps[s.Name].State = StepSkipped
 	in.log(s.Name, "timed out")
 	e.signalOutgoing(ctx, t, in, s, false, nil)
 	if err := e.advanceWith(ctx, t, in, map[string]bool{s.OnTimeout: true}); err != nil {
@@ -452,15 +457,24 @@ func (e *Engine) Expire(ctx context.Context, instanceID, stepName string) error 
 	return e.resumeParentIfDone(ctx, in)
 }
 
-// Instance loads an instance snapshot from the workflow database.
+// Instance loads an instance snapshot from the workflow database. The
+// snapshot is shared and read-only: a later transition stores a new
+// snapshot instead of changing it.
 func (e *Engine) Instance(id string) (*Instance, error) {
 	return e.store.GetInstance(id)
 }
 
-// persist stores a deep snapshot (Figure 4's "store the advanced state of
-// the workflow instance back into the database").
+// persist stores the instance as its next snapshot (Figure 4's "store the
+// advanced state of the workflow instance back into the database"). The
+// store owns it from then on: the engine never changes an instance after
+// persisting it, and Deliver, Expire and resumeParentIfDone advance a clone
+// of the stored snapshot. The history is first copied to an exact-size
+// slice, so the snapshot keeps no append headroom alive.
 func (e *Engine) persist(in *Instance) error {
-	return e.store.PutInstance(in.snapshotClone())
+	if len(in.History) < cap(in.History) {
+		in.History = append(make([]Event, 0, len(in.History)), in.History...)
+	}
+	return e.store.PutInstance(in)
 }
 
 // advance runs the instance until quiescence: no step is ready.
@@ -752,13 +766,12 @@ func (e *Engine) markFailed(in *Instance, s *StepDef, err error) {
 // arcs only fire from within advance, which is where completions that can
 // close a loop happen.
 func (e *Engine) signalOutgoing(ctx context.Context, t *TypeDef, in *Instance, s *StepDef, completed bool, forced map[string]bool) {
-	env := in.Env()
 	for _, a := range t.outgoing[s.Name] {
 		val := false
 		if completed {
 			if a.cond == nil {
 				val = true
-			} else if ok, err := evalCond(a, env); err == nil {
+			} else if ok, err := evalCond(a, in.Env()); err == nil {
 				val = ok
 			} else {
 				in.log(s.Name, fmt.Sprintf("condition %q error: %v (treated as false)", a.Condition, err))
@@ -778,7 +791,7 @@ func (e *Engine) signalOutgoing(ctx context.Context, t *TypeDef, in *Instance, s
 	}
 }
 
-func evalCond(a *Arc, env expr.MapEnv) (bool, error) {
+func evalCond(a *Arc, env expr.Env) (bool, error) {
 	return expr.EvalBool(a.cond, env)
 }
 
@@ -840,22 +853,22 @@ func (e *Engine) resumeParentIfDone(ctx context.Context, child *Instance) error 
 	if child.Parent == "" || child.State == InstRunning {
 		return nil
 	}
-	parent, err := e.store.GetInstance(child.Parent)
+	snap, err := e.store.GetInstance(child.Parent)
 	if err != nil {
 		return err
 	}
-	t, err := e.store.GetType(parent.Type, parent.Version)
+	t, err := e.store.GetType(snap.Type, snap.Version)
 	if err != nil {
 		return err
 	}
 	s, ok := t.Step(child.ParentStep)
 	if !ok {
-		return fmt.Errorf("wf: parent %s has no step %q", parent.ID, child.ParentStep)
+		return fmt.Errorf("wf: parent %s has no step %q", snap.ID, child.ParentStep)
 	}
-	run := parent.Steps[s.Name]
-	if run.State != StepChildRun {
+	if snap.Steps[s.Name].State != StepChildRun {
 		return nil
 	}
+	parent := snap.clone()
 	if child.State == InstFailed {
 		// The parent is now failed; persisting that is a real durability
 		// obligation, so a persist error must not be dropped on the floor —

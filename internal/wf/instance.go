@@ -102,28 +102,31 @@ func (in *Instance) StepStateOf(name string) StepState {
 	return ""
 }
 
-// Env builds the expression environment for condition and rule evaluation:
-// primitive data values appear under their keys; document values additionally
-// contribute their doc.Env fields ("document.amount", "PO.amount", …). The
-// data keys "source" and "target" feed the corresponding rule parameters.
-func (in *Instance) Env() expr.MapEnv {
-	env := expr.MapEnv{}
-	source, _ := in.Data["source"].(string)
-	target, _ := in.Data["target"].(string)
-	for k, v := range in.Data {
-		switch v.(type) {
-		case string, bool, int, int64, float64:
-			env[k] = v
+// Env returns the expression environment that conditions evaluate against.
+// It resolves a path when an expression looks it up: first in the current
+// document's rule environment (doc.Env, given the data values "source" and
+// "target" as its rule parameters), then as a primitive data value
+// (string, bool, int, int64, float64) under that key; any other path is
+// undefined. It reads the instance at lookup time.
+func (in *Instance) Env() expr.Env { return instanceEnv{in} }
+
+type instanceEnv struct{ in *Instance }
+
+// Lookup implements expr.Env.
+func (e instanceEnv) Lookup(path string) (expr.Value, bool) {
+	data := e.in.Data
+	if d, ok := data["document"]; ok {
+		source, _ := data["source"].(string)
+		target, _ := data["target"].(string)
+		if v, ok := doc.Lookup(d, source, target, path); ok {
+			return v, true
 		}
 	}
-	if d, ok := in.Data["document"]; ok {
-		if de, err := doc.Env(d, source, target); err == nil {
-			for k, v := range de {
-				env[k] = v
-			}
-		}
+	switch v := data[path].(type) {
+	case string, bool, int, int64, float64:
+		return v, true
 	}
-	return env
+	return nil, false
 }
 
 // Document returns the instance's current business document (data key
@@ -133,19 +136,21 @@ func (in *Instance) Document() any { return in.Data["document"] }
 // SetDocument replaces the instance's current business document.
 func (in *Instance) SetDocument(d any) { in.Data["document"] = d }
 
-// snapshotClone deep-copies the instance for persistence. Document values
-// are cloned when they support it; other values are copied by reference
-// (the engine treats data values as immutable once stored).
-func (in *Instance) snapshotClone() *Instance {
+// clone returns a copy of the instance that shares no mutable structure
+// with it: fresh Data, Steps and Arcs maps, its own step runs and its own
+// history. Data values are shared; handlers replace a document
+// (SetDocument) rather than editing it in place.
+func (in *Instance) clone() *Instance {
 	cp := *in
 	cp.Data = make(map[string]any, len(in.Data))
 	for k, v := range in.Data {
-		cp.Data[k] = cloneValue(v)
+		cp.Data[k] = v
 	}
 	cp.Steps = make(map[string]*StepRun, len(in.Steps))
+	runs := make([]StepRun, 0, len(in.Steps))
 	for k, v := range in.Steps {
-		sr := *v
-		cp.Steps[k] = &sr
+		runs = append(runs, *v)
+		cp.Steps[k] = &runs[len(runs)-1]
 	}
 	cp.Arcs = make(map[string]int, len(in.Arcs))
 	for k, v := range in.Arcs {
@@ -155,6 +160,8 @@ func (in *Instance) snapshotClone() *Instance {
 	return &cp
 }
 
+// cloneValue deep-copies the data values that support it; batchView uses it
+// to isolate concurrently executing batch members from each other.
 func cloneValue(v any) any {
 	switch d := v.(type) {
 	case *doc.PurchaseOrder:

@@ -213,14 +213,13 @@ func (e *Engine) planReady(in *Instance, ps *planStep, forced map[string]bool) (
 // record the signal, fire loops, and enqueue each signaled target for
 // (re-)evaluation.
 func (e *Engine) planSignalOutgoing(p *Plan, in *Instance, ps *planStep, completed bool, wl *worklist) {
-	env := in.Env()
 	for i := range ps.out {
 		a := &ps.out[i]
 		val := false
 		if completed {
 			if a.cond == nil {
 				val = true
-			} else if ok, err := expr.EvalBool(a.cond, env); err == nil {
+			} else if ok, err := expr.EvalBool(a.cond, in.Env()); err == nil {
 				val = ok
 			} else {
 				in.log(ps.name, fmt.Sprintf("condition %q error: %v (treated as false)", a.condition, err))

@@ -324,7 +324,9 @@ func (s *FileStore) HasType(name string, version int) bool {
 // ListTypes implements wf.Store.
 func (s *FileStore) ListTypes() ([]string, error) { return s.mem.ListTypes() }
 
-// PutInstance implements wf.Store.
+// PutInstance implements wf.Store. The snapshot becomes visible to
+// GetInstance only once its log record is written: after a failed append
+// the store keeps serving the last snapshot its log holds.
 func (s *FileStore) PutInstance(in *wf.Instance) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

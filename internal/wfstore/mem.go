@@ -21,8 +21,10 @@ import (
 )
 
 // MemStore is an in-memory workflow database. It is safe for concurrent
-// use. Instances are stored and returned as deep snapshots, so callers can
-// never mutate stored state in place.
+// use. It keeps the instance PutInstance is given and returns that same
+// object from GetInstance without copying: under wf.Store's contract a
+// stored snapshot is immutable, so every reader may share it (the engine
+// advances a copy and stores the copy as the next snapshot).
 type MemStore struct {
 	mu        sync.RWMutex
 	types     map[string]*wf.TypeDef // name@version → def

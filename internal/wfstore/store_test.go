@@ -5,10 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/doc"
+	"repro/internal/journal"
 	"repro/internal/wf"
 )
 
@@ -272,5 +274,47 @@ func TestEngineRunsOnFileStore(t *testing.T) {
 	got, err := s2.GetInstance(in.ID)
 	if err != nil || got.State != wf.InstCompleted {
 		t.Fatalf("%v %v", got, err)
+	}
+}
+
+// TestFailedPersistLeavesLastDurableSnapshot: when the log append of a
+// transition fails, the store keeps serving the last snapshot the log
+// holds — what a restart would replay — not the unpersisted transition.
+func TestFailedPersistLeavesLastDurableSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wf.log")
+	ffs := journal.NewFaultFS(nil, 1)
+	s, err := OpenFileStoreFS(path, journal.FsyncAlways, ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	e := wf.NewEngine("e", s, wf.NewHandlers(), nil)
+	if err := e.Deploy(sampleType()); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	in, err := e.Start(ctx, "t", map[string]any{"source": "TP1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ffs.Arm(journal.FaultWriteErr)
+	if err := e.Deliver(ctx, in.ID, "in", "payload"); !errors.Is(err, journal.ErrInjected) {
+		t.Fatalf("Deliver under a failing disk: err = %v, want the injected fault", err)
+	}
+	got, err := e.Instance(in.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := openFile(t, path).GetInstance(in.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, replayed) {
+		t.Fatalf("store serves %s (%d events), its log replays %s (%d events)",
+			got.Summary(), len(got.History), replayed.Summary(), len(replayed.History))
+	}
+	if got.State != wf.InstRunning || got.StepStateOf("wait") != wf.StepWaiting {
+		t.Fatalf("after the failed Deliver: %s", got.Summary())
 	}
 }

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/doc"
+	"repro/internal/wf"
+	"repro/internal/wfstore"
 )
 
 // Allocation budgets. Allocation counts repeat exactly from run to run, so
@@ -22,6 +24,12 @@ const (
 	// (rules.Registry.Evaluate): 2 measured, 16 when the rule environment
 	// was built as a map.
 	ruleAllocBudget = 4
+	// deliverAllocBudget bounds allocations per Engine.Deliver into a parked
+	// receive step whose completion runs a conditional arc, a task and a
+	// JoinAny join: 21 measured with go1.24, 23 while Deliver signaled the
+	// delivered step's arcs from the TypeDef (building each arc key afresh).
+	// A worklist or a second plan lookup per Deliver would exceed it.
+	deliverAllocBudget = 25
 )
 
 func TestAllocBudgets(t *testing.T) {
@@ -67,4 +75,58 @@ func TestAllocBudgets(t *testing.T) {
 	if perDecision > ruleAllocBudget {
 		t.Errorf("rules.Registry.Evaluate allocates %.0f times per decision, budget %d", perDecision, ruleAllocBudget)
 	}
+
+	perDeliver := deliverAllocs(t)
+	t.Logf("wf.Engine.Deliver: %.0f allocations per delivery (budget %d)", perDeliver, deliverAllocBudget)
+	if perDeliver > deliverAllocBudget {
+		t.Errorf("wf.Engine.Deliver allocates %.0f times per delivery, budget %d", perDeliver, deliverAllocBudget)
+	}
+}
+
+// deliverAllocs measures one Deliver on a type shaped send → receive (with a
+// timeout branch) → conditional arc → task → JoinAny noop. The instances are
+// started, and parked on the receive step, before measuring.
+func deliverAllocs(t *testing.T) float64 {
+	t.Helper()
+	h := wf.NewHandlers()
+	h.Register("approve", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error { return nil })
+	ports := func(ctx context.Context, in *wf.Instance, s *wf.StepDef, payload any) error { return nil }
+	e := wf.NewEngine("alloc", wfstore.NewMemStore(), h, ports)
+	if err := e.Deploy(&wf.TypeDef{
+		Name: "deliver", Version: 1,
+		Steps: []wf.StepDef{
+			{Name: "ask", Kind: wf.StepSend, Port: "out"},
+			{Name: "answer", Kind: wf.StepReceive, Port: "in", OnTimeout: "escalate"},
+			{Name: "approve", Kind: wf.StepTask, Handler: "approve"},
+			{Name: "escalate", Kind: wf.StepNoop},
+			{Name: "done", Kind: wf.StepNoop, Join: wf.JoinAny},
+		},
+		Arcs: []wf.Arc{
+			{From: "ask", To: "answer"},
+			{From: "answer", To: "approve", Condition: "document.amount > 0"},
+			{From: "approve", To: "done"},
+			{From: "escalate", To: "done"},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const runs = 200
+	ids := make([]string, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range ids {
+		in, err := e.Start(ctx, "deliver", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = in.ID
+	}
+	var payload any = doc.NewGenerator(2).PO(benchBuyer, benchSeller)
+	next := 0
+	return testing.AllocsPerRun(runs, func() {
+		id := ids[next]
+		next++
+		if err := e.Deliver(ctx, id, "in", payload); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -1194,23 +1194,11 @@ func BenchmarkHubForward(b *testing.B) {
 	}
 }
 
-// BenchmarkHubPlanned measures the compiled-plan execution layer.
+// BenchmarkHubPlanned measures the compiled-plan interpreter on a bare
+// engine.
 //
-// The clean/legacy pair drives the BenchmarkHubSharded clean shards=8
-// workers=4 configuration through the default (plan-interpreting) hub and
-// through one pinned to the legacy TypeDef interpreter. At the hub level
-// interpretation is a small slice of each exchange (scheduling, transforms
-// and backend work dominate), so these rows bound regressions rather than
-// showcase the win: scripts/bench.sh holds the clean row to >= 0.9x the
-// BenchmarkHubSharded clean shards=8 row (the identical configuration and
-// code path — a noise guard).
-//
-// The interp pair isolates what the compilation layer actually changes: a
-// bare engine running a 40-step conditional chain to completion, compiled
-// plan vs legacy interpreter. The plan's ready-set worklist replaces the
-// legacy rescan of every step after every signal (O(steps²) per advance),
-// so plan instances/s must hold >= 1.0x legacy (acceptance gate; in
-// practice it is well above).
+// The interp row runs a 40-step conditional chain to completion and reports
+// instances/s, an absolute figure scripts/bench.sh records.
 //
 // The wide pair isolates intra-instance step parallelism on a bare engine:
 // an 8-way fan-out whose sends each hold a ~200µs port (the simulated slow
@@ -1218,68 +1206,11 @@ func BenchmarkHubForward(b *testing.B) {
 // parallelism=8 is the measured speedup scripts/bench.sh records
 // (acceptance: > 1.0x the parallelism=1 row).
 func BenchmarkHubPlanned(b *testing.B) {
-	for _, mode := range []string{"clean", "legacy"} {
-		b.Run(fmt.Sprintf("%s/shards=8/workers=4", mode), func(b *testing.B) {
-			m, err := core.PaperFigure14Model()
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := []core.HubOption{core.WithShards(8), core.WithWorkersPerShard(4)}
-			if mode == "legacy" {
-				opts = append(opts, core.WithLegacyWorkflowInterpreter())
-			}
-			h, err := core.NewHub(m, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := h.AddPartner(core.Figure15Partner()); err != nil {
-				b.Fatal(err)
-			}
-			defer h.StopWorkers()
-			ctx := context.Background()
-
-			var buyers []doc.Party
-			for _, p := range h.Model.Partners {
-				buyers = append(buyers, doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS})
-			}
-			gens := make([]*doc.Generator, len(buyers))
-			for i := range gens {
-				gens[i] = doc.NewGenerator(int64(3000 + i))
-			}
-			pos := make([]*doc.PurchaseOrder, b.N)
-			for i := range pos {
-				w := i % len(buyers)
-				pos[i] = gens[w].PO(buyers[w], benchSeller)
-				pos[i].ID = fmt.Sprintf("%s-p%d-%d", pos[i].ID, w, i)
-			}
-
-			b.ResetTimer()
-			start := time.Now()
-			futs := make([]*core.Future, b.N)
-			for i, po := range pos {
-				fut, err := h.DoAsync(ctx, core.Request{Kind: core.DocPO, PO: po})
-				if err != nil {
-					b.Fatal(err)
-				}
-				futs[i] = fut
-			}
-			for i, fut := range futs {
-				if res := fut.Result(ctx); res.Err != nil {
-					b.Fatalf("exchange %d: %v", i, res.Err)
-				}
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "exchanges/s")
-		})
-	}
-
 	// The chain is declared in reverse execution order (s39 first, entry
-	// s0 last): each completion signals a step declared *earlier*, the
-	// legacy interpreter's worst case — every pass rescans all steps to
-	// find the one newly-ready successor (O(steps²) scans per instance),
-	// while the plan worklist just carries the signaled index to the next
-	// pass.
+	// s0 last): each completion signals a step declared *earlier*, so every
+	// step runs in a pass of its own. A rescan of every step per pass would
+	// cost O(steps²) per instance; the worklist carries the signaled index
+	// to the next pass.
 	chainDef := func() *wf.TypeDef {
 		const depth = 40
 		t := &wf.TypeDef{Name: "chain", Version: 1}
@@ -1296,35 +1227,29 @@ func BenchmarkHubPlanned(b *testing.B) {
 		}
 		return t
 	}
-	for _, mode := range []string{"plan", "legacy"} {
-		b.Run("interp/mode="+mode, func(b *testing.B) {
-			h := wf.NewHandlers()
-			h.Register("nop", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error { return nil })
-			var opts []wf.EngineOption
-			if mode == "legacy" {
-				opts = append(opts, wf.WithLegacyInterpreter())
-			}
-			e := wf.NewEngine("interp", wfstore.NewMemStore(), h, nil, opts...)
-			if err := e.Deploy(chainDef()); err != nil {
+	b.Run("interp/mode=plan", func(b *testing.B) {
+		h := wf.NewHandlers()
+		h.Register("nop", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error { return nil })
+		e := wf.NewEngine("interp", wfstore.NewMemStore(), h, nil)
+		if err := e.Deploy(chainDef()); err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		b.ResetTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			in, err := e.Start(ctx, "chain", map[string]any{"n": 1})
+			if err != nil {
 				b.Fatal(err)
 			}
-			ctx := context.Background()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				in, err := e.Start(ctx, "chain", map[string]any{"n": 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if in.State != wf.InstCompleted {
-					b.Fatalf("instance %s: %s", in.ID, in.State)
-				}
+			if in.State != wf.InstCompleted {
+				b.Fatalf("instance %s: %s", in.ID, in.State)
 			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "instances/s")
-		})
-	}
+		}
+		elapsed := time.Since(start)
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "instances/s")
+	})
 
 	const fan = 8
 	wideDef := func() *wf.TypeDef {

@@ -366,14 +366,10 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 	h.registerHandlers(handlers)
 	// The engine compiles every deployed type against the hub's routing
 	// fabric (checkPort) so broken models are rejected before any exchange
-	// runs; WithStepParallelism/WithLegacyWorkflowInterpreter pass through
-	// to the plan interpreter.
+	// runs; WithStepParallelism passes through to the plan interpreter.
 	engOpts := []wf.EngineOption{wf.WithPortChecker(h.checkPort)}
 	if cfg.stepParallelism > 1 {
 		engOpts = append(engOpts, wf.WithStepParallelism(cfg.stepParallelism))
-	}
-	if cfg.legacyInterp {
-		engOpts = append(engOpts, wf.WithLegacyInterpreter())
 	}
 	h.Engine = wf.NewEngine("hub", wfstore.NewMemStore(), handlers, h.portFunc, engOpts...)
 	// Every compilation — eager at deploy, lazy on first execution of a

@@ -40,7 +40,6 @@ type hubConfig struct {
 	probeInterval   time.Duration
 	dlqCap          int
 	stepParallelism int
-	legacyInterp    bool
 	canaryPolicy    cfgstore.CanaryPolicy
 	exchIDBase      int
 }
@@ -180,23 +179,14 @@ func WithDLQCap(n int) HubOption {
 // steps of one instance concurrently, up to n at a time (minimum 1, the
 // default). Parallelism applies within a single advance — two sends on
 // disjoint branches go out together — and is safe only because compiled
-// plans know each step's declared reads/writes. n == 1 preserves the exact
-// legacy step order.
+// plans know each step's declared reads/writes. n == 1 keeps the strictly
+// serial step order.
 func WithStepParallelism(n int) HubOption {
 	return func(c *hubConfig) {
 		if n >= 1 {
 			c.stepParallelism = n
 		}
 	}
-}
-
-// WithLegacyWorkflowInterpreter makes the hub's engine interpret TypeDefs
-// directly instead of executing compiled plans. Deploy-time plan validation
-// still runs (broken models are still rejected); only the execution path
-// reverts. Kept as an escape hatch and as the oracle for differential
-// tests.
-func WithLegacyWorkflowInterpreter() HubOption {
-	return func(c *hubConfig) { c.legacyInterp = true }
 }
 
 // WithCanaryPolicy sets the verdict policy for canary deployments started

@@ -1,118 +1,103 @@
 package core
 
 import (
+	"bytes"
 	"context"
-	"reflect"
-	"sort"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/doc"
-	"repro/internal/wf"
 )
 
-// TestPlanInterpreterMatchesLegacyHub is the hub-level differential test
-// for the compiled-plan interpreter: two hubs over the same model — one
-// executing compiled plans (the default), one pinned to the legacy TypeDef
-// interpreter — are driven through identical PO round trips and invoice
-// flows, and every workflow instance either engine produced must match the
-// other's byte for byte (state, error, full event history). The wf package
-// proves equivalence on synthetic graphs; this proves it on the paper's
-// actual model.
+// TestPlanInterpreterMatchesLegacyHub pins the hub's workflow execution on
+// the paper's model to a golden transcript: PO round trips and invoice flows
+// for every partner of the Figure 14 hub, rendered as the outbound POAs and
+// every workflow instance's type, state, error and full event history. The
+// transcript was written by the pre-plan TypeDef interpreter; the wf
+// package's compat goldens cover synthetic graphs, this one the actual
+// model.
 func TestPlanInterpreterMatchesLegacyHub(t *testing.T) {
-	build := func(opts ...HubOption) *Hub {
-		t.Helper()
-		model, err := PaperFigure14Model()
-		if err != nil {
-			t.Fatal(err)
-		}
-		hub, err := NewHub(model, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := hub.EnableInvoicing(); err != nil {
-			t.Fatal(err)
-		}
-		return hub
+	model, err := PaperFigure14Model()
+	if err != nil {
+		t.Fatal(err)
 	}
-	planned := build()
-	legacy := build(WithLegacyWorkflowInterpreter())
+	hub, err := NewHub(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hub.EnableInvoicing(); err != nil {
+		t.Fatal(err)
+	}
 
+	var buf bytes.Buffer
 	ctx := context.Background()
 	seller := doc.Party{ID: "HUB", Name: "Widget Inc", DUNS: "999999999"}
-	drive := func(hub *Hub) []*doc.PurchaseOrderAck {
-		t.Helper()
-		var acks []*doc.PurchaseOrderAck
-		for _, p := range hub.Model.Partners {
-			g := doc.NewGenerator(int64(len(p.ID) + int(p.ApprovalThreshold)))
-			buyer := doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS}
-			for i := 0; i < 3; i++ {
-				po := g.PO(buyer, seller)
-				res, err := hub.Do(ctx, Request{Kind: DocPO, PO: po})
-				if err != nil {
-					t.Fatalf("%s order %d: %v", p.ID, i, err)
-				}
-				acks = append(acks, res.POA)
-				if i == 0 {
-					if _, err := hub.Do(ctx, Request{Kind: DocInvoice, PartnerID: p.ID, POID: po.ID}); err != nil {
-						t.Fatalf("%s invoice: %v", p.ID, err)
-					}
+	for _, p := range hub.Model.Partners {
+		g := doc.NewGenerator(int64(len(p.ID) + int(p.ApprovalThreshold)))
+		buyer := doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS}
+		for i := 0; i < 3; i++ {
+			po := g.PO(buyer, seller)
+			res, err := hub.Do(ctx, Request{Kind: DocPO, PO: po})
+			if err != nil {
+				t.Fatalf("%s order %d: %v", p.ID, i, err)
+			}
+			poa, err := json.Marshal(res.POA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&buf, "poa %s\n", poa)
+			if i == 0 {
+				if _, err := hub.Do(ctx, Request{Kind: DocInvoice, PartnerID: p.ID, POID: po.ID}); err != nil {
+					t.Fatalf("%s invoice: %v", p.ID, err)
 				}
 			}
 		}
-		return acks
-	}
-	plannedAcks := drive(planned)
-	legacyAcks := drive(legacy)
-	if !reflect.DeepEqual(plannedAcks, legacyAcks) {
-		t.Fatal("outbound POAs diverge between plan and legacy interpreters")
 	}
 
-	ids := func(e *wf.Engine) []string {
-		out, err := e.Store().ListInstances()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Strings(out)
-		return out
+	ids, err := hub.Engine.Store().ListInstances()
+	if err != nil {
+		t.Fatal(err)
 	}
-	pIDs, lIDs := ids(planned.Engine), ids(legacy.Engine)
-	if !reflect.DeepEqual(pIDs, lIDs) {
-		t.Fatalf("instance ID sets diverge: plan %v, legacy %v", pIDs, lIDs)
-	}
-	if len(pIDs) == 0 {
+	if len(ids) == 0 {
 		t.Fatal("no instances recorded")
 	}
-	for _, id := range pIDs {
-		pi, err := planned.Engine.Store().GetInstance(id)
+	for _, id := range ids {
+		in, err := hub.Engine.Store().GetInstance(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		li, err := legacy.Engine.Store().GetInstance(id)
-		if err != nil {
-			t.Fatal(err)
+		fmt.Fprintf(&buf, "instance %s %s %s\n", in.ID, in.Type, in.State)
+		if in.Error != "" {
+			fmt.Fprintf(&buf, "  error: %s\n", in.Error)
 		}
-		if pi.Type != li.Type || pi.State != li.State || pi.Error != li.Error {
-			t.Fatalf("instance %s: plan (%s %s %q) vs legacy (%s %s %q)",
-				id, pi.Type, pi.State, pi.Error, li.Type, li.State, li.Error)
+		for _, ev := range in.History {
+			fmt.Fprintf(&buf, "  event %d [%s] %s\n", ev.Seq, ev.Step, ev.What)
 		}
-		if !reflect.DeepEqual(pi.History, li.History) {
-			max := len(pi.History)
-			if len(li.History) > max {
-				max = len(li.History)
-			}
-			for k := 0; k < max; k++ {
-				var pe, le any
-				if k < len(pi.History) {
-					pe = pi.History[k]
-				}
-				if k < len(li.History) {
-					le = li.History[k]
-				}
-				if !reflect.DeepEqual(pe, le) {
-					t.Fatalf("instance %s (%s) history diverges at %d: plan %+v vs legacy %+v",
-						id, pi.Type, k, pe, le)
-				}
-			}
+	}
+
+	path := filepath.Join("testdata", "hub_instances.golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(buf.Bytes(), want) {
+		return
+	}
+	got, exp := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(exp); i++ {
+		var a, b string
+		if i < len(got) {
+			a = got[i]
+		}
+		if i < len(exp) {
+			b = exp[i]
+		}
+		if a != b {
+			t.Fatalf("%s:%d differs\n got: %q\nwant: %q", path, i+1, a, b)
 		}
 	}
 }

@@ -1,113 +1,156 @@
 package wf_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/wf"
 	"repro/internal/wfstore"
 )
 
-// compat_test pins the compiled-plan interpreter to the legacy TypeDef
-// interpreter: at parallelism 1 the two must produce byte-identical
-// instance state — the same history events in the same order, the same step
-// states, attempts, arc signals and data — for every workflow shape the
-// engine supports.
+// compat_test pins the workflow interpreter to golden transcripts. Each case
+// deploys its types, starts the first one, optionally drives the instance
+// further, and renders every stored instance — state, error, step runs,
+// attempts, arc signals, data and history, maps sorted — into
+// testdata/compat/<test name>.golden. The goldens were written by the
+// pre-plan TypeDef interpreter, which rescanned every step per pass; the
+// compiled-plan interpreter replaced it and, at parallelism 1, must
+// reproduce its transcripts byte for byte.
 
-// compatEngines builds a plan-interpreting engine and a legacy oracle with
-// identical registries and ports.
-func compatEngines(t *testing.T, setup func(h *wf.Handlers, sent *[]string) wf.PortFunc) (plan, legacy *wf.Engine) {
-	t.Helper()
-	mk := func(opts ...wf.EngineOption) *wf.Engine {
-		h := wf.NewHandlers()
-		var sent []string
-		ports := setup(h, &sent)
-		return wf.NewEngine("cmp", wfstore.NewMemStore(), h, ports, opts...)
-	}
-	return mk(), mk(wf.WithLegacyInterpreter())
+// golden collects one test's rendered cases and compares them with the
+// test's golden file.
+type golden struct {
+	t   *testing.T
+	buf bytes.Buffer
 }
 
-// compareInstances asserts two instances are byte-identical in everything
-// the engine records.
-func compareInstances(t *testing.T, label string, a, b *wf.Instance) {
-	t.Helper()
-	if a == nil || b == nil {
-		if a != b {
-			t.Fatalf("%s: one instance is nil (plan=%v legacy=%v)", label, a, b)
-		}
+func newGolden(t *testing.T) *golden { return &golden{t: t} }
+
+func (g *golden) printf(format string, args ...any) { fmt.Fprintf(&g.buf, format, args...) }
+
+// check compares the rendered transcript with the golden file and reports
+// the first differing line.
+func (g *golden) check() {
+	g.t.Helper()
+	path := filepath.Join("testdata", "compat", g.t.Name()+".golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	got := g.buf.Bytes()
+	if bytes.Equal(got, want) {
 		return
 	}
-	if a.State != b.State || a.Error != b.Error {
-		t.Fatalf("%s: state %q/%q vs %q/%q", label, a.State, a.Error, b.State, b.Error)
-	}
-	if !reflect.DeepEqual(a.History, b.History) {
-		max := len(a.History)
-		if len(b.History) > max {
-			max = len(b.History)
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var a, b string
+		if i < len(gl) {
+			a = gl[i]
 		}
-		for i := 0; i < max; i++ {
-			var ea, eb wf.Event
-			if i < len(a.History) {
-				ea = a.History[i]
-			}
-			if i < len(b.History) {
-				eb = b.History[i]
-			}
-			if ea != eb {
-				t.Fatalf("%s: history diverges at %d: plan %+v vs legacy %+v", label, i, ea, eb)
-			}
+		if i < len(wl) {
+			b = wl[i]
 		}
-	}
-	if !reflect.DeepEqual(a.Steps, b.Steps) {
-		t.Fatalf("%s: step states diverge: %+v vs %+v", label, a.Steps, b.Steps)
-	}
-	if !reflect.DeepEqual(a.Arcs, b.Arcs) {
-		t.Fatalf("%s: arc signals diverge: %v vs %v", label, a.Arcs, b.Arcs)
-	}
-	if !reflect.DeepEqual(a.Data, b.Data) {
-		t.Fatalf("%s: data diverges: %v vs %v", label, a.Data, b.Data)
+		if a != b {
+			g.t.Fatalf("%s:%d differs\n got: %q\nwant: %q", path, i+1, a, b)
+		}
 	}
 }
 
-// runCompat deploys defs on both engines, starts the first type with data,
-// optionally drives both instances further, and compares every instance in
-// both stores.
-func runCompat(t *testing.T, label string,
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// renderInstance writes everything the engine records about an instance.
+func (g *golden) renderInstance(in *wf.Instance) {
+	g.printf("instance %s %s@%d %s", in.ID, in.Type, in.Version, in.State)
+	if in.Parent != "" {
+		g.printf(" parent=%s/%s", in.Parent, in.ParentStep)
+	}
+	g.printf("\n")
+	if in.Error != "" {
+		g.printf("  error: %s\n", in.Error)
+	}
+	for _, name := range sortedKeys(in.Steps) {
+		r := in.Steps[name]
+		g.printf("  step %s: %s attempts=%d", name, r.State, r.Attempts)
+		if r.Child != "" {
+			g.printf(" child=%s", r.Child)
+		}
+		if r.Error != "" {
+			g.printf(" error=%q", r.Error)
+		}
+		g.printf("\n")
+	}
+	for _, k := range sortedKeys(in.Arcs) {
+		g.printf("  arc %s: %d\n", k, in.Arcs[k])
+	}
+	for _, k := range sortedKeys(in.Data) {
+		g.printf("  data %s: %T %v\n", k, in.Data[k], in.Data[k])
+	}
+	for _, ev := range in.History {
+		g.printf("  event %d [%s] %s\n", ev.Seq, ev.Step, ev.What)
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	return "error: " + err.Error()
+}
+
+// runCompat deploys defs on a fresh engine, starts the first type with
+// data, optionally drives the instance further, and renders the outcome and
+// every stored instance under label.
+func runCompat(t *testing.T, g *golden, label string,
 	setup func(h *wf.Handlers, sent *[]string) wf.PortFunc,
 	defs []*wf.TypeDef, data map[string]any,
-	drive func(e *wf.Engine, in *wf.Instance)) {
+	drive func(e *wf.Engine, in *wf.Instance) error) {
 	t.Helper()
-	plan, legacy := compatEngines(t, setup)
-	for _, e := range []*wf.Engine{plan, legacy} {
-		for _, def := range defs {
-			if err := e.Deploy(def.Clone()); err != nil {
-				t.Fatalf("%s: deploy %s: %v", label, def.Name, err)
-			}
+	h := wf.NewHandlers()
+	var sent []string
+	e := wf.NewEngine("cmp", wfstore.NewMemStore(), h, setup(h, &sent))
+	for _, def := range defs {
+		if err := e.Deploy(def.Clone()); err != nil {
+			t.Fatalf("%s: deploy %s: %v", label, def.Name, err)
 		}
 	}
 	ctx := context.Background()
-	pin, _ := plan.Start(ctx, defs[0].Name, data)
-	lin, _ := legacy.Start(ctx, defs[0].Name, data)
+	g.printf("== %s\n", label)
+	in, err := e.Start(ctx, defs[0].Name, data)
+	if in == nil {
+		t.Fatalf("%s: start: %v", label, err)
+	}
+	g.printf("start %s: %s\n", in.ID, errText(err))
 	if drive != nil {
-		drive(plan, pin)
-		drive(legacy, lin)
+		g.printf("drive: %s\n", errText(drive(e, in)))
 	}
-	compareInstances(t, label+"/live", pin, lin)
-	pids, _ := plan.Store().ListInstances()
-	lids, _ := legacy.Store().ListInstances()
-	sort.Strings(pids)
-	sort.Strings(lids)
-	if !reflect.DeepEqual(pids, lids) {
-		t.Fatalf("%s: instance sets diverge: %v vs %v", label, pids, lids)
+	if len(sent) > 0 {
+		g.printf("sent: %s\n", strings.Join(sent, " "))
 	}
-	for _, id := range pids {
-		pi, _ := plan.Store().GetInstance(id)
-		li, _ := legacy.Store().GetInstance(id)
-		compareInstances(t, label+"/"+id, pi, li)
+	ids, err := e.Store().ListInstances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		si, err := e.Store().GetInstance(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.renderInstance(si)
 	}
 }
 
@@ -121,6 +164,7 @@ func recordPorts(h *wf.Handlers, sent *[]string) wf.PortFunc {
 }
 
 func TestCompatConditionalRouting(t *testing.T) {
+	g := newGolden(t)
 	def := &wf.TypeDef{
 		Name: "route",
 		Steps: []wf.StepDef{
@@ -143,12 +187,14 @@ func TestCompatConditionalRouting(t *testing.T) {
 		return nil
 	}
 	for _, n := range []float64{0, 2} {
-		runCompat(t, fmt.Sprintf("route/n=%v", n), setup,
+		runCompat(t, g, fmt.Sprintf("route/n=%v", n), setup,
 			[]*wf.TypeDef{def}, map[string]any{"n": n}, nil)
 	}
+	g.check()
 }
 
 func TestCompatLoop(t *testing.T) {
+	g := newGolden(t)
 	def := &wf.TypeDef{
 		Name: "loop",
 		Steps: []wf.StepDef{
@@ -167,10 +213,12 @@ func TestCompatLoop(t *testing.T) {
 		})
 		return nil
 	}
-	runCompat(t, "loop", setup, []*wf.TypeDef{def}, map[string]any{"n": float64(0)}, nil)
+	runCompat(t, g, "loop", setup, []*wf.TypeDef{def}, map[string]any{"n": float64(0)}, nil)
+	g.check()
 }
 
 func TestCompatDeliverAndTimeout(t *testing.T) {
+	g := newGolden(t)
 	def := &wf.TypeDef{
 		Name: "talk",
 		Steps: []wf.StepDef{
@@ -192,21 +240,55 @@ func TestCompatDeliverAndTimeout(t *testing.T) {
 		})
 		return recordPorts(h, sent)
 	}
-	runCompat(t, "deliver", setup, []*wf.TypeDef{def}, nil,
-		func(e *wf.Engine, in *wf.Instance) {
-			if err := e.Deliver(context.Background(), in.ID, "a", "yes"); err != nil {
-				t.Fatal(err)
-			}
+	runCompat(t, g, "deliver", setup, []*wf.TypeDef{def}, nil,
+		func(e *wf.Engine, in *wf.Instance) error {
+			return e.Deliver(context.Background(), in.ID, "a", "yes")
 		})
-	runCompat(t, "timeout", setup, []*wf.TypeDef{def}, nil,
-		func(e *wf.Engine, in *wf.Instance) {
-			if err := e.Expire(context.Background(), in.ID, "answer"); err != nil {
-				t.Fatal(err)
-			}
+	runCompat(t, g, "timeout", setup, []*wf.TypeDef{def}, nil,
+		func(e *wf.Engine, in *wf.Instance) error {
+			return e.Expire(context.Background(), in.ID, "answer")
 		})
+	g.check()
+}
+
+// TestCompatDeliverLoop: a delivery completes a receive step whose
+// completion fires a loop arc (the exit arc is declared first), so the
+// delivery itself resets the loop body and re-sends the request.
+func TestCompatDeliverLoop(t *testing.T) {
+	g := newGolden(t)
+	def := &wf.TypeDef{
+		Name: "poll",
+		Steps: []wf.StepDef{
+			{Name: "ask", Kind: wf.StepSend, Port: "q"},
+			{Name: "answer", Kind: wf.StepReceive, Port: "a", DataKey: "reply"},
+			{Name: "done", Kind: wf.StepTask, Handler: "mark"},
+		},
+		Arcs: []wf.Arc{
+			{From: "ask", To: "answer"},
+			{From: "answer", To: "done", Condition: `reply == "yes"`},
+			{From: "answer", To: "ask", Condition: `reply != "yes"`, Loop: true},
+		},
+	}
+	setup := func(h *wf.Handlers, sent *[]string) wf.PortFunc {
+		h.Register("mark", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
+			in.Data["accepted"] = true
+			return nil
+		})
+		return recordPorts(h, sent)
+	}
+	runCompat(t, g, "deliver-loop", setup, []*wf.TypeDef{def}, nil,
+		func(e *wf.Engine, in *wf.Instance) error {
+			ctx := context.Background()
+			if err := e.Deliver(ctx, in.ID, "a", "no"); err != nil {
+				return err
+			}
+			return e.Deliver(ctx, in.ID, "a", "yes")
+		})
+	g.check()
 }
 
 func TestCompatSubworkflow(t *testing.T) {
+	g := newGolden(t)
 	child := &wf.TypeDef{
 		Name: "kid",
 		Steps: []wf.StepDef{
@@ -228,11 +310,73 @@ func TestCompatSubworkflow(t *testing.T) {
 		})
 		return nil
 	}
-	runCompat(t, "subworkflow", setup, []*wf.TypeDef{parent, child},
+	runCompat(t, g, "subworkflow", setup, []*wf.TypeDef{parent, child},
 		map[string]any{"n": float64(5)}, nil)
+	g.check()
+}
+
+// TestCompatSubworkflowResume: a subworkflow child parks on a receive step,
+// so its parent parks too. A later delivery to the child completes it and
+// resumes the parent, whose subworkflow step has conditional arcs out of
+// it; a delivery the child rejects fails the child, and propagating that
+// failure fails the parent.
+func TestCompatSubworkflowResume(t *testing.T) {
+	g := newGolden(t)
+	child := &wf.TypeDef{
+		Name: "kid",
+		Steps: []wf.StepDef{
+			{Name: "wait", Kind: wf.StepReceive, Port: "p", DataKey: "reply"},
+			{Name: "work", Kind: wf.StepTask, Handler: "double"},
+		},
+		Arcs: []wf.Arc{{From: "wait", To: "work"}},
+	}
+	parent := &wf.TypeDef{
+		Name: "mom",
+		Steps: []wf.StepDef{
+			{Name: "call", Kind: wf.StepSubworkflow, Subworkflow: "kid"},
+			{Name: "big", Kind: wf.StepTask, Handler: "mark"},
+			{Name: "small", Kind: wf.StepTask, Handler: "mark"},
+			{Name: "end", Kind: wf.StepNoop, Join: wf.JoinAny},
+		},
+		Arcs: []wf.Arc{
+			{From: "call", To: "big", Condition: "result > 5"},
+			{From: "call", To: "small", Condition: "result <= 5"},
+			{From: "big", To: "end"}, {From: "small", To: "end"},
+		},
+	}
+	setup := func(h *wf.Handlers, sent *[]string) wf.PortFunc {
+		h.Register("double", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
+			if in.Data["reply"] == "reject" {
+				return errors.New("reply rejected")
+			}
+			in.Data["result"] = in.Data["n"].(float64) * 2
+			return nil
+		})
+		h.Register("mark", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
+			in.Data["branch"] = s.Name
+			return nil
+		})
+		return nil
+	}
+	for _, reply := range []string{"accept", "reject"} {
+		runCompat(t, g, "resume/"+reply, setup, []*wf.TypeDef{parent, child},
+			map[string]any{"n": float64(5)},
+			func(e *wf.Engine, in *wf.Instance) error {
+				ctx := context.Background()
+				kid := in.Steps["call"].Child
+				if err := e.Deliver(ctx, kid, "p", reply); err != nil {
+					// A child that fails inside Deliver reports the failure
+					// to the caller; propagating it marks the parent failed.
+					return errors.Join(err, wf.ResumeParent(ctx, e, kid))
+				}
+				return nil
+			})
+	}
+	g.check()
 }
 
 func TestCompatRetriesAndFailure(t *testing.T) {
+	g := newGolden(t)
 	def := &wf.TypeDef{
 		Name: "flaky",
 		Steps: []wf.StepDef{
@@ -255,10 +399,12 @@ func TestCompatRetriesAndFailure(t *testing.T) {
 		})
 		return nil
 	}
-	runCompat(t, "retries", setup, []*wf.TypeDef{def}, nil, nil)
+	runCompat(t, g, "retries", setup, []*wf.TypeDef{def}, nil, nil)
+	g.check()
 }
 
 func TestCompatDeadPathPropagation(t *testing.T) {
+	g := newGolden(t)
 	def := &wf.TypeDef{
 		Name: "dead",
 		Steps: []wf.StepDef{
@@ -273,12 +419,14 @@ func TestCompatDeadPathPropagation(t *testing.T) {
 			{From: "c", To: "d"}, {From: "b", To: "d"},
 		},
 	}
-	runCompat(t, "deadpath", noPorts, []*wf.TypeDef{def}, nil, nil)
+	runCompat(t, g, "deadpath", noPorts, []*wf.TypeDef{def}, nil, nil)
+	g.check()
 }
 
-// TestCompatRandomDAGCorpus sweeps the random-DAG generator: the compiled
-// interpreter must match the legacy oracle on every generated type.
+// TestCompatRandomDAGCorpus sweeps the random-DAG generator over a fixed
+// seed: every generated type must reproduce its golden transcript.
 func TestCompatRandomDAGCorpus(t *testing.T) {
+	g := newGolden(t)
 	r := rand.New(rand.NewSource(41))
 	setup := func(h *wf.Handlers, sent *[]string) wf.PortFunc {
 		h.Register("count", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error { return nil })
@@ -287,9 +435,10 @@ func TestCompatRandomDAGCorpus(t *testing.T) {
 	for iter := 0; iter < 120; iter++ {
 		def := randomDAG(r, 2+r.Intn(4), 3)
 		n := float64(r.Intn(3))
-		runCompat(t, fmt.Sprintf("dag-%d", iter), setup,
+		runCompat(t, g, fmt.Sprintf("dag-%d", iter), setup,
 			[]*wf.TypeDef{def}, map[string]any{"n": n}, nil)
 	}
+	g.check()
 }
 
 // TestParallelWideWorkflow checks WithStepParallelism correctness (not

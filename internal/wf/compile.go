@@ -78,8 +78,9 @@ type PortChecker func(s *StepDef) error
 
 // CompileDeps are the environment dependencies compilation validates
 // against. Nil fields skip the corresponding check: a plan compiled without
-// a handler registry performs handler lookups at execution time, and one
-// compiled without a port checker accepts any port.
+// a handler registry leaves its task steps unresolved (it can be inspected,
+// not run; an engine compiles against its own registry), and one compiled
+// without a port checker accepts any port.
 type CompileDeps struct {
 	Handlers *Handlers
 	Ports    PortChecker

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/expr"
 )
 
 // Handler is the implementation of a task step. Handlers may read and write
@@ -53,17 +51,6 @@ func (h *Handlers) Register(name string, fn Handler) {
 	s.mu.Lock()
 	s.fn = fn
 	s.mu.Unlock()
-}
-
-// Lookup resolves a handler.
-func (h *Handlers) Lookup(name string) (Handler, bool) {
-	h.mu.RLock()
-	s, ok := h.m[name]
-	h.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return s.load(), true
 }
 
 // slot resolves the stable cell for a handler name (used by the compiler).
@@ -122,21 +109,20 @@ type Engine struct {
 	planObs  PlanObserver
 
 	// parallelism bounds how many independent ready steps of one instance
-	// execute concurrently (1 = strictly serial, byte-identical to the
-	// pre-plan interpreter's trace order).
+	// execute concurrently (1 = strictly serial, the pass order the compat
+	// goldens pin).
 	parallelism int
 	// portCheck, when set, validates send/receive/connection ports at
 	// compile time (the hub installs its routing-table checker).
 	portCheck PortChecker
-	// legacy pins the engine to the pre-plan TypeDef interpreter; kept as
-	// the differential-testing oracle for the compiled path.
-	legacy bool
 
-	// plans caches compiled plans by type key; epoch increments on every
-	// deploy so downstream caches (the hub's route cache) can detect
+	// plans caches compiled plans by type key, and rejected the PlanErrors
+	// of stored types that failed lazy compilation; epoch increments on
+	// every deploy so downstream caches (the hub's route cache) can detect
 	// recompiles. compiles counts compilations for change-impact analysis.
 	planMu   sync.RWMutex
 	plans    map[string]*Plan
+	rejected map[string]error
 	epoch    atomic.Int64
 	compiles atomic.Int64
 
@@ -164,15 +150,6 @@ func WithStepParallelism(n int) EngineOption {
 // types whose send/receive/connection ports the environment cannot route.
 func WithPortChecker(fn PortChecker) EngineOption {
 	return func(e *Engine) { e.portCheck = fn }
-}
-
-// WithLegacyInterpreter pins the engine to the pre-plan TypeDef
-// interpreter. Deploy still compiles (and rejects broken models); only the
-// advance loop differs. This exists as the differential-testing oracle: the
-// compiled interpreter at parallelism 1 must produce byte-identical
-// instance histories.
-func WithLegacyInterpreter() EngineOption {
-	return func(e *Engine) { e.legacy = true }
 }
 
 // PlanObserver is called after every compilation attempt with the type, the
@@ -216,6 +193,7 @@ func NewEngine(name string, store Store, handlers *Handlers, ports PortFunc, opt
 		name: name, store: store, handlers: handlers, ports: ports,
 		parallelism: 1,
 		plans:       map[string]*Plan{},
+		rejected:    map[string]error{},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -239,23 +217,32 @@ func (e *Engine) Deploy(t *TypeDef) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	start := time.Now()
-	p, err := Compile(t, CompileDeps{Handlers: e.handlers, Ports: e.portCheck})
-	e.compiles.Add(1)
-	if e.planObs != nil {
-		e.planObs(t, p, time.Since(start), err)
-	}
+	p, err := e.compile(t)
 	if err != nil {
 		return err
 	}
 	if err := e.store.PutType(t); err != nil {
 		return err
 	}
+	key := t.Key()
 	e.planMu.Lock()
-	e.plans[t.Key()] = p
+	e.plans[key] = p
+	delete(e.rejected, key)
 	e.planMu.Unlock()
 	e.epoch.Add(1)
 	return nil
+}
+
+// compile compiles a type against the engine's handler registry and port
+// checker, counting the compilation and reporting it to the plan observer.
+func (e *Engine) compile(t *TypeDef) (*Plan, error) {
+	start := time.Now()
+	p, err := Compile(t, CompileDeps{Handlers: e.handlers, Ports: e.portCheck})
+	e.compiles.Add(1)
+	if e.planObs != nil {
+		e.planObs(t, p, time.Since(start), err)
+	}
+	return p, err
 }
 
 // PlanEpoch increments on every successful Deploy. Downstream caches keyed
@@ -286,28 +273,36 @@ func (e *Engine) Plans() []*Plan {
 	return out
 }
 
-// planFor resolves the plan for a type, compiling lazily for types that
-// reached the store without passing through this engine's Deploy (shared or
-// reopened stores). A type that fails lazy compilation returns nil and the
-// engine falls back to the legacy interpreter for it — the behavior such a
-// type would have had before compilation existed.
-func (e *Engine) planFor(t *TypeDef) *Plan {
+// planFor resolves the plan for a type. A type that reached the store
+// without passing through this engine's Deploy (a migrated type, a reopened
+// store) compiles on first use, and either outcome is cached: a type that
+// fails compilation keeps returning its PlanErrors until it is deployed.
+func (e *Engine) planFor(t *TypeDef) (*Plan, error) {
 	key := t.Key()
 	e.planMu.RLock()
-	p := e.plans[key]
+	p, err := e.plans[key], e.rejected[key]
 	e.planMu.RUnlock()
-	if p != nil {
-		return p
+	if p != nil || err != nil {
+		return p, err
 	}
-	p, err := Compile(t, CompileDeps{Handlers: e.handlers, Ports: e.portCheck})
-	e.compiles.Add(1)
-	if err != nil {
-		return nil
-	}
+	p, err = e.compile(t)
 	e.planMu.Lock()
-	e.plans[key] = p
+	if err != nil {
+		e.rejected[key] = err
+	} else {
+		e.plans[key] = p
+	}
 	e.planMu.Unlock()
-	return p
+	return p, err
+}
+
+// instancePlan resolves the plan of an instance's type version.
+func (e *Engine) instancePlan(in *Instance) (*Plan, error) {
+	t, err := e.store.GetType(in.Type, in.Version)
+	if err != nil {
+		return nil, err
+	}
+	return e.planFor(t)
 }
 
 // HasType reports whether the engine's store holds the named type at the
@@ -329,7 +324,8 @@ func (e *Engine) nextID() string {
 // Start creates an instance of the named type (latest version) with the
 // given initial data and advances it until it completes or parks on a
 // receive step. The returned instance is the snapshot the engine stored;
-// it is read-only.
+// it is read-only. A stored type that fails compilation is refused with its
+// PlanErrors before any instance exists.
 func (e *Engine) Start(ctx context.Context, typeName string, data map[string]any) (*Instance, error) {
 	return e.startChildVersion(ctx, typeName, 0, data, "", "")
 }
@@ -351,6 +347,10 @@ func (e *Engine) startChildVersion(ctx context.Context, typeName string, version
 	if err != nil {
 		return nil, fmt.Errorf("wf: start %q: %w", typeName, err)
 	}
+	p, err := e.planFor(t)
+	if err != nil {
+		return nil, err
+	}
 	in := &Instance{
 		ID:         e.nextID(),
 		Type:       t.Name,
@@ -369,7 +369,7 @@ func (e *Engine) startChildVersion(ctx context.Context, typeName string, version
 		in.Steps[t.Steps[i].Name] = &StepRun{State: StepPending}
 	}
 	in.log("", "created")
-	if err := e.advance(ctx, t, in); err != nil {
+	if err := e.advancePlan(ctx, p, in, nil); err != nil {
 		return in, err
 	}
 	return in, e.persist(in)
@@ -384,18 +384,18 @@ func (e *Engine) Deliver(ctx context.Context, instanceID, port string, payload a
 	if err != nil {
 		return err
 	}
-	t, err := e.store.GetType(snap.Type, snap.Version)
+	p, err := e.instancePlan(snap)
 	if err != nil {
 		return err
 	}
-	var target *StepDef
-	for i := range t.Steps {
-		s := &t.Steps[i]
-		if s.Port != port {
+	var target *planStep
+	for i := range p.steps {
+		ps := &p.steps[i]
+		if ps.def.Port != port {
 			continue
 		}
-		if run := snap.Steps[s.Name]; run != nil && run.State == StepWaiting {
-			target = s
+		if run := snap.Steps[ps.name]; run != nil && run.State == StepWaiting {
+			target = ps
 			break
 		}
 	}
@@ -403,13 +403,13 @@ func (e *Engine) Deliver(ctx context.Context, instanceID, port string, payload a
 		return fmt.Errorf("%w: instance %s has no step waiting on port %q", ErrNotWaiting, instanceID, port)
 	}
 	in := snap.clone()
-	key := target.DataKey
+	key := target.def.DataKey
 	if key == "" {
 		key = "document"
 	}
 	in.Data[key] = payload
-	e.completeStep(ctx, t, in, target)
-	if err := e.advance(ctx, t, in); err != nil {
+	e.planCompleteStep(p, in, target, nil)
+	if err := e.advancePlan(ctx, p, in, nil); err != nil {
 		return err
 	}
 	if err := e.persist(in); err != nil {
@@ -430,25 +430,26 @@ func (e *Engine) Expire(ctx context.Context, instanceID, stepName string) error 
 	if err != nil {
 		return err
 	}
-	t, err := e.store.GetType(snap.Type, snap.Version)
+	p, err := e.instancePlan(snap)
 	if err != nil {
 		return err
 	}
-	s, ok := t.Step(stepName)
+	i, ok := p.index[stepName]
 	if !ok {
 		return fmt.Errorf("wf: instance %s has no step %q", instanceID, stepName)
 	}
-	if s.OnTimeout == "" {
+	ps := &p.steps[i]
+	if ps.def.OnTimeout == "" {
 		return fmt.Errorf("wf: step %q declares no timeout branch", stepName)
 	}
-	if run := snap.Steps[s.Name]; run == nil || run.State != StepWaiting {
+	if run := snap.Steps[ps.name]; run == nil || run.State != StepWaiting {
 		return fmt.Errorf("%w: step %q is not waiting", ErrNotWaiting, stepName)
 	}
 	in := snap.clone()
-	in.Steps[s.Name].State = StepSkipped
-	in.log(s.Name, "timed out")
-	e.signalOutgoing(ctx, t, in, s, false, nil)
-	if err := e.advanceWith(ctx, t, in, map[string]bool{s.OnTimeout: true}); err != nil {
+	in.Steps[ps.name].State = StepSkipped
+	in.log(ps.name, "timed out")
+	e.planSignalOutgoing(p, in, ps, false, nil)
+	if err := e.advancePlan(ctx, p, in, map[string]bool{ps.def.OnTimeout: true}); err != nil {
 		return err
 	}
 	if err := e.persist(in); err != nil {
@@ -475,197 +476,6 @@ func (e *Engine) persist(in *Instance) error {
 		in.History = append(make([]Event, 0, len(in.History)), in.History...)
 	}
 	return e.store.PutInstance(in)
-}
-
-// advance runs the instance until quiescence: no step is ready.
-func (e *Engine) advance(ctx context.Context, t *TypeDef, in *Instance) error {
-	return e.advanceWith(ctx, t, in, map[string]bool{})
-}
-
-// advanceWith runs the instance with an initial set of force-activated
-// steps (loop re-entries and timeout branches). It dispatches to the
-// compiled-plan interpreter when a plan is available, falling back to the
-// legacy TypeDef interpreter otherwise (or always, under
-// WithLegacyInterpreter).
-func (e *Engine) advanceWith(ctx context.Context, t *TypeDef, in *Instance, forced map[string]bool) error {
-	if !e.legacy {
-		if p := e.planFor(t); p != nil {
-			return e.advancePlan(ctx, p, in, forced)
-		}
-	}
-	return e.advanceLegacy(ctx, t, in, forced)
-}
-
-// advanceLegacy is the pre-plan interpreter: a full rescan of every step per
-// pass. Kept verbatim as the differential-testing oracle for advancePlan.
-func (e *Engine) advanceLegacy(ctx context.Context, t *TypeDef, in *Instance, forced map[string]bool) error {
-	for in.State == InstRunning {
-		progressed := false
-		for i := range t.Steps {
-			s := &t.Steps[i]
-			run := in.Steps[s.Name]
-			if run.State != StepPending {
-				continue
-			}
-			ready, dead := e.evalJoin(t, in, s, forced)
-			if dead {
-				run.State = StepSkipped
-				in.log(s.Name, "skipped (dead path)")
-				e.signalOutgoing(ctx, t, in, s, false, forced)
-				progressed = true
-				continue
-			}
-			if !ready {
-				continue
-			}
-			delete(forced, s.Name)
-			if err := e.execute(ctx, t, in, s); err != nil {
-				return err
-			}
-			progressed = true
-		}
-		if !progressed {
-			break
-		}
-	}
-	e.maybeFinish(in)
-	return nil
-}
-
-// evalJoin decides whether a pending step is ready or dead.
-func (e *Engine) evalJoin(t *TypeDef, in *Instance, s *StepDef, forced map[string]bool) (ready, dead bool) {
-	if forced[s.Name] {
-		return true, false
-	}
-	// Timeout branches run only when forced by an expiry; until their
-	// guard resolves they stay pending.
-	if _, isTimeout := t.timeoutTarget[s.Name]; isTimeout {
-		return false, false
-	}
-	var normal []*Arc
-	for _, a := range t.incoming[s.Name] {
-		if !a.Loop {
-			normal = append(normal, a)
-		}
-	}
-	if len(normal) == 0 {
-		// Entry step: ready exactly once, at instance start (its state is
-		// still pending and no arc can re-activate it).
-		return true, false
-	}
-	var nTrue, nFalse int
-	for _, a := range normal {
-		switch signal(in.Arcs[arcKey(a)]) {
-		case sigTrue:
-			nTrue++
-		case sigFalse:
-			nFalse++
-		}
-	}
-	evaluated := nTrue + nFalse
-	switch s.join() {
-	case JoinAny:
-		if nTrue > 0 {
-			return true, false
-		}
-		if evaluated == len(normal) {
-			return false, true
-		}
-	default: // JoinAll
-		if nFalse > 0 && evaluated == len(normal) {
-			return false, true
-		}
-		if nTrue == len(normal) {
-			return true, false
-		}
-	}
-	return false, false
-}
-
-// execute runs one ready step: it aborts if the exchange's context is
-// already done (cancellation propagates between steps, so a canceled
-// pipeline stops before its next side effect), times the execution, and
-// reports to the engine's observer.
-func (e *Engine) execute(ctx context.Context, t *TypeDef, in *Instance, s *StepDef) error {
-	start := time.Now()
-	var err error
-	if cerr := ctx.Err(); cerr != nil {
-		err = e.failStep(in, s, cerr)
-	} else {
-		err = e.executeStep(ctx, t, in, s)
-	}
-	if e.observer != nil {
-		e.observer(in, s, time.Since(start), err)
-	}
-	return err
-}
-
-// executeStep dispatches on the step kind.
-func (e *Engine) executeStep(ctx context.Context, t *TypeDef, in *Instance, s *StepDef) error {
-	run := in.Steps[s.Name]
-	switch s.Kind {
-	case StepNoop:
-		e.completeStep(ctx, t, in, s)
-
-	case StepTask:
-		fn, ok := e.handlers.Lookup(s.Handler)
-		if !ok {
-			return e.failStep(in, s, fmt.Errorf("wf: no handler %q registered", s.Handler))
-		}
-		if err := e.attemptLoop(ctx, in, s, func() error { return fn(ctx, in, s) }); err != nil {
-			return e.failStep(in, s, err)
-		}
-		e.completeStep(ctx, t, in, s)
-
-	case StepSend:
-		if e.ports == nil {
-			return e.failStep(in, s, fmt.Errorf("wf: engine has no port function for send step %q", s.Name))
-		}
-		if err := e.attemptLoop(ctx, in, s, func() error { return e.ports(ctx, in, s, outboundPayload(in, s)) }); err != nil {
-			return e.failStep(in, s, err)
-		}
-		in.log(s.Name, "sent on port "+s.Port)
-		e.completeStep(ctx, t, in, s)
-
-	case StepConnection:
-		if s.Dir == DirOut {
-			if e.ports == nil {
-				return e.failStep(in, s, fmt.Errorf("wf: engine has no port function for connection step %q", s.Name))
-			}
-			if err := e.attemptLoop(ctx, in, s, func() error { return e.ports(ctx, in, s, outboundPayload(in, s)) }); err != nil {
-				return e.failStep(in, s, err)
-			}
-			in.log(s.Name, "passed control to binding via port "+s.Port)
-			e.completeStep(ctx, t, in, s)
-		} else {
-			run.State = StepWaiting
-			in.log(s.Name, "waiting for binding on port "+s.Port)
-		}
-
-	case StepReceive:
-		run.State = StepWaiting
-		in.log(s.Name, "waiting on port "+s.Port)
-
-	case StepSubworkflow:
-		child, err := e.startChild(ctx, s.Subworkflow, in.Data, in.ID, s.Name)
-		if err != nil {
-			return e.failStep(in, s, err)
-		}
-		run.Child = child.ID
-		switch child.State {
-		case InstCompleted:
-			e.absorbChild(in, child)
-			e.completeStep(ctx, t, in, s)
-		case InstFailed:
-			return e.failStep(in, s, fmt.Errorf("wf: subworkflow %s failed: %s", child.ID, child.Error))
-		default:
-			run.State = StepChildRun
-			in.log(s.Name, "subworkflow "+child.ID+" running")
-		}
-	default:
-		return e.failStep(in, s, fmt.Errorf("wf: unknown step kind %q", s.Kind))
-	}
-	return nil
 }
 
 // attemptLoop runs one step's side-effecting operation under the engine's
@@ -725,22 +535,6 @@ func (e *Engine) absorbChild(parent, child *Instance) {
 	}
 }
 
-func (e *Engine) completeStep(ctx context.Context, t *TypeDef, in *Instance, s *StepDef) {
-	in.Steps[s.Name].State = StepCompleted
-	in.log(s.Name, "completed")
-	e.signalOutgoing(ctx, t, in, s, true, nil)
-	// A guard completing normally retires its timeout branch.
-	if s.OnTimeout != "" {
-		if run := in.Steps[s.OnTimeout]; run != nil && run.State == StepPending {
-			run.State = StepSkipped
-			in.log(s.OnTimeout, "skipped (guard completed in time)")
-			if ts, ok := t.Step(s.OnTimeout); ok {
-				e.signalOutgoing(ctx, t, in, ts, false, nil)
-			}
-		}
-	}
-}
-
 func (e *Engine) failStep(in *Instance, s *StepDef, err error) error {
 	e.markFailed(in, s, err)
 	if perr := e.persist(in); perr != nil {
@@ -756,78 +550,6 @@ func (e *Engine) markFailed(in *Instance, s *StepDef, err error) {
 	in.State = InstFailed
 	in.Error = fmt.Sprintf("step %q: %v", s.Name, err)
 	in.log(s.Name, "failed: "+err.Error())
-}
-
-// signalOutgoing evaluates the outgoing arcs of a finished step. completed
-// is false for skipped steps (dead-path elimination: every outgoing arc
-// signals false). forced collects loop re-entry targets; it may be nil when
-// the caller is outside an advance loop (Deliver), in which case loop arcs
-// are handled by the subsequent advance's forced map being empty — loop
-// arcs only fire from within advance, which is where completions that can
-// close a loop happen.
-func (e *Engine) signalOutgoing(ctx context.Context, t *TypeDef, in *Instance, s *StepDef, completed bool, forced map[string]bool) {
-	for _, a := range t.outgoing[s.Name] {
-		val := false
-		if completed {
-			if a.cond == nil {
-				val = true
-			} else if ok, err := evalCond(a, in.Env()); err == nil {
-				val = ok
-			} else {
-				in.log(s.Name, fmt.Sprintf("condition %q error: %v (treated as false)", a.Condition, err))
-			}
-		}
-		if a.Loop {
-			if val {
-				e.fireLoop(t, in, a, forced)
-			}
-			continue
-		}
-		if val {
-			in.Arcs[arcKey(a)] = int(sigTrue)
-		} else {
-			in.Arcs[arcKey(a)] = int(sigFalse)
-		}
-	}
-}
-
-func evalCond(a *Arc, env expr.Env) (bool, error) {
-	return expr.EvalBool(a.cond, env)
-}
-
-// fireLoop resets the loop body (the target step and everything reachable
-// from it via non-loop arcs) for a new iteration and forces the target
-// ready.
-func (e *Engine) fireLoop(t *TypeDef, in *Instance, loop *Arc, forced map[string]bool) {
-	region := map[string]bool{}
-	var mark func(string)
-	mark = func(n string) {
-		if region[n] {
-			return
-		}
-		region[n] = true
-		for _, a := range t.outgoing[n] {
-			if !a.Loop {
-				mark(a.To)
-			}
-		}
-	}
-	mark(loop.To)
-	for name := range region {
-		in.Steps[name] = &StepRun{State: StepPending}
-		for _, a := range t.outgoing[name] {
-			delete(in.Arcs, arcKey(a))
-		}
-		for _, a := range t.incoming[name] {
-			if region[a.From] {
-				delete(in.Arcs, arcKey(a))
-			}
-		}
-	}
-	in.log(loop.To, "loop iteration")
-	if forced != nil {
-		forced[loop.To] = true
-	}
 }
 
 // maybeFinish marks the instance completed when every step is terminal and
@@ -857,15 +579,16 @@ func (e *Engine) resumeParentIfDone(ctx context.Context, child *Instance) error 
 	if err != nil {
 		return err
 	}
-	t, err := e.store.GetType(snap.Type, snap.Version)
+	p, err := e.instancePlan(snap)
 	if err != nil {
 		return err
 	}
-	s, ok := t.Step(child.ParentStep)
+	i, ok := p.index[child.ParentStep]
 	if !ok {
 		return fmt.Errorf("wf: parent %s has no step %q", snap.ID, child.ParentStep)
 	}
-	if snap.Steps[s.Name].State != StepChildRun {
+	ps := &p.steps[i]
+	if snap.Steps[ps.name].State != StepChildRun {
 		return nil
 	}
 	parent := snap.clone()
@@ -873,14 +596,14 @@ func (e *Engine) resumeParentIfDone(ctx context.Context, child *Instance) error 
 		// The parent is now failed; persisting that is a real durability
 		// obligation, so a persist error must not be dropped on the floor —
 		// join it with whatever propagating further up the chain reports.
-		e.markFailed(parent, s, fmt.Errorf("wf: subworkflow %s failed: %s", child.ID, child.Error))
+		e.markFailed(parent, ps.def, fmt.Errorf("wf: subworkflow %s failed: %s", child.ID, child.Error))
 		perr := e.persist(parent)
 		rerr := e.resumeParentIfDone(ctx, parent)
 		return errors.Join(perr, rerr)
 	}
 	e.absorbChild(parent, child)
-	e.completeStep(ctx, t, parent, s)
-	if err := e.advance(ctx, t, parent); err != nil {
+	e.planCompleteStep(p, parent, ps, nil)
+	if err := e.advancePlan(ctx, p, parent, nil); err != nil {
 		return err
 	}
 	if err := e.persist(parent); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -402,6 +403,51 @@ func TestLoop(t *testing.T) {
 	}
 	if in.Data["n"] != float64(3) {
 		t.Fatalf("n = %v, want 3 iterations", in.Data["n"])
+	}
+}
+
+// TestLoopArcOrder: the declaration order of a step's loop arc and its exit
+// arc does not matter. A loop iteration resets the whole loop body, so the
+// exit arc's false signal from an earlier iteration must not survive into
+// the next one and dead-path the exit step.
+func TestLoopArcOrder(t *testing.T) {
+	loop := wf.Arc{From: "inc", To: "inc", Condition: "n < 3", Loop: true}
+	exit := wf.Arc{From: "inc", To: "done", Condition: "n >= 3"}
+	var histories [][]wf.Event
+	for _, arcs := range [][]wf.Arc{{loop, exit}, {exit, loop}} {
+		label := fmt.Sprintf("arcs %s→%s first", arcs[0].From, arcs[0].To)
+		e, h := newEngine(t, nil)
+		h.Register("inc", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
+			in.Data["n"] = in.Data["n"].(float64) + 1
+			return nil
+		})
+		finished := 0
+		h.Register("finish", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
+			finished++
+			return nil
+		})
+		deploy(t, e, &wf.TypeDef{
+			Name: "loop",
+			Steps: []wf.StepDef{
+				{Name: "inc", Kind: wf.StepTask, Handler: "inc"},
+				{Name: "done", Kind: wf.StepTask, Handler: "finish"},
+			},
+			Arcs: arcs,
+		})
+		in, err := e.Start(context.Background(), "loop", map[string]any{"n": float64(0)})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if in.State != wf.InstCompleted || in.Data["n"] != float64(3) {
+			t.Fatalf("%s: state %s, n = %v; want completed after 3 iterations", label, in.State, in.Data["n"])
+		}
+		if got := in.StepStateOf("done"); got != wf.StepCompleted || finished != 1 {
+			t.Fatalf("%s: exit step %s, handler ran %d times; want completed once", label, got, finished)
+		}
+		histories = append(histories, in.History)
+	}
+	if !reflect.DeepEqual(histories[0], histories[1]) {
+		t.Fatalf("histories depend on arc order:\n%v\n%v", histories[0], histories[1])
 	}
 }
 

@@ -9,20 +9,22 @@ import (
 	"repro/internal/expr"
 )
 
-// This file is the compiled-plan interpreter: the replacement for the legacy
-// per-pass full rescan in advanceLegacy. It walks a ready-set worklist over
-// the plan's index-addressed steps, so one advance costs O(steps + signals)
-// instead of O(passes × steps). At parallelism 1 it reproduces the legacy
-// trace order byte for byte (compat_test.go pins this); at parallelism n > 1
-// independent ready steps with declared, disjoint data accesses execute
-// concurrently.
+// This file is the workflow interpreter. It advances an instance over its
+// type's compiled plan by walking a ready-set worklist over the plan's
+// index-addressed steps, so one advance costs O(steps + signals). Deliver,
+// Expire and subworkflow resumption run through the same plan operations.
+// At parallelism 1 the step order is fixed (the compat goldens pin it); at
+// parallelism n > 1 independent ready steps with declared, disjoint data
+// accesses execute concurrently.
 
-// worklist reproduces the legacy scan order with a two-heap worklist. The
-// legacy interpreter scans steps in index order, restarting from 0 until a
-// full pass makes no progress; a signal to a step *ahead* of the scan cursor
-// is observed within the same pass, a signal to a step at or behind it only
-// on the next pass. cur holds this pass's steps (all indices > pos, popped
-// in increasing order), next holds the following pass's.
+// worklist yields steps in pass order with a two-heap worklist: passes visit
+// steps in index order, restarting from the first until a pass makes no
+// progress, so a signal to a step *ahead* of the cursor is observed within
+// the same pass and a signal to a step at or behind it only on the next
+// pass. cur holds this pass's steps (all indices > pos, popped in increasing
+// order), next holds the following pass's. A nil worklist ignores pushes:
+// Deliver, Expire and subworkflow resumption signal outside an advance, and
+// the advance that follows seeds every pending step anyway.
 type worklist struct {
 	cur, next     []int
 	inCur, inNext []bool
@@ -36,7 +38,7 @@ func newWorklist(n int) *worklist {
 // push enqueues step i for (re-)evaluation; already-queued steps are left
 // where they are.
 func (w *worklist) push(i int) {
-	if w.inCur[i] || w.inNext[i] {
+	if w == nil || w.inCur[i] || w.inNext[i] {
 		return
 	}
 	if i > w.pos {
@@ -48,8 +50,8 @@ func (w *worklist) push(i int) {
 	}
 }
 
-// pop removes the next step in legacy scan order; ok is false when the
-// worklist is drained.
+// pop removes the next step in pass order; ok is false when the worklist is
+// drained.
 func (w *worklist) pop() (i int, ok bool) {
 	if len(w.cur) == 0 {
 		if len(w.next) == 0 {
@@ -118,7 +120,9 @@ func heapPop(h *[]int) int {
 // It seeds every pending step, then processes the worklist: steps whose
 // joins resolve run (or batch, at parallelism > 1), dead-path steps skip and
 // propagate false signals, not-ready steps are dropped and re-enqueued by
-// whichever future signal could change their readiness.
+// whichever future signal could change their readiness. forced names steps
+// to activate regardless of their joins (an expired guard's timeout
+// branch); it may be nil.
 func (e *Engine) advancePlan(ctx context.Context, p *Plan, in *Instance, forced map[string]bool) error {
 	wl := newWorklist(len(p.steps))
 	for i := range p.steps {
@@ -164,9 +168,9 @@ func (e *Engine) advancePlan(ctx context.Context, p *Plan, in *Instance, forced 
 	return nil
 }
 
-// planReady mirrors evalJoin over the compiled step: forced steps are ready,
-// timeout branches wait for their expiry, entry steps fire once, joins count
-// non-loop signals.
+// planReady decides whether a pending step is ready or dead: forced steps
+// are ready, timeout branches wait for their expiry, entry steps fire once,
+// joins count non-loop signals.
 func (e *Engine) planReady(in *Instance, ps *planStep, forced map[string]bool) (ready, dead bool) {
 	if forced[ps.name] {
 		return true, false
@@ -209,42 +213,54 @@ func (e *Engine) planReady(in *Instance, ps *planStep, forced map[string]bool) (
 	return false, false
 }
 
-// planSignalOutgoing mirrors signalOutgoing: evaluate each outgoing arc,
-// record the signal, fire loops, and enqueue each signaled target for
-// (re-)evaluation.
+// planSignalOutgoing signals the outgoing arcs of a finished step
+// (completed is false for a skipped step: dead-path elimination signals
+// every arc false) and enqueues each signaled target for (re-)evaluation.
+// Loop arcs fire after every other arc has signaled, so a loop reset clears
+// its body's signals from this pass whatever the order the arcs are declared
+// in.
 func (e *Engine) planSignalOutgoing(p *Plan, in *Instance, ps *planStep, completed bool, wl *worklist) {
 	for i := range ps.out {
 		a := &ps.out[i]
-		val := false
-		if completed {
-			if a.cond == nil {
-				val = true
-			} else if ok, err := expr.EvalBool(a.cond, in.Env()); err == nil {
-				val = ok
-			} else {
-				in.log(ps.name, fmt.Sprintf("condition %q error: %v (treated as false)", a.condition, err))
-			}
-		}
 		if a.loop {
-			if val {
-				e.planFireLoop(p, in, a, wl)
-			}
 			continue
 		}
-		if val {
+		if completed && arcHolds(in, ps, a) {
 			in.Arcs[a.key] = int(sigTrue)
 		} else {
 			in.Arcs[a.key] = int(sigFalse)
 		}
 		wl.push(a.dst)
 	}
+	if !completed {
+		return
+	}
+	for i := range ps.out {
+		if a := &ps.out[i]; a.loop && arcHolds(in, ps, a) {
+			e.resetLoop(p, in, a, wl)
+		}
+	}
 }
 
-// planFireLoop mirrors fireLoop: reset the loop body (the target and
-// everything reachable from it over non-loop arcs) and enqueue the region
-// for the new iteration. Re-entry readiness comes from the surviving signals
-// on arcs entering the region from outside it.
-func (e *Engine) planFireLoop(p *Plan, in *Instance, loop *planArc, wl *worklist) {
+// arcHolds evaluates an arc out of a completed step: an unconditional arc
+// holds, a condition that fails to evaluate is logged and treated as false.
+func arcHolds(in *Instance, ps *planStep, a *planArc) bool {
+	if a.cond == nil {
+		return true
+	}
+	ok, err := expr.EvalBool(a.cond, in.Env())
+	if err != nil {
+		in.log(ps.name, fmt.Sprintf("condition %q error: %v (treated as false)", a.condition, err))
+		return false
+	}
+	return ok
+}
+
+// resetLoop resets the loop body (the target and everything reachable
+// from it over non-loop arcs) and enqueues the region for the new
+// iteration. Re-entry readiness comes from the surviving signals on arcs
+// entering the region from outside it.
+func (e *Engine) resetLoop(p *Plan, in *Instance, loop *planArc, wl *worklist) {
 	region := make([]bool, len(p.steps))
 	var mark func(int)
 	mark = func(n int) {
@@ -282,8 +298,9 @@ func (e *Engine) planFireLoop(p *Plan, in *Instance, loop *planArc, wl *worklist
 	}
 }
 
-// planCompleteStep mirrors completeStep: mark completed, signal outgoing
-// arcs, and retire a still-pending timeout branch.
+// planCompleteStep marks a step completed, signals its outgoing arcs and
+// retires its still-pending timeout branch: a guard completing normally
+// dead-paths the alternative.
 func (e *Engine) planCompleteStep(p *Plan, in *Instance, ps *planStep, wl *worklist) {
 	in.Steps[ps.name].State = StepCompleted
 	in.log(ps.name, "completed")
@@ -298,14 +315,17 @@ func (e *Engine) planCompleteStep(p *Plan, in *Instance, ps *planStep, wl *workl
 	}
 }
 
-// executePlan mirrors execute for one compiled step.
+// executePlan runs one ready step: it aborts if the exchange's context is
+// already done (cancellation propagates between steps, so a canceled
+// pipeline stops before its next side effect), times the execution, and
+// reports to the engine's observer.
 func (e *Engine) executePlan(ctx context.Context, p *Plan, in *Instance, ps *planStep, wl *worklist) error {
 	start := time.Now()
 	var err error
 	if cerr := ctx.Err(); cerr != nil {
 		err = e.failStep(in, ps.def, cerr)
 	} else {
-		err = e.executeStepPlan(ctx, p, in, ps, wl)
+		err = e.dispatchStep(ctx, p, in, ps, wl)
 	}
 	if e.observer != nil {
 		e.observer(in, ps.def, time.Since(start), err)
@@ -313,54 +333,26 @@ func (e *Engine) executePlan(ctx context.Context, p *Plan, in *Instance, ps *pla
 	return err
 }
 
-// executeStepPlan mirrors executeStep, using the plan's pre-resolved handler
-// (falling back to a registry lookup for plans compiled without one).
-func (e *Engine) executeStepPlan(ctx context.Context, p *Plan, in *Instance, ps *planStep, wl *worklist) error {
+// dispatchStep dispatches on the step kind. Task, send and outbound
+// connection steps run their operation through runStepOp, as batch members
+// do.
+func (e *Engine) dispatchStep(ctx context.Context, p *Plan, in *Instance, ps *planStep, wl *worklist) error {
 	s := ps.def
 	run := in.Steps[s.Name]
 	switch s.Kind {
 	case StepNoop:
 		e.planCompleteStep(p, in, ps, wl)
 
-	case StepTask:
-		var fn Handler
-		if ps.handler != nil {
-			fn = ps.handler.load()
-		} else if f, ok := e.handlers.Lookup(s.Handler); ok {
-			fn = f
-		}
-		if fn == nil {
-			return e.failStep(in, s, fmt.Errorf("wf: no handler %q registered", s.Handler))
-		}
-		if err := e.attemptLoop(ctx, in, s, func() error { return fn(ctx, in, s) }); err != nil {
-			return e.failStep(in, s, err)
-		}
-		e.planCompleteStep(p, in, ps, wl)
-
-	case StepSend:
-		if e.ports == nil {
-			return e.failStep(in, s, fmt.Errorf("wf: engine has no port function for send step %q", s.Name))
-		}
-		if err := e.attemptLoop(ctx, in, s, func() error { return e.ports(ctx, in, s, outboundPayload(in, s)) }); err != nil {
-			return e.failStep(in, s, err)
-		}
-		in.log(s.Name, "sent on port "+s.Port)
-		e.planCompleteStep(p, in, ps, wl)
-
-	case StepConnection:
-		if s.Dir == DirOut {
-			if e.ports == nil {
-				return e.failStep(in, s, fmt.Errorf("wf: engine has no port function for connection step %q", s.Name))
-			}
-			if err := e.attemptLoop(ctx, in, s, func() error { return e.ports(ctx, in, s, outboundPayload(in, s)) }); err != nil {
-				return e.failStep(in, s, err)
-			}
-			in.log(s.Name, "passed control to binding via port "+s.Port)
-			e.planCompleteStep(p, in, ps, wl)
-		} else {
+	case StepTask, StepSend, StepConnection:
+		if s.Kind == StepConnection && s.Dir != DirOut {
 			run.State = StepWaiting
 			in.log(s.Name, "waiting for binding on port "+s.Port)
+			break
 		}
+		if err := e.runStepOp(ctx, in, ps); err != nil {
+			return e.failStep(in, s, err)
+		}
+		e.completeOp(p, in, ps, wl)
 
 	case StepReceive:
 		run.State = StepWaiting
@@ -386,6 +378,18 @@ func (e *Engine) executeStepPlan(ctx context.Context, p *Plan, in *Instance, ps 
 		return e.failStep(in, s, fmt.Errorf("wf: unknown step kind %q", s.Kind))
 	}
 	return nil
+}
+
+// completeOp completes a task, send or outbound-connection step whose
+// operation succeeded; port steps first log the hand-off.
+func (e *Engine) completeOp(p *Plan, in *Instance, ps *planStep, wl *worklist) {
+	switch ps.def.Kind {
+	case StepSend:
+		in.log(ps.name, "sent on port "+ps.def.Port)
+	case StepConnection:
+		in.log(ps.name, "passed control to binding via port "+ps.def.Port)
+	}
+	e.planCompleteStep(p, in, ps, wl)
 }
 
 // --- intra-instance step parallelism ---------------------------------------
@@ -497,17 +501,13 @@ func batchView(in *Instance, ps *planStep) *Instance {
 	}
 }
 
-// runStepOp runs one batch member's side-effecting operation (handler or
-// port call, under the retry regime) against its isolated view.
+// runStepOp runs the side-effecting operation of a task, send or outbound
+// connection step (handler or port call, under the retry regime) against
+// the instance, or a batch member's isolated view of it.
 func (e *Engine) runStepOp(ctx context.Context, view *Instance, ps *planStep) error {
 	s := ps.def
 	if s.Kind == StepTask {
-		var fn Handler
-		if ps.handler != nil {
-			fn = ps.handler.load()
-		} else if f, ok := e.handlers.Lookup(s.Handler); ok {
-			fn = f
-		}
+		fn := ps.handler.load()
 		if fn == nil {
 			return fmt.Errorf("wf: no handler %q registered", s.Handler)
 		}
@@ -566,19 +566,12 @@ func (e *Engine) executeBatch(ctx context.Context, p *Plan, in *Instance, batch 
 			}
 			return err
 		}
-		switch s.Kind {
-		case StepTask:
-			for _, k := range s.Writes {
-				if v, ok := m.view.Data[k]; ok {
-					in.Data[k] = v
-				}
+		for _, k := range stepWrites(s) {
+			if v, ok := m.view.Data[k]; ok {
+				in.Data[k] = v
 			}
-		case StepSend:
-			in.log(s.Name, "sent on port "+s.Port)
-		case StepConnection:
-			in.log(s.Name, "passed control to binding via port "+s.Port)
 		}
-		e.planCompleteStep(p, in, m.ps, wl)
+		e.completeOp(p, in, m.ps, wl)
 		if e.observer != nil {
 			e.observer(in, s, m.elapsed, nil)
 		}

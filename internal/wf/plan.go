@@ -35,10 +35,10 @@ type planStep struct {
 	def  *StepDef
 	name string
 	idx  int
-	// handler is the pre-resolved task-handler slot (nil when the plan was
-	// compiled without a handler registry; the engine then falls back to a
-	// registry lookup at execution time). The indirection keeps
-	// Register-after-Deploy working: swapping the slot's function rebinds
+	// handler is the pre-resolved task-handler slot. It is nil only in a
+	// plan compiled without a handler registry, which no engine runs: the
+	// engine compiles every type against its own registry. The indirection
+	// keeps re-registration working: swapping the slot's function rebinds
 	// every compiled plan at once.
 	handler *handlerSlot
 	// out and in are the step's outgoing and incoming arcs in definition

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/wf"
 	"repro/internal/wfstore"
@@ -69,6 +70,95 @@ func TestPlanErrorUnknownHandler(t *testing.T) {
 	// Without a registry the check is skipped (lookup happens at runtime).
 	if _, err := wf.Compile(def, wf.CompileDeps{}); err != nil {
 		t.Fatalf("Compile without registry err = %v", err)
+	}
+}
+
+// TestLazyCompile: a type that reaches the store without passing through
+// this engine's Deploy (a migrated type, a reopened store) compiles on first
+// use. That compilation is observed and cached like a deploy-time one, and
+// a type that fails it is refused with typed PlanErrors before any instance
+// exists.
+func TestLazyCompile(t *testing.T) {
+	store := wfstore.NewMemStore()
+	for _, def := range []*wf.TypeDef{
+		{Name: "good", Version: 1, Steps: []wf.StepDef{{Name: "a", Kind: wf.StepTask, Handler: "known"}}},
+		{Name: "bad", Version: 1, Steps: []wf.StepDef{{Name: "a", Kind: wf.StepTask, Handler: "ghost"}}},
+	} {
+		if err := def.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.PutType(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := wf.NewHandlers()
+	h.Register("known", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error { return nil })
+	e := wf.NewEngine("lazy", store, h, nil)
+	observed := map[string][]error{}
+	e.SetPlanObserver(func(def *wf.TypeDef, p *wf.Plan, elapsed time.Duration, err error) {
+		observed[def.Key()] = append(observed[def.Key()], err)
+	})
+	ctx := context.Background()
+
+	for i := 0; i < 2; i++ {
+		in, err := e.Start(ctx, "good", nil)
+		if err != nil || in.State != wf.InstCompleted {
+			t.Fatalf("good start %d: %v", i, err)
+		}
+	}
+	if errs := observed["good@1"]; len(errs) != 1 || errs[0] != nil {
+		t.Fatalf("good@1 compilations observed: %v, want one successful", errs)
+	}
+	if _, ok := e.PlanFor("good", 1); !ok {
+		t.Fatal("lazily compiled plan not cached")
+	}
+
+	for i := 0; i < 2; i++ {
+		in, err := e.Start(ctx, "bad", nil)
+		if len(planErrs(t, err).ByClass(wf.PlanUnknownHandler)) != 1 {
+			t.Fatalf("bad start %d: err = %v, want one unknown-handler", i, err)
+		}
+		if in != nil {
+			t.Fatalf("bad start %d returned instance %s", i, in.ID)
+		}
+	}
+	// An instance of the bad type that arrived with it (a migrated one) is
+	// refused the same way and left as it was stored.
+	migrated := &wf.Instance{
+		ID: "elsewhere-000001", Type: "bad", Version: 1, State: wf.InstRunning,
+		Data: map[string]any{}, Steps: map[string]*wf.StepRun{"a": {State: wf.StepWaiting}},
+		Arcs: map[string]int{},
+	}
+	if err := store.PutInstance(migrated); err != nil {
+		t.Fatal(err)
+	}
+	for op, err := range map[string]error{
+		"deliver": e.Deliver(ctx, migrated.ID, "p", "x"),
+		"expire":  e.Expire(ctx, migrated.ID, "a"),
+	} {
+		if len(planErrs(t, err).ByClass(wf.PlanUnknownHandler)) != 1 {
+			t.Fatalf("%s: err = %v, want one unknown-handler", op, err)
+		}
+	}
+	if got, _ := store.GetInstance(migrated.ID); got != migrated {
+		t.Fatal("refused instance was replaced in the store")
+	}
+	if errs := observed["bad@1"]; len(errs) != 1 || errs[0] == nil {
+		t.Fatalf("bad@1 compilations observed: %v, want one failed", errs)
+	}
+	if n := e.CompiledPlans(); n != 2 {
+		t.Fatalf("CompiledPlans = %d, want 2 (one per type)", n)
+	}
+	// The refusals allocated no instance ID and stored nothing.
+	if in, err := e.Start(ctx, "good", nil); err != nil || in.ID != "lazy-000003" {
+		t.Fatalf("start after refusals: %v, %v; want instance lazy-000003", in, err)
+	}
+	ids, err := store.ListInstances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 4 {
+		t.Fatalf("stored instances %v, want the three good ones and the migrated one", ids)
 	}
 }
 

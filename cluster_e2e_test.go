@@ -256,6 +256,9 @@ func TestClusterCrashTakeover(t *testing.T) {
 	)
 	ackedCount := func() int { mu.Lock(); defer mu.Unlock(); return len(acked) }
 	stop := make(chan struct{})
+	// The submitter holds its own copy of the relay's client: the main
+	// goroutine deletes the victim from the clients map while it runs.
+	relay := clients[relayID]
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -271,7 +274,7 @@ func TestClusterCrashTakeover(t *testing.T) {
 			if err != nil {
 				return
 			}
-			resp, err := clients[relayID].Submit(ctx, req)
+			resp, err := relay.Submit(ctx, req)
 			switch {
 			case err == nil:
 				mu.Lock()

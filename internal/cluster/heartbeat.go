@@ -127,7 +127,7 @@ func (n *Node) takeover(p *peer) {
 	}
 	owns := func(partner string) bool { return n.ownerOf(partner) == n.cfg.Node }
 	rep, err := n.hub.TakeOverJournal(n.d.Context(), JournalPath(n.cfg.JournalDir, p.id), owns)
-	n.takenOver.Add(int64(rep.Restored + rep.DeadLetters + rep.Reenqueued))
+	n.takenOver.Add(int64(rep.Restored + rep.DeadLetters + rep.Reenqueued + rep.Poisoned))
 	if err != nil {
 		n.bus.Emit(obs.Event{
 			Partner: p.id,

@@ -175,29 +175,9 @@ func TestRecoverParksPoisonedAdmission(t *testing.T) {
 
 	// Craft the journal a thrice-crashed recovery would leave behind: one
 	// admission at the poison threshold, one still under it.
-	j, err := journal.Open(path, journal.Options{Fsync: journal.FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendReq := func(key string, attempts int) {
-		payload, merr := json.Marshal(toJournalRequest(&Request{Kind: DocPO, PO: g.PO(tp1, seller)}))
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		if aerr := j.Append(journal.Record{Kind: recAdmit, Key: key, Payload: payload}); aerr != nil {
-			t.Fatal(aerr)
-		}
-		for i := 0; i < attempts; i++ {
-			if aerr := j.Append(journal.Record{Kind: recReplay, Key: key}); aerr != nil {
-				t.Fatal(aerr)
-			}
-		}
-	}
-	appendReq("j-00000001", poisonThreshold)
-	appendReq("j-00000002", poisonThreshold-1)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeJournal(t, path, append(
+		admitRecords(t, "j-00000001", Request{Kind: DocPO, PO: g.PO(tp1, seller)}, poisonThreshold),
+		admitRecords(t, "j-00000002", Request{Kind: DocPO, PO: g.PO(tp1, seller)}, poisonThreshold-1)...))
 
 	h := journaledHub(t, path)
 	defer h.CloseJournal()

@@ -109,8 +109,9 @@ func (h *Hub) clusterStatus() *ClusterStatus {
 // and the request itself is retained on the dead-letter queue for
 // Resubmit. It is the graceful-degradation landing of federated routing —
 // a submission whose owner peer is unreachable keeps a durable, replayable
-// copy on the node that accepted it instead of being dropped. A nil cause
-// defaults to ErrPeerUnavailable.
+// copy on the node that accepted it instead of being dropped; a wire PO
+// with no partner hint is parked under its protocol. A nil cause defaults
+// to ErrPeerUnavailable.
 func (h *Hub) ParkRequest(req Request, cause error) (*Result, error) {
 	if err := req.normalize(); err != nil {
 		return &Result{Err: err}, err
@@ -119,95 +120,34 @@ func (h *Hub) ParkRequest(req Request, cause error) (*Result, error) {
 	if err != nil {
 		return &Result{Err: err}, err
 	}
-	partner := req.healthKey()
-	route, ok := h.resolveRoute(partner)
-	if !ok {
-		err := fmt.Errorf("%w: %q", ErrUnknownPartner, partner)
-		res := Result{Err: err}
-		h.journalComplete(key, &req, &res)
-		return &res, err
-	}
-	flow := obs.FlowPO
-	if req.Kind == DocInvoice {
-		flow = obs.FlowInvoice
-	}
 	if cause == nil {
 		cause = ErrPeerUnavailable
 	}
-	ex := h.newExchange(route, flow, &req, "")
-	werr := wrapExchangeErr(ex, obs.StageExchange, "", cause)
-	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
-	h.emitLifecycle(ex, obs.StepFailed, 0, werr)
-	h.deadLetter(ex, werr, req)
-	h.bus.Emit(obs.Event{
-		ExchangeID: ex.ID,
-		Partner:    partner,
-		Flow:       flow,
-		Kind:       obs.KindCluster,
-		Stage:      obs.StageCluster,
-		Step:       obs.StepForwardFailed,
-		Err:        werr,
-	})
-	res := Result{Exchange: ex, Err: werr}
-	h.journalComplete(key, &req, &res)
-	return &res, werr
-}
-
-// TakeoverReport is what one TakeOverJournal pass recovered from a dead
-// peer's journal.
-type TakeoverReport struct {
-	// Records is how many records the peer's journal yielded; TornBytes how
-	// many trailing bytes of a torn final append were ignored; Corrupt how
-	// many mid-file corrupt regions the scan skipped past (the dead file
-	// is read-only, so nothing is quarantined — the regions are simply not
-	// replayed).
-	Records   int
-	TornBytes int64
-	Corrupt   int
-	// Restored counts the peer's completed exchanges restored as records
-	// under their original IDs (traceable, never re-run).
-	Restored int
-	// DeadLetters counts the peer's unresolved dead letters re-parked on
-	// this hub's queue (and re-journaled here, on durable hubs).
-	DeadLetters int
-	// Reenqueued counts the peer's unfinished admissions re-run through
-	// this hub's scheduler; Recovered the replays that completed,
-	// Redelivered the replays that dead-lettered (at-most-once redelivery).
-	Reenqueued  int
-	Recovered   int
-	Redelivered int
-	// Skipped counts entries for partners the owns predicate rejected —
-	// partners reassigned to a different successor, which recovers them
-	// from the same journal.
-	Skipped int
+	res := h.park(req, key, cause, obs.KindCluster, obs.StageCluster, obs.StepForwardFailed)
+	return &res, res.Err
 }
 
 // TakeOverJournal replays a dead peer's journal into this hub, filtered to
-// the partners the owns predicate claims (nil claims everything). The file
-// at path is read strictly read-only — journal.ScanAll, never
+// the partners the owns predicate claims (nil claims everything), through
+// the same replay as Recover (see replay for what happens to each entry).
+// The file at path is read strictly read-only — journal.ScanAll, never
 // journal.Open, so a torn tail is skipped without truncating the dead
 // node's file and concurrent successors can scan the same journal for
 // their own partitions. ScanAll also resynchronizes past mid-file corrupt
 // regions (a dead node's disk may be why it died), so isolated rot costs
 // only the records it covers, not everything after them.
 //
-// The single-node exactly-once argument carries over per entry:
-//
-//   - a completed outcome means the peer journaled the completion (with
-//     fsync=always, before the ack crossed the wire): the exchange is
-//     restored as a record under its original ID and never re-run;
-//   - an unresolved dead letter is re-parked on this hub's queue, and
-//     re-journaled here so it survives this node's own crash;
-//   - an admit without a complete never acked: it is re-admitted through
-//     this hub's own journal and re-run with duplicate tolerance, so a
-//     crash between the peer's execution and its completion record
-//     re-delivers at most once.
+// The single-node exactly-once argument carries over per entry: a
+// completed outcome was journaled by the peer before its ack crossed the
+// wire (fsync=always), so it is restored under its original ID and never
+// re-run; an admit without a complete never acked, so it is re-admitted
+// here and re-run with duplicate tolerance, re-delivering at most once.
 //
 // A missing file is an empty journal (the peer died before writing one).
 // Call TakeOverJournal only for peers declared dead: replaying a live
 // peer's journal would double-run its pending admissions.
-func (h *Hub) TakeOverJournal(ctx context.Context, path string, owns func(partner string) bool) (TakeoverReport, error) {
-	var rep TakeoverReport
+func (h *Hub) TakeOverJournal(ctx context.Context, path string, owns func(partner string) bool) (RecoveryReport, error) {
+	var rep RecoveryReport
 	fs := h.jrnFS
 	if fs == nil {
 		fs = journal.OSFS()
@@ -221,125 +161,12 @@ func (h *Hub) TakeOverJournal(ctx context.Context, path string, owns func(partne
 	}
 	recs, regions, torn := journal.ScanAll(data)
 	snap, _, _ := scanJournal(recs, nil)
-	rep.Records = snap.records
 	rep.TornBytes = torn
 	rep.Corrupt = len(regions)
-	if owns == nil {
-		owns = func(string) bool { return true }
-	}
 	start := time.Now()
-	h.bus.Emit(obs.Event{Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepStarted})
-
-	// The peer's completed exchanges come back as records so audit trails
-	// and ExchangeByID survive the node death, exactly as they survive a
-	// single-node restart.
-	for _, out := range snap.finished {
-		if !owns(out.Partner) {
-			rep.Skipped++
-			continue
-		}
-		if h.restoreExchange(out) {
-			rep.Restored++
-			h.bus.Emit(obs.Event{
-				ExchangeID: out.ExchangeID, Partner: out.Partner, Flow: out.Flow,
-				Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepRestored,
-			})
-		}
+	if err := h.replay(ctx, snap, true, owns, &rep); err != nil {
+		return rep, err
 	}
-
-	// The peer's unresolved dead letters move to this hub's queue — and
-	// into this hub's journal, so they keep surviving crashes here.
-	for _, exID := range snap.deadOrder {
-		out := snap.dead[exID]
-		if !owns(out.Partner) {
-			rep.Skipped++
-			continue
-		}
-		h.restoreExchange(out)
-		dl := DeadLetter{
-			ExchangeID: out.ExchangeID,
-			Partner:    out.Partner,
-			Flow:       out.Flow,
-			Protocol:   out.Protocol,
-			Reason:     fmt.Errorf("taken over: %s", out.Reason),
-			At:         time.Now(),
-			journaled:  h.jrn != nil,
-		}
-		if out.Request != nil {
-			req := out.Request.toRequest()
-			dl.req = &req
-		}
-		h.dlqMu.Lock()
-		h.dlq = append(h.dlq, dl)
-		h.dlqMu.Unlock()
-		if h.jrn != nil {
-			h.appendOutcome("", out)
-		}
-		rep.DeadLetters++
-		h.bus.Emit(obs.Event{
-			ExchangeID: out.ExchangeID, Partner: out.Partner, Flow: out.Flow,
-			Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepDeadLetterRestored,
-		})
-	}
-
-	// The peer's unfinished admissions re-enter through this hub's front
-	// door: fresh admission in this journal, health gate, scheduler,
-	// duplicate-tolerant replay.
-	var replays []*Future
-	for _, key := range snap.pendingOrder {
-		jr := snap.pending[key]
-		req := jr.toRequest()
-		// An entry whose partner is unknown before decode (a wire-po with no
-		// shard hint) reports "" — the ownership predicate decides who takes
-		// unattributable work.
-		if !owns(req.healthKey()) {
-			rep.Skipped++
-			continue
-		}
-		if snap.attempts[key] >= poisonThreshold {
-			// The peer's recovery crash-looped on this admission; the
-			// successor parks it durably instead of inheriting the loop.
-			_, _ = h.ParkRequest(jr.toRequest(), fmt.Errorf("taken-over poison admission %s: %d recovery replays did not complete", key, snap.attempts[key]))
-			rep.Reenqueued++
-			rep.Redelivered++
-			continue
-		}
-		fut, err := h.DoAsync(ctx, req)
-		if err != nil {
-			// The scheduler refused (stopped, ctx done): park the admission
-			// durably here so the work stays replayable via Resubmit.
-			_, _ = h.ParkRequest(jr.toRequest(), fmt.Errorf("takeover replay refused: %w", err))
-			rep.Reenqueued++
-			rep.Redelivered++
-			continue
-		}
-		rep.Reenqueued++
-		replays = append(replays, fut)
-	}
-	for _, fut := range replays {
-		res := fut.Result(ctx)
-		if ctx.Err() != nil {
-			return rep, ctx.Err()
-		}
-		if res.Err == nil {
-			rep.Recovered++
-		} else {
-			rep.Redelivered++
-		}
-		var exID string
-		if res.Exchange != nil {
-			exID = res.Exchange.ID
-		}
-		h.bus.Emit(obs.Event{
-			ExchangeID: exID,
-			Kind:       obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepReplayed,
-			Err: res.Err,
-		})
-	}
-	h.bus.Emit(obs.Event{
-		Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepFinished,
-		Elapsed: time.Since(start),
-	})
 	h.bus.Emit(obs.Event{
 		Kind: obs.KindCluster, Stage: obs.StageCluster, Step: obs.StepTakeover,
 		Elapsed: time.Since(start),

@@ -56,8 +56,11 @@ func (r *Request) healthKey() string {
 // healthGate consults the partner's circuit breaker at admission. It
 // returns the breaker key ("" when health is not consulted), whether the
 // admitted exchange is a half-open probe, and — when the circuit rejects
-// the exchange — the fast-fail result, already dead-lettered.
-func (h *Hub) healthGate(req Request) (partner string, probe bool, rejected *Result) {
+// the exchange — the fast-fail result, already parked under the admission
+// key ("" for none): an exchange record failed with ErrPartnerUnavailable,
+// the request retained on the dead-letter queue for Resubmit, and a
+// KindHealth fast-fail event attributing the rejection to the breaker.
+func (h *Hub) healthGate(req Request, key string) (partner string, probe bool, rejected *Result) {
 	if h.health == nil {
 		return "", false, nil
 	}
@@ -74,44 +77,9 @@ func (h *Hub) healthGate(req Request) (partner string, probe bool, rejected *Res
 	if admitted {
 		return partner, probe, nil
 	}
-	res := h.fastFail(req, partner, obs.StepFastFail)
-	return partner, false, &res
-}
-
-// fastFail terminates a request at admission without consuming a worker
-// or any retry attempts: an exchange record is created and immediately
-// failed with ErrPartnerUnavailable, the request itself is retained on
-// the dead-letter queue for Resubmit, and a KindHealth event (fast-fail
-// or shed) attributes the rejection to the partner's breaker.
-func (h *Hub) fastFail(req Request, partner string, step string) Result {
-	route, ok := h.resolveRoute(partner)
-	if !ok {
-		err := fmt.Errorf("%w: %q", ErrUnknownPartner, partner)
-		return Result{Err: err}
-	}
-	flow := obs.FlowPO
-	if req.Kind == DocInvoice {
-		flow = obs.FlowInvoice
-	}
-	ex := h.newExchange(route, flow, &req, "")
 	cause := fmt.Errorf("%w: circuit %s", ErrPartnerUnavailable, h.health.StateOf(partner))
-	err := wrapExchangeErr(ex, obs.StageExchange, "", cause)
-	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
-	h.emitLifecycle(ex, obs.StepFailed, 0, err)
-	h.deadLetter(ex, err, req)
-	h.bus.Emit(obs.Event{
-		ExchangeID: ex.ID,
-		Partner:    partner,
-		Flow:       flow,
-		Kind:       obs.KindHealth,
-		Stage:      obs.StageHealth,
-		Step:       step,
-		Err:        err,
-	})
-	if step == obs.StepShed {
-		h.shed.Add(1)
-	}
-	return Result{Exchange: ex, Err: err}
+	res := h.park(req, key, cause, obs.KindHealth, obs.StageHealth, obs.StepFastFail)
+	return partner, false, &res
 }
 
 // runTracked executes a request and feeds its outcome to the partner's

@@ -199,7 +199,10 @@ func toJournalRequest(r *Request) *journalRequest {
 // toRequest rebuilds the submission for a recovery replay: journaled
 // requests were admitted through the journal, and replays tolerate the
 // backend's duplicate-order rejection because the original run may have
-// executed before the crash.
+// executed before the crash. The journaled mark holds for the hub's own
+// journal; replay clears it on a dead peer's entries until this hub's
+// journal holds them, or a capped queue could spill a parked copy into a
+// journal that never logged it.
 func (jr *journalRequest) toRequest() Request {
 	return Request{
 		Kind:      jr.Kind,
@@ -237,11 +240,10 @@ type journalCheckpoint struct {
 	JrnSeq  int `json:"jrnSeq"`
 }
 
-// journalSnapshot is what the open-time replay derived, consumed once by
-// Recover.
+// journalSnapshot is what a scan of one journal derived: the hub's own at
+// open time (consumed once by Recover) or a dead peer's (TakeOverJournal).
 type journalSnapshot struct {
-	records   int
-	tornBytes int64
+	records int
 	// pending maps admission key → request for admits without a complete.
 	pending map[string]*journalRequest
 	// pendingOrder preserves admission order for deterministic replay.
@@ -363,7 +365,6 @@ func scanJournal(recs []journal.Record, onConfig func([]byte)) (snap *journalSna
 // once from NewHub.
 func (h *Hub) initJournal() {
 	snap, maxExch, maxKey := scanJournal(h.jrn.Records(), h.applyConfigRecord)
-	snap.tornBytes = h.jrn.Stats().TornBytes
 	h.jrnStartup = snap
 	h.jrnSeq = maxKey
 	h.mu.Lock()
@@ -478,10 +479,13 @@ func (h *Hub) journalAbort(key string, reason error) {
 	h.appendOutcome(key, out)
 }
 
-func (h *Hub) appendOutcome(key string, out journalOutcome) {
+// appendOutcome journals one complete record and moves the live index. It
+// reports whether the outcome is retained: appended, or held by the index
+// while the journal is degraded.
+func (h *Hub) appendOutcome(key string, out journalOutcome) bool {
 	payload, err := json.Marshal(out)
 	if err != nil {
-		return
+		return false
 	}
 	// While degraded the append is skipped but the live index still moves:
 	// the index is what the re-arm compaction writes to the fresh segment,
@@ -492,13 +496,14 @@ func (h *Hub) appendOutcome(key string, out journalOutcome) {
 	h.jrnMu.Lock()
 	defer h.jrnMu.Unlock()
 	if !down && h.jrn.Append(journal.Record{Kind: recComplete, Key: key, Payload: payload}) != nil {
-		return
+		return false
 	}
 	delete(h.jrnPending, key)
 	delete(h.jrnAttempts, key)
 	if out.Outcome == outcomeDeadLetter && out.ExchangeID != "" {
 		h.jrnDead[out.ExchangeID] = out
 	}
+	return true
 }
 
 // journalResubmitOutcome settles a dead letter's journal entry after a
@@ -541,11 +546,12 @@ func (h *Hub) journalResubmitOutcome(dl DeadLetter, ex *Exchange, err error) {
 	}
 }
 
-// RecoveryReport is what one Recover pass did.
+// RecoveryReport is what one journal replay did: Recover's pass over the
+// hub's own journal, or TakeOverJournal's over a dead peer's.
 type RecoveryReport struct {
-	// Records is how many journal records the open-time replay yielded;
-	// TornBytes how many trailing bytes of a torn final append were
-	// truncated away.
+	// Records is how many records the replayed journal yielded; TornBytes
+	// how many trailing bytes of a torn final append were truncated away
+	// (a peer's file is only read, so there they are ignored).
 	Records   int
 	TornBytes int64
 	// Restored counts completed exchanges restored as records.
@@ -555,21 +561,27 @@ type RecoveryReport struct {
 	DeadLetters int
 	// Reenqueued counts unfinished admissions re-run through the
 	// scheduler; Recovered the replays that completed, Redelivered the
-	// replays that dead-lettered again (at-most-once redelivery).
+	// replays that dead-lettered again (at-most-once redelivery) or that
+	// this hub had to park without running.
 	Reenqueued  int
 	Recovered   int
 	Redelivered int
 	// DuplicateAdmits counts duplicate admission records ignored by the
 	// replay (idempotence by admission key).
 	DuplicateAdmits int
-	// Corrupt counts mid-file corrupt regions the open-time scrub
-	// quarantined (WithJournalScrub); QuarantinedBytes their total size.
+	// Corrupt counts mid-file corrupt regions: quarantined by the open-time
+	// scrub (WithJournalScrub), or skipped past in a peer's read-only file;
+	// QuarantinedBytes is the quarantined regions' total size.
 	Corrupt          int
 	QuarantinedBytes int64
 	// Poisoned counts admissions parked to the dead-letter queue instead
 	// of replayed, after poisonThreshold replay attempts crashed or failed
 	// to complete.
 	Poisoned int
+	// Skipped counts a peer's entries for partners the owns predicate
+	// rejected: partners reassigned to a different successor, which
+	// recovers them from the same journal.
+	Skipped int
 }
 
 // Recover replays the journal a hub was opened on: completed exchanges
@@ -595,18 +607,46 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 	if snap == nil {
 		return rep, nil
 	}
-	start := time.Now()
-	rep.Records = snap.records
-	rep.TornBytes = snap.tornBytes
-	rep.DuplicateAdmits = snap.dupAdmits
 	jst := h.jrn.Stats()
+	rep.TornBytes = jst.TornBytes
 	rep.Corrupt = jst.Corrupt
 	rep.QuarantinedBytes = jst.QuarantinedBytes
+	err := h.replay(ctx, snap, false, nil, &rep)
+	return rep, err
+}
+
+// replay restores one journal snapshot into the hub, the hub's own (Recover)
+// or a dead peer's (peer, TakeOverJournal). Only entries whose partner owns
+// claims are replayed (nil claims all); the rest count as Skipped. Per entry:
+//
+//   - a finished outcome is restored as an exchange record and never re-run;
+//   - an unresolved dead letter goes back on the queue through the cap; a
+//     peer's is prefixed "taken over" and re-journaled here;
+//   - an unfinished admission re-runs through the scheduler with duplicate
+//     tolerance, under its own admission key after a journaled attempt
+//     record, or for a peer's entry under a fresh key in this hub's journal;
+//   - an admission with poisonThreshold attempts is parked instead, so one
+//     that keeps crashing recovery does not crash-loop it forever.
+//
+// A re-run the scheduler refuses stays pending in this hub's journal for
+// the next Recover. An entry with no admission here to fall back on (the
+// hub has no journal, or its journal refused the admit) is parked in memory
+// and counted Redelivered: the dead peer already acknowledged that work.
+// replay blocks until the re-runs resolve or ctx is done.
+func (h *Hub) replay(ctx context.Context, snap *journalSnapshot, peer bool, owns func(string) bool, rep *RecoveryReport) error {
+	if owns == nil {
+		owns = func(string) bool { return true }
+	}
+	rep.Records = snap.records
+	rep.DuplicateAdmits = snap.dupAdmits
+	start := time.Now()
 	h.bus.Emit(obs.Event{Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepStarted})
 
-	// Completed exchanges come back as records so ExchangeByID and audit
-	// trails survive the restart.
 	for _, out := range snap.finished {
+		if !owns(out.Partner) {
+			rep.Skipped++
+			continue
+		}
 		if h.restoreExchange(out) {
 			rep.Restored++
 			h.bus.Emit(obs.Event{
@@ -616,27 +656,33 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 		}
 	}
 
-	// Unresolved dead letters come back on the queue, replayable via
-	// Resubmit exactly like entries that never left memory.
 	for _, exID := range snap.deadOrder {
 		out := snap.dead[exID]
+		if !owns(out.Partner) {
+			rep.Skipped++
+			continue
+		}
 		h.restoreExchange(out)
+		reason, journaled := out.Reason, true
+		if peer {
+			reason = "taken over: " + reason
+			journaled = h.jrn != nil && h.appendOutcome("", out)
+		}
 		dl := DeadLetter{
 			ExchangeID: out.ExchangeID,
 			Partner:    out.Partner,
 			Flow:       out.Flow,
 			Protocol:   out.Protocol,
-			Reason:     errors.New(out.Reason),
+			Reason:     errors.New(reason),
 			At:         time.Now(),
-			journaled:  true,
+			journaled:  journaled,
 		}
 		if out.Request != nil {
 			req := out.Request.toRequest()
+			req.journaled = journaled
 			dl.req = &req
 		}
-		h.dlqMu.Lock()
-		h.dlq = append(h.dlq, dl)
-		h.dlqMu.Unlock()
+		h.parkDeadLetter(dl)
 		rep.DeadLetters++
 		h.bus.Emit(obs.Event{
 			ExchangeID: out.ExchangeID, Partner: out.Partner, Flow: out.Flow,
@@ -644,42 +690,60 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 		})
 	}
 
-	// Unfinished admissions re-enter through the front door: health gate,
-	// scheduler, journal completion under their original admission key.
-	// Each replay is preceded by a journaled attempt record, so an
-	// admission that keeps crashing the hub mid-replay accumulates
-	// attempts across restarts; at poisonThreshold it is parked on the
-	// dead-letter queue instead of crash-looping recovery forever.
-	type replay struct {
-		key string
-		fut *Future
-	}
-	var replays []replay
-	for _, key := range snap.pendingOrder {
-		jr := snap.pending[key]
-		if snap.attempts[key] >= poisonThreshold {
-			h.parkPoisoned(key, jr, snap.attempts[key])
+	var replays []*Future
+	for _, orig := range snap.pendingOrder {
+		req := snap.pending[orig].toRequest()
+		key := orig
+		var err error
+		if peer {
+			// A wire PO with no partner hint reports "": the predicate
+			// decides who takes unattributable work.
+			if !owns(req.healthKey()) {
+				rep.Skipped++
+				continue
+			}
+			req.journaled = false
+			key, err = h.journalAdmit(&req)
+		}
+		if n := snap.attempts[orig]; n >= poisonThreshold {
+			cause := fmt.Errorf("core: poison admission %s: %d recovery replays did not complete", orig, n)
+			h.park(req, key, cause, obs.KindDurability, obs.StageDurability, obs.StepPoisoned)
+			h.dur.mu.Lock()
+			h.dur.poisoned++
+			h.dur.mu.Unlock()
 			rep.Poisoned++
 			continue
 		}
-		h.jrnMu.Lock()
-		_ = h.jrn.Append(journal.Record{Kind: recReplay, Key: key})
-		h.jrnAttempts[key]++
-		h.jrnMu.Unlock()
-		req := jr.toRequest()
-		fut, err := h.doAsync(ctx, req, key)
-		if err != nil {
-			// The scheduler refused (stopped, ctx done): the admission
-			// stays pending in the journal for the next Recover.
-			continue
+		if !peer {
+			h.jrnMu.Lock()
+			_ = h.jrn.Append(journal.Record{Kind: recReplay, Key: key})
+			h.jrnAttempts[key]++
+			h.jrnMu.Unlock()
 		}
-		rep.Reenqueued++
-		replays = append(replays, replay{key: key, fut: fut})
+		var fut *Future
+		if err == nil {
+			fut, err = h.doAsync(ctx, req, key)
+		}
+		switch {
+		case err == nil:
+			rep.Reenqueued++
+			replays = append(replays, fut)
+		case req.journaled:
+			// The scheduler refused (stopped, ctx done): the admission
+			// stays pending in this journal for the next Recover.
+		default:
+			// No journal here holds the admission: park it in memory,
+			// attributed by a replayed event that carries the refusal.
+			h.park(req, "", fmt.Errorf("core: replay of %s refused: %w", orig, err),
+				obs.KindRecovery, obs.StageRecovery, obs.StepReplayed)
+			rep.Reenqueued++
+			rep.Redelivered++
+		}
 	}
-	for _, r := range replays {
-		res := r.fut.Result(ctx)
+	for _, fut := range replays {
+		res := fut.Result(ctx)
 		if ctx.Err() != nil {
-			return rep, ctx.Err()
+			return ctx.Err()
 		}
 		if res.Err == nil {
 			rep.Recovered++
@@ -700,52 +764,7 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 		Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepFinished,
 		Elapsed: time.Since(start),
 	})
-	return rep, nil
-}
-
-// parkPoisoned terminates a poison admission: instead of a replay, the
-// request goes to the dead-letter queue under a fresh exchange ID with a
-// journaled dead-letter outcome, still replayable via Resubmit once an
-// operator has looked at it. Recovery of everything else proceeds.
-func (h *Hub) parkPoisoned(key string, jr *journalRequest, attempts int) {
-	h.mu.Lock()
-	h.exchSeq++
-	exID := fmt.Sprintf("ex-%d", h.exchSeq)
-	h.mu.Unlock()
-	reason := fmt.Errorf("core: poison admission %s: %d recovery replays did not complete", key, attempts)
-	flow := obs.FlowPO
-	if jr.Kind == DocInvoice {
-		flow = obs.FlowInvoice
-	}
-	out := journalOutcome{
-		ExchangeID: exID,
-		Partner:    jr.PartnerID,
-		Flow:       flow,
-		Protocol:   jr.Protocol,
-		Outcome:    outcomeDeadLetter,
-		Reason:     reason.Error(),
-		Request:    jr,
-	}
-	h.appendOutcome(key, out)
-	req := jr.toRequest()
-	h.parkDeadLetter(DeadLetter{
-		ExchangeID: exID,
-		Partner:    jr.PartnerID,
-		Flow:       flow,
-		Protocol:   jr.Protocol,
-		Reason:     reason,
-		At:         time.Now(),
-		journaled:  true,
-		req:        &req,
-	})
-	h.dur.mu.Lock()
-	h.dur.poisoned++
-	h.dur.mu.Unlock()
-	h.bus.Emit(obs.Event{
-		ExchangeID: exID, Partner: jr.PartnerID, Flow: flow,
-		Kind: obs.KindDurability, Stage: obs.StageDurability,
-		Step: obs.StepPoisoned, Err: reason,
-	})
+	return nil
 }
 
 // restoreExchange recreates a journaled exchange's record. The partner

@@ -11,7 +11,10 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/doc"
+	"repro/internal/formats"
 	"repro/internal/journal"
+	"repro/internal/leakcheck"
+	"repro/internal/obs"
 )
 
 // journaledHub builds a Figure 14 hub write-ahead-logging to path.
@@ -324,24 +327,8 @@ func TestRecoverRestoresDeadLetters(t *testing.T) {
 func TestRecoverIgnoresDuplicateAdmits(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	ctx := context.Background()
-	g := doc.NewGenerator(17)
-	po := g.PO(tp1, seller)
-	payload, err := json.Marshal(toJournalRequest(&Request{Kind: DocPO, PO: po}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := journal.Open(path, journal.Options{Fsync: journal.FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := j.Append(journal.Record{Kind: "admit", Key: "j-00000001", Payload: payload}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	admit := admitRecords(t, "j-00000001", Request{Kind: DocPO, PO: doc.NewGenerator(17).PO(tp1, seller)}, 0)
+	writeJournal(t, path, append(admit, admit...))
 
 	h := journaledHub(t, path)
 	defer h.CloseJournal()
@@ -406,6 +393,34 @@ func TestDLQCapSpillsOldestToJournal(t *testing.T) {
 	if rep.DeadLetters != 3 {
 		t.Fatalf("recovered %d dead letters, want all 3 (spilled one included)", rep.DeadLetters)
 	}
+	if err := h2.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	// Restored dead letters respect the cap too: reopened under it, the
+	// oldest journaled entry spills again instead of overfilling the queue.
+	h3 := journaledHub(t, path, WithDLQCap(2))
+	defer h3.CloseJournal()
+	rep, err = h3.Recover(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DeadLetters != 3 {
+		t.Fatalf("recovered %d dead letters under the cap, want all 3", rep.DeadLetters)
+	}
+	st := h3.Status()
+	if st.DLQ.Depth != 2 || st.DLQ.Cap != 2 {
+		t.Fatalf("dlq %+v, want depth 2 at cap 2", st.DLQ)
+	}
+	evicted = 0
+	for _, s := range st.Partners {
+		evicted += s.DLQEvicted
+	}
+	if evicted != 1 {
+		t.Fatalf("dlq_evicted after capped recovery = %d, want 1", evicted)
+	}
+	if dls := h3.DeadLetters(); dls[0].ExchangeID != exIDs[1] || dls[1].ExchangeID != exIDs[2] {
+		t.Fatalf("queue %v, want the two newest entries", dls)
+	}
 }
 
 func TestDLQCapRejectsWithoutJournal(t *testing.T) {
@@ -439,5 +454,194 @@ func TestDLQCapRejectsWithoutJournal(t *testing.T) {
 	}
 	if evicted != 1 {
 		t.Fatalf("dlq_evicted = %d, want 1", evicted)
+	}
+}
+
+// writeJournal writes recs to a fresh journal at path.
+func writeJournal(t *testing.T, path string, recs []journal.Record) {
+	t.Helper()
+	j, err := journal.Open(path, journal.Options{Fsync: journal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// admitRecords renders one journaled admission plus attempts replay-attempt
+// records, as a crashed recovery leaves them behind.
+func admitRecords(t *testing.T, key string, req Request, attempts int) []journal.Record {
+	t.Helper()
+	payload, err := json.Marshal(toJournalRequest(&req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []journal.Record{{Kind: recAdmit, Key: key, Payload: payload}}
+	for i := 0; i < attempts; i++ {
+		recs = append(recs, journal.Record{Kind: recReplay, Key: key})
+	}
+	return recs
+}
+
+// outcomeRecord renders the complete record of an admission.
+func outcomeRecord(t *testing.T, key string, out journalOutcome) journal.Record {
+	t.Helper()
+	payload, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return journal.Record{Kind: recComplete, Key: key, Payload: payload}
+}
+
+// TestReplayParity: one journal replays the same way whether it is the
+// hub's own (Recover) or a dead peer's (TakeOverJournal). It holds a
+// completed exchange, an unresolved dead letter, a pending DocPO, and two
+// admissions at the poison threshold — one a wire PO with no partner hint,
+// whose partner is unknown until decode. Both paths report the same
+// counts, and every dead letter, poisoned ones included, has an exchange
+// record and counts as dead-lettered and poisoned.
+func TestReplayParity(t *testing.T) {
+	ctx := context.Background()
+	g := doc.NewGenerator(31)
+	wire := wirePO(t, newFig14Hub(t), formats.EDI, g.PO(tp1, seller))
+	deadPO := g.PO(tp1, seller)
+	var recs []journal.Record
+	recs = append(recs, admitRecords(t, "j-00000001", Request{Kind: DocPO, PO: g.PO(tp1, seller)}, 0)...)
+	recs = append(recs, outcomeRecord(t, "j-00000001", journalOutcome{
+		ExchangeID: "ex-000001", Partner: tp1.ID, Flow: obs.FlowPO, Protocol: formats.EDI, Outcome: outcomeCompleted,
+	}))
+	recs = append(recs, admitRecords(t, "j-00000002", Request{Kind: DocPO, PO: deadPO}, 0)...)
+	recs = append(recs, outcomeRecord(t, "j-00000002", journalOutcome{
+		ExchangeID: "ex-000002", Partner: tp1.ID, Flow: obs.FlowPO, Protocol: formats.EDI,
+		Outcome: outcomeDeadLetter, Reason: "backend down",
+		Request: toJournalRequest(&Request{Kind: DocPO, PO: deadPO}),
+	}))
+	recs = append(recs, admitRecords(t, "j-00000003", Request{Kind: DocPO, PO: g.PO(tp1, seller)}, 1)...)
+	recs = append(recs, admitRecords(t, "j-00000004", Request{Kind: DocPO, PO: g.PO(tp1, seller)}, poisonThreshold)...)
+	recs = append(recs, admitRecords(t, "j-00000005", Request{Kind: DocWirePO, Protocol: formats.EDI, Wire: wire}, poisonThreshold)...)
+	dir := t.TempDir()
+	own := filepath.Join(dir, "own.wal")
+	peer := filepath.Join(dir, "peer.wal")
+	writeJournal(t, own, recs)
+	writeJournal(t, peer, recs)
+
+	want := RecoveryReport{
+		Records: len(recs), Restored: 1, DeadLetters: 1,
+		Reenqueued: 1, Recovered: 1, Redelivered: 0, Poisoned: 2,
+	}
+	for _, tc := range []struct {
+		name   string
+		replay func() (*Hub, RecoveryReport, error)
+	}{
+		{"recover", func() (*Hub, RecoveryReport, error) {
+			h := journaledHub(t, own)
+			rep, err := h.Recover(ctx)
+			return h, rep, err
+		}},
+		{"takeover", func() (*Hub, RecoveryReport, error) {
+			h := journaledHub(t, filepath.Join(dir, "successor.wal"), WithExchangeIDBase(1_000_000))
+			rep, err := h.TakeOverJournal(ctx, peer, nil)
+			return h, rep, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, rep, err := tc.replay()
+			defer h.CloseJournal()
+			defer h.StopWorkers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep != want {
+				t.Fatalf("report %+v, want %+v", rep, want)
+			}
+			dls := h.DeadLetters()
+			if len(dls) != 3 {
+				t.Fatalf("dead-letter queue holds %d entries, want 3", len(dls))
+			}
+			for _, dl := range dls {
+				if _, ok := h.ExchangeByID(dl.ExchangeID); !ok {
+					t.Errorf("dead letter %s (partner %q) has no exchange record", dl.ExchangeID, dl.Partner)
+				}
+				if !dl.journaled || dl.req == nil {
+					t.Errorf("dead letter %s: journaled=%v, request retained=%v; want both", dl.ExchangeID, dl.journaled, dl.req != nil)
+				}
+			}
+			st := h.Status()
+			if st.Exchanges.DeadLettered != 2 {
+				t.Errorf("exchanges dead-lettered = %d, want the 2 poisoned admissions", st.Exchanges.DeadLettered)
+			}
+			if st.Durability.Poisoned != 2 {
+				t.Errorf("durability poisoned = %d, want 2", st.Durability.Poisoned)
+			}
+			if st.Journal.PendingAdmits != 0 || st.Journal.UnresolvedDeadLetters != 3 {
+				t.Errorf("journal %+v, want nothing pending and 3 unresolved dead letters", st.Journal)
+			}
+		})
+	}
+}
+
+// A takeover onto a successor whose journal refuses appends (fail-stop,
+// write errors) cannot admit the dead peer's unfinished work, but the peer
+// already acknowledged it: each entry is parked in memory, where it stays
+// replayable, and the report, the queue and the recovery gauges agree.
+// New work is still refused.
+func TestTakeoverOntoFailingJournalParksInMemory(t *testing.T) {
+	defer leakcheck.Check(t)()
+	ctx := context.Background()
+	g := doc.NewGenerator(32)
+	peer := filepath.Join(t.TempDir(), "peer.wal")
+	var recs []journal.Record
+	recs = append(recs, admitRecords(t, "j-00000001", Request{Kind: DocPO, PO: g.PO(tp1, seller)}, 0)...)
+	recs = append(recs, admitRecords(t, "j-00000002", Request{Kind: DocPO, PO: g.PO(tp1, seller)}, 0)...)
+	writeJournal(t, peer, recs)
+
+	h, ffs := faultyJournaledHub(t, 32, WithExchangeIDBase(1_000_000))
+	defer h.CloseJournal()
+	defer h.StopWorkers()
+	ffs.Arm(journal.FaultWriteErr)
+	rep, err := h.TakeOverJournal(ctx, peer, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Reenqueued != 2 || rep.Redelivered != 2 || rep.Recovered != 0 {
+		t.Fatalf("report %+v, want 2 reenqueued and redelivered", rep)
+	}
+	dls := h.DeadLetters()
+	if len(dls) != 2 {
+		t.Fatalf("dead-letter queue holds %d entries, want the 2 unadmittable admissions", len(dls))
+	}
+	for _, dl := range dls {
+		if dl.journaled || dl.req == nil {
+			t.Fatalf("dead letter %+v, want an in-memory entry retaining its request", dl)
+		}
+		if !errors.Is(dl.Reason, ErrJournalUnavailable) {
+			t.Fatalf("dead letter reason %v, want the journal refusal", dl.Reason)
+		}
+	}
+	if n := h.Systems["SAP"].StoredOrders(); n != 0 {
+		t.Fatalf("backend stored %d orders, want 0 (nothing ran)", n)
+	}
+	if rm := h.Status().Recovery; rm.Replayed != 2 || rm.Redelivered != 2 {
+		t.Fatalf("recovery gauges %+v, want 2 replayed and redelivered", rm)
+	}
+	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); !errors.Is(err, ErrJournalUnavailable) {
+		t.Fatalf("new work on a fail-stop hub with a failing disk: %v, want ErrJournalUnavailable", err)
+	}
+
+	// Once the disk heals, the parked work resubmits exactly once.
+	ffs.Heal()
+	for _, dl := range h.DrainDeadLetters() {
+		if _, err := h.Resubmit(ctx, dl); err != nil {
+			t.Fatalf("resubmit parked takeover entry: %v", err)
+		}
+	}
+	if n := h.Systems["SAP"].StoredOrders(); n != 2 {
+		t.Fatalf("backend stored %d orders after resubmission, want 2", n)
 	}
 }

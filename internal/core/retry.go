@@ -259,6 +259,45 @@ func (h *Hub) deadLetter(ex *Exchange, reason error, req Request) {
 	h.emitLifecycle(ex, obs.StepDeadLetter, 0, reason)
 }
 
+// park ends a request the hub decided not to run — an open circuit, the
+// shedder, an unreachable owner peer, a poisoned or refused replay. The
+// request's partner gets an exchange record that starts and fails with
+// cause, the request is dead-lettered as submitted (replayable via
+// Resubmit), an event of the given kind/stage/step explains the rejection,
+// and the outcome is journaled under the admission key ("" for none). A
+// wire PO with no partner hint names its partner only once decoded, so it
+// is parked under its protocol with an empty partner; a request naming a
+// partner the model does not know fails with ErrUnknownPartner instead.
+func (h *Hub) park(req Request, key string, cause error, kind obs.Kind, stage obs.Stage, step string) Result {
+	partner := req.healthKey()
+	route, ok := h.resolveRoute(partner)
+	switch {
+	case ok:
+	case partner == "" && req.Kind == DocWirePO:
+		route = resolvedRoute{partner: TradingPartner{Protocol: req.Protocol}, cfg: h.cfg.Snapshot()}
+	default:
+		res := Result{Err: fmt.Errorf("%w: %q", ErrUnknownPartner, partner)}
+		h.journalComplete(key, &req, &res)
+		return res
+	}
+	flow := obs.FlowPO
+	if req.Kind == DocInvoice {
+		flow = obs.FlowInvoice
+	}
+	ex := h.newExchange(route, flow, &req, "")
+	err := wrapExchangeErr(ex, obs.StageExchange, "", cause)
+	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
+	h.emitLifecycle(ex, obs.StepFailed, 0, err)
+	h.deadLetter(ex, err, req)
+	h.bus.Emit(obs.Event{
+		ExchangeID: ex.ID, Partner: partner, Flow: flow,
+		Kind: kind, Stage: stage, Step: step, Err: err,
+	})
+	res := Result{Exchange: ex, Err: err}
+	h.journalComplete(key, &req, &res)
+	return res
+}
+
 // parkDeadLetter appends one entry to the bounded in-memory queue. At the
 // cap (WithDLQCap; 0 = unbounded), a hub with a journal spills its oldest
 // journaled entry to journal-only retention — the entry's journal records
@@ -338,7 +377,7 @@ func (h *Hub) resubmit(ctx context.Context, dl DeadLetter) (*Exchange, error) {
 		return nil, fmt.Errorf("core: dead letter %s retains no request", dl.ExchangeID)
 	}
 	req := *dl.req
-	partner, probe, rejected := h.healthGate(req)
+	partner, probe, rejected := h.healthGate(req, "")
 	if rejected != nil {
 		return rejected.Exchange, rejected.Err
 	}

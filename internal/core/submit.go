@@ -166,9 +166,8 @@ func (h *Hub) Do(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return &Result{Err: err}, err
 	}
-	partner, probe, rejected := h.healthGate(req)
+	partner, probe, rejected := h.healthGate(req, key)
 	if rejected != nil {
-		h.journalComplete(key, &req, rejected)
 		return rejected, rejected.Err
 	}
 	res := h.runTracked(ctx, req, partner, probe)
@@ -197,10 +196,9 @@ func (h *Hub) DoAsync(ctx context.Context, req Request) (*Future, error) {
 // submission, the admission is left pending in the journal — it never ran,
 // so a later Recover re-delivers it.
 func (h *Hub) doAsync(ctx context.Context, req Request, key string) (*Future, error) {
-	partner, probe, rejected := h.healthGate(req)
+	partner, probe, rejected := h.healthGate(req, key)
 	if rejected != nil {
 		// Open circuit: resolve immediately without touching the scheduler.
-		h.journalComplete(key, &req, rejected)
 		fut := &Future{done: make(chan struct{}), res: *rejected}
 		close(fut.done)
 		return fut, nil
@@ -218,9 +216,9 @@ func (h *Hub) doAsync(ctx context.Context, req Request, key string) (*Future, er
 	var onShed func() Result
 	if partner != "" && !probe {
 		onShed = func() Result {
-			res := h.fastFail(req, partner, obs.StepShed)
-			h.journalComplete(key, &req, &res)
-			return res
+			h.shed.Add(1)
+			cause := fmt.Errorf("%w: circuit %s", ErrPartnerUnavailable, h.health.StateOf(partner))
+			return h.park(req, key, cause, obs.KindHealth, obs.StageHealth, obs.StepShed)
 		}
 	}
 	// onDrop releases the probe slot when the scheduler resolves the job

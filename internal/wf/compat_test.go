@@ -363,13 +363,9 @@ func TestCompatSubworkflowResume(t *testing.T) {
 			map[string]any{"n": float64(5)},
 			func(e *wf.Engine, in *wf.Instance) error {
 				ctx := context.Background()
-				kid := in.Steps["call"].Child
-				if err := e.Deliver(ctx, kid, "p", reply); err != nil {
-					// A child that fails inside Deliver reports the failure
-					// to the caller; propagating it marks the parent failed.
-					return errors.Join(err, wf.ResumeParent(ctx, e, kid))
-				}
-				return nil
+				// A child that fails inside Deliver reports the failure to
+				// the caller and marks its parent failed.
+				return e.Deliver(ctx, in.Steps["call"].Child, "p", reply)
 			})
 	}
 	g.check()

@@ -409,13 +409,7 @@ func (e *Engine) Deliver(ctx context.Context, instanceID, port string, payload a
 	}
 	in.Data[key] = payload
 	e.planCompleteStep(p, in, target, nil)
-	if err := e.advancePlan(ctx, p, in, nil); err != nil {
-		return err
-	}
-	if err := e.persist(in); err != nil {
-		return err
-	}
-	return e.resumeParentIfDone(ctx, in)
+	return e.settle(ctx, in, e.advancePlan(ctx, p, in, nil))
 }
 
 // ErrNotWaiting is returned by Deliver when the instance has no step parked
@@ -449,8 +443,17 @@ func (e *Engine) Expire(ctx context.Context, instanceID, stepName string) error 
 	in.Steps[ps.name].State = StepSkipped
 	in.log(ps.name, "timed out")
 	e.planSignalOutgoing(p, in, ps, false, nil)
-	if err := e.advancePlan(ctx, p, in, map[string]bool{ps.def.OnTimeout: true}); err != nil {
-		return err
+	return e.settle(ctx, in, e.advancePlan(ctx, p, in, map[string]bool{ps.def.OnTimeout: true}))
+}
+
+// settle ends a Deliver or Expire: it persists the advanced instance and
+// propagates a terminal state to a parked parent. A failed advance already
+// persisted the failed instance (failStep), and its parent must still learn
+// of the failure or it waits on the child forever, so the advance error is
+// joined with whatever the propagation reports.
+func (e *Engine) settle(ctx context.Context, in *Instance, advanceErr error) error {
+	if advanceErr != nil {
+		return errors.Join(advanceErr, e.resumeParentIfDone(ctx, in))
 	}
 	if err := e.persist(in); err != nil {
 		return err

@@ -3,7 +3,6 @@ package wf
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"testing"
 )
@@ -66,14 +65,16 @@ func (s *flakyStore) ListInstances() ([]string, error) {
 }
 func (s *flakyStore) DeleteInstance(id string) error { delete(s.insts, id); return nil }
 
-// TestResumeParentPersistErrorPropagates: when a child's failure is
-// propagated to its parent and persisting the failed parent errors, that
-// error must surface to the caller (it used to be silently discarded).
+// TestResumeParentPersistErrorPropagates: when a child fails inside
+// Deliver and persisting its failed parent errors, Deliver's error carries
+// both the child's fault and the disk error, and the store keeps the last
+// parent it could write.
 func TestResumeParentPersistErrorPropagates(t *testing.T) {
 	store := newFlakyStore()
 	h := NewHandlers()
+	handlerFault := errors.New("handler fault")
 	h.Register("boom", func(ctx context.Context, in *Instance, s *StepDef) error {
-		return fmt.Errorf("handler fault")
+		return handlerFault
 	})
 	e := NewEngine("fs", store, h, nil)
 	child := &TypeDef{
@@ -102,10 +103,13 @@ func TestResumeParentPersistErrorPropagates(t *testing.T) {
 	if kidID == "" {
 		t.Fatalf("child not started: %+v", mom.Steps["call"])
 	}
-	// Deliver makes the child fail on its task step; Deliver itself reports
-	// the child's failure.
-	if err := e.Deliver(ctx, kidID, "p", "payload"); err == nil {
-		t.Fatal("expected child failure from Deliver")
+
+	// The parent's durable failure record cannot be written.
+	diskFull := errors.New("disk full")
+	store.failPut[mom.ID] = diskFull
+	err = e.Deliver(ctx, kidID, "p", "payload")
+	if !errors.Is(err, handlerFault) || !errors.Is(err, diskFull) {
+		t.Fatalf("Deliver err = %v, want to carry %v and %v", err, handlerFault, diskFull)
 	}
 	kid, err := store.GetInstance(kidID)
 	if err != nil {
@@ -114,14 +118,6 @@ func TestResumeParentPersistErrorPropagates(t *testing.T) {
 	if kid.State != InstFailed {
 		t.Fatalf("child state %s", kid.State)
 	}
-
-	// Now the parent's durable failure record cannot be written.
-	diskFull := errors.New("disk full")
-	store.failPut[mom.ID] = diskFull
-	err = e.resumeParentIfDone(ctx, kid)
-	if !errors.Is(err, diskFull) {
-		t.Fatalf("resumeParentIfDone err = %v, want to carry %v", err, diskFull)
-	}
 	// The store still holds the last persisted parent: the failure it could
 	// not write is not visible as if it had been.
 	momNow, _ := store.GetInstance(mom.ID)
@@ -129,25 +125,64 @@ func TestResumeParentPersistErrorPropagates(t *testing.T) {
 		t.Fatalf("stored parent state %s, call step %s, error %q; want the last persisted %s parent",
 			momNow.State, momNow.Steps["call"].State, momNow.Error, StepChildRun)
 	}
+}
 
-	// With a healthy store the same propagation succeeds silently.
-	store2 := newFlakyStore()
-	e2 := NewEngine("fs2", store2, h, nil)
-	for _, def := range []*TypeDef{child.Clone(), parent.Clone()} {
-		if err := e2.Deploy(def); err != nil {
-			t.Fatal(err)
-		}
+// TestChildFailureFailsParent: a child that fails inside Deliver or Expire
+// fails its parked parent, exactly as a child that fails during Start does,
+// and the caller still sees the child's fault.
+func TestChildFailureFailsParent(t *testing.T) {
+	fault := errors.New("task fault")
+	child := &TypeDef{
+		Name: "kid",
+		Steps: []StepDef{
+			{Name: "wait", Kind: StepReceive, Port: "p", OnTimeout: "late"},
+			{Name: "work", Kind: StepTask, Handler: "fail"},
+			{Name: "late", Kind: StepTask, Handler: "fail"},
+		},
+		Arcs: []Arc{{From: "wait", To: "work"}},
 	}
-	mom2, _ := e2.Start(ctx, "mom", nil)
-	kid2ID := mom2.Steps["call"].Child
-	if err := e2.Deliver(ctx, kid2ID, "p", "x"); err == nil {
-		t.Fatal("expected child failure")
+	parent := &TypeDef{
+		Name:  "mom",
+		Steps: []StepDef{{Name: "call", Kind: StepSubworkflow, Subworkflow: "kid"}},
 	}
-	kid2, _ := store2.GetInstance(kid2ID)
-	if err := e2.resumeParentIfDone(ctx, kid2); err != nil {
-		t.Fatalf("healthy propagation err = %v", err)
-	}
-	if mom2Now, _ := store2.GetInstance(mom2.ID); mom2Now.State != InstFailed {
-		t.Fatalf("parent not failed: %s", mom2Now.State)
+	for _, tc := range []struct {
+		name string
+		poke func(ctx context.Context, e *Engine, kidID string) error
+	}{
+		{"deliver", func(ctx context.Context, e *Engine, kidID string) error {
+			return e.Deliver(ctx, kidID, "p", "payload")
+		}},
+		{"expire", func(ctx context.Context, e *Engine, kidID string) error {
+			return e.Expire(ctx, kidID, "wait")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := newFlakyStore()
+			h := NewHandlers()
+			h.Register("fail", func(ctx context.Context, in *Instance, s *StepDef) error {
+				return fault
+			})
+			e := NewEngine("fs", store, h, nil)
+			for _, def := range []*TypeDef{child.Clone(), parent.Clone()} {
+				if err := e.Deploy(def); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx := context.Background()
+			mom, err := e.Start(ctx, "mom", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.poke(ctx, e, mom.Steps["call"].Child); !errors.Is(err, fault) {
+				t.Fatalf("err = %v, want the child's %v", err, fault)
+			}
+			momNow, err := store.GetInstance(mom.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if momNow.State != InstFailed || momNow.Steps["call"].State != StepFailed {
+				t.Fatalf("parent state %s, call step %s; want failed/failed", momNow.State, momNow.Steps["call"].State)
+			}
+		})
 	}
 }

@@ -2,40 +2,96 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/doc"
+	"repro/internal/formats"
+	"repro/internal/formats/sapidoc"
+	"repro/internal/obs"
 	"repro/internal/wf"
 	"repro/internal/wfstore"
 )
 
 // Allocation budgets. Allocation counts repeat exactly from run to run, so
 // unlike timings they can gate on a noisy host. The race detector's
-// instrumentation allocates, so the budgets hold only without -race.
+// instrumentation allocates, so the budgets hold only without -race. The
+// measurements quoted below are go1.24's; each budget leaves about 1.2x
+// headroom for runtime differences between Go releases.
 const (
 	// exchangeAllocBudget bounds allocations per in-process PO exchange
-	// (Hub.Do on the Figure 14 hub): 588 measured with go1.24, 1,026 while
-	// conditions read an eagerly built map and every persist deep-copied
-	// the instance. The headroom absorbs runtime differences between Go
-	// releases.
-	exchangeAllocBudget = 700
+	// (Hub.Do on the Figure 14 hub): 294 measured, 588 while the SAP IDoc
+	// codec built a map per segment, the trace collector regrew each
+	// exchange's event slice and type lookups formatted "name@version"
+	// keys, and 1,026 while conditions read an eagerly built map and every
+	// persist deep-copied the instance.
+	exchangeAllocBudget = 350
 	// ruleAllocBudget bounds allocations per business-rule decision
 	// (rules.Registry.Evaluate): 2 measured, 16 when the rule environment
 	// was built as a map.
 	ruleAllocBudget = 4
 	// deliverAllocBudget bounds allocations per Engine.Deliver into a parked
 	// receive step whose completion runs a conditional arc, a task and a
-	// JoinAny join: 21 measured with go1.24, 23 while Deliver signaled the
-	// delivered step's arcs from the TypeDef (building each arc key afresh).
-	// A worklist or a second plan lookup per Deliver would exceed it.
-	deliverAllocBudget = 25
+	// JoinAny join: 15 measured, 21 while the worklist took four heap
+	// slices and the plan lookup formatted its key, 23 while Deliver
+	// signaled the delivered step's arcs from the TypeDef (building each
+	// arc key afresh). A second plan lookup per Deliver would exceed it.
+	deliverAllocBudget = 18
+	// startAllocBudget bounds allocations per Engine.Start of the Figure 14
+	// application binding (six steps; the instance parks on its inbound
+	// connection): 12 measured, 26 while every step run was its own
+	// allocation and the type, plan and instance ID were formatted strings.
+	startAllocBudget = 15
+	// emitAllocBudget bounds allocations per exchange of 32 events emitted
+	// into a full trace collector: 0 measured, 6 while each exchange's
+	// event slice regrew from empty instead of reusing an evicted buffer.
+	emitAllocBudget = 0
+	// idocEncodeAllocBudget bounds allocations per SAP IDoc encode (ORDERS,
+	// ORDRSP, INVOIC): 1 measured, the output copy; 71-86 while every
+	// segment was a map rendered after the fact.
+	idocEncodeAllocBudget = 2
+	// idocDecodeAllocBudget bounds allocations per SAP IDoc decode: 5
+	// measured (the document string, its field and segment slices, the
+	// document and its items); 81-93 while every segment was a map.
+	idocDecodeAllocBudget = 6
 )
 
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
+	type row struct {
+		name, per string
+		budget    int
+		measure   func(*testing.T) float64
+	}
+	rows := []row{
+		{"Hub.Do", "exchange", exchangeAllocBudget, hubDoAllocs},
+		{"rules.Registry.Evaluate", "decision", ruleAllocBudget, ruleAllocs},
+		{"wf.Engine.Deliver", "delivery", deliverAllocBudget, deliverAllocs},
+		{"wf.Engine.Start", "application-binding start", startAllocBudget, startAllocs},
+		{"obs.Collector.Emit", "exchange of 32 events into a full ring", emitAllocBudget, emitAllocs},
+	}
+	for _, c := range idocCodecs() {
+		rows = append(rows,
+			row{"sapidoc " + c.name + " encode", "document", idocEncodeAllocBudget, c.encodeAllocs},
+			row{"sapidoc " + c.name + " decode", "document", idocDecodeAllocBudget, c.decodeAllocs})
+	}
+	for _, r := range rows {
+		got := r.measure(t)
+		t.Logf("%s: %.0f allocations per %s (budget %d)", r.name, got, r.per, r.budget)
+		if got > float64(r.budget) {
+			t.Errorf("%s allocates %.0f times per %s, budget %d", r.name, got, r.per, r.budget)
+		}
+	}
+}
+
+// hubDoAllocs measures one in-process PO exchange through Hub.Do on the
+// Figure 14 hub.
+func hubDoAllocs(t *testing.T) float64 {
+	t.Helper()
 	m, err := core.PaperFigure14Model()
 	if err != nil {
 		t.Fatal(err)
@@ -53,34 +109,28 @@ func TestAllocBudgets(t *testing.T) {
 		pos[i] = g.PO(buyers[i%len(buyers)], benchSeller)
 	}
 	next := 0
-	perExchange := testing.AllocsPerRun(runs, func() {
+	return testing.AllocsPerRun(runs, func() {
 		po := pos[next]
 		next++
 		if _, err := h.Do(ctx, core.Request{Kind: core.DocPO, PO: po}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("Hub.Do: %.0f allocations per exchange (budget %d)", perExchange, exchangeAllocBudget)
-	if perExchange > exchangeAllocBudget {
-		t.Errorf("Hub.Do allocates %.0f times per exchange, budget %d", perExchange, exchangeAllocBudget)
-	}
+}
 
-	po := pos[0]
-	perDecision := testing.AllocsPerRun(1000, func() {
+// ruleAllocs measures one approval decision on the Figure 14 rules.
+func ruleAllocs(t *testing.T) float64 {
+	t.Helper()
+	m, err := core.PaperFigure14Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := doc.NewGenerator(1).PO(benchBuyer, benchSeller)
+	return testing.AllocsPerRun(1000, func() {
 		if _, err := m.Rules.Evaluate(core.ApprovalRuleSet, po.Buyer.ID, "SAP", po); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("rules.Registry.Evaluate: %.0f allocations per decision (budget %d)", perDecision, ruleAllocBudget)
-	if perDecision > ruleAllocBudget {
-		t.Errorf("rules.Registry.Evaluate allocates %.0f times per decision, budget %d", perDecision, ruleAllocBudget)
-	}
-
-	perDeliver := deliverAllocs(t)
-	t.Logf("wf.Engine.Deliver: %.0f allocations per delivery (budget %d)", perDeliver, deliverAllocBudget)
-	if perDeliver > deliverAllocBudget {
-		t.Errorf("wf.Engine.Deliver allocates %.0f times per delivery, budget %d", perDeliver, deliverAllocBudget)
-	}
 }
 
 // deliverAllocs measures one Deliver on a type shaped send → receive (with a
@@ -129,4 +179,119 @@ func deliverAllocs(t *testing.T) float64 {
 			t.Fatal(err)
 		}
 	})
+}
+
+// startAllocs measures one Start of the Figure 14 SAP application binding on
+// a bare engine whose handlers do nothing, so only the engine's own work is
+// counted: the new instance parks on its inbound connection.
+func startAllocs(t *testing.T) float64 {
+	t.Helper()
+	def, err := core.BuildAppBinding(core.Backend{Name: "SAP", Format: formats.SAPIDoc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := wf.NewHandlers()
+	for _, s := range def.Steps {
+		if s.Handler != "" {
+			h.Register(s.Handler, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error { return nil })
+		}
+	}
+	e := wf.NewEngine("alloc", wfstore.NewMemStore(), h, nil)
+	if err := e.Deploy(def); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	return testing.AllocsPerRun(200, func() {
+		if _, err := e.Start(ctx, def.Name, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// emitAllocs measures one exchange's 32 events emitted into a default-size
+// trace collector whose ring is already full.
+func emitAllocs(t *testing.T) float64 {
+	t.Helper()
+	const events, runs = 32, 200
+	c := obs.NewCollector(0)
+	ids := make([]string, obs.DefaultCollectorSize+runs+1) // AllocsPerRun adds one warm-up run
+	for i := range ids {
+		ids[i] = fmt.Sprintf("ex-%06d", i+1)
+	}
+	emit := func(id string) {
+		for i := 0; i < events; i++ {
+			c.Emit(obs.Event{ExchangeID: id, Partner: "TP1", Kind: obs.KindStep, Stage: obs.StagePrivate, Step: "step"})
+		}
+	}
+	for _, id := range ids[:obs.DefaultCollectorSize] {
+		emit(id)
+	}
+	next := obs.DefaultCollectorSize
+	return testing.AllocsPerRun(runs, func() {
+		emit(ids[next])
+		next++
+	})
+}
+
+// idocCodec measures one SAP IDoc message type's encode and decode.
+type idocCodec struct {
+	name   string
+	encode func() ([]byte, error)
+	decode func([]byte) error
+}
+
+func (c idocCodec) encodeAllocs(t *testing.T) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(1000, func() {
+		if _, err := c.encode(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func (c idocCodec) decodeAllocs(t *testing.T) float64 {
+	t.Helper()
+	wire, err := c.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(1000, func() {
+		if err := c.decode(wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// idocCodecs returns three-item ORDERS, ORDRSP and INVOIC documents of the
+// shape the Figure 14 SAP back end exchanges.
+func idocCodecs() []idocCodec {
+	at := time.Date(2001, 9, 3, 9, 30, 0, 0, time.UTC)
+	buyer := sapidoc.Partner{PartnerID: "TP1", Name: "Trading Partner 1", DUNS: "111111111"}
+	seller := sapidoc.Partner{PartnerID: "HUB", Name: "Widget Inc", DUNS: "999999999"}
+	orders := &sapidoc.Orders{
+		DocNum: 7, SenderPartner: "HUB", ReceiverPartner: "SAP", CreatedAt: at,
+		PONumber: "PO-TP1-000001", Currency: "USD", Buyer: buyer, Seller: seller,
+		ShipTo: "Trading Partner 1 Receiving Dock 1",
+	}
+	ordrsp := &sapidoc.Ordrsp{
+		DocNum: 8, SenderPartner: "SAP", ReceiverPartner: "HUB", CreatedAt: at,
+		AckNumber: "5100000042", PONumber: "PO-TP1-000001", Status: sapidoc.StatusAccepted,
+		Buyer: buyer, Seller: seller,
+	}
+	invoic := &sapidoc.Invoic{
+		DocNum: 9, SenderPartner: "SAP", ReceiverPartner: "HUB", CreatedAt: at,
+		InvoiceNumber: "9000000042", PONumber: "PO-TP1-000001", Currency: "USD",
+		DueDate: at.AddDate(0, 1, 0), Buyer: buyer, Seller: seller,
+	}
+	for i := 1; i <= 3; i++ {
+		sku := fmt.Sprintf("SKU-%03d", i)
+		orders.Items = append(orders.Items, sapidoc.Item{Posex: 10 * i, SKU: sku, Description: "Widget", Quantity: 5 * i, UnitPrice: 12.5 * float64(i)})
+		ordrsp.Items = append(ordrsp.Items, sapidoc.AckItem{Posex: 10 * i, Status: sapidoc.StatusAccepted, Quantity: 5 * i, ShipDate: at.AddDate(0, 0, 7)})
+		invoic.Items = append(invoic.Items, sapidoc.InvoiceItem{Posex: 10 * i, SKU: sku, Description: "Widget", Quantity: 5 * i, UnitPrice: 12.5 * float64(i)})
+	}
+	return []idocCodec{
+		{"ORDERS", orders.Encode, func(b []byte) error { _, err := sapidoc.DecodeOrders(b); return err }},
+		{"ORDRSP", ordrsp.Encode, func(b []byte) error { _, err := sapidoc.DecodeOrdrsp(b); return err }},
+		{"INVOIC", invoic.Encode, func(b []byte) error { _, err := sapidoc.DecodeInvoic(b); return err }},
+	}
 }

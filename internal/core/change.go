@@ -114,7 +114,7 @@ func (m *Model) ChangePartnerThreshold(id string, threshold float64) (*ChangeRec
 		Name:      ruleName,
 		Source:    p.ID,
 		Target:    p.Backend,
-		Condition: fmt.Sprintf("document.amount >= %v", threshold),
+		Condition: approvalCondition(threshold),
 	}); err != nil {
 		return nil, err
 	}

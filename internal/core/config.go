@@ -49,7 +49,7 @@ func classOf(typeName string) cfgstore.Class {
 // xformKey names a transform artifact exactly as transform.Registry.Keys
 // renders its triples.
 func xformKey(from, to formats.Format, dt doc.DocType) string {
-	return fmt.Sprintf("%s→%s:%s", from, to, dt)
+	return string(from) + "→" + string(to) + ":" + string(dt)
 }
 
 // ConfigStore exposes the hub's versioned config store (epoch, histories,
@@ -300,7 +300,7 @@ func (h *Hub) ChangePartnerThreshold(id string, threshold float64) (*ChangeRecor
 			Name:      ruleName,
 			Source:    p.ID,
 			Target:    p.Backend,
-			Condition: fmt.Sprintf("document.amount >= %v", threshold),
+			Condition: approvalCondition(threshold),
 		})
 	}); err != nil {
 		return nil, err

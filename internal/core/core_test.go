@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/formats"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/rules"
 	"repro/internal/transform"
 	"repro/internal/wf"
 )
@@ -442,6 +445,79 @@ func TestChangeThresholdIsRulesOnly(t *testing.T) {
 	priv, _ := h.PrivateInstance(ex)
 	if priv.Data["needsApproval"] != true {
 		t.Fatal("lowered threshold not effective")
+	}
+}
+
+// TestApprovalThresholdProperty holds every finite non-negative threshold to
+// a working approval rule: the model, the added partner, invoicing and both
+// threshold changes accept it, and each generated rule decides
+// amount >= threshold correctly at the boundary.
+func TestApprovalThresholdProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(1000000))
+	thresholds := []float64{0, 0.01, 0.1, 1, 55000, 999999.99, 1e6, 1234567.89, 1e21, 1e-5,
+		1e300, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for len(thresholds) < 60 {
+		thresholds = append(thresholds, float64(r.Int63n(1e15))/100) // whole cents
+		if f := math.Float64frombits(r.Uint64() &^ (1 << 63)); !math.IsInf(f, 0) && !math.IsNaN(f) {
+			thresholds = append(thresholds, f)
+		}
+	}
+	// decides checks one rule set's verdict on documents priced at and
+	// around th: it must be exactly amount >= th for the amount each
+	// document carries.
+	decides := func(t *testing.T, reg *rules.Registry, set, partner string, th float64) {
+		t.Helper()
+		for _, p := range []float64{th, math.Nextafter(th, math.Inf(-1)), math.Nextafter(th, math.Inf(1)), th - 0.01, th + 0.01} {
+			var document any
+			var amount float64
+			if set == InvoiceReviewRuleSet {
+				inv := &doc.Invoice{Lines: []doc.InvoiceLine{{Quantity: 1, UnitPrice: p}}}
+				document, amount = inv, inv.Amount()
+			} else {
+				po := &doc.PurchaseOrder{Lines: []doc.Line{{Quantity: 1, UnitPrice: p}}}
+				document, amount = po, po.Amount()
+			}
+			d, err := reg.Evaluate(set, partner, "SAP", document)
+			if err != nil {
+				t.Fatalf("%s: threshold %v, amount %v: %v", set, th, amount, err)
+			}
+			if d.Result != (amount >= th) {
+				t.Fatalf("%s: threshold %v, amount %v: rule says %v", set, th, amount, d.Result)
+			}
+		}
+	}
+	backends := []Backend{{Name: "SAP", Format: formats.SAPIDoc}, {Name: "Oracle", Format: formats.OracleOIF}}
+	for _, th := range thresholds {
+		m, err := BuildModel([]TradingPartner{
+			{ID: "TP1", Name: "Trading Partner 1", Protocol: formats.EDI, Backend: "SAP", ApprovalThreshold: th},
+		}, backends)
+		if err != nil {
+			t.Fatalf("BuildModel, threshold %v: %v", th, err)
+		}
+		decides(t, m.Rules, ApprovalRuleSet, "TP1", th)
+		if _, err := m.AddPartner(TradingPartner{ID: "TP3", Protocol: formats.OAGIS, Backend: "SAP", ApprovalThreshold: th}); err != nil {
+			t.Fatalf("AddPartner, threshold %v: %v", th, err)
+		}
+		decides(t, m.Rules, ApprovalRuleSet, "TP3", th)
+		if _, err := m.EnableInvoicing(); err != nil {
+			t.Fatalf("EnableInvoicing, threshold %v: %v", th, err)
+		}
+		decides(t, m.Rules, InvoiceReviewRuleSet, "TP1", th)
+		if _, err := m.ChangePartnerThreshold("TP1", 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ChangePartnerThreshold("TP1", th); err != nil {
+			t.Fatalf("Model.ChangePartnerThreshold, threshold %v: %v", th, err)
+		}
+		decides(t, m.Rules, ApprovalRuleSet, "TP1", th)
+		h, err := NewHub(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.ChangePartnerThreshold("TP3", th); err != nil {
+			t.Fatalf("Hub.ChangePartnerThreshold, threshold %v: %v", th, err)
+		}
+		decides(t, h.Model.Rules, ApprovalRuleSet, "TP3", th)
 	}
 }
 

@@ -176,7 +176,7 @@ func (m *Model) EnableInvoicing() (*ChangeRecord, error) {
 			Source:    p.ID,
 			Target:    p.Backend,
 			DocType:   doc.TypeINV,
-			Condition: fmt.Sprintf("document.amount >= %v", p.ApprovalThreshold),
+			Condition: approvalCondition(p.ApprovalThreshold),
 		}); err != nil {
 			return nil, err
 		}

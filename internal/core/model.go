@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/formats"
 	"repro/internal/rules"
@@ -158,11 +159,19 @@ func (m *Model) addPartner(p TradingPartner, byName map[string]Backend) (newProt
 		Name:      fmt.Sprintf("approval %s→%s", p.ID, p.Backend),
 		Source:    p.ID,
 		Target:    p.Backend,
-		Condition: fmt.Sprintf("document.amount >= %v", p.ApprovalThreshold),
+		Condition: approvalCondition(p.ApprovalThreshold),
 	}); err != nil {
 		return newProtocol, err
 	}
 	return newProtocol, nil
+}
+
+// approvalCondition renders the rule condition of a partner threshold. The
+// 'f' format writes every finite threshold as a plain decimal that
+// internal/expr parses back to the same float64; %v would write 1e6 as
+// "1e+06", which expr rejects.
+func approvalCondition(threshold float64) string {
+	return "document.amount >= " + strconv.FormatFloat(threshold, 'f', -1, 64)
 }
 
 // backendsByName rebuilds the lookup used by addPartner.

@@ -282,15 +282,17 @@ func (s *scheduler) worker(sh *shard) {
 	}
 }
 
-// runJob executes one job and resolves its future.
+// runJob executes one job and resolves its future. The completed event is
+// emitted before the future resolves, so a caller that waited on the future
+// reads shard gauges that already count the job.
 func (s *scheduler) runJob(sh *shard, j schedJob) {
 	s.emit(j, obs.StepDispatched, 0, nil)
 	start := time.Now()
 	j.fut.res = j.run(j.ctx)
+	s.emit(j, obs.StepCompleted, time.Since(start), j.fut.res.Err)
 	close(j.fut.done)
 	sh.load.Add(-1)
 	s.release(j.key)
-	s.emit(j, obs.StepCompleted, time.Since(start), j.fut.res.Err)
 }
 
 // stop shuts the scheduler down: no new admissions, in-flight and queued

@@ -4,8 +4,10 @@ import "testing"
 
 // The fuzz targets assert the decoder robustness contract: arbitrary
 // bytes must never panic a decoder, and any IDoc a decoder accepts must
-// survive re-encoding and re-decoding. Seed corpora are the golden
-// sample IDocs plus structural mutations of them.
+// survive re-encoding and re-decoding. Every input is also checked against
+// the reference codec (reference_test.go): the same error text, the same
+// decoded document and the same re-encoded bytes. Seed corpora are the
+// golden sample IDocs plus structural mutations of them.
 
 // idocSeeds returns seed inputs derived from the golden documents.
 func idocSeeds(encode func() ([]byte, error)) [][]byte {
@@ -27,6 +29,7 @@ func FuzzDecodeOrders(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ordersPair.checkDecode(t, data)
 		doc, err := DecodeOrders(data)
 		if err != nil {
 			return
@@ -46,6 +49,7 @@ func FuzzDecodeOrdrsp(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ordrspPair.checkDecode(t, data)
 		doc, err := DecodeOrdrsp(data)
 		if err != nil {
 			return
@@ -65,6 +69,7 @@ func FuzzDecodeInvoic(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		invoicPair.checkDecode(t, data)
 		doc, err := DecodeInvoic(data)
 		if err != nil {
 			return

@@ -19,6 +19,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/formats"
 )
 
 // Partner is an IDoc partner function (E1EDKA1 segment).
@@ -114,69 +116,155 @@ const (
 	cretim   = "150405"
 )
 
+// writer renders segments straight into a pooled encode buffer: seg starts
+// a segment and the set methods append its fields in call order. Empty
+// string values are skipped. The first value holding a reserved character
+// becomes the writer's error, and everything after it is dropped with the
+// buffer.
+type writer struct {
+	buf  *bytes.Buffer
+	name string // the open segment
+	err  error
+}
+
+func newWriter() writer { return writer{buf: formats.GetBuffer()} }
+
+// release returns the writer's buffer to the pool.
+func (w *writer) release() { formats.PutBuffer(w.buf) }
+
+// seg ends the open segment, if any, and starts the next one.
+func (w *writer) seg(name string) *writer {
+	if w.name != "" {
+		w.buf.WriteByte('\n')
+	}
+	w.buf.WriteString(name)
+	w.name = name
+	return w
+}
+
+// key writes a field's separator and key; the caller appends the value.
+func (w *writer) key(k string) {
+	w.buf.WriteString(fieldSep)
+	w.buf.WriteString(k)
+	w.buf.WriteByte('=')
+}
+
+func (w *writer) set(k, v string) *writer {
+	if v == "" || w.err != nil {
+		return w
+	}
+	if strings.ContainsAny(v, "\t\n") || strings.Contains(v, "=") {
+		w.err = fmt.Errorf("sapidoc: field %s of %s contains reserved character: %q", k, w.name, v)
+		return w
+	}
+	w.key(k)
+	w.buf.WriteString(v)
+	return w
+}
+
+// setInt appends n in decimal, zero-padded to width characters exactly as
+// fmt's %0*d pads it: a minus sign counts toward the width.
+func (w *writer) setInt(k string, n, width int) *writer {
+	w.key(k)
+	var scratch [20]byte
+	digits := strconv.AppendInt(scratch[:0], int64(n), 10)
+	if n < 0 {
+		w.buf.WriteByte('-')
+		digits, width = digits[1:], width-1
+	}
+	for i := len(digits); i < width; i++ {
+		w.buf.WriteByte('0')
+	}
+	w.buf.Write(digits)
+	return w
+}
+
+// setFloat appends p in the shortest decimal form that round-trips.
+func (w *writer) setFloat(k string, p float64) *writer {
+	w.key(k)
+	w.buf.Write(strconv.AppendFloat(w.buf.AvailableBuffer(), p, 'f', -1, 64))
+	return w
+}
+
+func (w *writer) setTime(k string, t time.Time, layout string) *writer {
+	w.key(k)
+	w.buf.Write(t.AppendFormat(w.buf.AvailableBuffer(), layout))
+	return w
+}
+
+// bytes ends the last segment and returns a copy of the document.
+func (w *writer) bytes() ([]byte, error) {
+	if w.err != nil {
+		return nil, w.err
+	}
+	if w.name != "" {
+		w.buf.WriteByte('\n')
+	}
+	return formats.CopyBytes(w.buf), nil
+}
+
+func (w *writer) control(mestyp, idoctyp string, docnum int, snd, rcv string, at time.Time) {
+	w.seg("EDI_DC40").
+		set("TABNAM", "EDI_DC40").
+		set("MESTYP", mestyp).
+		set("IDOCTYP", idoctyp).
+		setInt("DOCNUM", docnum, 16).
+		set("SNDPRN", snd).
+		set("RCVPRN", rcv).
+		setTime("CREDAT", at, credat).
+		setTime("CRETIM", at, cretim)
+}
+
+func (w *writer) partner(parvw string, p Partner) {
+	w.seg("E1EDKA1").set("PARVW", parvw).set("PARTN", p.PartnerID).set("NAME1", p.Name).set("DUNS", p.DUNS)
+}
+
+// field is one KEY=VALUE pair of a decoded segment.
+type field struct{ key, value string }
+
+// segment is one decoded line: its name and a window of the document's
+// field slice.
 type segment struct {
 	name   string
-	fields map[string]string
-	order  []string
+	fields []field
 }
 
-func newSeg(name string) *segment {
-	return &segment{name: name, fields: map[string]string{}}
-}
-
-func (s *segment) set(k, v string) *segment {
-	if v == "" {
-		return s
-	}
-	if _, dup := s.fields[k]; !dup {
-		s.order = append(s.order, k)
-	}
-	s.fields[k] = v
-	return s
-}
-
-func (s *segment) get(k string) string { return s.fields[k] }
-
-func (s *segment) render(sb *bytes.Buffer) error {
-	sb.WriteString(s.name)
-	for _, k := range s.order {
-		v := s.fields[k]
-		if strings.ContainsAny(v, "\t\n") || strings.Contains(v, "=") {
-			return fmt.Errorf("sapidoc: field %s of %s contains reserved character: %q", k, s.name, v)
+// get returns the last non-empty value of key, or "": a repeated key
+// overrides the earlier value, and an empty value sets nothing.
+func (s *segment) get(k string) string {
+	for i := len(s.fields) - 1; i >= 0; i-- {
+		if f := s.fields[i]; f.key == k && f.value != "" {
+			return f.value
 		}
-		sb.WriteString(fieldSep)
-		sb.WriteString(k)
-		sb.WriteString("=")
-		sb.WriteString(v)
 	}
-	sb.WriteString("\n")
-	return nil
+	return ""
 }
 
-func parseSegment(line string) (*segment, error) {
-	parts := strings.Split(line, fieldSep)
-	s := newSeg(parts[0])
-	for _, p := range parts[1:] {
-		k, v, ok := strings.Cut(p, "=")
-		if !ok {
-			return nil, fmt.Errorf("sapidoc: malformed field %q in segment %s", p, s.name)
-		}
-		s.set(k, v)
-	}
-	return s, nil
-}
-
-func parseLines(data []byte) ([]*segment, error) {
-	var segs []*segment
-	for _, line := range strings.Split(string(data), "\n") {
+// parseLines splits a flat file into segments, skipping whitespace-only
+// lines. The document becomes a string once, and all its fields share one
+// slice sized by its tab count.
+func parseLines(data []byte) ([]segment, error) {
+	text := string(data)
+	fields := make([]field, 0, strings.Count(text, fieldSep))
+	segs := make([]segment, 0, strings.Count(text, "\n")+1)
+	for rest := text; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
-		s, err := parseSegment(line)
-		if err != nil {
-			return nil, err
+		name, tail, more := strings.Cut(line, fieldSep)
+		start := len(fields)
+		for more {
+			var part string
+			part, tail, more = strings.Cut(tail, fieldSep)
+			k, v, ok := strings.Cut(part, "=")
+			if !ok {
+				return nil, fmt.Errorf("sapidoc: malformed field %q in segment %s", part, name)
+			}
+			fields = append(fields, field{k, v})
 		}
-		segs = append(segs, s)
+		segs = append(segs, segment{name: name, fields: fields[start:len(fields):len(fields)]})
 	}
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("sapidoc: empty document")
@@ -187,16 +275,16 @@ func parseLines(data []byte) ([]*segment, error) {
 	return segs, nil
 }
 
-func controlRecord(mestyp, idoctyp string, docnum int, snd, rcv string, at time.Time) *segment {
-	return newSeg("EDI_DC40").
-		set("TABNAM", "EDI_DC40").
-		set("MESTYP", mestyp).
-		set("IDOCTYP", idoctyp).
-		set("DOCNUM", fmt.Sprintf("%016d", docnum)).
-		set("SNDPRN", snd).
-		set("RCVPRN", rcv).
-		set("CREDAT", at.Format(credat)).
-		set("CRETIM", at.Format(cretim))
+// countItems sizes a decoded item slice: the number of E1EDP01 segments,
+// each of which starts one item.
+func countItems(segs []segment) int {
+	n := 0
+	for i := range segs {
+		if segs[i].name == "E1EDP01" {
+			n++
+		}
+	}
+	return n
 }
 
 func parseControl(s *segment, wantMestyp string) (docnum int, snd, rcv string, at time.Time, err error) {
@@ -213,10 +301,6 @@ func parseControl(s *segment, wantMestyp string) (docnum int, snd, rcv string, a
 	}
 	at, _ = time.Parse(credat+cretim, s.get("CREDAT")+s.get("CRETIM"))
 	return docnum, s.get("SNDPRN"), s.get("RCVPRN"), at, nil
-}
-
-func partnerSeg(parvw string, p Partner) *segment {
-	return newSeg("E1EDKA1").set("PARVW", parvw).set("PARTN", p.PartnerID).set("NAME1", p.Name).set("DUNS", p.DUNS)
 }
 
 func parsePartner(s *segment) Partner {

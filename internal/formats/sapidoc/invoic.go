@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/formats"
 )
 
 // InvoiceItem is one E1EDP01/E1EDP19 item group of an INVOIC IDoc.
@@ -50,36 +48,27 @@ func (o *Invoic) Encode() ([]byte, error) {
 	if len(o.Items) == 0 {
 		return nil, fmt.Errorf("sapidoc: INVOIC %q has no items", o.InvoiceNumber)
 	}
-	sb := formats.GetBuffer()
-	defer formats.PutBuffer(sb)
-	segs := []*segment{
-		controlRecord("INVOIC", "INVOIC02", o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt),
-		newSeg("E1EDK01").set("BELNR", o.InvoiceNumber).set("CURCY", o.Currency),
-		newSeg("E1EDK02").set("QUALF", "001").set("BELNR", o.PONumber),
-		partnerSeg("AG", o.Buyer),
-		partnerSeg("LF", o.Seller),
-	}
+	w := newWriter()
+	defer w.release()
+	w.control("INVOIC", "INVOIC02", o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt)
+	w.seg("E1EDK01").set("BELNR", o.InvoiceNumber).set("CURCY", o.Currency)
+	w.seg("E1EDK02").set("QUALF", "001").set("BELNR", o.PONumber)
+	w.partner("AG", o.Buyer)
+	w.partner("LF", o.Seller)
 	if !o.DueDate.IsZero() {
-		segs = append(segs, newSeg("E1EDK03").set("IDDAT", "012").set("DATUM", o.DueDate.Format(credat)))
+		w.seg("E1EDK03").set("IDDAT", "012").setTime("DATUM", o.DueDate, credat)
 	}
 	if o.Note != "" {
-		segs = append(segs, newSeg("E1EDKT1").set("TDID", "Z001").set("TDLINE", o.Note))
+		w.seg("E1EDKT1").set("TDID", "Z001").set("TDLINE", o.Note)
 	}
 	for _, it := range o.Items {
-		segs = append(segs,
-			newSeg("E1EDP01").
-				set("POSEX", fmt.Sprintf("%06d", it.Posex)).
-				set("MENGE", fmtQty(it.Quantity)).
-				set("VPREI", fmtPrice(it.UnitPrice)),
-			newSeg("E1EDP19").set("QUALF", "001").set("IDTNR", it.SKU).set("KTEXT", it.Description),
-		)
+		w.seg("E1EDP01").
+			setInt("POSEX", it.Posex, 6).
+			setInt("MENGE", it.Quantity, 0).
+			setFloat("VPREI", it.UnitPrice)
+		w.seg("E1EDP19").set("QUALF", "001").set("IDTNR", it.SKU).set("KTEXT", it.Description)
 	}
-	for _, s := range segs {
-		if err := s.render(sb); err != nil {
-			return nil, err
-		}
-	}
-	return formats.CopyBytes(sb), nil
+	return w.bytes()
 }
 
 // DecodeInvoic parses an INVOIC IDoc flat file.
@@ -89,12 +78,15 @@ func DecodeInvoic(data []byte) (*Invoic, error) {
 		return nil, err
 	}
 	o := &Invoic{}
-	o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt, err = parseControl(segs[0], "INVOIC")
+	o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt, err = parseControl(&segs[0], "INVOIC")
 	if err != nil {
 		return nil, err
 	}
+	if n := countItems(segs); n > 0 {
+		o.Items = make([]InvoiceItem, 0, n)
+	}
 	for i := 1; i < len(segs); i++ {
-		s := segs[i]
+		s := &segs[i]
 		switch s.name {
 		case "E1EDK01":
 			o.InvoiceNumber = s.get("BELNR")

@@ -5,12 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/formats"
 )
-
-func fmtQty(q int) string       { return strconv.Itoa(q) }
-func fmtPrice(p float64) string { return strconv.FormatFloat(p, 'f', -1, 64) }
 
 // Encode renders the ORDERS IDoc as a flat file.
 func (o *Orders) Encode() ([]byte, error) {
@@ -20,35 +15,26 @@ func (o *Orders) Encode() ([]byte, error) {
 	if len(o.Items) == 0 {
 		return nil, fmt.Errorf("sapidoc: ORDERS %q has no items", o.PONumber)
 	}
-	sb := formats.GetBuffer()
-	defer formats.PutBuffer(sb)
-	segs := []*segment{
-		controlRecord("ORDERS", "ORDERS05", o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt),
-		newSeg("E1EDK01").set("BELNR", o.PONumber).set("CURCY", o.Currency),
-		partnerSeg("AG", o.Buyer),
-		partnerSeg("LF", o.Seller),
-	}
+	w := newWriter()
+	defer w.release()
+	w.control("ORDERS", "ORDERS05", o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt)
+	w.seg("E1EDK01").set("BELNR", o.PONumber).set("CURCY", o.Currency)
+	w.partner("AG", o.Buyer)
+	w.partner("LF", o.Seller)
 	if o.ShipTo != "" {
-		segs = append(segs, newSeg("E1EDKA1").set("PARVW", "WE").set("NAME1", o.ShipTo))
+		w.seg("E1EDKA1").set("PARVW", "WE").set("NAME1", o.ShipTo)
 	}
 	if o.Note != "" {
-		segs = append(segs, newSeg("E1EDKT1").set("TDID", "Z001").set("TDLINE", o.Note))
+		w.seg("E1EDKT1").set("TDID", "Z001").set("TDLINE", o.Note)
 	}
 	for _, it := range o.Items {
-		segs = append(segs,
-			newSeg("E1EDP01").
-				set("POSEX", fmt.Sprintf("%06d", it.Posex)).
-				set("MENGE", fmtQty(it.Quantity)).
-				set("VPREI", fmtPrice(it.UnitPrice)),
-			newSeg("E1EDP19").set("QUALF", "001").set("IDTNR", it.SKU).set("KTEXT", it.Description),
-		)
+		w.seg("E1EDP01").
+			setInt("POSEX", it.Posex, 6).
+			setInt("MENGE", it.Quantity, 0).
+			setFloat("VPREI", it.UnitPrice)
+		w.seg("E1EDP19").set("QUALF", "001").set("IDTNR", it.SKU).set("KTEXT", it.Description)
 	}
-	for _, s := range segs {
-		if err := s.render(sb); err != nil {
-			return nil, err
-		}
-	}
-	return formats.CopyBytes(sb), nil
+	return w.bytes()
 }
 
 // DecodeOrders parses an ORDERS IDoc flat file.
@@ -58,12 +44,15 @@ func DecodeOrders(data []byte) (*Orders, error) {
 		return nil, err
 	}
 	o := &Orders{}
-	o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt, err = parseControl(segs[0], "ORDERS")
+	o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt, err = parseControl(&segs[0], "ORDERS")
 	if err != nil {
 		return nil, err
 	}
+	if n := countItems(segs); n > 0 {
+		o.Items = make([]Item, 0, n)
+	}
 	for i := 1; i < len(segs); i++ {
-		s := segs[i]
+		s := &segs[i]
 		switch s.name {
 		case "E1EDK01":
 			o.PONumber = s.get("BELNR")
@@ -127,34 +116,26 @@ func (o *Ordrsp) Encode() ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("sapidoc: ORDRSP has invalid status %q", o.Status)
 	}
-	sb := formats.GetBuffer()
-	defer formats.PutBuffer(sb)
-	segs := []*segment{
-		controlRecord("ORDRSP", "ORDERS05", o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt),
-		newSeg("E1EDK01").set("BELNR", o.AckNumber).set("ACTION", string(o.Status)),
-		newSeg("E1EDK02").set("QUALF", "001").set("BELNR", o.PONumber),
-		partnerSeg("AG", o.Buyer),
-		partnerSeg("LF", o.Seller),
-	}
+	w := newWriter()
+	defer w.release()
+	w.control("ORDRSP", "ORDERS05", o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt)
+	w.seg("E1EDK01").set("BELNR", o.AckNumber).set("ACTION", string(o.Status))
+	w.seg("E1EDK02").set("QUALF", "001").set("BELNR", o.PONumber)
+	w.partner("AG", o.Buyer)
+	w.partner("LF", o.Seller)
 	if o.Note != "" {
-		segs = append(segs, newSeg("E1EDKT1").set("TDID", "Z001").set("TDLINE", o.Note))
+		w.seg("E1EDKT1").set("TDID", "Z001").set("TDLINE", o.Note)
 	}
 	for _, it := range o.Items {
-		p01 := newSeg("E1EDP01").
-			set("POSEX", fmt.Sprintf("%06d", it.Posex)).
-			set("MENGE", fmtQty(it.Quantity)).
+		w.seg("E1EDP01").
+			setInt("POSEX", it.Posex, 6).
+			setInt("MENGE", it.Quantity, 0).
 			set("ACTION", string(it.Status))
-		segs = append(segs, p01)
 		if !it.ShipDate.IsZero() {
-			segs = append(segs, newSeg("E1EDP20").set("EDATU", it.ShipDate.Format(edatu)))
+			w.seg("E1EDP20").setTime("EDATU", it.ShipDate, edatu)
 		}
 	}
-	for _, s := range segs {
-		if err := s.render(sb); err != nil {
-			return nil, err
-		}
-	}
-	return formats.CopyBytes(sb), nil
+	return w.bytes()
 }
 
 // DecodeOrdrsp parses an ORDRSP IDoc flat file.
@@ -164,12 +145,15 @@ func DecodeOrdrsp(data []byte) (*Ordrsp, error) {
 		return nil, err
 	}
 	o := &Ordrsp{}
-	o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt, err = parseControl(segs[0], "ORDRSP")
+	o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt, err = parseControl(&segs[0], "ORDRSP")
 	if err != nil {
 		return nil, err
 	}
+	if n := countItems(segs); n > 0 {
+		o.Items = make([]AckItem, 0, n)
+	}
 	for i := 1; i < len(segs); i++ {
-		s := segs[i]
+		s := &segs[i]
 		switch s.name {
 		case "E1EDK01":
 			o.AckNumber = s.get("BELNR")

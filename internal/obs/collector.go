@@ -6,13 +6,34 @@ import "sync"
 // recent exchanges, bounded by exchange count with FIFO eviction — the
 // structured replacement for the old per-exchange Trace journal. It is
 // safe for concurrent use.
+//
+// The retained exchanges sit in a ring of at most max slots, in order of
+// their first event. A new exchange on a full ring evicts the oldest slot
+// and takes over its event buffer, so once the ring has filled, emitting
+// allocates nothing.
 type Collector struct {
-	mu   sync.Mutex
-	max  int
-	byEx map[string][]Event
-	// order is the FIFO of exchange IDs for eviction.
-	order []string
+	mu    sync.Mutex
+	max   int
+	slots []exchangeSlot
+	// oldest is the slot the next new exchange evicts once the ring is full.
+	oldest int
+	index  map[string]int // exchange ID → slot
 }
+
+// exchangeSlot holds one retained exchange's events.
+type exchangeSlot struct {
+	id     string
+	events []Event
+}
+
+// slotWarmLen and slotWarmCap size a slot's buffer: at its third event a
+// buffer grows straight to room for a whole exchange (an exchange emits
+// about 34 events). Partner-less plan and config keys, which emit one or
+// two events each, stay small.
+const (
+	slotWarmLen = 2
+	slotWarmCap = 32
+)
 
 // DefaultCollectorSize bounds the collector a hub attaches by default.
 const DefaultCollectorSize = 1024
@@ -23,7 +44,7 @@ func NewCollector(maxExchanges int) *Collector {
 	if maxExchanges <= 0 {
 		maxExchanges = DefaultCollectorSize
 	}
-	return &Collector{max: maxExchanges, byEx: map[string][]Event{}}
+	return &Collector{max: maxExchanges, index: map[string]int{}}
 }
 
 // Emit implements Sink.
@@ -33,15 +54,35 @@ func (c *Collector) Emit(e Event) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, known := c.byEx[e.ExchangeID]; !known {
-		if len(c.order) >= c.max {
-			evict := c.order[0]
-			c.order = c.order[1:]
-			delete(c.byEx, evict)
-		}
-		c.order = append(c.order, e.ExchangeID)
+	i, known := c.index[e.ExchangeID]
+	if !known {
+		i = c.claim(e.ExchangeID)
 	}
-	c.byEx[e.ExchangeID] = append(c.byEx[e.ExchangeID], e)
+	s := &c.slots[i]
+	if len(s.events) == slotWarmLen && cap(s.events) < slotWarmCap {
+		s.events = append(make([]Event, 0, slotWarmCap), s.events...)
+	}
+	s.events = append(s.events, e)
+}
+
+// claim registers a new exchange in a fresh slot or, on a full ring, in the
+// oldest slot, whose buffer it reuses. The buffer is cleared first so the
+// evicted events' strings and errors do not stay reachable.
+func (c *Collector) claim(id string) int {
+	i := len(c.slots)
+	if i < c.max {
+		c.slots = append(c.slots, exchangeSlot{})
+	} else {
+		i = c.oldest
+		c.oldest = (c.oldest + 1) % c.max
+		s := &c.slots[i]
+		delete(c.index, s.id)
+		clear(s.events)
+		s.events = s.events[:0]
+	}
+	c.slots[i].id = id
+	c.index[id] = i
+	return i
 }
 
 // Events returns a copy of the retained events of one exchange, in
@@ -49,11 +90,11 @@ func (c *Collector) Emit(e Event) {
 func (c *Collector) Events(exchangeID string) []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	evs := c.byEx[exchangeID]
-	if evs == nil {
+	i, ok := c.index[exchangeID]
+	if !ok {
 		return nil
 	}
-	return append([]Event(nil), evs...)
+	return append([]Event(nil), c.slots[i].events...)
 }
 
 // Trace renders an exchange's routing journey as hop strings — the
@@ -72,7 +113,7 @@ func (c *Collector) Trace(exchangeID string) []string {
 func (c *Collector) Exchanges() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.order)
+	return len(c.index)
 }
 
 // ExchangeCounters is a Sink that derives activity counters from the

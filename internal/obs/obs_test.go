@@ -3,6 +3,7 @@ package obs
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -102,39 +103,179 @@ func TestBucketIndexMonotonic(t *testing.T) {
 }
 
 func TestCollectorTraceAndEviction(t *testing.T) {
-	c := NewCollector(2)
-	emit := func(ex, hop string) {
-		c.Emit(Event{ExchangeID: ex, Kind: KindRoute, Stage: StageRoute, Step: hop})
+	emitTo := func(c *Collector, ex string, n int) {
+		for i := 0; i < n; i++ {
+			c.Emit(Event{ExchangeID: ex, Kind: KindStep, Step: fmt.Sprintf("%s/%d", ex, i), Err: errors.New(ex)})
+		}
 	}
-	emit("ex-1", "public → binding")
-	emit("ex-1", "binding → private")
-	c.Emit(Event{ExchangeID: "ex-1", Kind: KindStep, Stage: StagePublic, Step: "Send"})
-	emit("ex-2", "public → binding")
+	// retained lists which of ids the collector still holds, in order.
+	retained := func(c *Collector, ids ...string) []string {
+		var out []string
+		for _, id := range ids {
+			if c.Events(id) != nil {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	t.Run("trace and eviction", func(t *testing.T) {
+		c := NewCollector(2)
+		emit := func(ex, hop string) {
+			c.Emit(Event{ExchangeID: ex, Kind: KindRoute, Stage: StageRoute, Step: hop})
+		}
+		emit("ex-1", "public → binding")
+		emit("ex-1", "binding → private")
+		c.Emit(Event{ExchangeID: "ex-1", Kind: KindStep, Stage: StagePublic, Step: "Send"})
+		emit("ex-2", "public → binding")
 
-	trace := c.Trace("ex-1")
-	if len(trace) != 2 || trace[0] != "public → binding" || trace[1] != "binding → private" {
-		t.Fatalf("trace %v", trace)
-	}
-	if len(c.Events("ex-1")) != 3 {
-		t.Fatalf("events %v", c.Events("ex-1"))
-	}
-	// Third exchange evicts the first.
-	emit("ex-3", "hop")
-	if c.Events("ex-1") != nil {
-		t.Fatal("ex-1 not evicted")
-	}
-	if c.Exchanges() != 2 {
-		t.Fatalf("retained %d", c.Exchanges())
-	}
-	if len(c.Events("ex-2")) != 1 || len(c.Events("ex-3")) != 1 {
-		t.Fatal("survivors lost events")
-	}
-	// Events returns a copy.
-	evs := c.Events("ex-2")
-	evs[0].Step = "mutated"
-	if c.Events("ex-2")[0].Step == "mutated" {
-		t.Fatal("Events returned shared storage")
-	}
+		trace := c.Trace("ex-1")
+		if len(trace) != 2 || trace[0] != "public → binding" || trace[1] != "binding → private" {
+			t.Fatalf("trace %v", trace)
+		}
+		if len(c.Events("ex-1")) != 3 {
+			t.Fatalf("events %v", c.Events("ex-1"))
+		}
+		// Third exchange evicts the first.
+		emit("ex-3", "hop")
+		if c.Events("ex-1") != nil {
+			t.Fatal("ex-1 not evicted")
+		}
+		if c.Exchanges() != 2 {
+			t.Fatalf("retained %d", c.Exchanges())
+		}
+		if len(c.Events("ex-2")) != 1 || len(c.Events("ex-3")) != 1 {
+			t.Fatal("survivors lost events")
+		}
+		// Events returns a copy.
+		evs := c.Events("ex-2")
+		evs[0].Step = "mutated"
+		if c.Events("ex-2")[0].Step == "mutated" {
+			t.Fatal("Events returned shared storage")
+		}
+	})
+	t.Run("FIFO across several wraps of the ring", func(t *testing.T) {
+		const size = 3
+		c := NewCollector(size)
+		var ids []string
+		for n := 0; n < 4*size+1; n++ {
+			id := fmt.Sprintf("ex-%d", n)
+			ids = append(ids, id)
+			emitTo(c, id, 1+n%4)
+			want := ids[max(0, len(ids)-size):]
+			if got := retained(c, ids...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %s: retained %v, want %v", id, got, want)
+			}
+			if c.Exchanges() != len(want) {
+				t.Fatalf("after %s: Exchanges() = %d, want %d", id, c.Exchanges(), len(want))
+			}
+			if got := len(c.Events(id)); got != 1+n%4 {
+				t.Fatalf("%s holds %d events, want %d", id, got, 1+n%4)
+			}
+		}
+	})
+	t.Run("an evicted ID that emits again is new", func(t *testing.T) {
+		c := NewCollector(2)
+		emitTo(c, "ex-1", 3)
+		emitTo(c, "ex-2", 1)
+		emitTo(c, "ex-3", 1) // evicts ex-1
+		c.Emit(Event{ExchangeID: "ex-1", Kind: KindStep, Step: "late"})
+		if got := retained(c, "ex-1", "ex-2", "ex-3"); !reflect.DeepEqual(got, []string{"ex-1", "ex-3"}) {
+			t.Fatalf("retained %v: the late ex-1 must evict the oldest, ex-2", got)
+		}
+		if evs := c.Events("ex-1"); len(evs) != 1 || evs[0].Step != "late" {
+			t.Fatalf("re-registered ex-1 holds %v", evs)
+		}
+	})
+	t.Run("a reused slot holds none of the evicted events", func(t *testing.T) {
+		c := NewCollector(1)
+		emitTo(c, "ex-1", 40)
+		emitTo(c, "ex-2", 1)
+		evs := c.Events("ex-2")
+		if len(evs) != 1 || evs[0].ExchangeID != "ex-2" {
+			t.Fatalf("ex-2 holds %v", evs)
+		}
+		buf := c.slots[0].events
+		for i, e := range buf[len(buf):cap(buf)] {
+			if e != (Event{}) {
+				t.Fatalf("reused buffer keeps evicted event %d past its length: %+v", len(buf)+i, e)
+			}
+		}
+	})
+	t.Run("an Events copy survives reuse of its slot", func(t *testing.T) {
+		c := NewCollector(1)
+		emitTo(c, "ex-1", 5)
+		before := c.Events("ex-1")
+		want := append([]Event(nil), before...)
+		emitTo(c, "ex-2", 5)
+		if !reflect.DeepEqual(before, want) {
+			t.Fatalf("copy changed after its slot was reused:\n got %v\nwant %v", before, want)
+		}
+	})
+	t.Run("partner-less plan and config keys", func(t *testing.T) {
+		c := NewCollector(2)
+		c.Emit(Event{ExchangeID: "po-public@1", Kind: KindPlan, Stage: StagePlan, Step: StepCompiled})
+		c.Emit(Event{ExchangeID: "private:po@2", Kind: KindConfig, Stage: StageConfig, Step: StepSwapped, Epoch: 3})
+		if evs := c.Events("private:po@2"); len(evs) != 1 || evs[0].Epoch != 3 || evs[0].Partner != "" {
+			t.Fatalf("config key holds %v", evs)
+		}
+		emitTo(c, "ex-1", 2)
+		if got := retained(c, "po-public@1", "private:po@2", "ex-1"); !reflect.DeepEqual(got, []string{"private:po@2", "ex-1"}) {
+			t.Fatalf("retained %v: keys evict in FIFO order like exchanges", got)
+		}
+	})
+	t.Run("concurrent emit and read", func(t *testing.T) {
+		c := NewCollector(4)
+		const writers, exchanges, events = 4, 20, 40
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for x := 0; x < exchanges; x++ {
+					id := fmt.Sprintf("w%d-ex%d", w, x)
+					for i := 0; i < events; i++ {
+						c.Emit(Event{ExchangeID: id, Kind: KindStep, Shard: i})
+					}
+				}
+			}(w)
+		}
+		var readers sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for w := 0; w < writers; w++ {
+						for x := 0; x < exchanges; x++ {
+							id := fmt.Sprintf("w%d-ex%d", w, x)
+							evs := c.Events(id)
+							for i := 1; i < len(evs); i++ {
+								// An exchange evicted mid-stream restarts in a new
+								// slot, so its events are consecutive, never mixed.
+								if evs[i].ExchangeID != id || evs[i].Shard != evs[i-1].Shard+1 {
+									t.Errorf("%s: event %d is %+v after %+v", id, i, evs[i], evs[i-1])
+									return
+								}
+							}
+						}
+					}
+					_ = c.Exchanges()
+				}
+			}()
+		}
+		wg.Wait()
+		close(stop)
+		readers.Wait()
+		if c.Exchanges() != 4 {
+			t.Fatalf("retained %d, want the ring size 4", c.Exchanges())
+		}
+	})
 }
 
 func TestExchangeCounters(t *testing.T) {

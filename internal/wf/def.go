@@ -22,6 +22,7 @@ package wf
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/expr"
@@ -337,7 +338,7 @@ func (t *TypeDef) Step(name string) (*StepDef, bool) {
 }
 
 // Key identifies a type version in the workflow database.
-func (t *TypeDef) Key() string { return fmt.Sprintf("%s@%d", t.Name, t.Version) }
+func (t *TypeDef) Key() string { return t.Name + "@" + strconv.Itoa(t.Version) }
 
 // CountSteps reports the number of steps; the complexity experiments use it
 // as a model-size metric.

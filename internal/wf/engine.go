@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,18 +117,26 @@ type Engine struct {
 	// compile time (the hub installs its routing-table checker).
 	portCheck PortChecker
 
-	// plans caches compiled plans by type key, and rejected the PlanErrors
-	// of stored types that failed lazy compilation; epoch increments on
-	// every deploy so downstream caches (the hub's route cache) can detect
-	// recompiles. compiles counts compilations for change-impact analysis.
+	// plans caches compiled plans by type version, and rejected the
+	// PlanErrors of stored types that failed lazy compilation; epoch
+	// increments on every deploy so downstream caches (the hub's route
+	// cache) can detect recompiles. compiles counts compilations for
+	// change-impact analysis.
 	planMu   sync.RWMutex
-	plans    map[string]*Plan
-	rejected map[string]error
+	plans    map[planKey]*Plan
+	rejected map[planKey]error
 	epoch    atomic.Int64
 	compiles atomic.Int64
 
 	mu      sync.Mutex
 	counter int
+}
+
+// planKey identifies a type version in the plan cache; a struct key spares
+// every lookup the "name@version" string.
+type planKey struct {
+	name    string
+	version int
 }
 
 // EngineOption configures NewEngine without growing its signature.
@@ -192,8 +201,8 @@ func NewEngine(name string, store Store, handlers *Handlers, ports PortFunc, opt
 	e := &Engine{
 		name: name, store: store, handlers: handlers, ports: ports,
 		parallelism: 1,
-		plans:       map[string]*Plan{},
-		rejected:    map[string]error{},
+		plans:       map[planKey]*Plan{},
+		rejected:    map[planKey]error{},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -224,7 +233,7 @@ func (e *Engine) Deploy(t *TypeDef) error {
 	if err := e.store.PutType(t); err != nil {
 		return err
 	}
-	key := t.Key()
+	key := planKey{t.Name, t.Version}
 	e.planMu.Lock()
 	e.plans[key] = p
 	delete(e.rejected, key)
@@ -258,7 +267,7 @@ func (e *Engine) CompiledPlans() int64 { return e.compiles.Load() }
 func (e *Engine) PlanFor(name string, version int) (*Plan, bool) {
 	e.planMu.RLock()
 	defer e.planMu.RUnlock()
-	p, ok := e.plans[fmt.Sprintf("%s@%d", name, version)]
+	p, ok := e.plans[planKey{name, version}]
 	return p, ok
 }
 
@@ -278,7 +287,7 @@ func (e *Engine) Plans() []*Plan {
 // store) compiles on first use, and either outcome is cached: a type that
 // fails compilation keeps returning its PlanErrors until it is deployed.
 func (e *Engine) planFor(t *TypeDef) (*Plan, error) {
-	key := t.Key()
+	key := planKey{t.Name, t.Version}
 	e.planMu.RLock()
 	p, err := e.plans[key], e.rejected[key]
 	e.planMu.RUnlock()
@@ -314,11 +323,16 @@ func (e *Engine) HasType(name string, version int) bool {
 	return err == nil
 }
 
+// nextID names the next instance "<engine>-<counter>", the counter
+// zero-padded to six digits.
 func (e *Engine) nextID() string {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.counter++
-	return fmt.Sprintf("%s-%06d", e.name, e.counter)
+	n := e.counter
+	e.mu.Unlock()
+	var scratch [20]byte
+	digits := strconv.AppendInt(scratch[:0], int64(n), 10)
+	return e.name + "-" + "000000"[min(len(digits), 6):] + string(digits)
 }
 
 // Start creates an instance of the named type (latest version) with the
@@ -357,7 +371,7 @@ func (e *Engine) startChildVersion(ctx context.Context, typeName string, version
 		Version:    t.Version,
 		State:      InstRunning,
 		Data:       map[string]any{},
-		Steps:      map[string]*StepRun{},
+		Steps:      make(map[string]*StepRun, len(t.Steps)),
 		Arcs:       map[string]int{},
 		Parent:     parent,
 		ParentStep: parentStep,
@@ -365,8 +379,10 @@ func (e *Engine) startChildVersion(ctx context.Context, typeName string, version
 	for k, v := range data {
 		in.Data[k] = v
 	}
+	runs := make([]StepRun, len(t.Steps))
 	for i := range t.Steps {
-		in.Steps[t.Steps[i].Name] = &StepRun{State: StepPending}
+		runs[i].State = StepPending
+		in.Steps[t.Steps[i].Name] = &runs[i]
 	}
 	in.log("", "created")
 	if err := e.advancePlan(ctx, p, in, nil); err != nil {

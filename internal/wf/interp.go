@@ -31,8 +31,14 @@ type worklist struct {
 	pos           int
 }
 
+// newWorklist sizes a worklist for n steps. A step sits in at most one of
+// the two heaps, so each gets a fixed half of one int slab, and the flags
+// share one bool slab.
 func newWorklist(n int) *worklist {
-	return &worklist{inCur: make([]bool, n), inNext: make([]bool, n), pos: -1}
+	heaps, flags := make([]int, 2*n), make([]bool, 2*n)
+	return &worklist{
+		cur: heaps[:0:n], next: heaps[n:n], inCur: flags[:n:n], inNext: flags[n:], pos: -1,
+	}
 }
 
 // push enqueues step i for (re-)evaluation; already-queued steps are left

@@ -27,15 +27,22 @@ import (
 // advances a copy and stores the copy as the next snapshot).
 type MemStore struct {
 	mu        sync.RWMutex
-	types     map[string]*wf.TypeDef // name@version → def
-	latest    map[string]int         // name → max version
+	types     map[typeKey]*wf.TypeDef
+	latest    map[string]int // name → max version
 	instances map[string]*wf.Instance
+}
+
+// typeKey identifies a type version; a struct key spares every lookup the
+// "name@version" string.
+type typeKey struct {
+	name    string
+	version int
 }
 
 // NewMemStore returns an empty in-memory workflow database.
 func NewMemStore() *MemStore {
 	return &MemStore{
-		types:     map[string]*wf.TypeDef{},
+		types:     map[typeKey]*wf.TypeDef{},
 		latest:    map[string]int{},
 		instances: map[string]*wf.Instance{},
 	}
@@ -45,7 +52,7 @@ func NewMemStore() *MemStore {
 func (s *MemStore) PutType(t *wf.TypeDef) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.types[t.Key()] = t
+	s.types[typeKey{t.Name, t.Version}] = t
 	if t.Version > s.latest[t.Name] {
 		s.latest[t.Name] = t.Version
 	}
@@ -59,7 +66,7 @@ func (s *MemStore) GetType(name string, version int) (*wf.TypeDef, error) {
 	if version == 0 {
 		version = s.latest[name]
 	}
-	t, ok := s.types[fmt.Sprintf("%s@%d", name, version)]
+	t, ok := s.types[typeKey{name, version}]
 	if !ok {
 		return nil, fmt.Errorf("%w: type %s@%d", wf.ErrNotFound, name, version)
 	}
@@ -73,7 +80,7 @@ func (s *MemStore) HasType(name string, version int) bool {
 	if version == 0 {
 		version = s.latest[name]
 	}
-	_, ok := s.types[fmt.Sprintf("%s@%d", name, version)]
+	_, ok := s.types[typeKey{name, version}]
 	return ok
 }
 
@@ -82,8 +89,8 @@ func (s *MemStore) ListTypes() ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.types))
-	for k := range s.types {
-		out = append(out, k)
+	for _, t := range s.types {
+		out = append(out, t.Key())
 	}
 	sort.Strings(out)
 	return out, nil

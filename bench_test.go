@@ -94,9 +94,10 @@ func BenchmarkFig04EngineCycle(b *testing.B) {
 }
 
 // BenchmarkFig04EngineCycleDurable: the same cycle against the durable
-// append-log store (every transition fsynced to the OS buffer cache).
+// journal-backed store (every transition written to the OS buffer cache,
+// fsynced in batches).
 func BenchmarkFig04EngineCycleDurable(b *testing.B) {
-	store, err := wfstore.OpenFileStore(b.TempDir() + "/wf.log")
+	store, err := wfstore.OpenFileStore(b.TempDir()+"/wf.log", journal.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

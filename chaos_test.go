@@ -721,8 +721,8 @@ func TestChaosCrashRecovery(t *testing.T) {
 //     when the disk heals, and its non-durable exchanges are never
 //     replayed by the next incarnation;
 //  4. mid-file corruption (bit rot, short-write debris under later valid
-//     records) is quarantined by the scrub-enabled reopen, so recovery
-//     proceeds past it instead of truncating acknowledged history.
+//     records) is quarantined by the reopen, so recovery proceeds past it
+//     instead of truncating acknowledged history.
 func TestChaosDiskFaults(t *testing.T) {
 	buyer := doc.Party{ID: "TP1", Name: "Trading Partner 1", DUNS: "111111111"}
 	hubParty := doc.Party{ID: "HUB", Name: "Receiver Inc", DUNS: "999999999"}
@@ -857,8 +857,8 @@ func TestChaosDiskFaults(t *testing.T) {
 
 				// Bit rot's lasting damage: flip a mid-file record at rest
 				// (an acknowledged exchange's outcome) with valid records
-				// after it, exactly what a scrub-enabled reopen must
-				// quarantine rather than truncate.
+				// after it, exactly what the reopen must quarantine rather
+				// than truncate.
 				wantCorrupt := 0
 				if mode == journal.FaultBitRot {
 					corruptJournalRecord(t, path, durable[2])
@@ -870,15 +870,14 @@ func TestChaosDiskFaults(t *testing.T) {
 				if mode == journal.FaultShortWrite && policy == core.FailStop {
 					// Fail-stop retried the append per admission, so the torn
 					// half-frames sit as debris under the post-heal records:
-					// one coalesced region for the scrub to quarantine.
+					// one coalesced region for the reopen to quarantine.
 					wantCorrupt = 1
 				}
 				// hub1 is abandoned un-closed, as a crash would leave it.
 
 				hub2, err := core.NewHub(model,
 					core.WithJournal(path),
-					core.WithFsyncPolicy(journal.FsyncNever),
-					core.WithJournalScrub())
+					core.WithFsyncPolicy(journal.FsyncNever))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -926,7 +925,7 @@ func TestChaosDiskFaults(t *testing.T) {
 						t.Fatalf("recovery report %+v, want the rotted outcome re-delivered at most once", rep)
 					}
 					if _, err := os.Stat(journal.QuarantinePath(path)); err != nil {
-						t.Fatalf("no quarantine sidecar after scrubbed recovery: %v", err)
+						t.Fatalf("no quarantine sidecar after recovery: %v", err)
 					}
 				}
 			})

@@ -110,7 +110,6 @@ var (
 	journalPath = flag.String("journal", "", "write-ahead journal path; enables crash recovery (empty disables)")
 	fsyncMode   = flag.String("fsync", "batched", "journal fsync policy: always, batched or never")
 	jrnPolicy   = flag.String("journal-policy", "fail-stop", "journal failure policy: fail-stop rejects admissions when the disk fails, degraded keeps serving non-durably and re-arms when it heals")
-	jrnScrub    = flag.Bool("journal-scrub", false, "scrub & repair the journal at open: mid-file corrupt regions are quarantined to a sidecar instead of truncating everything after them")
 
 	// Runtime change management: hot-swap and canary demos applied mid-run,
 	// while orders are in flight.
@@ -206,9 +205,6 @@ func main() {
 		}
 		hubOpts = append(hubOpts, core.WithJournal(*journalPath), core.WithFsyncPolicy(policy),
 			core.WithJournalFailurePolicy(fpolicy))
-		if *jrnScrub {
-			hubOpts = append(hubOpts, core.WithJournalScrub())
-		}
 	}
 	hub, err := core.NewHub(model, hubOpts...)
 	if err != nil {
@@ -234,7 +230,7 @@ func main() {
 			rep.Restored, rep.DeadLetters, rep.Reenqueued,
 			rep.Recovered, rep.Redelivered, rep.DuplicateAdmits)
 		if rep.Corrupt > 0 || rep.Poisoned > 0 {
-			fmt.Printf("journal scrub: %d corrupt regions (%d bytes) quarantined; %d poison admissions parked to DLQ\n",
+			fmt.Printf("journal repair: %d corrupt regions (%d bytes) quarantined; %d poison admissions parked to DLQ\n",
 				rep.Corrupt, rep.QuarantinedBytes, rep.Poisoned)
 		}
 	}

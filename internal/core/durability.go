@@ -92,9 +92,9 @@ type DurabilityStatus struct {
 	// Poisoned counts admissions parked to the dead-letter queue for
 	// repeatedly crashing recovery.
 	Poisoned int64 `json:"poisoned"`
-	// Corrupt and QuarantinedBytes account the open-time scrub's
-	// quarantined mid-file rot (WithJournalScrub); Rotations counts
-	// journal compactions since open.
+	// Corrupt and QuarantinedBytes account the mid-file damage the
+	// journal's open-time repair quarantined; Rotations counts journal
+	// compactions since open.
 	Corrupt          int   `json:"corrupt"`
 	QuarantinedBytes int64 `json:"quarantined_bytes"`
 	Rotations        int64 `json:"rotations"`
@@ -267,7 +267,7 @@ func (h *Hub) durabilityStatus() *DurabilityStatus {
 // ScrubJournal walks the hub's journal file read-only and reports every
 // valid record, mid-file corrupt region and torn tail (the b2bctl scrub
 // surface). It never modifies the journal; quarantining happens at the
-// next open WithJournalScrub.
+// next open.
 func (h *Hub) ScrubJournal() (journal.ScrubReport, error) {
 	if h.jrn == nil {
 		return journal.ScrubReport{}, ErrNoJournal

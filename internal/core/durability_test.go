@@ -281,10 +281,10 @@ func TestDLQSpillPinnedWhileJournalDegraded(t *testing.T) {
 	}
 }
 
-// A hub opened WithJournalScrub on a rotted journal quarantines the rot,
-// recovers everything that was still valid, and surfaces the scrub's
-// accounting in both the recovery report and the durability status.
-func TestRecoverWithScrubPastMidFileRot(t *testing.T) {
+// A hub opened on a rotted journal quarantines the rot, recovers
+// everything that was still valid, and surfaces the repair's accounting
+// in both the recovery report and the durability status.
+func TestRecoverPastMidFileRot(t *testing.T) {
 	defer leakcheck.Check(t)()
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "hub.wal")
@@ -311,7 +311,7 @@ func TestRecoverWithScrubPastMidFileRot(t *testing.T) {
 			json.Unmarshal(r.Payload, &out) == nil && out.ExchangeID == ids[0]
 	})
 
-	h2 := newFig14Hub(t, WithJournal(path), WithFsyncPolicy(journal.FsyncNever), WithJournalScrub())
+	h2 := newFig14Hub(t, WithJournal(path), WithFsyncPolicy(journal.FsyncNever))
 	defer h2.CloseJournal()
 	defer h2.StopWorkers()
 	rep, err := h2.Recover(ctx)

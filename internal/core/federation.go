@@ -131,11 +131,11 @@ func (h *Hub) ParkRequest(req Request, cause error) (*Result, error) {
 // the partners the owns predicate claims (nil claims everything), through
 // the same replay as Recover (see replay for what happens to each entry).
 // The file at path is read strictly read-only — journal.ScanAll, never
-// journal.Open, so a torn tail is skipped without truncating the dead
-// node's file and concurrent successors can scan the same journal for
-// their own partitions. ScanAll also resynchronizes past mid-file corrupt
-// regions (a dead node's disk may be why it died), so isolated rot costs
-// only the records it covers, not everything after them.
+// journal.Open, which repairs the file in place — so concurrent successors
+// can scan the same journal for their own partitions. ScanAll applies
+// Open's recovery rule without writing: a torn tail is skipped, and
+// mid-file corrupt regions (a dead node's disk may be why it died) are
+// resynchronized past, so damage costs only the records it covers.
 //
 // The single-node exactly-once argument carries over per entry: a
 // completed outcome was journaled by the peer before its ack crossed the

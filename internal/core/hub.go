@@ -343,11 +343,7 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 		h.dur.probeInterval = DefaultJournalProbeInterval
 	}
 	if cfg.journalPath != "" {
-		j, err := journal.Open(cfg.journalPath, journal.Options{
-			Fsync:      cfg.fsync,
-			FS:         cfg.journalFS,
-			AutoRepair: cfg.journalScrub,
-		})
+		j, err := journal.Open(cfg.journalPath, journal.Options{Fsync: cfg.fsync, FS: cfg.journalFS})
 		if err != nil {
 			return nil, fmt.Errorf("core: open journal: %w", err)
 		}

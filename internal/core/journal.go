@@ -569,8 +569,8 @@ type RecoveryReport struct {
 	// DuplicateAdmits counts duplicate admission records ignored by the
 	// replay (idempotence by admission key).
 	DuplicateAdmits int
-	// Corrupt counts mid-file corrupt regions: quarantined by the open-time
-	// scrub (WithJournalScrub), or skipped past in a peer's read-only file;
+	// Corrupt counts mid-file corrupt regions: quarantined by the journal's
+	// open-time repair, or skipped past in a peer's read-only file;
 	// QuarantinedBytes is the quarantined regions' total size.
 	Corrupt          int
 	QuarantinedBytes int64

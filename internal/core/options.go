@@ -35,7 +35,6 @@ type hubConfig struct {
 	journalPath     string
 	fsync           journal.FsyncPolicy
 	journalFS       journal.FS
-	journalScrub    bool
 	jrnPolicy       JournalFailurePolicy
 	probeInterval   time.Duration
 	dlqCap          int
@@ -150,16 +149,6 @@ func WithJournalProbeInterval(d time.Duration) HubOption {
 			c.probeInterval = d
 		}
 	}
-}
-
-// WithJournalScrub runs a scrub-and-repair pass before the journal's
-// open-time replay: mid-file corrupt regions (bit rot under valid
-// records) are quarantined into the journal's .quarantine sidecar and
-// replay proceeds past them, instead of the default torn-tail semantics
-// that would truncate everything after the first bad frame. Only
-// meaningful WithJournal.
-func WithJournalScrub() HubOption {
-	return func(c *hubConfig) { c.journalScrub = true }
 }
 
 // WithDLQCap bounds the in-memory dead-letter queue at n entries (0, the

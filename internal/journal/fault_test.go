@@ -290,6 +290,63 @@ func TestFaultFSENOSPC(t *testing.T) {
 	if rep.Records != 2 || rep.Corrupt != 1 || rep.QuarantinedBytes != 10 {
 		t.Fatalf("scrub after ENOSPC tear: %+v, want 2 records and a 10-byte corrupt region", rep)
 	}
+
+	// A plain reopen quarantines the debris and replays the acknowledged
+	// j-3 after it, instead of truncating it away as a torn tail.
+	j2 := openT(t, path, Options{})
+	defer j2.Close()
+	got := j2.Records()
+	if len(got) != 2 || got[0].Key != "j-1" || got[1].Key != "j-3" {
+		t.Fatalf("reopen after ENOSPC tear replayed %+v, want j-1 and j-3", got)
+	}
+	if st := j2.Stats(); st.Corrupt != 1 || st.QuarantinedBytes != 10 || st.TornBytes != 0 {
+		t.Fatalf("reopen stats %+v, want 1 quarantined region of 10 bytes", st)
+	}
+	if _, err := os.Stat(QuarantinePath(path)); err != nil {
+		t.Fatalf("no quarantine sidecar after reopen: %v", err)
+	}
+}
+
+// A short write followed, once the disk heals, by a successful append
+// leaves the torn frame under an acknowledged record. Reopening must
+// quarantine the torn frame and replay the acknowledged record after it.
+func TestFaultFSShortWriteThenAppendReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hub.wal")
+	ffs := NewFaultFS(OSFS(), 6)
+	j := openT(t, path, Options{Fsync: FsyncAlways, FS: ffs})
+	if err := j.Append(rec("admit", "j-1", `{"pad":"xxxxxxxxxxxxxxxx"}`)); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Arm(FaultShortWrite)
+	if err := j.Append(rec("admit", "j-2", `{"pad":"yyyyyyyyyyyyyyyy"}`)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("append under short-write fault: %v, want ErrInjected", err)
+	}
+	ffs.Heal()
+	j3 := rec("admit", "j-3", `{"pad":"zzzzzzzzzzzzzzzz"}`)
+	if err := j.Append(j3); err != nil {
+		t.Fatalf("append after heal: %v", err)
+	}
+	j.Close()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, _ := Encode(rec("admit", "j-1", `{"pad":"xxxxxxxxxxxxxxxx"}`))
+	f3, _ := Encode(j3)
+	torn := fi.Size() - int64(len(f1)+len(f3))
+
+	j2 := openT(t, path, Options{})
+	defer j2.Close()
+	got := j2.Records()
+	if len(got) != 2 || got[0].Key != "j-1" || got[1].Key != "j-3" {
+		t.Fatalf("reopen after short write replayed %+v, want j-1 and j-3", got)
+	}
+	if st := j2.Stats(); st.Corrupt != 1 || st.QuarantinedBytes != torn || st.TornBytes != 0 {
+		t.Fatalf("reopen stats %+v, want the %d-byte torn frame quarantined", st, torn)
+	}
+	if _, err := os.Stat(QuarantinePath(path)); err != nil {
+		t.Fatalf("no quarantine sidecar after reopen: %v", err)
+	}
 }
 
 // FaultBitRot flips one seeded bit per ReadFile: Scrub observes the
@@ -325,6 +382,20 @@ func TestFaultFSBitRotVisibleToScrub(t *testing.T) {
 	}
 }
 
+// repairFile runs repair over path's current bytes on the real filesystem.
+func repairFile(t *testing.T, path string) ScrubReport {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := repair(OSFS(), path, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // corruptRecord flips bytes inside record index idx's payload on disk,
 // leaving valid records after it — mid-file rot, not a torn tail.
 func corruptRecord(t *testing.T, path string, idx int) (off, length int64) {
@@ -352,9 +423,9 @@ func corruptRecord(t *testing.T, path string, idx int) (off, length int64) {
 	}
 }
 
-// Scrub reports mid-file rot precisely; Repair quarantines it into the
-// sidecar and rewrites the journal so a plain reopen replays everything
-// that was still valid — including records after the rot.
+// Scrub reports mid-file rot precisely; repair quarantines it into the
+// sidecar and rewrites the journal so a reopen replays everything that was
+// still valid — including records after the rot.
 func TestScrubRepairQuarantinesMidFileRot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	j := openT(t, path, Options{Fsync: FsyncAlways})
@@ -380,9 +451,9 @@ func TestScrubRepairQuarantinesMidFileRot(t *testing.T) {
 		t.Fatalf("scrub = %+v, want 3 records, 1 corrupt region of %d bytes", rep, length)
 	}
 
-	// Without repair, a plain reopen stops at the rot: j-3 and j-4 are
-	// unreachable even though their frames are intact. Check on a copy —
-	// Open truncates what it takes for a torn tail.
+	// A plain reopen repairs too: it replays all three valid records,
+	// j-3 and j-4 after the rot included. Check on a copy, so the repair
+	// below still has the rot to cut.
 	copyPath := path + ".copy"
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -392,15 +463,12 @@ func TestScrubRepairQuarantinesMidFileRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	jPlain := openT(t, copyPath, Options{})
-	if got := jPlain.Records(); len(got) != 1 {
-		t.Fatalf("un-repaired reopen replayed %d records, want 1", len(got))
+	if got := jPlain.Records(); len(got) != 3 || got[0].Key != "j-1" || got[1].Key != "j-3" || got[2].Key != "j-4" {
+		t.Fatalf("plain reopen replayed %+v, want j-1, j-3 and j-4", got)
 	}
 	jPlain.Close()
 
-	rrep, err := Repair(nil, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rrep := repairFile(t, path)
 	if rrep != rep {
 		t.Fatalf("repair report %+v != scrub report %+v", rrep, rep)
 	}
@@ -443,8 +511,8 @@ func TestScrubRepairQuarantinesMidFileRot(t *testing.T) {
 	}
 }
 
-// Repair leaves a clean journal byte-identical and never creates a
-// sidecar; a torn tail alone is likewise not Repair's business.
+// repair leaves a clean journal byte-identical and never creates a
+// sidecar; a torn tail alone is likewise not repair's business.
 func TestRepairLeavesCleanAndTornJournalsAlone(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	j := openT(t, path, Options{Fsync: FsyncAlways})
@@ -458,10 +526,7 @@ func TestRepairLeavesCleanAndTornJournalsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Repair(nil, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := repairFile(t, path)
 	if rep.Corrupt != 0 || rep.Records != 2 {
 		t.Fatalf("repair of clean journal = %+v", rep)
 	}
@@ -476,16 +541,12 @@ func TestRepairLeavesCleanAndTornJournalsAlone(t *testing.T) {
 		t.Fatalf("repair of clean journal created a sidecar (stat: %v)", err)
 	}
 
-	// Torn tail: append debris, Repair must not touch it (truncation is
-	// the open-time replay's job, and the debris could be an in-flight
-	// append on a live journal).
+	// Torn tail: append debris, repair must not touch it (truncation is
+	// Open's own step).
 	if err := os.WriteFile(path, append(before, []byte{9, 9, 9, 9, 9, 9, 9, 9, 9}...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = Repair(nil, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = repairFile(t, path)
 	if rep.Corrupt != 0 || rep.TornBytes != 9 {
 		t.Fatalf("repair of torn journal = %+v, want 9 torn bytes and no corrupt regions", rep)
 	}
@@ -494,9 +555,9 @@ func TestRepairLeavesCleanAndTornJournalsAlone(t *testing.T) {
 	}
 }
 
-// Options.AutoRepair folds Repair into Open: the journal comes up past the
-// rot with the scrub report surfaced in Stats.
-func TestAutoRepairAtOpen(t *testing.T) {
+// Every Open repairs: the journal comes up past the rot with the scrub
+// report surfaced in Stats.
+func TestOpenRepairsMidFileRot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	j := openT(t, path, Options{Fsync: FsyncAlways})
 	for _, key := range []string{"j-1", "j-2", "j-3"} {
@@ -507,15 +568,15 @@ func TestAutoRepairAtOpen(t *testing.T) {
 	j.Close()
 	_, length := corruptRecord(t, path, 0)
 
-	j2 := openT(t, path, Options{AutoRepair: true})
+	j2 := openT(t, path, Options{})
 	defer j2.Close()
 	st := j2.Stats()
 	if st.Records != 2 || st.Corrupt != 1 || st.QuarantinedBytes != length {
-		t.Fatalf("auto-repaired stats = %+v, want 2 records, 1 quarantined region of %d bytes", st, length)
+		t.Fatalf("repaired stats = %+v, want 2 records, 1 quarantined region of %d bytes", st, length)
 	}
 	got := j2.Records()
 	if len(got) != 2 || got[0].Key != "j-2" || got[1].Key != "j-3" {
-		t.Fatalf("auto-repaired replay %+v, want j-2 and j-3", got)
+		t.Fatalf("repaired replay %+v, want j-2 and j-3", got)
 	}
 	// The journal is live: appends land after the repaired content.
 	if err := j2.Append(rec("admit", "j-4", "")); err != nil {

@@ -15,11 +15,12 @@ type File interface {
 	Sync() error
 }
 
-// FS is the storage seam: every filesystem operation the journal, the
-// wfstore file log and the cluster WAL-replay path perform goes through
-// one of these methods. Production uses OSFS; the chaos harness swaps in
-// a FaultFS that injects write errors, short writes, fsync failures that
-// lose buffered data, ENOSPC and read-side bit flips (see faultfs.go).
+// FS is the storage seam: every filesystem operation the journal (and
+// through it the wfstore FileStore) and the cluster WAL-replay path
+// perform goes through one of these methods. Production uses OSFS; the
+// chaos harness swaps in a FaultFS that injects write errors, short
+// writes, fsync failures that lose buffered data, ENOSPC and read-side
+// bit flips (see faultfs.go).
 type FS interface {
 	// OpenFile opens name with os.OpenFile semantics.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)

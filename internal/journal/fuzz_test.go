@@ -9,11 +9,12 @@ import (
 )
 
 // FuzzDecode feeds arbitrary bytes — and mutations of well-formed logs —
-// through the replay path. The framing contract under test: Decode never
-// panics, never reports an offset past the data, yields only records whose
-// frames verify (truncation, bit flips and CRC mismatches end the scan
-// instead of mis-parsing into a valid record), and a journal reopened on
-// the decoded prefix accepts further appends that replay cleanly.
+// through the framing and the open-time replay. The contract under test:
+// Decode never panics, never reports an offset past the data, yields only
+// records whose frames verify (truncation, bit flips and CRC mismatches
+// end the scan instead of mis-parsing into a valid record), and a journal
+// opened on the raw bytes replays exactly ScanAll's records and accepts
+// further appends that replay cleanly.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -63,7 +64,9 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-decode yielded %d records (offset %d), want %d (%d)", len(recs2), off2, len(recs), reenc.Len())
 		}
 
-		// Open on the raw bytes must truncate the tail and stay appendable.
+		// Open on the raw bytes must repair, truncate the tail and stay
+		// appendable.
+		scanned, _, _ := ScanAll(data)
 		path := filepath.Join(t.TempDir(), "fuzz.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -72,8 +75,8 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Open on fuzzed bytes: %v", err)
 		}
-		if got := len(j.Records()); got != len(recs) {
-			t.Fatalf("Open replayed %d records, Decode %d", got, len(recs))
+		if got := len(j.Records()); got != len(scanned) {
+			t.Fatalf("Open replayed %d records, ScanAll %d", got, len(scanned))
 		}
 		extra := Record{Kind: "complete", Key: "fuzz", Payload: json.RawMessage(`{"outcome":"aborted"}`)}
 		if err := j.Append(extra); err != nil {
@@ -88,8 +91,8 @@ func FuzzDecode(f *testing.F) {
 		}
 		defer j2.Close()
 		got := j2.Records()
-		if len(got) != len(recs)+1 {
-			t.Fatalf("reopen replayed %d records, want %d", len(got), len(recs)+1)
+		if len(got) != len(scanned)+1 {
+			t.Fatalf("reopen replayed %d records, want %d", len(got), len(scanned)+1)
 		}
 		if last := got[len(got)-1]; last.Kind != extra.Kind || last.Key != extra.Key {
 			t.Fatalf("appended record did not survive: %+v", last)
@@ -100,7 +103,7 @@ func FuzzDecode(f *testing.F) {
 // FuzzScrubRepair feeds arbitrary bytes through the full-file walk and the
 // repair rewrite. The contract: ScanAll never panics and its accounting
 // tiles the file exactly (records + corrupt regions + torn tail = len);
-// Repair yields a journal that replays precisely ScanAll's records, scrubs
+// repair yields a journal that replays precisely ScanAll's records, scrubs
 // clean, and stays appendable.
 func FuzzScrubRepair(f *testing.F) {
 	good := func(recs ...Record) []byte {
@@ -156,9 +159,9 @@ func FuzzScrubRepair(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Repair(nil, path)
+		_, rep, err := repair(OSFS(), path, data)
 		if err != nil {
-			t.Fatalf("Repair on fuzzed bytes: %v", err)
+			t.Fatalf("repair on fuzzed bytes: %v", err)
 		}
 		if rep.Records != len(recs) || rep.Corrupt != len(regions) || rep.TornBytes != torn {
 			t.Fatalf("repair report %+v, want %d records, %d regions, %d torn", rep, len(recs), len(regions), torn)

@@ -2,7 +2,9 @@
 // CRC-framed, length-prefixed records that survives process crashes. The
 // hub journals every admitted exchange before the scheduler sees it and
 // every terminal outcome after, so a restarted hub can replay the log and
-// re-derive exactly what was in flight (see core.Hub.Recover).
+// re-derive exactly what was in flight (see core.Hub.Recover). The
+// workflow database (wfstore.FileStore) keeps its types and instances in
+// the same format.
 //
 // # Record framing
 //
@@ -11,15 +13,27 @@
 //	| length uint32 LE | crc32(payload) uint32 LE | payload |
 //
 // where payload is the JSON encoding of Record. A reader accepts a record
-// only when the full frame is present, the length is sane and the CRC
-// matches; the first frame that fails any check ends the replay and is
-// truncated away together with everything after it. Because the journal
-// has a single appender writing sequentially, bytes after a broken frame
-// can only be the debris of a crashed append — Decode has no
-// resynchronization heuristic that could mis-parse flipped bits into a
-// valid record. Mid-file rot (bits flipped at rest under valid records
-// that follow) is the province of Scrub/Repair (scrub.go), which walk the
-// whole file and quarantine corrupt regions instead of truncating them.
+// only when the full frame is present, the length is sane, the CRC
+// matches and the payload decodes.
+//
+// # Recovery at open
+//
+// Open walks the whole file with ScanAll (scrub.go) and applies one rule
+// to every span of bytes that fails those checks:
+//
+//   - a bad span that reaches the end of the file is a torn tail, the
+//     debris of an append a crash cut short, and is truncated away;
+//   - a bad span with valid frames after it is quarantined: its bytes go
+//     to the path+".quarantine" sidecar and the file is atomically
+//     rewritten to its valid records.
+//
+// Damage in the middle of the file is not only bit rot at rest. An append
+// that fails part-way (a short write, a full disk) leaves a partial frame,
+// and the journal stays open, so the next successful append lands after
+// it; the hub's fail-stop policy does exactly that by design. Truncating
+// at the first bad frame would then drop every acknowledged record after
+// the debris. Under the one rule a damaged span costs only the records it
+// covers, and a torn tail only the unacknowledged append it was.
 //
 // # Storage seam
 //
@@ -42,9 +56,10 @@
 //     process crash loses nothing; a power failure may lose any suffix.
 //
 // An Append that returns an error makes no durability promise: the frame
-// may be absent, torn, or present but unsynced. The hub's durability
-// failure policy (core.WithJournalFailurePolicy) decides what happens to
-// the exchange.
+// may be absent, torn, or present but unsynced. A torn frame costs nothing
+// else: later appends still land and replay (see Recovery at open). The
+// hub's durability failure policy (core.WithJournalFailurePolicy) decides
+// what happens to the exchange.
 //
 // # Compaction
 //
@@ -127,17 +142,8 @@ type Record struct {
 type Options struct {
 	// Fsync is the durability policy; empty means FsyncBatched.
 	Fsync FsyncPolicy
-	// BatchAppends and BatchInterval tune the batched policy's group
-	// commit; zero values take the defaults.
-	BatchAppends  int
-	BatchInterval time.Duration
 	// FS is the storage seam; nil means the real filesystem.
 	FS FS
-	// AutoRepair runs Repair before replay: mid-file corrupt regions are
-	// quarantined into path+".quarantine" and replay proceeds past them.
-	// Off, a mid-file corrupt frame ends replay exactly like a torn tail
-	// (everything after it is truncated away).
-	AutoRepair bool
 }
 
 // Stats is a snapshot of a journal's activity.
@@ -148,7 +154,7 @@ type Stats struct {
 	// (a torn final frame, or debris after one).
 	TornBytes int64
 	// Corrupt is how many mid-file corrupt regions the open-time repair
-	// quarantined (AutoRepair only).
+	// quarantined.
 	Corrupt int
 	// QuarantinedBytes is the total size of those regions.
 	QuarantinedBytes int64
@@ -180,38 +186,34 @@ type CrashPoint struct {
 // Journal is an open write-ahead log. It is safe for concurrent use.
 type Journal struct {
 	path string
-	opts Options
 	fs   FS
 
 	mu        sync.Mutex
 	f         File
 	replayed  []Record
-	torn      int64
 	appends   int64
 	rotations int64
-	syncer    Syncer
-	scrub     ScrubReport
+	syncer    syncer
+	// scrub is the open-time repair's account of the file.
+	scrub ScrubReport
+	// buf is Append's frame buffer, reused under mu: a File must not
+	// retain the slice it is given, as for any io.Writer.
+	buf []byte
 
 	crash        *CrashPoint
 	crashCompact bool
 	frozen       bool
 }
 
-// Open opens (creating if needed) the journal at path and replays it. A
-// torn tail — the debris of an append cut short by a crash — is dropped
-// and truncated away; an orphan compaction file from a crashed Compact is
-// discarded. With Options.AutoRepair, mid-file corrupt regions are
-// quarantined first (see Repair) so replay proceeds past isolated rot.
-// The replayed records are available via Records.
+// Open opens (creating if needed) the journal at path and replays it under
+// the package's one recovery rule: a torn tail is truncated away and
+// mid-file corrupt regions are quarantined (see repair), so replay
+// proceeds past them; Stats accounts for both. An orphan compaction file
+// from a crashed Compact is discarded. The replayed records are available
+// via Records.
 func Open(path string, opts Options) (*Journal, error) {
 	if opts.Fsync == "" {
 		opts.Fsync = FsyncBatched
-	}
-	if opts.BatchAppends <= 0 {
-		opts.BatchAppends = DefaultBatchAppends
-	}
-	if opts.BatchInterval <= 0 {
-		opts.BatchInterval = DefaultBatchInterval
 	}
 	if opts.FS == nil {
 		opts.FS = OSFS()
@@ -222,20 +224,14 @@ func Open(path string, opts Options) (*Journal, error) {
 	if err := fs.Remove(path + ".compact"); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("journal: remove stale compaction %s: %w", path+".compact", err)
 	}
-	j := &Journal{path: path, opts: opts, fs: fs}
-	if opts.AutoRepair {
-		rep, err := Repair(fs, path)
-		if err != nil {
-			return nil, fmt.Errorf("journal: auto-repair %s: %w", path, err)
-		}
-		j.scrub = rep
-	}
+	j := &Journal{path: path, fs: fs}
 	if data, err := fs.ReadFile(path); err == nil {
-		recs, good := Decode(data)
-		j.replayed = recs
-		j.torn = int64(len(data)) - good
-		if j.torn > 0 {
-			if terr := fs.Truncate(path, good); terr != nil {
+		if j.replayed, j.scrub, err = repair(fs, path, data); err != nil {
+			return nil, err
+		}
+		// A rewrite around corrupt regions already dropped the torn tail.
+		if j.scrub.Corrupt == 0 && j.scrub.TornBytes > 0 {
+			if terr := fs.Truncate(path, int64(len(data))-j.scrub.TornBytes); terr != nil {
 				return nil, fmt.Errorf("journal: truncate torn tail of %s: %w", path, terr)
 			}
 		}
@@ -247,15 +243,15 @@ func Open(path string, opts Options) (*Journal, error) {
 		return nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
 	j.f = f
-	j.syncer = NewSyncer(opts.Fsync, opts.BatchAppends, opts.BatchInterval)
+	j.syncer = newSyncer(opts.Fsync)
 	return j, nil
 }
 
 // Decode scans data for framed records and returns every valid record plus
 // the byte offset just past the last one. Scanning stops at the first
-// frame that is incomplete, oversized, CRC-mismatched or undecodable —
-// whatever follows is a torn tail, never a record. For a walk that
-// resynchronizes past corrupt regions instead, see ScanAll.
+// frame that is incomplete, oversized, CRC-mismatched or undecodable. Open
+// does not stop there: it replays ScanAll's walk, which resynchronizes
+// past corrupt regions.
 func Decode(data []byte) ([]Record, int64) {
 	var recs []Record
 	off := int64(0)
@@ -297,19 +293,56 @@ func decodeFrame(data []byte, off int64) (Record, int64, bool) {
 }
 
 // Encode frames one record.
-func Encode(rec Record) ([]byte, error) {
+func Encode(rec Record) ([]byte, error) { return appendFrame(nil, rec) }
+
+// appendFrame appends rec's frame to dst: the one framing function behind
+// Encode, Append, Compact and the repair rewrite.
+func appendFrame(dst []byte, rec Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return nil, fmt.Errorf("journal: marshal: %w", err)
+		return dst, fmt.Errorf("journal: marshal: %w", err)
 	}
 	if len(payload) > MaxRecordSize {
-		return nil, fmt.Errorf("journal: record of %d bytes exceeds MaxRecordSize", len(payload))
+		return dst, fmt.Errorf("journal: record of %d bytes exceeds MaxRecordSize", len(payload))
 	}
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	return buf, nil
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...), nil
+}
+
+// writeFile writes recs to name (created or truncated) as one framed log
+// and fsyncs it. On any failure it removes name, so a partial rewrite
+// never survives to be mistaken for a log.
+func writeFile(fs FS, name string, recs []Record) error {
+	var buf []byte
+	for _, rec := range recs {
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
+			return err
+		}
+	}
+	f, err := fs.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if err := writeSyncClose(f, buf); err != nil {
+		_ = fs.Remove(name)
+		return err
+	}
+	return nil
+}
+
+// writeSyncClose writes buf to f, fsyncs and closes it, returning the
+// first error.
+func writeSyncClose(f File, buf []byte) error {
+	_, err := f.Write(buf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Records returns the records the open-time replay yielded.
@@ -324,10 +357,6 @@ func (j *Journal) Records() []Record {
 // error voids the durability promise for this record only: the journal
 // stays open and later appends may succeed (the disk may have healed).
 func (j *Journal) Append(rec Record) error {
-	frame, err := Encode(rec)
-	if err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.frozen {
@@ -336,6 +365,11 @@ func (j *Journal) Append(rec Record) error {
 	if j.f == nil {
 		return ErrNoAppender
 	}
+	frame, err := appendFrame(j.buf[:0], rec)
+	if err != nil {
+		return err
+	}
+	j.buf = frame
 	if cp := j.crash; cp != nil && cp.Before && cp.matches(rec) {
 		j.frozen = true
 		return nil
@@ -344,13 +378,13 @@ func (j *Journal) Append(rec Record) error {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	j.appends++
-	if err := j.syncer.DidAppend(j.f); err != nil {
+	if err := j.syncer.didAppend(j.f); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
 	if cp := j.crash; cp != nil && !cp.Before && cp.matches(rec) {
 		// The matching record must be durable before the freeze: "crash
 		// after committed" means exactly that.
-		if err := j.syncer.Force(j.f); err != nil {
+		if err := j.syncer.sync(j.f); err != nil {
 			return fmt.Errorf("journal: sync: %w", err)
 		}
 		j.frozen = true
@@ -381,7 +415,7 @@ func (j *Journal) Sync() error {
 	if j.f == nil {
 		return ErrNoAppender
 	}
-	return j.syncer.Force(j.f)
+	return j.syncer.sync(j.f)
 }
 
 // Close syncs (per policy) and closes the journal.
@@ -391,7 +425,7 @@ func (j *Journal) Close() error {
 	if j.frozen || j.f == nil {
 		return nil
 	}
-	if err := j.syncer.Flush(j.f); err != nil {
+	if err := j.syncer.flush(j.f); err != nil {
 		return err
 	}
 	err := j.f.Close()
@@ -416,38 +450,8 @@ func (j *Journal) Compact(live []Record) error {
 		return nil
 	}
 	tmp := j.path + ".compact"
-	// cleanupTmp discards a failed rewrite so the next Compact (or Open)
-	// never mistakes it for anything.
-	cleanupTmp := func() {
-		if err := j.fs.Remove(tmp); err != nil && !os.IsNotExist(err) {
-			_ = err // best effort: Open also discards orphans
-		}
-	}
-	f, err := j.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := writeFile(j.fs, tmp, live); err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
-	}
-	for _, rec := range live {
-		frame, err := Encode(rec)
-		if err != nil {
-			f.Close()
-			cleanupTmp()
-			return err
-		}
-		if _, err := f.Write(frame); err != nil {
-			f.Close()
-			cleanupTmp()
-			return fmt.Errorf("journal: compact: %w", err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		cleanupTmp()
-		return fmt.Errorf("journal: compact sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		cleanupTmp()
-		return fmt.Errorf("journal: compact close: %w", err)
 	}
 	if j.crashCompact {
 		// Crash-point simulation: the rewrite is on disk but the rename
@@ -460,12 +464,12 @@ func (j *Journal) Compact(live []Record) error {
 	// appender is the new journal and no post-rename open can strand us.
 	nf, err := j.fs.OpenFile(tmp, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		cleanupTmp()
+		_ = j.fs.Remove(tmp) // best effort: Open also discards orphans
 		return fmt.Errorf("journal: compact reopen: %w", err)
 	}
 	if err := j.fs.Rename(tmp, j.path); err != nil {
 		nf.Close()
-		cleanupTmp()
+		_ = j.fs.Remove(tmp)
 		return fmt.Errorf("journal: compact rename: %w", err)
 	}
 	// Point of no return: the new log is authoritative. The old handle's
@@ -498,11 +502,11 @@ func (j *Journal) Stats() Stats {
 	defer j.mu.Unlock()
 	return Stats{
 		Records:          len(j.replayed),
-		TornBytes:        j.torn,
+		TornBytes:        j.scrub.TornBytes,
 		Corrupt:          j.scrub.Corrupt,
 		QuarantinedBytes: j.scrub.QuarantinedBytes,
 		Appends:          j.appends,
-		Syncs:            j.syncer.Syncs(),
+		Syncs:            j.syncer.syncs,
 		Rotations:        j.rotations,
 	}
 }

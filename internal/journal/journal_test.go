@@ -219,7 +219,8 @@ func TestSyncPolicies(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncBatched, FsyncNever} {
 		t.Run(string(policy), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "hub.wal")
-			j := openT(t, path, Options{Fsync: policy, BatchAppends: 4, BatchInterval: time.Hour})
+			j := openT(t, path, Options{Fsync: policy})
+			j.syncer.batchAppends, j.syncer.batchInterval = 4, time.Hour
 			for i := 0; i < 10; i++ {
 				if err := j.Append(rec("admit", "k", `{"n":1}`)); err != nil {
 					t.Fatal(err)

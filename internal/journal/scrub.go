@@ -1,13 +1,13 @@
-// Scrub and Repair: the journal's answer to mid-file rot. The open-time
-// replay (Decode) deliberately stops at the first bad frame — with a
-// single sequential appender, trailing garbage can only be a torn tail.
-// But bits also flip at rest, and a flipped bit *under* valid records
-// would otherwise cost every record after it. Scrub walks the whole file,
-// resynchronizing past undecodable regions to the next frame that passes
-// every check (sane length, CRC match, decodable payload); Repair
-// quarantines those regions into a sidecar file and atomically rewrites
-// the journal to its valid records, so Recover and cluster takeover
-// proceed past isolated rot with a precise account of what was skipped.
+// Scrub and repair: the whole-file walk behind Open's recovery rule. A
+// bad frame with valid frames after it — bits flipped at rest, or the
+// partial frame of a failed append that a later append followed — would
+// otherwise cost every record after it. ScanAll resynchronizes past such
+// regions to the next frame that passes every check (sane length, CRC
+// match, decodable payload); Scrub reports them read-only; repair, run by
+// every Open, quarantines them into a sidecar file and atomically
+// rewrites the journal to its valid records, so Recover proceeds past the
+// damage with a precise account of what was skipped. Cluster takeover
+// runs ScanAll over a dead peer's file without modifying it.
 //
 // Resynchronization is safe against mis-parses: a candidate frame is
 // accepted only when its CRC32 matches and its payload is a JSON record
@@ -35,8 +35,8 @@ type CorruptRegion struct {
 type ScrubReport struct {
 	// Records is how many valid records the walk yielded.
 	Records int `json:"records"`
-	// Corrupt is how many mid-file corrupt regions were found (and, for
-	// Repair, quarantined).
+	// Corrupt is how many mid-file corrupt regions were found (and, at
+	// open, quarantined).
 	Corrupt int `json:"corrupt"`
 	// QuarantinedBytes is the total size of those regions.
 	QuarantinedBytes int64 `json:"quarantined_bytes"`
@@ -49,7 +49,7 @@ type ScrubReport struct {
 // KindQuarantine is the record kind of quarantine sidecar entries.
 const KindQuarantine = "quarantine"
 
-// QuarantinePath is where Repair parks corrupt regions cut from path.
+// QuarantinePath is where Open parks corrupt regions cut from path.
 func QuarantinePath(path string) string { return path + ".quarantine" }
 
 // quarantinePayload is one quarantined region's sidecar payload.
@@ -113,104 +113,66 @@ func Scrub(fs FS, path string) (ScrubReport, error) {
 	return report(recs, regions, torn), nil
 }
 
-// Repair scrubs path and, when mid-file corrupt regions exist, cuts them
-// out: each region's raw bytes are appended to the quarantine sidecar
-// (path+".quarantine", itself a framed journal of KindQuarantine records)
-// and fsynced, then the journal is atomically rewritten to its valid
-// records (temp file, fsync, rename). A clean or merely torn-tailed
-// journal is left untouched. A crash mid-repair is safe in both windows:
-// before the rename the corrupt journal is intact (the next repair
-// re-quarantines, duplicating sidecar entries at worst), after it the
-// journal is clean.
-func Repair(fs FS, path string) (ScrubReport, error) {
-	if fs == nil {
-		fs = OSFS()
-	}
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return ScrubReport{}, nil
-		}
-		return ScrubReport{}, fmt.Errorf("journal: repair %s: %w", path, err)
-	}
+// repair applies Open's recovery rule to data, path's current content,
+// and returns the valid records with the walk's report. When ScanAll
+// finds mid-file corrupt regions, each region's raw bytes are appended to
+// the quarantine sidecar (path+".quarantine", itself a framed journal of
+// KindQuarantine records) and fsynced, then path is atomically rewritten
+// to the valid records (temp file, fsync, rename). A clean or merely
+// torn-tailed file is left untouched: truncating a torn tail is Open's
+// step. A crash mid-repair is safe in both windows: before the rename the
+// damaged file is intact (the next open re-quarantines, duplicating
+// sidecar entries at worst), after it the file is clean.
+func repair(fs FS, path string, data []byte) ([]Record, ScrubReport, error) {
 	recs, regions, torn := ScanAll(data)
 	rep := report(recs, regions, torn)
 	if len(regions) == 0 {
-		return rep, nil
+		return recs, rep, nil
 	}
 	if err := quarantine(fs, path, data, regions); err != nil {
-		return rep, err
+		return nil, rep, err
 	}
 	tmp := path + ".repair"
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return rep, fmt.Errorf("journal: repair %s: %w", path, err)
-	}
-	for _, rec := range recs {
-		frame, err := Encode(rec)
-		if err != nil {
-			f.Close()
-			_ = fs.Remove(tmp)
-			return rep, err
-		}
-		if _, err := f.Write(frame); err != nil {
-			f.Close()
-			_ = fs.Remove(tmp)
-			return rep, fmt.Errorf("journal: repair %s: %w", path, err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = fs.Remove(tmp)
-		return rep, fmt.Errorf("journal: repair sync %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		_ = fs.Remove(tmp)
-		return rep, fmt.Errorf("journal: repair close %s: %w", path, err)
+	if err := writeFile(fs, tmp, recs); err != nil {
+		return nil, rep, fmt.Errorf("journal: repair %s: %w", path, err)
 	}
 	if err := fs.Rename(tmp, path); err != nil {
 		_ = fs.Remove(tmp)
-		return rep, fmt.Errorf("journal: repair rename %s: %w", path, err)
+		return nil, rep, fmt.Errorf("journal: repair rename %s: %w", path, err)
 	}
-	return rep, nil
+	return recs, rep, nil
 }
 
 // quarantine appends each corrupt region to the sidecar and fsyncs it
 // before the journal rewrite may drop the bytes.
 func quarantine(fs FS, path string, data []byte, regions []CorruptRegion) error {
 	qp := QuarantinePath(path)
-	f, err := fs.OpenFile(qp, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: quarantine %s: %w", qp, err)
-	}
+	var buf []byte
 	for _, r := range regions {
 		payload, err := json.Marshal(quarantinePayload{
 			Offset: r.Offset,
 			Bytes:  data[r.Offset : r.Offset+r.Length],
 		})
 		if err != nil {
-			f.Close()
 			return fmt.Errorf("journal: quarantine %s: %w", qp, err)
 		}
-		frame, err := Encode(Record{
+		buf, err = appendFrame(buf, Record{
 			Kind:    KindQuarantine,
 			Key:     fmt.Sprintf("%d", r.Offset),
 			Payload: payload,
 		})
 		if err != nil {
-			f.Close()
 			return err
 		}
-		if _, err := f.Write(frame); err != nil {
-			f.Close()
-			return fmt.Errorf("journal: quarantine %s: %w", qp, err)
-		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: quarantine sync %s: %w", qp, err)
+	f, err := fs.OpenFile(qp, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		err = writeSyncClose(f, buf)
 	}
-	return f.Close()
+	if err != nil {
+		return fmt.Errorf("journal: quarantine %s: %w", qp, err)
+	}
+	return nil
 }
 
 func report(recs []Record, regions []CorruptRegion, torn int64) ScrubReport {

@@ -4,18 +4,16 @@ import (
 	"time"
 )
 
-// Syncer applies one FsyncPolicy to an append-only file: the owner calls
-// DidAppend after each append has reached the OS (written, and flushed if
-// the owner buffers) and the Syncer decides when the file must be fsynced.
-// It implements the batched policy's group commit without a background
-// goroutine: an fsync happens when enough appends have accumulated or
-// enough time has passed since the last one, amortizing the cost across
-// the batch. wfstore.FileStore shares it with Journal so both logs honor
-// the same durability contract.
+// syncer applies one FsyncPolicy to the journal's file: Append calls
+// didAppend after each record has reached the OS, and the syncer decides
+// when the file must be fsynced. It implements the batched policy's group
+// commit without a background goroutine: an fsync happens when
+// DefaultBatchAppends appends have accumulated or DefaultBatchInterval has
+// passed since the last one, amortizing the cost across the batch.
 //
-// A Syncer is not safe for concurrent use on its own; owners call it under
-// the same lock that serializes their appends.
-type Syncer struct {
+// A syncer is not safe for concurrent use on its own; the journal calls it
+// under the lock that serializes its appends.
+type syncer struct {
 	policy        FsyncPolicy
 	batchAppends  int
 	batchInterval time.Duration
@@ -25,23 +23,17 @@ type Syncer struct {
 	syncs    int64
 }
 
-// NewSyncer returns a Syncer for the policy; zero batch parameters take
-// the package defaults.
-func NewSyncer(policy FsyncPolicy, batchAppends int, batchInterval time.Duration) Syncer {
-	if policy == "" {
-		policy = FsyncBatched
+func newSyncer(policy FsyncPolicy) syncer {
+	return syncer{
+		policy:        policy,
+		batchAppends:  DefaultBatchAppends,
+		batchInterval: DefaultBatchInterval,
+		lastSync:      time.Now(),
 	}
-	if batchAppends <= 0 {
-		batchAppends = DefaultBatchAppends
-	}
-	if batchInterval <= 0 {
-		batchInterval = DefaultBatchInterval
-	}
-	return Syncer{policy: policy, batchAppends: batchAppends, batchInterval: batchInterval, lastSync: time.Now()}
 }
 
-// DidAppend records one completed append and fsyncs per policy.
-func (s *Syncer) DidAppend(f File) error {
+// didAppend records one completed append and fsyncs per policy.
+func (s *syncer) didAppend(f File) error {
 	switch s.policy {
 	case FsyncAlways:
 		return s.sync(f)
@@ -56,26 +48,18 @@ func (s *Syncer) DidAppend(f File) error {
 	}
 }
 
-// Force fsyncs unconditionally, regardless of policy.
-func (s *Syncer) Force(f File) error { return s.sync(f) }
-
-// Flush is the close-time sync: it drains the pending batch for the
+// flush is the close-time sync: it drains the pending batch for the
 // always and batched policies and is a no-op for never (whose contract is
 // that no fsync is ever issued).
-func (s *Syncer) Flush(f File) error {
+func (s *syncer) flush(f File) error {
 	if s.policy == FsyncNever || s.pending == 0 {
 		return nil
 	}
 	return s.sync(f)
 }
 
-// Syncs reports how many fsyncs have been issued.
-func (s *Syncer) Syncs() int64 { return s.syncs }
-
-// Policy returns the Syncer's policy.
-func (s *Syncer) Policy() FsyncPolicy { return s.policy }
-
-func (s *Syncer) sync(f File) error {
+// sync fsyncs unconditionally, regardless of policy.
+func (s *syncer) sync(f File) error {
 	if err := f.Sync(); err != nil {
 		return err
 	}

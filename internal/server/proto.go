@@ -225,8 +225,8 @@ type ScrubResponse struct {
 	Records int `json:"records"`
 	// Corrupt is how many mid-file corrupt regions were found.
 	Corrupt int `json:"corrupt"`
-	// QuarantinedBytes is the total size of those regions (what a Repair
-	// would cut into the quarantine sidecar).
+	// QuarantinedBytes is the total size of those regions (what the
+	// journal's next open cuts into the quarantine sidecar).
 	QuarantinedBytes int64 `json:"quarantined_bytes"`
 	// TornBytes is the size of the trailing bad region, when the file
 	// ends in one (a torn tail — truncated on recovery, never

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/wf"
 	"repro/internal/wfstore"
 )
@@ -141,7 +142,7 @@ func TestPropertyPersistenceRoundTrip(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		def := randomDAG(r, 3, 2)
 		path := t.TempDir() + "/wf.log"
-		store, err := wfstore.OpenFileStore(path)
+		store, err := wfstore.OpenFileStore(path, journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func TestPropertyPersistenceRoundTrip(t *testing.T) {
 		}
 		store.Close()
 
-		store2, err := wfstore.OpenFileStore(path)
+		store2, err := wfstore.OpenFileStore(path, journal.Options{})
 		if err != nil {
 			t.Fatalf("iter %d: reopen: %v", iter, err)
 		}

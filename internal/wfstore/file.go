@@ -1,311 +1,164 @@
 package wfstore
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"strings"
 	"sync"
 
 	"repro/internal/journal"
 	"repro/internal/wf"
 )
 
-// FileStore is a durable workflow database: every mutation appends one JSON
-// record to a log file and is flushed before the call returns; opening the
-// store replays the log, so an engine restarted after a crash resumes from
-// its last persisted transition (Figure 4's database made durable).
+// FileStore is a durable workflow database: every mutation appends one
+// record to a journal.Journal before the call returns, and opening the
+// store replays the journal, so an engine restarted after a crash resumes
+// from its last persisted transition (Figure 4's database made durable).
 //
-// Durability contract: every append is flushed to the OS before the
-// mutating call returns, so a process crash never loses an acknowledged
-// mutation. What a power loss can take is bounded by the store's fsync
-// policy (journal.FsyncPolicy, default FsyncBatched): FsyncAlways fsyncs
-// each append, FsyncBatched group-commits an fsync every few appends or
-// milliseconds, FsyncNever leaves syncing to the OS entirely. A torn final
-// record (an append the crash cut short, recognizable by its missing
-// newline terminator) is dropped and truncated at the next open; only that
-// one record is lost.
+// The store keeps the hub's log format and its one recovery rule (see
+// package journal): CRC-framed records, a torn final frame truncated at
+// open, and damage with valid frames after it quarantined to the
+// .quarantine sidecar, never served and never hiding the records behind
+// it. A record that passes its CRC but means nothing to the store (an
+// unknown kind, a type that fails Validate, an instance that does not
+// decode) fails the open.
+//
+// Durability contract: the journal's. Every append reaches the OS before
+// the mutating call returns, so a process crash never loses an
+// acknowledged mutation; the fsync policy (journal.Options.Fsync, default
+// FsyncBatched) bounds what a power loss can take. A failed append voids
+// only its own record: the store keeps serving the last durable snapshot,
+// and appends succeed again once the disk heals.
 //
 // Instance data values are serialized through the codec in codec.go, which
 // supports primitives and the normalized document types. Native
 // format values (e.g. a decoded IDoc) are transient hub state and must not
 // be placed in instance data that reaches a FileStore.
 type FileStore struct {
-	mu     sync.Mutex
-	mem    *MemStore
-	fs     journal.FS
-	f      journal.File
-	w      *bufio.Writer
-	path   string
-	syncer journal.Syncer
+	// mu orders each append with its in-memory update, so memory and
+	// the log agree on the last write to every key.
+	mu  sync.Mutex
+	mem *MemStore
+	j   *journal.Journal
 }
 
-type logRecord struct {
-	Op       string          `json:"op"` // "type", "inst", "del"
-	Type     *wf.TypeDef     `json:"type,omitempty"`
-	Instance json.RawMessage `json:"instance,omitempty"`
-	ID       string          `json:"id,omitempty"`
-}
+// Record kinds of the store's journal. A type record is keyed by
+// TypeDef.Key and carries the type's JSON; an instance record is keyed
+// by the instance ID and carries encodeInstance's JSON; a delete record
+// carries only the instance ID.
+const (
+	recType = "type"
+	recInst = "inst"
+	recDel  = "del"
+)
 
-// OpenFileStore opens (creating if needed) the log at path and replays it,
-// with the default batched fsync policy. A torn final record — an append
-// cut short by a crash, recognizable by its missing newline terminator —
-// is dropped and truncated away; only that one record is lost. Unparseable
-// records that were fully written (newline-terminated) are corruption and
-// fail the open.
-func OpenFileStore(path string) (*FileStore, error) {
-	return OpenFileStoreFsync(path, journal.FsyncBatched)
-}
-
-// OpenFileStoreFsync is OpenFileStore with an explicit fsync policy (see
-// the durability contract in the package comment of this type).
-func OpenFileStoreFsync(path string, policy journal.FsyncPolicy) (*FileStore, error) {
-	return OpenFileStoreFS(path, policy, nil)
-}
-
-// OpenFileStoreFS is OpenFileStoreFsync with an explicit storage seam
-// (nil means the real filesystem) — the chaos harness threads a
-// journal.FaultFS through it to test the store against a failing disk.
-func OpenFileStoreFS(path string, policy journal.FsyncPolicy, fs journal.FS) (*FileStore, error) {
-	if fs == nil {
-		fs = journal.OSFS()
-	}
-	s := &FileStore{
-		mem:    NewMemStore(),
-		fs:     fs,
-		path:   path,
-		syncer: journal.NewSyncer(policy, 0, 0),
-	}
-	if data, err := fs.ReadFile(path); err == nil {
-		good, rerr := s.replay(data)
-		if rerr != nil {
-			return nil, fmt.Errorf("wfstore: replay %s: %w", path, rerr)
-		}
-		if good < len(data) {
-			// Physically drop the torn tail before reopening for append:
-			// writing after a partial record would fuse it with the next
-			// record into garbage.
-			if terr := fs.Truncate(path, int64(good)); terr != nil {
-				return nil, fmt.Errorf("wfstore: truncate torn tail of %s: %w", path, terr)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("wfstore: open %s: %w", path, err)
-	}
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// OpenFileStore opens (creating if needed) the store's journal at path
+// and replays it. opts selects the fsync policy and the storage seam.
+func OpenFileStore(path string, opts journal.Options) (*FileStore, error) {
+	j, err := journal.Open(path, opts)
 	if err != nil {
-		return nil, fmt.Errorf("wfstore: open %s: %w", path, err)
+		return nil, fmt.Errorf("wfstore: %w", err)
 	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
+	s := &FileStore{mem: NewMemStore(), j: j}
+	for _, rec := range j.Records() {
+		if err := s.replay(rec); err != nil {
+			j.Close()
+			return nil, fmt.Errorf("wfstore: replay %s: %s record %q: %w", path, rec.Kind, rec.Key, err)
+		}
+	}
 	return s, nil
 }
 
-// replay applies the log records in data and returns the byte offset just
-// past the last durable record. Records are durable only once their
-// trailing newline hit the file (append writes record+newline in one
-// flush), so an unterminated final line is the torn tail of a crashed
-// append: it is not replayed and not counted, whatever it contains.
-func (s *FileStore) replay(data []byte) (int, error) {
-	off := 0
-	line := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			return off, nil // torn tail
+// replay applies one journal record to memory.
+func (s *FileStore) replay(rec journal.Record) error {
+	switch rec.Kind {
+	case recType:
+		def := &wf.TypeDef{}
+		if err := json.Unmarshal(rec.Payload, def); err != nil {
+			return err
 		}
-		line++
-		raw := data[off : off+nl]
-		off += nl + 1
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
+		if err := def.Validate(); err != nil {
+			return err
 		}
-		var rec logRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return off, fmt.Errorf("line %d: %w", line, err)
+		return s.mem.PutType(def)
+	case recInst:
+		in, err := decodeInstance(rec.Payload)
+		if err != nil {
+			return err
 		}
-		switch rec.Op {
-		case "type":
-			if err := rec.Type.Validate(); err != nil {
-				return off, fmt.Errorf("line %d: %w", line, err)
-			}
-			if err := s.mem.PutType(rec.Type); err != nil {
-				return off, err
-			}
-		case "inst":
-			in, err := decodeInstance(rec.Instance)
-			if err != nil {
-				return off, fmt.Errorf("line %d: %w", line, err)
-			}
-			if err := s.mem.PutInstance(in); err != nil {
-				return off, err
-			}
-		case "del":
-			if err := s.mem.DeleteInstance(rec.ID); err != nil {
-				return off, err
-			}
-		default:
-			return off, fmt.Errorf("line %d: unknown op %q", line, rec.Op)
-		}
+		return s.mem.PutInstance(in)
+	case recDel:
+		return s.mem.DeleteInstance(rec.Key)
 	}
-	return off, nil
+	return fmt.Errorf("unknown record kind")
 }
 
-func (s *FileStore) append(rec logRecord) error {
-	data, err := json.Marshal(rec)
+func typeRecord(t *wf.TypeDef) (journal.Record, error) {
+	payload, err := json.Marshal(t)
 	if err != nil {
-		return fmt.Errorf("wfstore: marshal: %w", err)
+		return journal.Record{}, fmt.Errorf("wfstore: type %s: %w", t.Key(), err)
 	}
-	if _, err := s.w.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("wfstore: append: %w", err)
+	return journal.Record{Kind: recType, Key: t.Key(), Payload: payload}, nil
+}
+
+func instanceRecord(in *wf.Instance) (journal.Record, error) {
+	raw, err := encodeInstance(in)
+	if err != nil {
+		return journal.Record{}, err
 	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("wfstore: flush: %w", err)
-	}
-	if err := s.syncer.DidAppend(s.f); err != nil {
-		return fmt.Errorf("wfstore: fsync: %w", err)
+	return journal.Record{Kind: recInst, Key: in.ID, Payload: raw}, nil
+}
+
+// append logs rec. Callers hold s.mu and update memory only once it
+// succeeds, so a failed append leaves the last durable state visible.
+func (s *FileStore) append(rec journal.Record) error {
+	if err := s.j.Append(rec); err != nil {
+		return fmt.Errorf("wfstore: %w", err)
 	}
 	return nil
 }
 
-// Close drains any pending group commit, flushes and closes the log.
-func (s *FileStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	if err := s.syncer.Flush(s.f); err != nil {
-		return err
-	}
-	return s.f.Close()
-}
+// Close drains any pending group commit and closes the log.
+func (s *FileStore) Close() error { return s.j.Close() }
 
 // Compact rewrites the log to hold exactly one record per live type and
-// instance, atomically replacing the old log. Long-running engines call it
-// periodically: every instance transition appends a full snapshot, so logs
-// grow with activity, not with live state.
+// instance through journal.Compact, which replaces the old log atomically
+// and leaves it open and appendable on any failure. Long-running engines
+// call it periodically: every instance transition appends a full
+// snapshot, so logs grow with activity, not with live state.
 func (s *FileStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	tmp := s.path + ".compact"
-	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wfstore: compact: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	writeRec := func(rec logRecord) error {
-		data, err := json.Marshal(rec)
+	types, instances := s.mem.live()
+	live := make([]journal.Record, 0, len(types)+len(instances))
+	for _, t := range types {
+		rec, err := typeRecord(t)
 		if err != nil {
 			return err
 		}
-		_, err = w.Write(append(data, '\n'))
-		return err
+		live = append(live, rec)
 	}
-	typeKeys, err := s.mem.ListTypes()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for _, key := range typeKeys {
-		name, version := splitKey(key)
-		def, err := s.mem.GetType(name, version)
+	for _, in := range instances {
+		rec, err := instanceRecord(in)
 		if err != nil {
-			f.Close()
 			return err
 		}
-		if err := writeRec(logRecord{Op: "type", Type: def.Clone()}); err != nil {
-			f.Close()
-			return err
-		}
+		live = append(live, rec)
 	}
-	ids, err := s.mem.ListInstances()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for _, id := range ids {
-		in, err := s.mem.GetInstance(id)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		raw, err := encodeInstance(in)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := writeRec(logRecord{Op: "inst", Instance: raw}); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		_ = s.fs.Remove(tmp)
-		return err
-	}
-	// Sync the rewrite before the rename makes it the log: the rename must
-	// never point the store at a snapshot the disk does not yet hold.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = s.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = s.fs.Remove(tmp)
-		return err
-	}
-	// Open the future appender on the temp file before the rename (the
-	// handle follows the inode across it), so a failure at any point
-	// leaves the original log open and appendable.
-	nf, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("wfstore: compact reopen: %w", err)
-	}
-	if err := s.fs.Rename(tmp, s.path); err != nil {
-		nf.Close()
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("wfstore: compact rename: %w", err)
-	}
-	_ = s.f.Close()
-	s.f = nf
-	s.w = bufio.NewWriter(nf)
-	return nil
+	return s.j.Compact(live)
 }
 
 // Size reports the current log size in bytes.
-func (s *FileStore) Size() (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.w.Flush(); err != nil {
-		return 0, err
-	}
-	fi, err := s.fs.Stat(s.path)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
-
-func splitKey(key string) (string, int) {
-	name, ver, _ := strings.Cut(key, "@")
-	v := 0
-	fmt.Sscanf(ver, "%d", &v)
-	return name, v
-}
+func (s *FileStore) Size() (int64, error) { return s.j.Size() }
 
 // PutType implements wf.Store.
 func (s *FileStore) PutType(t *wf.TypeDef) error {
+	rec, err := typeRecord(t)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.append(logRecord{Op: "type", Type: t.Clone()}); err != nil {
+	if err := s.append(rec); err != nil {
 		return err
 	}
 	return s.mem.PutType(t)
@@ -328,13 +181,13 @@ func (s *FileStore) ListTypes() ([]string, error) { return s.mem.ListTypes() }
 // GetInstance only once its log record is written: after a failed append
 // the store keeps serving the last snapshot its log holds.
 func (s *FileStore) PutInstance(in *wf.Instance) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	raw, err := encodeInstance(in)
+	rec, err := instanceRecord(in)
 	if err != nil {
 		return err
 	}
-	if err := s.append(logRecord{Op: "inst", Instance: raw}); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.append(rec); err != nil {
 		return err
 	}
 	return s.mem.PutInstance(in)
@@ -352,7 +205,7 @@ func (s *FileStore) ListInstances() ([]string, error) { return s.mem.ListInstanc
 func (s *FileStore) DeleteInstance(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.append(logRecord{Op: "del", ID: id}); err != nil {
+	if err := s.append(journal.Record{Kind: recDel, Key: id}); err != nil {
 		return err
 	}
 	return s.mem.DeleteInstance(id)

@@ -16,7 +16,7 @@ func TestFileStoreFsyncPolicies(t *testing.T) {
 	for _, policy := range []journal.FsyncPolicy{journal.FsyncAlways, journal.FsyncBatched, journal.FsyncNever} {
 		t.Run(string(policy), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wf.log")
-			s, err := OpenFileStoreFsync(path, policy)
+			s, err := OpenFileStore(path, journal.Options{Fsync: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +36,7 @@ func TestFileStoreFsyncPolicies(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re, err := OpenFileStoreFsync(path, policy)
+			re, err := OpenFileStore(path, journal.Options{Fsync: policy})
 			if err != nil {
 				t.Fatal(err)
 			}

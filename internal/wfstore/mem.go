@@ -1,8 +1,9 @@
 // Package wfstore provides the workflow database of the paper's Figure 4:
 // persistent storage for workflow types and workflow instances, backing the
 // workflow engine. Two implementations are provided: an in-memory store for
-// simulations and benchmarks, and a durable append-log store with crash
-// recovery for deployments that need to survive restarts.
+// simulations and benchmarks, and a durable store on the hub's write-ahead
+// journal (package journal) with crash recovery for deployments that need
+// to survive restarts.
 //
 // The store holds workflow TYPES and INSTANCES only. Compiled execution
 // plans (wf.Plan) are deliberately not part of the schema: a plan is a
@@ -133,4 +134,22 @@ func (s *MemStore) DeleteInstance(id string) error {
 	defer s.mu.Unlock()
 	delete(s.instances, id)
 	return nil
+}
+
+// live returns every stored type, ordered by key, and every instance,
+// ordered by ID: the live set FileStore.Compact rewrites its log to.
+func (s *MemStore) live() ([]*wf.TypeDef, []*wf.Instance) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	types := make([]*wf.TypeDef, 0, len(s.types))
+	for _, t := range s.types {
+		types = append(types, t)
+	}
+	sort.Slice(types, func(i, j int) bool { return types[i].Key() < types[j].Key() })
+	instances := make([]*wf.Instance, 0, len(s.instances))
+	for _, in := range s.instances {
+		instances = append(instances, in)
+	}
+	sort.Slice(instances, func(i, j int) bool { return instances[i].ID < instances[j].ID })
+	return types, instances
 }

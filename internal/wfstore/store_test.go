@@ -2,11 +2,13 @@ package wfstore
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/doc"
@@ -89,7 +91,7 @@ func TestMemStoreInstances(t *testing.T) {
 
 func openFile(t *testing.T, path string) *FileStore {
 	t.Helper()
-	s, err := OpenFileStore(path)
+	s, err := OpenFileStore(path, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,19 +189,45 @@ func TestFileStoreRejectsUnsupportedData(t *testing.T) {
 	}
 }
 
+// TestFileStoreCorruptLog: a frame whose CRC holds but whose content the
+// store cannot apply is not disk damage the journal can quarantine; it
+// fails the open. A file of garbage alone is a torn tail under the
+// journal's rule: it is truncated and the store opens empty.
 func TestFileStoreCorruptLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wf.log")
-	if err := os.WriteFile(path, []byte("{\"op\":\"bogus\"}\n"), 0o644); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		rec  journal.Record
+	}{
+		{"unknown-kind", journal.Record{Kind: "bogus", Key: "x"}},
+		{"invalid-type", journal.Record{Kind: recType, Key: "t@1", Payload: json.RawMessage(`{"Name":"","Version":1}`)}},
+		{"undecodable-instance", journal.Record{Kind: recInst, Key: "i1", Payload: json.RawMessage(`{"id":"i1","data":{"x":{"k":"?","v":1}}}`)}},
+	} {
+		path := filepath.Join(dir, tc.name+".log")
+		frame, err := journal.Encode(tc.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenFileStore(path, journal.Options{}); err == nil {
+			t.Fatalf("%s: corrupt log accepted", tc.name)
+		}
 	}
-	if _, err := OpenFileStore(path); err == nil {
-		t.Fatal("corrupt log accepted")
-	}
+
+	path := filepath.Join(dir, "garbage.log")
 	if err := os.WriteFile(path, []byte("not json\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileStore(path); err == nil {
-		t.Fatal("garbage log accepted")
+	s := openFile(t, path)
+	types, _ := s.ListTypes()
+	ids, _ := s.ListInstances()
+	if len(types) != 0 || len(ids) != 0 {
+		t.Fatalf("garbage log replayed types %v, instances %v", types, ids)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("garbage log not truncated: %v, %v", fi, err)
 	}
 }
 
@@ -280,41 +308,88 @@ func TestEngineRunsOnFileStore(t *testing.T) {
 // TestFailedPersistLeavesLastDurableSnapshot: when the log append of a
 // transition fails, the store keeps serving the last snapshot the log
 // holds — what a restart would replay — not the unpersisted transition.
+// A failed append voids only its own record: once the disk heals, the
+// next transition persists and a reopen replays it.
 func TestFailedPersistLeavesLastDurableSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wf.log")
-	ffs := journal.NewFaultFS(nil, 1)
-	s, err := OpenFileStoreFS(path, journal.FsyncAlways, ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	e := wf.NewEngine("e", s, wf.NewHandlers(), nil)
-	if err := e.Deploy(sampleType()); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	in, err := e.Start(ctx, "t", map[string]any{"source": "TP1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		arm  func(*journal.FaultFS)
+		want error
+	}{
+		{"write-error", func(ffs *journal.FaultFS) { ffs.Arm(journal.FaultWriteErr) }, journal.ErrInjected},
+		{"short-write", func(ffs *journal.FaultFS) { ffs.Arm(journal.FaultShortWrite) }, journal.ErrInjected},
+		{"enospc", func(ffs *journal.FaultFS) { ffs.ArmENOSPC(10) }, syscall.ENOSPC},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wf.log")
+			ffs := journal.NewFaultFS(nil, 1)
+			s, err := OpenFileStore(path, journal.Options{Fsync: journal.FsyncAlways, FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			e := wf.NewEngine("e", s, wf.NewHandlers(), nil)
+			if err := e.Deploy(sampleType()); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			in, err := e.Start(ctx, "t", map[string]any{"source": "TP1"})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ffs.Arm(journal.FaultWriteErr)
-	if err := e.Deliver(ctx, in.ID, "in", "payload"); !errors.Is(err, journal.ErrInjected) {
-		t.Fatalf("Deliver under a failing disk: err = %v, want the injected fault", err)
+			tc.arm(ffs)
+			if err := e.Deliver(ctx, in.ID, "in", "payload"); !errors.Is(err, tc.want) {
+				t.Fatalf("Deliver under a failing disk: err = %v, want %v", err, tc.want)
+			}
+			got, err := e.Instance(in.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replayed := replayCopy(t, path, in.ID); !reflect.DeepEqual(got, replayed) {
+				t.Fatalf("store serves %s (%d events), its log replays %s (%d events)",
+					got.Summary(), len(got.History), replayed.Summary(), len(replayed.History))
+			}
+			if got.State != wf.InstRunning || got.StepStateOf("wait") != wf.StepWaiting {
+				t.Fatalf("after the failed Deliver: %s", got.Summary())
+			}
+
+			ffs.Heal()
+			if err := e.Deliver(ctx, in.ID, "in", "payload"); err != nil {
+				t.Fatalf("Deliver after the disk healed: %v", err)
+			}
+			if got, err = e.Instance(in.ID); err != nil || got.State != wf.InstCompleted {
+				t.Fatalf("after the healed Deliver: %v, %v", got, err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := openFile(t, path).GetInstance(in.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, replayed) {
+				t.Fatalf("store served %s, its reopened log replays %s", got.Summary(), replayed.Summary())
+			}
+		})
 	}
-	got, err := e.Instance(in.ID)
+}
+
+// replayCopy returns instance id as a restart would replay it, from a
+// copy of the log at path so the live file is left alone.
+func replayCopy(t *testing.T, path, id string) *wf.Instance {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := openFile(t, path).GetInstance(in.ID)
+	cp := path + ".copy"
+	if err := os.WriteFile(cp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in, err := openFile(t, cp).GetInstance(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, replayed) {
-		t.Fatalf("store serves %s (%d events), its log replays %s (%d events)",
-			got.Summary(), len(got.History), replayed.Summary(), len(replayed.History))
-	}
-	if got.State != wf.InstRunning || got.StepStateOf("wait") != wf.StepWaiting {
-		t.Fatalf("after the failed Deliver: %s", got.Summary())
-	}
+	return in
 }

@@ -2,14 +2,20 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/cfgstore"
 	"repro/internal/core"
 	"repro/internal/doc"
 	"repro/internal/formats"
 	"repro/internal/formats/sapidoc"
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/wf"
 	"repro/internal/wfstore"
@@ -56,6 +62,14 @@ const (
 	// measured (the document string, its field and segment slices, the
 	// document and its items); 81-93 while every segment was a map.
 	idocDecodeAllocBudget = 6
+	// canaryAllocBudget bounds the allocations an active canary adds to a
+	// TP1 exchange through Hub.Do (canary fraction 0.25, never settling):
+	// 0 measured, a mean of 258.9-259.0 with the canary and without it.
+	canaryAllocBudget = 0
+	// seamAllocBudget bounds the allocations a FaultFS with no fault armed
+	// adds to a Journal.Append (FsyncNever) over the real filesystem: 0
+	// measured, 2 through the FaultFS and 2 through OSFS.
+	seamAllocBudget = 0
 )
 
 func TestAllocBudgets(t *testing.T) {
@@ -73,6 +87,8 @@ func TestAllocBudgets(t *testing.T) {
 		{"wf.Engine.Deliver", "delivery", deliverAllocBudget, deliverAllocs},
 		{"wf.Engine.Start", "application-binding start", startAllocBudget, startAllocs},
 		{"obs.Collector.Emit", "exchange of 32 events into a full ring", emitAllocBudget, emitAllocs},
+		{"an active canary", "TP1 exchange", canaryAllocBudget, canaryAllocs},
+		{"an unarmed journal.FaultFS", "Journal.Append", seamAllocBudget, seamAllocs},
 	}
 	for _, c := range idocCodecs() {
 		rows = append(rows,
@@ -116,6 +132,99 @@ func hubDoAllocs(t *testing.T) float64 {
 			t.Fatal(err)
 		}
 	})
+}
+
+// canaryAllocs measures what an active canary adds to a TP1 exchange
+// through Hub.Do: mean allocations on a hub canarying TP1's protocol binding
+// minus those on a hub without a canary, to the nearest whole allocation.
+func canaryAllocs(t *testing.T) float64 {
+	t.Helper()
+	perExchange := func(canary bool) float64 {
+		m, err := core.PaperFigure14Model()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A sample floor no run reaches keeps the canary active.
+		h, err := core.NewHub(m, core.WithCanaryPolicy(cfgstore.CanaryPolicy{MinSamples: 1 << 30}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canary {
+			cand, err := core.BuildBinding(formats.EDI)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Canary("TP1", cand, 0.25); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx := context.Background()
+		const runs = 400
+		g := doc.NewGenerator(1)
+		pos := make([]*doc.PurchaseOrder, runs+1) // meanAllocs adds one warm-up run
+		for i := range pos {
+			pos[i] = g.PO(benchBuyer, benchSeller)
+		}
+		next, candidates := 0, 0
+		allocs := meanAllocs(runs, func() {
+			po := pos[next]
+			next++
+			res, err := h.Do(ctx, core.Request{Kind: core.DocPO, PO: po})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Exchange.CanaryArm() {
+				candidates++
+			}
+		})
+		if _, active := h.ActiveCanary("TP1"); canary && (!active || candidates == 0) {
+			t.Fatalf("canary active %v, candidate arm took %d of %d exchanges", active, candidates, len(pos))
+		}
+		return allocs
+	}
+	with, without := perExchange(true), perExchange(false)
+	t.Logf("Hub.Do on TP1: %.2f allocations with an active canary, %.2f without", with, without)
+	return float64(int(math.Round(with - without))) // int turns a rounded -0 into 0
+}
+
+// seamAllocs measures what a FaultFS with no fault armed adds to a
+// Journal.Append that does not fsync: mean allocations through the FaultFS
+// minus those through the real filesystem, to the nearest whole allocation.
+func seamAllocs(t *testing.T) float64 {
+	t.Helper()
+	perAppend := func(fs journal.FS) float64 {
+		j, err := journal.Open(filepath.Join(t.TempDir(), "seam.wal"), journal.Options{Fsync: journal.FsyncNever, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		rec := journal.Record{Kind: "admit", Key: "ex-000001", Payload: json.RawMessage(`{"po":"PO-TP1-000001"}`)}
+		return meanAllocs(1000, func() {
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	faulty, plain := perAppend(journal.NewFaultFS(nil, 1)), perAppend(journal.OSFS())
+	t.Logf("Journal.Append: %.2f allocations through a FaultFS, %.2f through OSFS", faulty, plain)
+	return float64(int(math.Round(faulty - plain))) // int turns a rounded -0 into 0
+}
+
+// meanAllocs returns the mean allocations per call of f over runs calls,
+// after one warm-up call. Unlike testing.AllocsPerRun it keeps the
+// fraction: the zero-overhead rows subtract two means whose amortised map
+// growth and GC-emptied pools differ by a fraction of an allocation, and
+// truncating each mean first can turn that fraction into a whole one.
+func meanAllocs(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // ruleAllocs measures one approval decision on the Figure 14 rules.

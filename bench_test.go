@@ -10,29 +10,21 @@ package repro
 import (
 	"context"
 	"fmt"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/bpss"
-	"repro/internal/cfgstore"
-	"repro/internal/cluster"
 	"repro/internal/conformance"
 	"repro/internal/coop"
 	"repro/internal/core"
 	"repro/internal/doc"
 	"repro/internal/expr"
 	"repro/internal/formats"
-	"repro/internal/health"
 	"repro/internal/interorg"
 	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/rules"
-	"repro/internal/server"
 	"repro/internal/transform"
 	"repro/internal/wf"
 	"repro/internal/wfstore"
@@ -123,6 +115,54 @@ func BenchmarkFig04EngineCycleDurable(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFig04PlanChain: the compiled-plan interpreter on a bare engine
+// running a 40-step conditional chain to completion, reported as
+// instances/s.
+func BenchmarkFig04PlanChain(b *testing.B) {
+	// The chain is declared in reverse execution order (s39 first, entry
+	// s0 last): each completion signals a step declared *earlier*, so every
+	// step runs in a pass of its own. A rescan of every step per pass would
+	// cost O(steps²) per instance; the worklist carries the signaled index
+	// to the next pass.
+	chainDef := func() *wf.TypeDef {
+		const depth = 40
+		t := &wf.TypeDef{Name: "chain", Version: 1}
+		for i := depth - 1; i >= 0; i-- {
+			t.Steps = append(t.Steps, wf.StepDef{
+				Name: fmt.Sprintf("s%d", i), Kind: wf.StepTask, Handler: "nop"})
+		}
+		for i := 1; i < depth; i++ {
+			a := wf.Arc{From: fmt.Sprintf("s%d", i-1), To: fmt.Sprintf("s%d", i)}
+			if i%4 == 0 {
+				a.Condition = "n >= 0"
+			}
+			t.Arcs = append(t.Arcs, a)
+		}
+		return t
+	}
+	h := wf.NewHandlers()
+	h.Register("nop", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error { return nil })
+	e := wf.NewEngine("interp", wfstore.NewMemStore(), h, nil)
+	if err := e.Deploy(chainDef()); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		in, err := e.Start(ctx, "chain", map[string]any{"n": 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if in.State != wf.InstCompleted {
+			b.Fatalf("instance %s: %s", in.ID, in.State)
+		}
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "instances/s")
 }
 
 func migrationType() *wf.TypeDef {
@@ -669,735 +709,6 @@ func BenchmarkNaiveVsAdvancedRoundTrip(b *testing.B) {
 	})
 }
 
-// BenchmarkHubParallel: concurrent exchange throughput over the in-proc
-// transport with simulated wire latency (2ms each way). The hub serves with
-// ServeConcurrent on one scheduler shard of the given worker count; one
-// client per worker drives round trips on its own endpoint. With one worker the run
-// is wire-latency-bound; with more workers in-flight exchanges overlap the
-// latency, so throughput scales until the CPU saturates — the property the
-// concurrent submission API exists for. The exchanges/s metric is the one
-// scripts/bench.sh records into BENCH_hub.json.
-func BenchmarkHubParallel(b *testing.B) {
-	const wireLatency = 2 * time.Millisecond
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			m, err := core.PaperFigure14Model()
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := core.NewHub(m, core.WithWorkersPerShard(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			network := msg.NewInProcNetwork(msg.Faults{Latency: wireLatency})
-			defer network.Close()
-			// The retry interval sits far above the loaded round trip so
-			// the reliable layer never re-sends during the measurement.
-			rcfg := msg.ReliableConfig{RetryInterval: 250 * time.Millisecond, MaxAttempts: 20}
-			hubEP, err := network.Endpoint("hub")
-			if err != nil {
-				b.Fatal(err)
-			}
-			server := core.NewServer(h, hubEP, core.WithReliableConfig(rcfg))
-			defer server.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			go server.ServeConcurrent(ctx, nil)
-			defer h.StopWorkers()
-
-			clients := make([]*core.Client, workers)
-			partner, _ := h.Model.PartnerByID(benchBuyer.ID)
-			for w := range clients {
-				ep, err := network.Endpoint(fmt.Sprintf("tp1-w%d", w))
-				if err != nil {
-					b.Fatal(err)
-				}
-				clients[w] = core.NewClient(partner, ep, rcfg, "hub")
-				defer clients[w].Close()
-			}
-
-			b.ResetTimer()
-			start := time.Now()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				n := b.N / workers
-				if w < b.N%workers {
-					n++
-				}
-				if n == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(w, n int, c *core.Client) {
-					defer wg.Done()
-					g := doc.NewGenerator(int64(1000 + w))
-					for i := 0; i < n; i++ {
-						po := g.PO(benchBuyer, benchSeller)
-						po.ID = fmt.Sprintf("%s-w%d-%d", po.ID, w, i)
-						if _, err := c.RoundTrip(ctx, po); err != nil {
-							b.Errorf("worker %d order %d: %v", w, i, err)
-							return
-						}
-					}
-				}(w, n, clients[w])
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "exchanges/s")
-		})
-	}
-}
-
-// BenchmarkHubParallelFaulty: the worker-pool throughput with a 10%
-// injected backend error rate and the default retry policy absorbing it —
-// the cost of fault masking under load, comparable to the clean
-// workers=8 row of BenchmarkHubParallel. Exchanges are driven through the
-// in-process DoAsync API so the measured overhead is retry scheduling, not
-// wire latency.
-func BenchmarkHubParallelFaulty(b *testing.B) {
-	const workers = 8
-	m, err := core.PaperFigure14Model()
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := core.NewHub(m, core.WithWorkersPerShard(workers))
-	if err != nil {
-		b.Fatal(err)
-	}
-	h.WrapBackends(func(sys backend.System) backend.System {
-		return backend.NewFaulty(sys, backend.FaultSchedule{ErrProb: 0.10, Seed: 17})
-	})
-	h.SetDefaultRetryPolicy(core.RetryPolicy{
-		MaxAttempts: 10, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond,
-	})
-	h.StartScheduler()
-	defer h.StopWorkers()
-	ctx := context.Background()
-	g := doc.NewGenerator(1)
-	pos := make([]*doc.PurchaseOrder, b.N)
-	for i := range pos {
-		pos[i] = g.PO(benchBuyer, benchSeller)
-	}
-	b.ResetTimer()
-	start := time.Now()
-	futs := make([]*core.Future, b.N)
-	for i, po := range pos {
-		fut, err := h.DoAsync(ctx, core.Request{Kind: core.DocPO, PO: po})
-		if err != nil {
-			b.Fatal(err)
-		}
-		futs[i] = fut
-	}
-	for i, fut := range futs {
-		if res := fut.Result(ctx); res.Err != nil {
-			b.Fatalf("exchange %d: %v", i, res.Err)
-		}
-	}
-	elapsed := time.Since(start)
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "exchanges/s")
-	c := h.Status().Exchanges
-	b.ReportMetric(float64(c.Retries)/float64(b.N), "retries/op")
-}
-
-// BenchmarkHubSharded: throughput of the sharded per-partner exchange
-// scheduler, driven through the in-process DoAsync API (like
-// BenchmarkHubParallelFaulty) so the measured path is scheduling, binding
-// resolution, transformation and backend work — not wire latency. The hub
-// is configured with WithShards/WithWorkersPerShard and fed the
-// three-protocol partner population (Figure 14 + the Figure 15 OAGIS
-// partner) round-robin, so orders hash across shards. The shards=1 rows
-// degenerate to the old single-pool shape; the shards>=4 rows are the
-// tentpole configuration scripts/bench.sh records into BENCH_hub.json
-// (acceptance: clean shards=8 >= 1.5x the BenchmarkHubParallel workers=8
-// row of the seed, 1107 exchanges/s). The faulty row layers a 10% injected
-// backend error rate absorbed by the retry layer on top.
-func BenchmarkHubSharded(b *testing.B) {
-	type cfg struct {
-		mode            string
-		shards, workers int
-	}
-	var cfgs []cfg
-	for _, shards := range []int{1, 4, 8} {
-		for _, workers := range []int{2, 4} {
-			cfgs = append(cfgs, cfg{"clean", shards, workers})
-		}
-	}
-	cfgs = append(cfgs, cfg{"faulty", 8, 4})
-	for _, c := range cfgs {
-		b.Run(fmt.Sprintf("%s/shards=%d/workers=%d", c.mode, c.shards, c.workers), func(b *testing.B) {
-			m, err := core.PaperFigure14Model()
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := core.NewHub(m,
-				core.WithShards(c.shards),
-				core.WithWorkersPerShard(c.workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := h.AddPartner(core.Figure15Partner()); err != nil {
-				b.Fatal(err)
-			}
-			if c.mode == "faulty" {
-				h.WrapBackends(func(sys backend.System) backend.System {
-					return backend.NewFaulty(sys, backend.FaultSchedule{ErrProb: 0.10, Seed: 17})
-				})
-				h.SetDefaultRetryPolicy(core.RetryPolicy{
-					MaxAttempts: 10, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond,
-				})
-			}
-			defer h.StopWorkers()
-			ctx := context.Background()
-
-			var buyers []doc.Party
-			for _, p := range h.Model.Partners {
-				buyers = append(buyers, doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS})
-			}
-			gens := make([]*doc.Generator, len(buyers))
-			for i := range gens {
-				gens[i] = doc.NewGenerator(int64(2000 + i))
-			}
-			pos := make([]*doc.PurchaseOrder, b.N)
-			for i := range pos {
-				w := i % len(buyers)
-				pos[i] = gens[w].PO(buyers[w], benchSeller)
-				pos[i].ID = fmt.Sprintf("%s-c%d-%d", pos[i].ID, w, i)
-			}
-
-			b.ResetTimer()
-			start := time.Now()
-			futs := make([]*core.Future, b.N)
-			for i, po := range pos {
-				fut, err := h.DoAsync(ctx, core.Request{Kind: core.DocPO, PO: po})
-				if err != nil {
-					b.Fatal(err)
-				}
-				futs[i] = fut
-			}
-			for i, fut := range futs {
-				if res := fut.Result(ctx); res.Err != nil {
-					b.Fatalf("exchange %d: %v", i, res.Err)
-				}
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "exchanges/s")
-			if c.mode == "faulty" {
-				cs := h.Status().Exchanges
-				b.ReportMetric(float64(cs.Retries)/float64(b.N), "retries/op")
-			}
-		})
-	}
-}
-
-// BenchmarkHubWire: networked throughput of the daemon front door. The
-// inproc row is the BenchmarkHubSharded clean shards=8 workers=4
-// configuration driven through DoAsync directly — the no-wire baseline.
-// The wire row serves the identically configured hub through
-// internal/server on a real TCP loopback socket and drives the same order
-// mix through 4 clients x 8 pipelined submit calls each, so the measured
-// path adds frame encode/decode, the socket round trip and response
-// correlation on top of everything the baseline does. scripts/bench.sh
-// records both rows into BENCH_hub.json and holds wire >= 0.5x inproc:
-// the front door may cost at most half the in-process clean throughput.
-func BenchmarkHubWire(b *testing.B) {
-	for _, mode := range []string{"inproc", "wire"} {
-		b.Run(fmt.Sprintf("%s/shards=8/workers=4", mode), func(b *testing.B) {
-			m, err := core.PaperFigure14Model()
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := core.NewHub(m, core.WithShards(8), core.WithWorkersPerShard(4))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := h.AddPartner(core.Figure15Partner()); err != nil {
-				b.Fatal(err)
-			}
-			defer h.StopWorkers()
-			ctx := context.Background()
-
-			var buyers []doc.Party
-			for _, p := range h.Model.Partners {
-				buyers = append(buyers, doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS})
-			}
-			gens := make([]*doc.Generator, len(buyers))
-			for i := range gens {
-				gens[i] = doc.NewGenerator(int64(3000 + i))
-			}
-			pos := make([]*doc.PurchaseOrder, b.N)
-			for i := range pos {
-				w := i % len(buyers)
-				pos[i] = gens[w].PO(buyers[w], benchSeller)
-				pos[i].ID = fmt.Sprintf("%s-w%d-%d", pos[i].ID, w, i)
-			}
-
-			if mode == "inproc" {
-				b.ResetTimer()
-				start := time.Now()
-				futs := make([]*core.Future, b.N)
-				for i, po := range pos {
-					fut, err := h.DoAsync(ctx, core.Request{Kind: core.DocPO, PO: po})
-					if err != nil {
-						b.Fatal(err)
-					}
-					futs[i] = fut
-				}
-				for i, fut := range futs {
-					if res := fut.Result(ctx); res.Err != nil {
-						b.Fatalf("exchange %d: %v", i, res.Err)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "exchanges/s")
-				return
-			}
-
-			// Wire: marshal the submit requests up front so the timed
-			// region measures the protocol, not client-side PO encoding
-			// symmetry with the baseline, whose POs are also pre-built.
-			reqs := make([]server.SubmitRequest, b.N)
-			for i, po := range pos {
-				req, err := server.PORequest(po)
-				if err != nil {
-					b.Fatal(err)
-				}
-				req.Async = true
-				reqs[i] = req
-			}
-			h.StartScheduler()
-			d, err := server.NewDaemon(h, "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			serveDone := make(chan error, 1)
-			go func() { serveDone <- d.Serve() }()
-			const clients, pipeline = 4, 8
-			conns := make([]*server.Client, clients)
-			for i := range conns {
-				c, err := server.Dial(ctx, d.Addr())
-				if err != nil {
-					b.Fatal(err)
-				}
-				conns[i] = c
-			}
-			defer func() {
-				for _, c := range conns {
-					c.Close()
-				}
-				d.Close()
-				if err := <-serveDone; err != nil {
-					b.Error(err)
-				}
-			}()
-
-			b.ResetTimer()
-			start := time.Now()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			errc := make(chan error, clients*pipeline)
-			for w := 0; w < clients*pipeline; w++ {
-				wg.Add(1)
-				go func(c *server.Client) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= b.N {
-							return
-						}
-						if _, err := c.Submit(ctx, reqs[i]); err != nil {
-							errc <- fmt.Errorf("exchange %d: %w", i, err)
-							return
-						}
-					}
-				}(conns[w%clients])
-			}
-			wg.Wait()
-			b.StopTimer()
-			select {
-			case err := <-errc:
-				b.Fatal(err)
-			default:
-			}
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "exchanges/s")
-		})
-	}
-}
-
-// BenchmarkHubForward: cross-node federation throughput. Two cluster
-// nodes serve identically configured hubs over TCP loopback; every order
-// targets a partner the second node owns. The inproc row drives the
-// owner's hub through DoAsync directly — the no-wire, no-forward
-// baseline. The forward row submits the same mix through the OTHER node's
-// front door, so every exchange pays the relay's frame decode, the
-// ownership lookup, a second full wire round trip to the owner and the
-// response relay on top of everything the baseline does. scripts/bench.sh
-// records both rows into BENCH_hub.json and holds forward >= 0.4x inproc:
-// partner-affinity routing may cost at most 60% of local throughput.
-func BenchmarkHubForward(b *testing.B) {
-	for _, mode := range []string{"inproc", "forward"} {
-		b.Run(fmt.Sprintf("%s/shards=8/workers=4", mode), func(b *testing.B) {
-			ids := []string{"f1", "f2"}
-			hubs := map[string]*core.Hub{}
-			daemons := map[string]*server.Daemon{}
-			members := make([]cluster.Peer, 0, len(ids))
-			for _, id := range ids {
-				m, err := core.PaperFigure14Model()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := cluster.Config{Node: id}
-				for _, pid := range ids {
-					cfg.Peers = append(cfg.Peers, cluster.Peer{Node: pid})
-				}
-				h, err := core.NewHub(m,
-					core.WithShards(8), core.WithWorkersPerShard(4),
-					core.WithExchangeIDBase(cfg.ExchangeIDBase()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := h.AddPartner(core.Figure15Partner()); err != nil {
-					b.Fatal(err)
-				}
-				h.StartScheduler()
-				d, err := server.NewDaemon(h, "127.0.0.1:0", server.WithName(id))
-				if err != nil {
-					b.Fatal(err)
-				}
-				hubs[id], daemons[id] = h, d
-				members = append(members, cluster.Peer{Node: id, Addr: d.Addr()})
-			}
-			nodes := map[string]*cluster.Node{}
-			for _, id := range ids {
-				node, err := cluster.New(hubs[id], cluster.Config{
-					Node: id, Peers: members,
-					Forward: core.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond,
-						MaxBackoff: 10 * time.Millisecond, PerAttemptTimeout: 5 * time.Second},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				node.Attach(daemons[id])
-				go daemons[id].Serve()
-				nodes[id] = node
-			}
-			defer func() {
-				for _, id := range ids {
-					nodes[id].Stop()
-					daemons[id].Close()
-					hubs[id].StopWorkers()
-				}
-			}()
-
-			// Every order targets a partner f2 owns; f1 is the relay.
-			owner, relay := "f2", "f1"
-			var buyers []doc.Party
-			for _, p := range hubs[owner].Model.Partners {
-				if nodes[relay].Owner(p.ID) == owner {
-					buyers = append(buyers, doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS})
-				}
-			}
-			if len(buyers) == 0 {
-				b.Fatal("fixture: f2 owns no partners")
-			}
-			gens := make([]*doc.Generator, len(buyers))
-			for i := range gens {
-				gens[i] = doc.NewGenerator(int64(7000 + i))
-			}
-			pos := make([]*doc.PurchaseOrder, b.N)
-			for i := range pos {
-				w := i % len(buyers)
-				pos[i] = gens[w].PO(buyers[w], benchSeller)
-				pos[i].ID = fmt.Sprintf("%s-f%d-%d", pos[i].ID, w, i)
-			}
-			ctx := context.Background()
-
-			if mode == "inproc" {
-				b.ResetTimer()
-				start := time.Now()
-				futs := make([]*core.Future, b.N)
-				for i, po := range pos {
-					fut, err := hubs[owner].DoAsync(ctx, core.Request{Kind: core.DocPO, PO: po})
-					if err != nil {
-						b.Fatal(err)
-					}
-					futs[i] = fut
-				}
-				for i, fut := range futs {
-					if res := fut.Result(ctx); res.Err != nil {
-						b.Fatalf("exchange %d: %v", i, res.Err)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "exchanges/s")
-				return
-			}
-
-			reqs := make([]server.SubmitRequest, b.N)
-			for i, po := range pos {
-				req, err := server.PORequest(po)
-				if err != nil {
-					b.Fatal(err)
-				}
-				req.Async = true
-				reqs[i] = req
-			}
-			const clients, pipeline = 4, 8
-			conns := make([]*server.Client, clients)
-			for i := range conns {
-				c, err := server.Dial(ctx, daemons[relay].Addr())
-				if err != nil {
-					b.Fatal(err)
-				}
-				conns[i] = c
-			}
-			defer func() {
-				for _, c := range conns {
-					c.Close()
-				}
-			}()
-
-			b.ResetTimer()
-			start := time.Now()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			errc := make(chan error, clients*pipeline)
-			for w := 0; w < clients*pipeline; w++ {
-				wg.Add(1)
-				go func(c *server.Client) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= b.N {
-							return
-						}
-						if _, err := c.Submit(ctx, reqs[i]); err != nil {
-							errc <- fmt.Errorf("exchange %d: %w", i, err)
-							return
-						}
-					}
-				}(conns[w%clients])
-			}
-			wg.Wait()
-			b.StopTimer()
-			select {
-			case err := <-errc:
-				b.Fatal(err)
-			default:
-			}
-			if fwd := hubs[relay].Status().Cluster.Forwarded; fwd < int64(b.N) {
-				b.Fatalf("only %d of %d submits crossed the forward path", fwd, b.N)
-			}
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "exchanges/s")
-		})
-	}
-}
-
-// BenchmarkHubPlanned measures the compiled-plan interpreter on a bare
-// engine.
-//
-// The interp row runs a 40-step conditional chain to completion and reports
-// instances/s, an absolute figure scripts/bench.sh records.
-//
-// The wide pair isolates intra-instance step parallelism on a bare engine:
-// an 8-way fan-out whose sends each hold a ~200µs port (the simulated slow
-// transport), interpreted with parallelism 1 vs 8. Instances/s at
-// parallelism=8 is the measured speedup scripts/bench.sh records
-// (acceptance: > 1.0x the parallelism=1 row).
-func BenchmarkHubPlanned(b *testing.B) {
-	// The chain is declared in reverse execution order (s39 first, entry
-	// s0 last): each completion signals a step declared *earlier*, so every
-	// step runs in a pass of its own. A rescan of every step per pass would
-	// cost O(steps²) per instance; the worklist carries the signaled index
-	// to the next pass.
-	chainDef := func() *wf.TypeDef {
-		const depth = 40
-		t := &wf.TypeDef{Name: "chain", Version: 1}
-		for i := depth - 1; i >= 0; i-- {
-			t.Steps = append(t.Steps, wf.StepDef{
-				Name: fmt.Sprintf("s%d", i), Kind: wf.StepTask, Handler: "nop"})
-		}
-		for i := 1; i < depth; i++ {
-			a := wf.Arc{From: fmt.Sprintf("s%d", i-1), To: fmt.Sprintf("s%d", i)}
-			if i%4 == 0 {
-				a.Condition = "n >= 0"
-			}
-			t.Arcs = append(t.Arcs, a)
-		}
-		return t
-	}
-	b.Run("interp/mode=plan", func(b *testing.B) {
-		h := wf.NewHandlers()
-		h.Register("nop", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error { return nil })
-		e := wf.NewEngine("interp", wfstore.NewMemStore(), h, nil)
-		if err := e.Deploy(chainDef()); err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			in, err := e.Start(ctx, "chain", map[string]any{"n": 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if in.State != wf.InstCompleted {
-				b.Fatalf("instance %s: %s", in.ID, in.State)
-			}
-		}
-		elapsed := time.Since(start)
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "instances/s")
-	})
-
-	const fan = 8
-	wideDef := func() *wf.TypeDef {
-		t := &wf.TypeDef{Name: "wide", Version: 1,
-			Steps: []wf.StepDef{{Name: "seed", Kind: wf.StepTask, Handler: "nop"}}}
-		for i := 0; i < fan; i++ {
-			send := fmt.Sprintf("send%d", i)
-			t.Steps = append(t.Steps, wf.StepDef{Name: send, Kind: wf.StepSend, Port: fmt.Sprintf("p%d", i)})
-			t.Arcs = append(t.Arcs,
-				wf.Arc{From: "seed", To: send},
-				wf.Arc{From: send, To: "done"})
-		}
-		t.Steps = append(t.Steps, wf.StepDef{Name: "done", Kind: wf.StepTask, Handler: "nop", Join: wf.JoinAll})
-		return t
-	}
-	for _, par := range []int{1, fan} {
-		b.Run(fmt.Sprintf("wide/parallelism=%d", par), func(b *testing.B) {
-			h := wf.NewHandlers()
-			h.Register("nop", func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error { return nil })
-			slowPort := func(ctx context.Context, in *wf.Instance, s *wf.StepDef, payload any) error {
-				time.Sleep(200 * time.Microsecond)
-				return nil
-			}
-			e := wf.NewEngine("wide", wfstore.NewMemStore(), h, slowPort,
-				wf.WithStepParallelism(par))
-			if err := e.Deploy(wideDef()); err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				in, err := e.Start(ctx, "wide", map[string]any{"document": "payload"})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if in.State != wf.InstCompleted {
-					b.Fatalf("instance %s: %s", in.ID, in.State)
-				}
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "instances/s")
-		})
-	}
-}
-
-// BenchmarkHubBreaker: healthy-partner throughput while one partner's
-// backend is hard down, with the circuit breaker off vs on. The feeder
-// interleaves one doomed TP2 order per two healthy (TP1/TP3) orders; with
-// the breaker off every doomed order burns its full retry budget on shard
-// workers and backpressures the feeder, starving the healthy lanes. With
-// the breaker on the outage is recognized within MinSamples failures and
-// subsequent TP2 orders fast-fail to the DLQ at admission, so healthy
-// throughput is restored. The healthy-exchanges/s metric is what
-// scripts/bench.sh records as the breaker section of BENCH_hub.json
-// (acceptance: on >= 2x off).
-func BenchmarkHubBreaker(b *testing.B) {
-	benchBuyer3 := doc.Party{ID: "TP3", Name: "Trading Partner 3", DUNS: "333333333"}
-	for _, mode := range []string{"off", "on"} {
-		b.Run("breaker="+mode, func(b *testing.B) {
-			m, err := core.PaperFigure14Model()
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := []core.HubOption{core.WithShards(8), core.WithWorkersPerShard(2)}
-			if mode == "on" {
-				opts = append(opts, core.WithHealth(health.Config{
-					Window:        time.Second,
-					Threshold:     0.5,
-					MinSamples:    4,
-					ProbeInterval: 50 * time.Millisecond,
-				}))
-			}
-			h, err := core.NewHub(m, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := h.AddPartner(core.Figure15Partner()); err != nil {
-				b.Fatal(err)
-			}
-			h.WrapBackends(func(sys backend.System) backend.System {
-				if sys.Name() == "Oracle" {
-					return backend.NewFaulty(sys, backend.FaultSchedule{ErrProb: 1, Seed: 11})
-				}
-				return sys
-			})
-			h.SetDefaultRetryPolicy(core.RetryPolicy{
-				MaxAttempts: 6, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond,
-			})
-			defer h.StopWorkers()
-			ctx := context.Background()
-
-			healthyGen := doc.NewGenerator(31)
-			doomedGen := doc.NewGenerator(32)
-			healthyPOs := make([]*doc.PurchaseOrder, b.N)
-			for i := range healthyPOs {
-				buyer := benchBuyer
-				if i%2 == 1 {
-					buyer = benchBuyer3
-				}
-				po := healthyGen.PO(buyer, benchSeller)
-				po.ID = fmt.Sprintf("%s-h%d", po.ID, i)
-				healthyPOs[i] = po
-			}
-			doomedPOs := make([]*doc.PurchaseOrder, (b.N+1)/2)
-			for i := range doomedPOs {
-				po := doomedGen.PO(benchBuyer2, benchSeller)
-				po.ID = fmt.Sprintf("%s-d%d", po.ID, i)
-				doomedPOs[i] = po
-			}
-
-			b.ResetTimer()
-			start := time.Now()
-			healthyFuts := make([]*core.Future, len(healthyPOs))
-			doomedFuts := make([]*core.Future, 0, len(doomedPOs))
-			for i, po := range healthyPOs {
-				fut, err := h.DoAsync(ctx, core.Request{Kind: core.DocPO, PO: po})
-				if err != nil {
-					b.Fatal(err)
-				}
-				healthyFuts[i] = fut
-				if i%2 == 1 {
-					dfut, err := h.DoAsync(ctx, core.Request{Kind: core.DocPO, PO: doomedPOs[i/2]})
-					if err != nil {
-						b.Fatal(err)
-					}
-					doomedFuts = append(doomedFuts, dfut)
-				}
-			}
-			for i, fut := range healthyFuts {
-				if res := fut.Result(ctx); res.Err != nil {
-					b.Fatalf("healthy exchange %d: %v", i, res.Err)
-				}
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			// Doomed futures resolve to errors (retry-exhausted or
-			// fast-failed); drain them outside the timed window.
-			for _, fut := range doomedFuts {
-				fut.Result(ctx)
-			}
-			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "healthy-exchanges/s")
-		})
-	}
-}
-
 // BenchmarkTCPRoundTrip: the full exchange over real loopback sockets.
 func BenchmarkTCPRoundTrip(b *testing.B) {
 	m, err := core.PaperFigure14Model()
@@ -1519,159 +830,5 @@ func BenchmarkInvoiceFlow(b *testing.B) {
 		if _, err := h.Do(ctx, core.Request{Kind: core.DocInvoice, PartnerID: "TP1", POID: po.ID}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkHubJournal: exchange throughput with the write-ahead journal at
-// each fsync policy, against the unjournaled baseline ("off"). The "seam"
-// row is the batched configuration with the journal's I/O routed through a
-// pass-through FaultFS (no fault armed) — it prices the fs indirection the
-// fault-injection seam adds to every write, sync and rename. The
-// exchanges/s metric is what scripts/bench.sh records as the journal
-// section of BENCH_hub.json (acceptance: batched >= 0.4x off, and
-// seam >= 0.95x batched — the seam must stay free when healthy).
-func BenchmarkHubJournal(b *testing.B) {
-	for _, mode := range []string{"off", "never", "batched", "always", "seam"} {
-		b.Run("fsync="+mode, func(b *testing.B) {
-			m, err := core.PaperFigure14Model()
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := []core.HubOption{core.WithShards(4), core.WithWorkersPerShard(4)}
-			switch mode {
-			case "off":
-			case "seam":
-				opts = append(opts,
-					core.WithJournal(filepath.Join(b.TempDir(), "hub.wal")),
-					core.WithFsyncPolicy(journal.FsyncBatched),
-					core.WithJournalFS(journal.NewFaultFS(nil, 1)))
-			default:
-				opts = append(opts,
-					core.WithJournal(filepath.Join(b.TempDir(), "hub.wal")),
-					core.WithFsyncPolicy(journal.FsyncPolicy(mode)))
-			}
-			h, err := core.NewHub(m, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := h.AddPartner(core.Figure15Partner()); err != nil {
-				b.Fatal(err)
-			}
-			defer h.StopWorkers()
-			defer h.CloseJournal()
-			ctx := context.Background()
-
-			var buyers []doc.Party
-			for _, p := range h.Model.Partners {
-				buyers = append(buyers, doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS})
-			}
-			gens := make([]*doc.Generator, len(buyers))
-			for i := range gens {
-				gens[i] = doc.NewGenerator(int64(4000 + i))
-			}
-			pos := make([]*doc.PurchaseOrder, b.N)
-			for i := range pos {
-				w := i % len(buyers)
-				pos[i] = gens[w].PO(buyers[w], benchSeller)
-				pos[i].ID = fmt.Sprintf("%s-j%d-%d", pos[i].ID, w, i)
-			}
-
-			b.ResetTimer()
-			start := time.Now()
-			futs := make([]*core.Future, b.N)
-			for i, po := range pos {
-				fut, err := h.DoAsync(ctx, core.Request{Kind: core.DocPO, PO: po})
-				if err != nil {
-					b.Fatal(err)
-				}
-				futs[i] = fut
-			}
-			for i, fut := range futs {
-				if res := fut.Result(ctx); res.Err != nil {
-					b.Fatalf("exchange %d: %v", i, res.Err)
-				}
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "exchanges/s")
-			if j := h.Journal(); j != nil {
-				st := j.Stats()
-				b.ReportMetric(float64(st.Syncs)/float64(b.N), "fsyncs/op")
-			}
-		})
-	}
-}
-
-// BenchmarkHubCanary: exchange throughput with an active canary on one
-// partner's binding, against the no-canary baseline. The canary adds a hash
-// route decision per admission for the canaried partner and an outcome
-// record per completion; neither touches the hot path of the other
-// partners. scripts/bench.sh records both rows in the canary section of
-// BENCH_hub.json (acceptance: canary=on >= 0.9x canary=off).
-func BenchmarkHubCanary(b *testing.B) {
-	for _, mode := range []string{"off", "on"} {
-		b.Run("canary="+mode, func(b *testing.B) {
-			m, err := core.PaperFigure14Model()
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := core.NewHub(m,
-				core.WithShards(4), core.WithWorkersPerShard(4),
-				// A sample floor no run reaches: the canary stays active for
-				// the whole benchmark instead of settling after a few ops.
-				core.WithCanaryPolicy(cfgstore.CanaryPolicy{MinSamples: 1 << 30, Margin: 0.1}))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := h.AddPartner(core.Figure15Partner()); err != nil {
-				b.Fatal(err)
-			}
-			defer h.StopWorkers()
-			if mode == "on" {
-				// A healthy rebuilt candidate: identical behavior, new version.
-				cand, err := core.BuildBinding(formats.EDI)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := h.Canary("TP1", cand, 0.25); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ctx := context.Background()
-
-			var buyers []doc.Party
-			for _, p := range h.Model.Partners {
-				buyers = append(buyers, doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS})
-			}
-			gens := make([]*doc.Generator, len(buyers))
-			for i := range gens {
-				gens[i] = doc.NewGenerator(int64(5000 + i))
-			}
-			pos := make([]*doc.PurchaseOrder, b.N)
-			for i := range pos {
-				w := i % len(buyers)
-				pos[i] = gens[w].PO(buyers[w], benchSeller)
-				pos[i].ID = fmt.Sprintf("%s-c%d-%d", pos[i].ID, w, i)
-			}
-
-			b.ResetTimer()
-			start := time.Now()
-			futs := make([]*core.Future, b.N)
-			for i, po := range pos {
-				fut, err := h.DoAsync(ctx, core.Request{Kind: core.DocPO, PO: po})
-				if err != nil {
-					b.Fatal(err)
-				}
-				futs[i] = fut
-			}
-			for i, fut := range futs {
-				if res := fut.Result(ctx); res.Err != nil {
-					b.Fatalf("exchange %d: %v", i, res.Err)
-				}
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "exchanges/s")
-		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,12 +16,43 @@ import (
 	"repro/internal/obs"
 )
 
+// callCounter counts the operations a back end runs for exchanges.
+type callCounter struct {
+	backend.System
+	calls atomic.Int64
+}
+
+func (c *callCounter) Submit(ctx context.Context, wire []byte) error {
+	c.calls.Add(1)
+	return c.System.Submit(ctx, wire)
+}
+
+func (c *callCounter) Extract(ctx context.Context) ([]byte, bool, error) {
+	c.calls.Add(1)
+	return c.System.Extract(ctx)
+}
+
+func (c *callCounter) ExtractByPO(ctx context.Context, poID string) ([]byte, bool, error) {
+	c.calls.Add(1)
+	return c.System.ExtractByPO(ctx, poID)
+}
+
+func (c *callCounter) ExtractInvoiceByPO(ctx context.Context, poID string) ([]byte, bool, error) {
+	c.calls.Add(1)
+	return c.System.ExtractInvoiceByPO(ctx, poID)
+}
+
+func (c *callCounter) Process(ctx context.Context) (int, error) {
+	c.calls.Add(1)
+	return c.System.Process(ctx)
+}
+
 // TestBreakerFastFailAndResubmit covers the full degradation round trip
 // deterministically on a manual clock: an open circuit fast-fails both Do
-// and DoAsync with ErrPartnerUnavailable (dead-lettered, no worker and no
-// retry attempts consumed), the first admission past ProbeInterval runs
-// as a half-open probe whose success closes the circuit, and the parked
-// dead letters then Resubmit cleanly.
+// and DoAsync with ErrPartnerUnavailable (dead-lettered, no worker, no
+// retry attempts and no back-end call consumed), the first admission past
+// ProbeInterval runs as a half-open probe whose success closes the
+// circuit, and the parked dead letters then Resubmit cleanly.
 func TestBreakerFastFailAndResubmit(t *testing.T) {
 	defer leakcheck.Check(t)()
 	clock := health.NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
@@ -31,6 +63,14 @@ func TestBreakerFastFailAndResubmit(t *testing.T) {
 		Now:           clock.Now,
 	}))
 	defer h.StopWorkers()
+	var sap *callCounter // TP1's back end
+	h.WrapBackends(func(sys backend.System) backend.System {
+		if sys.Name() != "SAP" {
+			return sys
+		}
+		sap = &callCounter{System: sys}
+		return sap
+	})
 	ctx := context.Background()
 	g := doc.NewGenerator(7)
 
@@ -84,12 +124,18 @@ func TestBreakerFastFailAndResubmit(t *testing.T) {
 	if _, _, err := roundTrip(h, ctx, g.PO(tp2, seller)); err != nil {
 		t.Fatalf("healthy partner failed during TP1 outage: %v", err)
 	}
+	if n := sap.calls.Load(); n != 0 {
+		t.Fatalf("SAP ran %d operations while TP1's circuit was open, want 0", n)
+	}
 
 	// Heal: past ProbeInterval the next admission is the probe; the
 	// backend is healthy, so its success closes the circuit.
 	clock.Advance(time.Minute)
 	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
 		t.Fatalf("probe exchange failed: %v", err)
+	}
+	if sap.calls.Load() == 0 {
+		t.Fatal("the probe exchange made no SAP call")
 	}
 	if got := h.Health().StateOf("TP1"); got != health.StateClosed {
 		t.Fatalf("state after successful probe = %v, want closed", got)

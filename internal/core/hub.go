@@ -272,9 +272,8 @@ func NewCodecRegistry() *formats.Registry {
 
 // NewHub deploys the model onto a fresh engine with simulated back ends.
 // Options configure the sharded scheduler (WithShards, WithWorkersPerShard,
-// WithQueueDepth), the default retry policy (WithRetryPolicy) and the event
-// bus (WithBus); a hub built without options behaves like the former
-// single-pool hub.
+// WithQueueDepth) and the event bus (WithBus); a hub built without options
+// behaves like the former single-pool hub.
 func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 	cfg := hubConfig{
 		shards:          DefaultShards,
@@ -311,9 +310,6 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 	h.cfg = cfgstore.New()
 	if h.bus == nil {
 		h.bus = obs.NewBus()
-	}
-	if cfg.defaultRetry != nil {
-		h.defaultRetry = *cfg.defaultRetry
 	}
 	if cfg.health != nil {
 		h.health = health.NewTracker(*cfg.health, func(partner string, from, to health.State) {

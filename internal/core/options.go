@@ -29,7 +29,6 @@ type hubConfig struct {
 	shards          int
 	workersPerShard int
 	queueDepth      int
-	defaultRetry    *RetryPolicy
 	bus             *obs.Bus
 	health          *health.Config
 	journalPath     string
@@ -75,13 +74,6 @@ func WithQueueDepth(n int) HubOption {
 			c.queueDepth = n
 		}
 	}
-}
-
-// WithRetryPolicy sets the hub's default retry policy (the policy scopes
-// without their own resolve to), equivalent to SetDefaultRetryPolicy at
-// construction time.
-func WithRetryPolicy(p RetryPolicy) HubOption {
-	return func(c *hubConfig) { c.defaultRetry = &p }
 }
 
 // WithBus makes the hub emit on an externally owned event bus instead of

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/doc"
+	"repro/internal/leakcheck"
 	"repro/internal/msg"
 )
 
@@ -212,5 +216,118 @@ func TestAuthenticatedDeployment(t *testing.T) {
 	}
 	if st := d.server.Stats(); st.Rejected == 0 {
 		t.Fatal("forgery not rejected at the messaging layer")
+	}
+}
+
+// submitGate holds every Submit of the back end it wraps until n calls are
+// inside it at once, or until ctx ends.
+type submitGate struct {
+	backend.System
+	ctx  context.Context
+	n    int
+	open chan struct{}
+
+	mu           sync.Mutex
+	inside, peak int
+}
+
+func (g *submitGate) Submit(ctx context.Context, wire []byte) error {
+	g.mu.Lock()
+	g.inside++
+	if g.inside > g.peak {
+		g.peak = g.inside
+		if g.peak == g.n {
+			close(g.open)
+		}
+	}
+	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		g.inside--
+		g.mu.Unlock()
+	}()
+	select {
+	case <-g.open:
+		return g.System.Submit(ctx, wire)
+	case <-g.ctx.Done():
+		return g.ctx.Err()
+	}
+}
+
+// maxInside reports the most Submit calls that were inside at once.
+func (g *submitGate) maxInside() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.peak
+}
+
+// TestServeConcurrentOverlapsWorkers: n workers on one shard behind
+// ServeConcurrent keep n partner exchanges in flight at once. SAP, TP1's
+// back end, holds every Submit until n are inside it, so n concurrent TP1
+// round trips complete only when the hub overlaps them; a hub that runs
+// fewer at once waits out the deadline.
+func TestServeConcurrentOverlapsWorkers(t *testing.T) {
+	for _, n := range []int{1, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			h := newFig14Hub(t, WithWorkersPerShard(n))
+			gate := &submitGate{ctx: ctx, n: n, open: make(chan struct{})}
+			h.WrapBackends(func(sys backend.System) backend.System {
+				if sys.Name() != "SAP" {
+					return sys
+				}
+				gate.System = sys
+				return gate
+			})
+			network := msg.NewInProcNetwork(msg.Faults{})
+			defer network.Close()
+			hubEP, err := network.Endpoint("hub")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(h, hubEP)
+			defer srv.Close()
+			serving := make(chan struct{})
+			go func() {
+				defer close(serving)
+				srv.ServeConcurrent(ctx, nil)
+			}()
+			defer func() {
+				cancel()
+				<-serving
+				h.StopWorkers()
+			}()
+
+			partner, _ := h.Model.PartnerByID(tp1.ID)
+			g := doc.NewGenerator(61)
+			var wg sync.WaitGroup
+			for c := 0; c < n; c++ {
+				ep, err := network.Endpoint(fmt.Sprintf("TP1-%d", c))
+				if err != nil {
+					t.Fatal(err)
+				}
+				client := NewClient(partner, ep, msg.ReliableConfig{}, "hub")
+				defer client.Close()
+				po := g.PO(tp1, seller)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					poa, err := client.RoundTrip(ctx, po)
+					if err != nil {
+						t.Errorf("client %d: %v", c, err)
+						return
+					}
+					if poa.POID != po.ID {
+						t.Errorf("client %d: POA for %s, want %s", c, poa.POID, po.ID)
+					}
+				}()
+			}
+			wg.Wait()
+			if got := gate.maxInside(); got != n {
+				t.Fatalf("%d of %d SAP submits were in flight at once", got, n)
+			}
+		})
 	}
 }

@@ -10,7 +10,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wf"
 	"repro/internal/wfstore"
@@ -495,6 +497,63 @@ func TestParallelWideWorkflow(t *testing.T) {
 		if in.Steps[task].State != wf.StepCompleted || in.Steps[task].Attempts != 1 {
 			t.Fatalf("step %s: %+v", task, in.Steps[task])
 		}
+	}
+}
+
+// TestParallelWideSendsOverlap checks that WithStepParallelism overlaps the
+// port calls of a batch: a seed step fans out to eight sends, and the port
+// function holds each call until all eight are inside it. At parallelism 1
+// the first send waits out the deadline and the instance fails.
+func TestParallelWideSendsOverlap(t *testing.T) {
+	const fan = 8
+	def := &wf.TypeDef{Name: "wide", Steps: []wf.StepDef{{Name: "seed", Kind: wf.StepNoop}}}
+	for i := 0; i < fan; i++ {
+		send := fmt.Sprintf("send%d", i)
+		def.Steps = append(def.Steps, wf.StepDef{Name: send, Kind: wf.StepSend, Port: fmt.Sprintf("p%d", i)})
+		def.Arcs = append(def.Arcs, wf.Arc{From: "seed", To: send}, wf.Arc{From: send, To: "done"})
+	}
+	def.Steps = append(def.Steps, wf.StepDef{Name: "done", Kind: wf.StepNoop, Join: wf.JoinAll})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var mu sync.Mutex
+	inside, peak := 0, 0
+	all := make(chan struct{})
+	portFn := func(_ context.Context, in *wf.Instance, s *wf.StepDef, payload any) error {
+		mu.Lock()
+		inside++
+		if inside > peak {
+			peak = inside
+			if peak == fan {
+				close(all)
+			}
+		}
+		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			inside--
+			mu.Unlock()
+		}()
+		select {
+		case <-all:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	e := wf.NewEngine("wide", wfstore.NewMemStore(), nil, portFn, wf.WithStepParallelism(fan))
+	if err := e.Deploy(def); err != nil {
+		t.Fatal(err)
+	}
+	in, err := e.Start(ctx, "wide", map[string]any{"document": "payload"})
+	mu.Lock()
+	got := peak
+	mu.Unlock()
+	if err != nil {
+		t.Fatalf("%d of %d sends were in flight at once: %v", got, fan, err)
+	}
+	if in.State != wf.InstCompleted || got != fan {
+		t.Fatalf("state %s with %d of %d sends in flight at once", in.State, got, fan)
 	}
 }
 

@@ -635,6 +635,9 @@ func TestChaosCrashRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The crash below abandons hub1 with its journal un-closed; its
+			// idle scheduler is stopped only when the test ends.
+			defer hub1.StopWorkers()
 			// The backends outlive the hub: captured here, re-wired into the
 			// second incarnation below.
 			shared := map[string]*backend.Faulty{}
@@ -769,6 +772,9 @@ func TestChaosDiskFaults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// The crash below abandons hub1 with its journal un-closed;
+				// its idle scheduler is stopped only when the test ends.
+				defer hub1.StopWorkers()
 				// The ERP outlives the hub: captured here, re-wired into the
 				// recovering incarnation below.
 				shared := map[string]*backend.Faulty{}

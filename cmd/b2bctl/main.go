@@ -10,7 +10,7 @@
 //	b2bctl [-addr 127.0.0.1:7340] [-timeout 30s] <command> [args]
 //
 //	b2bctl status [-json]
-//	b2bctl submit [-partner TP1] [-n 1] [-seed 1] [-async] [-high]
+//	b2bctl submit [-partner TP1] [-n 1] [-seed 1] [-high]
 //	b2bctl trace EXCHANGE-ID
 //	b2bctl dlq
 //	b2bctl resubmit (-all | EXCHANGE-ID)
@@ -261,8 +261,7 @@ func cmdSubmit(ctx context.Context, c *server.Client, args []string, out, errw i
 	partner := fs.String("partner", "TP1", "trading partner ID the orders are submitted for")
 	n := fs.Int("n", 1, "number of purchase orders to submit")
 	seed := fs.Int64("seed", 1, "deterministic order-generator seed")
-	async := fs.Bool("async", false, "route through the sharded scheduler instead of the serving goroutine")
-	high := fs.Bool("high", false, "use the high-priority scheduler lane (with -async)")
+	high := fs.Bool("high", false, "use the high-priority scheduler lane")
 	if err := fs.Parse(args); err != nil {
 		return errUsage
 	}
@@ -275,7 +274,6 @@ func cmdSubmit(ctx context.Context, c *server.Client, args []string, out, errw i
 		if err != nil {
 			return err
 		}
-		req.Async = *async
 		req.High = *high
 		resp, err := c.Submit(ctx, req)
 		if err != nil {

@@ -80,12 +80,12 @@ func TestGoldenSubmitTraceDLQDrain(t *testing.T) {
 		t.Errorf("submit output:\n%q\nwant:\n%q", out, wantSubmit)
 	}
 
-	code, out, _ = ctl(t, addr, "submit", "-partner", "TP2", "-seed", "3", "-async", "-high")
+	code, out, _ = ctl(t, addr, "submit", "-partner", "TP2", "-seed", "3", "-high")
 	if code != 0 {
-		t.Fatalf("async submit exit %d", code)
+		t.Fatalf("high-lane submit exit %d", code)
 	}
 	if !strings.Contains(out, "ex-000003") || !strings.Contains(out, "TP2") {
-		t.Errorf("async submit output %q", out)
+		t.Errorf("high-lane submit output %q", out)
 	}
 
 	code, out, errOut = ctl(t, addr, "trace", "ex-000001")

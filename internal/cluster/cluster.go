@@ -23,7 +23,7 @@
 // duplicate tolerance.
 //
 // The package layers on the daemon without the server package knowing: the
-// node registers WithHandler overrides for OpSubmit (routing) and handlers
+// node registers Daemon.Handle overrides for OpSubmit (routing) and handlers
 // for OpForward/OpHeartbeat, delegating the local path to Daemon.Builtin.
 package cluster
 

@@ -54,6 +54,7 @@ func TestFailStopRejectsUnloggableAdmissions(t *testing.T) {
 	ctx := context.Background()
 	h, ffs := faultyJournaledHub(t, 21)
 	defer h.CloseJournal()
+	defer h.StopWorkers()
 	g := doc.NewGenerator(21)
 	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
 		t.Fatal(err)
@@ -91,6 +92,7 @@ func TestDegradedModeServesNonDurablyAndRearms(t *testing.T) {
 	h, ffs := faultyJournaledHub(t, 22,
 		WithJournalFailurePolicy(FailDegraded),
 		WithJournalProbeInterval(2*time.Millisecond))
+	defer h.StopWorkers()
 	path := h.Journal().Path()
 	g := doc.NewGenerator(22)
 	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
@@ -149,6 +151,7 @@ func TestCloseJournalWhileDegradedStopsProber(t *testing.T) {
 	h, ffs := faultyJournaledHub(t, 23,
 		WithJournalFailurePolicy(FailDegraded),
 		WithJournalProbeInterval(time.Millisecond))
+	defer h.StopWorkers()
 	g := doc.NewGenerator(23)
 	ffs.Arm(journal.FaultWriteErr)
 	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
@@ -230,6 +233,7 @@ func TestDLQSpillPinnedWhileJournalDegraded(t *testing.T) {
 		WithJournalProbeInterval(2*time.Millisecond),
 		WithDLQCap(2))
 	defer h.CloseJournal()
+	defer h.StopWorkers()
 	g := doc.NewGenerator(25)
 
 	park := func(id string) {
@@ -289,6 +293,7 @@ func TestRecoverPastMidFileRot(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	h1 := journaledHub(t, path)
+	defer h1.StopWorkers()
 	g := doc.NewGenerator(26)
 	var ids []string
 	for i := 0; i < 3; i++ {

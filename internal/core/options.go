@@ -11,7 +11,8 @@ import (
 )
 
 // Scheduler defaults. A hub constructed without options runs one shard of
-// DefaultWorkers workers, started on first DoAsync or by StartScheduler.
+// DefaultWorkers workers, started on the first submission or by
+// StartScheduler.
 const (
 	// DefaultShards is the shard count when WithShards is not given.
 	DefaultShards = 1

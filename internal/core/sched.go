@@ -38,10 +38,6 @@ type schedJob struct {
 	// the admission layer's escape hatch for degraded partners under
 	// queue pressure.
 	onShed func() Result
-	// onDrop, when set, is called when the scheduler resolves the job
-	// with ErrHubStopped instead of running it, so admission-time state
-	// (a half-open probe slot) is released even though run never fired.
-	onDrop func()
 	fut    *Future
 }
 
@@ -63,7 +59,12 @@ type scheduler struct {
 	shards          []*shard
 	workersPerShard int
 
-	quit chan struct{}
+	// quit closes when stop begins: submissions blocked on backpressure
+	// give up with ErrHubStopped. sealed closes once every submission
+	// admitted before the stop has returned: no job can be enqueued any
+	// more, so the workers run what is queued and exit.
+	quit   chan struct{}
+	sealed chan struct{}
 
 	mu       sync.Mutex
 	closed   bool
@@ -89,6 +90,7 @@ func newScheduler(h *Hub, nShards, workersPerShard, queueDepth int) *scheduler {
 		hub:             h,
 		workersPerShard: workersPerShard,
 		quit:            make(chan struct{}),
+		sealed:          make(chan struct{}),
 		inflight:        map[string]int{},
 	}
 	for i := 0; i < nShards; i++ {
@@ -184,10 +186,10 @@ func lane(sh *shard, priority Priority) chan schedJob {
 // shed for degraded partners, bypass to the least-loaded shard while the
 // key is under its fair share, else a blocking wait on the home shard
 // (backpressure). It returns ErrHubStopped after stop and ctx.Err() on
-// cancellation while blocked. onShed (optional) resolves the job as shed
-// when the shedder drops it; onDrop (optional) runs when the scheduler
-// resolves the enqueued job with ErrHubStopped instead of running it.
-func (s *scheduler) submit(ctx context.Context, key string, priority Priority, run func(context.Context) Result, onShed func() Result, onDrop func()) (*Future, error) {
+// cancellation while blocked; a job it enqueued always runs, even when the
+// scheduler stops first. onShed (optional) resolves the job as shed when
+// the shedder drops it.
+func (s *scheduler) submit(ctx context.Context, key string, priority Priority, run func(context.Context) Result, onShed func() Result) (*Future, error) {
 	if !s.admit(key) {
 		return nil, ErrHubStopped
 	}
@@ -195,7 +197,7 @@ func (s *scheduler) submit(ctx context.Context, key string, priority Priority, r
 
 	home := s.shardFor(key)
 	fut := &Future{done: make(chan struct{})}
-	j := schedJob{ctx: ctx, key: key, shard: home.id, run: run, onShed: onShed, onDrop: onDrop, fut: fut}
+	j := schedJob{ctx: ctx, key: key, shard: home.id, run: run, onShed: onShed, fut: fut}
 
 	// Fast path: room on the home shard.
 	select {
@@ -266,8 +268,8 @@ func (s *scheduler) worker(sh *shard) {
 			s.runJob(sh, j)
 		case j := <-sh.norm:
 			s.runJob(sh, j)
-		case <-s.quit:
-			// Drain jobs admitted before the stop.
+		case <-s.sealed:
+			// Nothing can be enqueued any more: run what is queued.
 			for {
 				select {
 				case j := <-sh.high:
@@ -295,9 +297,8 @@ func (s *scheduler) runJob(sh *shard, j schedJob) {
 	s.release(j.key)
 }
 
-// stop shuts the scheduler down: no new admissions, in-flight and queued
-// jobs finish (workers drain their queues on quit), stragglers that raced
-// past the drain resolve with ErrHubStopped.
+// stop shuts the scheduler down: no new admissions, and every job already
+// enqueued or running finishes before it returns — none is dropped.
 func (s *scheduler) stop() {
 	s.mu.Lock()
 	if s.closed {
@@ -308,36 +309,12 @@ func (s *scheduler) stop() {
 	s.mu.Unlock()
 
 	close(s.quit)
-	// After senderWG drains no submission can still be placing a job (new
-	// ones are rejected via closed), so the final sweep below sees
-	// everything the workers' drain missed.
+	// New admissions are rejected via closed, and quit releases the ones
+	// blocked on backpressure, so once senderWG drains no job can be
+	// enqueued: the workers' final drain sees every one.
 	s.senderWG.Wait()
+	close(s.sealed)
 	s.workerWG.Wait()
-	for _, sh := range s.shards {
-		for {
-			select {
-			case j := <-sh.high:
-				s.drop(j)
-			case j := <-sh.norm:
-				s.drop(j)
-			default:
-			}
-			if len(sh.high) == 0 && len(sh.norm) == 0 {
-				break
-			}
-		}
-	}
-}
-
-// drop resolves a job the stopped scheduler will never run. onDrop lets
-// the admission layer release state it committed when the job was
-// enqueued (a half-open probe slot), since run will never report back.
-func (s *scheduler) drop(j schedJob) {
-	if j.onDrop != nil {
-		j.onDrop()
-	}
-	j.fut.res = Result{Err: ErrHubStopped}
-	close(j.fut.done)
 }
 
 // ShardCount reports the number of scheduler shards currently running (0

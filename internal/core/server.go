@@ -39,23 +39,6 @@ func (s *Server) Close() error { return s.rel.Close() }
 // Stats exposes the server's reliable-messaging counters.
 func (s *Server) Stats() msg.ReliableStats { return s.rel.Stats() }
 
-// ServeOne receives one inbound purchase order, processes it, and sends
-// the acknowledgment back to the sender. It returns the completed exchange.
-func (s *Server) ServeOne(ctx context.Context) (*Exchange, error) {
-	m, err := s.rel.Recv(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if m.DocType != string(doc.TypePO) {
-		return nil, fmt.Errorf("core: server expected a purchase order, got %q", m.DocType)
-	}
-	res, err := s.Hub.Do(ctx, Request{Kind: DocWirePO, Protocol: formats.Format(m.Protocol), Wire: m.Body, PartnerID: m.From})
-	if err != nil {
-		return res.Exchange, err
-	}
-	return res.Exchange, s.respond(ctx, m, res.Exchange, res.Wire)
-}
-
 // respond sends an exchange's outcome back to the requester: first any
 // protocol-level signals (e.g. 997 functional acknowledgments), in the
 // order the exchange emitted them, then the POA reply itself.
@@ -116,37 +99,16 @@ func nativeDocType(v any) (doc.DocType, bool) {
 }
 
 // Serve processes inbound purchase orders until the context is done or the
-// endpoint closes. Per-exchange errors are sent to errs if non-nil and do
-// not stop the loop.
+// endpoint closes. Each inbound order is submitted to the hub's sharded
+// scheduler (the sender's partner ID is the shard key), which runs the
+// topology the hub was built with (WithShards, WithWorkersPerShard,
+// WithQueueDepth), and a reply goroutine per exchange sends the response
+// as soon as its future resolves — replies are not serialized behind slower
+// exchanges. Serve returns after in-flight replies finish. It never starts
+// a stopped scheduler: after a Drain every order is refused with
+// ErrHubStopped. Per-exchange errors are sent to errs if non-nil and do not
+// stop the loop.
 func (s *Server) Serve(ctx context.Context, errs chan<- error) {
-	for {
-		_, err := s.ServeOne(ctx)
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, msg.ErrClosed) {
-			return
-		}
-		if errs != nil {
-			select {
-			case errs <- err:
-			default:
-			}
-		}
-	}
-}
-
-// ServeConcurrent processes inbound purchase orders concurrently: the
-// receive loop submits each inbound order to the hub's sharded scheduler
-// (the sender's partner ID is the shard key), which runs the topology the
-// hub was built with (WithShards, WithWorkersPerShard, WithQueueDepth), and
-// a reply goroutine per exchange sends the response as soon as its future
-// resolves — replies are not serialized behind slower exchanges. It
-// returns when the context is done or the endpoint closes, after in-flight
-// replies finish. Per-exchange errors are sent to errs if non-nil and do
-// not stop the loop.
-func (s *Server) ServeConcurrent(ctx context.Context, errs chan<- error) {
-	s.Hub.StartScheduler()
 	report := func(err error) {
 		if errs != nil {
 			select {

@@ -22,7 +22,9 @@ type SchedStatus struct {
 	// Shards is the number of scheduler shards (0 until the scheduler has
 	// been started).
 	Shards int `json:"shards"`
-	// Running reports whether the scheduler currently accepts async work.
+	// Running reports whether the scheduler is started and admitting work
+	// (it starts on the first submission or StartScheduler, and stops at
+	// StopWorkers or Drain).
 	Running bool `json:"running"`
 	// Shed counts submissions dropped by the adaptive load shedder.
 	Shed int64 `json:"shed"`

@@ -37,8 +37,8 @@ func (sr *SubmitRequest) PartnerKey() string {
 	return ""
 }
 
-// CoreRequest converts the wire request into the hub's Request. Async and
-// TimeoutMS are transport concerns and stay with the caller.
+// CoreRequest converts the wire request into the hub's Request. TimeoutMS
+// is a transport concern and stays with the caller; Async selects nothing.
 func (sr *SubmitRequest) CoreRequest() (core.Request, error) {
 	req := core.Request{
 		Kind:      core.DocKind(sr.Kind),

@@ -22,7 +22,6 @@ type Daemon struct {
 	ln  net.Listener
 
 	name         string
-	maxFrame     int
 	drainTimeout time.Duration
 	writeTimeout time.Duration
 	writeQueue   int
@@ -42,9 +41,6 @@ type Option func(*Daemon)
 
 // WithName sets the daemon name reported by OpHello.
 func WithName(name string) Option { return func(d *Daemon) { d.name = name } }
-
-// WithMaxFrame caps inbound frame payloads (default MaxFrame).
-func WithMaxFrame(n int) Option { return func(d *Daemon) { d.maxFrame = n } }
 
 // WithDrainTimeout sets the default OpDrain deadline used when the request
 // carries none (default 30s).
@@ -80,20 +76,14 @@ func WithWriteQueue(n int) Option {
 // typed WireError, exactly like built-in ops).
 type HandlerFunc func(ctx context.Context, body json.RawMessage) (any, error)
 
-// WithHandler registers fn for op, consulted before the built-in ops — an
+// Handle registers fn for op, consulted before the built-in ops — an
 // extension point for layers above the daemon (the cluster node overrides
 // OpSubmit to route by partner ownership and adds OpForward/OpHeartbeat)
 // without the server package depending on them. An override can delegate
-// to the built-in behavior with Builtin.
-func WithHandler(op string, fn HandlerFunc) Option {
-	return func(d *Daemon) { d.handlers[op] = fn }
-}
-
-// Handle registers fn for op after construction, with WithHandler
-// semantics. It must be called before Serve — the map is read without a
-// lock once connections are being accepted. It exists for layers whose
-// configuration needs the daemon's bound address (a cluster node's member
-// list can only be final once every daemon has a port).
+// to the built-in behavior with Builtin. Handle must be called before
+// Serve — the map is read without a lock once connections are being
+// accepted — and after NewDaemon, because a cluster node's member list can
+// only be final once every daemon has its bound address.
 func (d *Daemon) Handle(op string, fn HandlerFunc) { d.handlers[op] = fn }
 
 // NewDaemon listens on addr ("127.0.0.1:0" for an ephemeral port) and
@@ -108,7 +98,6 @@ func NewDaemon(h *core.Hub, addr string, opts ...Option) (*Daemon, error) {
 		hub:          h,
 		ln:           ln,
 		name:         "b2bhub",
-		maxFrame:     MaxFrame,
 		drainTimeout: 30 * time.Second,
 		writeTimeout: 10 * time.Second,
 		writeQueue:   256,
@@ -160,9 +149,14 @@ func (d *Daemon) Serve() error {
 	}
 }
 
-// Close stops accepting, closes every connection and waits for in-flight
-// handlers. It does not touch the hub — drain the hub first for a graceful
-// shutdown (DrainAndClose).
+// Close stops accepting and shuts each connection down in order: a read
+// deadline stops its reader, its in-flight handlers finish, its writer
+// flushes their responses, and only then is the socket closed. Close
+// cancels the daemon context first, so handlers still waiting on the hub
+// abort their exchanges between steps and answer with the cancellation.
+// It does not touch the hub otherwise — drain the hub first for a graceful
+// shutdown (DrainAndClose), and every drained exchange's response reaches
+// its client.
 func (d *Daemon) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -179,7 +173,9 @@ func (d *Daemon) Close() error {
 	d.cancel()
 	err := d.ln.Close()
 	for _, c := range conns {
-		c.Close()
+		// An error means the connection was already evicted and closed:
+		// its reader has stopped on its own.
+		_ = c.SetReadDeadline(time.Now())
 	}
 	d.wg.Wait()
 	return err
@@ -296,7 +292,7 @@ func (d *Daemon) handleConn(c net.Conn) {
 		d.wg.Done()
 	}()
 	for {
-		f, err := ReadFrame(c, d.maxFrame)
+		f, err := ReadFrame(c, MaxFrame)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				cs.respond(&Frame{V: ProtocolVersion, Err: protoError(CodeBadFrame, err.Error())})
@@ -349,9 +345,9 @@ func (d *Daemon) serve(op string, body json.RawMessage) (any, error) {
 }
 
 // Builtin serves one op with the daemon's built-in handler, bypassing any
-// WithHandler override. Overrides delegate to it for the local path (the
-// cluster node's submit override calls Builtin(OpSubmit, …) when this node
-// owns the partner).
+// override registered with Handle. Overrides delegate to it for the local
+// path (the cluster node's submit override calls Builtin(OpSubmit, …) when
+// this node owns the partner).
 func (d *Daemon) Builtin(op string, body json.RawMessage) (any, error) {
 	switch op {
 	case OpHello:
@@ -403,22 +399,9 @@ func (d *Daemon) submit(body json.RawMessage) (any, error) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(sr.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	var res core.Result
-	if sr.Async {
-		fut, err := d.hub.DoAsync(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		res = fut.Result(ctx)
-	} else {
-		r, err := d.hub.Do(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		res = *r
-	}
-	if res.Err != nil {
-		return nil, res.Err
+	res, err := d.hub.Do(ctx, req)
+	if err != nil {
+		return nil, err
 	}
 	out := &SubmitResponse{Wire: res.Wire}
 	if res.Exchange != nil {

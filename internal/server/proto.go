@@ -30,8 +30,8 @@ const (
 	// name, and capability hints. Clients send it first, but it is not
 	// mandatory — every op validates the frame version independently.
 	OpHello = "hello"
-	// OpSubmit runs one exchange (sync on a daemon goroutine, or async
-	// through the sharded scheduler) and returns its outcome.
+	// OpSubmit runs one exchange on the hub's sharded scheduler and
+	// returns its outcome.
 	OpSubmit = "submit"
 	// OpStatus returns the hub's unified core.StatusSnapshot.
 	OpStatus = "status"
@@ -97,14 +97,14 @@ type SubmitRequest struct {
 	Protocol string `json:"protocol,omitempty"`
 	Wire     []byte `json:"wire,omitempty"`
 	// PartnerID and POID select the billed order (kind "invoice");
-	// PartnerID also hints the shard key for async "wire-po".
+	// PartnerID also hints the shard key for "wire-po".
 	PartnerID string `json:"partner,omitempty"`
 	POID      string `json:"poid,omitempty"`
 
-	// Async routes the exchange through the sharded scheduler (priority
-	// lanes, backpressure) instead of running it on the serving goroutine.
+	// Async is accepted for compatibility and selects nothing: every
+	// submit runs on the sharded scheduler.
 	Async bool `json:"async,omitempty"`
-	// High selects the high-priority scheduler lane (Async only).
+	// High selects the high-priority scheduler lane.
 	High bool `json:"high,omitempty"`
 	// Retry overrides the hub's retry policies for this exchange.
 	Retry *RetryOverride `json:"retry,omitempty"`

@@ -156,9 +156,9 @@ func TestWireErrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDaemonSubmitFlows drives all three document kinds over the wire:
-// sync PO, async high-priority PO, protocol-native wire PO, and the
-// outbound invoice for a fulfilled order.
+// TestDaemonSubmitFlows drives the document kinds over the wire: a PO, a
+// high-priority PO with a retry override and the compatibility async
+// flag, and the outbound invoice for a fulfilled order.
 func TestDaemonSubmitFlows(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	h, _, c := newDaemon(t, core.WithShards(2), core.WithWorkersPerShard(2))
@@ -192,7 +192,8 @@ func TestDaemonSubmitFlows(t *testing.T) {
 		t.Fatalf("POA for %q, want %q", poa.POID, po.ID)
 	}
 
-	// Async through the scheduler, high lane, with a retry override.
+	// High lane with a retry override. Async still decodes (older clients
+	// and hubbench set it) and selects nothing.
 	po2 := g.PO(tp1, seller)
 	req2, err := PORequest(po2)
 	if err != nil {

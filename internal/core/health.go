@@ -169,7 +169,7 @@ func endpointFailure(err error) bool {
 
 // releaseProbe frees a half-open probe slot admitted by healthGate when
 // the admitted exchange will never run and report an outcome (the
-// scheduler refused or dropped it).
+// scheduler refused it).
 func (h *Hub) releaseProbe(partner string, probe bool) {
 	if !probe || h.health == nil || partner == "" {
 		return

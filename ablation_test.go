@@ -160,7 +160,7 @@ func TestAblationChangeImpactRecompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hub.StopWorkers()
+	defer hub.Drain(context.Background())
 
 	recompiles := func(apply func() error) int64 {
 		t.Helper()
@@ -261,7 +261,7 @@ func TestAblationRuntimeChangeImpact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hub.StopWorkers()
+	defer hub.Drain(context.Background())
 
 	impact := func(apply func() error) (versions int, epochs int64, recompiles int64) {
 		t.Helper()

@@ -126,7 +126,7 @@ func TestChaosExactlyOnceAccounting(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			defer leakcheck.Check(t)()
 			hub, faulties := chaosHub(t, sc, core.WithShards(4), core.WithWorkersPerShard(workers/4))
-			defer hub.StopWorkers()
+			defer hub.Drain(context.Background())
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
@@ -261,8 +261,8 @@ func TestChaosExactlyOnceAccounting(t *testing.T) {
 			for _, f := range faulties {
 				f.SetSchedule(backend.FaultSchedule{})
 			}
-			for _, dl := range hub.DrainDeadLetters() {
-				ex, err := hub.Resubmit(ctx, dl)
+			for _, dl := range hub.DeadLetters() {
+				ex, err := hub.Resubmit(ctx, dl.ExchangeID)
 				if err != nil {
 					t.Fatalf("resubmit %s: %v", dl.ExchangeID, err)
 				}
@@ -314,7 +314,7 @@ func TestChaosPartnerOutageBreaker(t *testing.T) {
 			MinSamples:    3,
 			ProbeInterval: 10 * time.Millisecond,
 		}))
-	defer hub.StopWorkers()
+	defer hub.Drain(context.Background())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	hubParty := doc.Party{ID: "HUB", Name: "Receiver Inc", DUNS: "999999999"}
@@ -421,8 +421,8 @@ func TestChaosPartnerOutageBreaker(t *testing.T) {
 
 	// Phase 3 — replay: every dead letter resubmits cleanly and each
 	// submitted order ends up stored exactly once system-wide.
-	for _, dl := range hub.DrainDeadLetters() {
-		if _, err := hub.Resubmit(ctx, dl); err != nil {
+	for _, dl := range hub.DeadLetters() {
+		if _, err := hub.Resubmit(ctx, dl.ExchangeID); err != nil {
 			t.Fatalf("resubmit %s: %v", dl.ExchangeID, err)
 		}
 	}
@@ -463,7 +463,7 @@ func TestChaosCancellationAccounting(t *testing.T) {
 	}
 	defer leakcheck.Check(t)()
 	hub, _ := chaosHub(t, sc, core.WithShards(2), core.WithWorkersPerShard(2))
-	defer hub.StopWorkers()
+	defer hub.Drain(context.Background())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var futs []*core.Future
@@ -600,8 +600,8 @@ func TestChaosCrashRecovery(t *testing.T) {
 					t.Fatalf("backend holds %d orders before resubmission, want 0", stored)
 				}
 				ctx := context.Background()
-				for _, dl := range hub2.DrainDeadLetters() {
-					if _, err := hub2.Resubmit(ctx, dl); err != nil {
+				for _, dl := range hub2.DeadLetters() {
+					if _, err := hub2.Resubmit(ctx, dl.ExchangeID); err != nil {
 						t.Fatalf("resubmit restored dead letter: %v", err)
 					}
 				}
@@ -637,7 +637,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 			}
 			// The crash below abandons hub1 with its journal un-closed; its
 			// idle scheduler is stopped only when the test ends.
-			defer hub1.StopWorkers()
+			defer hub1.Drain(context.Background())
 			// The backends outlive the hub: captured here, re-wired into the
 			// second incarnation below.
 			shared := map[string]*backend.Faulty{}
@@ -676,7 +676,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer hub2.StopWorkers()
+			defer hub2.Drain(context.Background())
 			defer hub2.CloseJournal()
 			// The ERP survived the crash; heal any injected faults for the
 			// recovery run.
@@ -774,7 +774,7 @@ func TestChaosDiskFaults(t *testing.T) {
 				}
 				// The crash below abandons hub1 with its journal un-closed;
 				// its idle scheduler is stopped only when the test ends.
-				defer hub1.StopWorkers()
+				defer hub1.Drain(context.Background())
 				// The ERP outlives the hub: captured here, re-wired into the
 				// recovering incarnation below.
 				shared := map[string]*backend.Faulty{}
@@ -887,7 +887,7 @@ func TestChaosDiskFaults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer hub2.StopWorkers()
+				defer hub2.Drain(context.Background())
 				defer hub2.CloseJournal()
 				hub2.WrapBackends(func(sys backend.System) backend.System {
 					return shared[sys.Name()]
@@ -999,7 +999,7 @@ func TestChaosCanaryBrokenCandidate(t *testing.T) {
 			ProbeInterval: 10 * time.Millisecond,
 		}),
 		core.WithCanaryPolicy(cfgstore.CanaryPolicy{MinSamples: 6, Margin: 0.2}))
-	defer hub.StopWorkers()
+	defer hub.Drain(context.Background())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	hubParty := doc.Party{ID: "HUB", Name: "Receiver Inc", DUNS: "999999999"}
@@ -1108,7 +1108,7 @@ func TestChaosCanaryBrokenCandidate(t *testing.T) {
 	// 3. Exactly-once accounting: candidate failures dead-lettered at the
 	// binding stage, before any backend mutation; healing the faults and
 	// resubmitting lands every order exactly once system-wide.
-	dls := hub.DrainDeadLetters()
+	dls := hub.DeadLetters()
 	if len(dls) != failed {
 		t.Fatalf("dead-letter queue holds %d entries, want %d failed exchanges", len(dls), failed)
 	}
@@ -1116,7 +1116,7 @@ func TestChaosCanaryBrokenCandidate(t *testing.T) {
 		f.SetSchedule(backend.FaultSchedule{})
 	}
 	for _, dl := range dls {
-		if _, err := hub.Resubmit(ctx, dl); err != nil {
+		if _, err := hub.Resubmit(ctx, dl.ExchangeID); err != nil {
 			t.Fatalf("resubmit %s after rollback: %v", dl.ExchangeID, err)
 		}
 	}

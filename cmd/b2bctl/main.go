@@ -344,7 +344,14 @@ func cmdResubmit(ctx context.Context, c *server.Client, args []string, out, errw
 	for _, o := range resp.Outcomes {
 		if o.Err != nil {
 			failed++
-			fmt.Fprintf(out, "resubmit %s failed (re-parked): %s\n", o.ExchangeID, o.Err.Message)
+			// A rerun that created no exchange (a drained hub refused it,
+			// or it failed before its exchange existed) parked nothing
+			// new: the original entry is still queued.
+			fate := "re-parked"
+			if o.NewExchangeID == "" {
+				fate = "still queued"
+			}
+			fmt.Fprintf(out, "resubmit %s failed (%s): %s\n", o.ExchangeID, fate, o.Err.Message)
 			continue
 		}
 		fmt.Fprintf(out, "resubmitted %s as %s\n", o.ExchangeID, o.NewExchangeID)

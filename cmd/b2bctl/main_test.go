@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -41,7 +42,7 @@ func startDaemon(t *testing.T, opts ...core.HubOption) (string, *core.Hub) {
 		if err := <-serveDone; err != nil {
 			t.Errorf("Serve: %v", err)
 		}
-		h.StopWorkers()
+		h.Drain(context.Background())
 		h.CloseJournal()
 	})
 	return d.Addr(), h
@@ -156,8 +157,9 @@ func TestGoldenStatusJSON(t *testing.T) {
 }
 
 // TestGoldenResubmit pins the DLQ management rendering: a hard-down backend
-// dead-letters a submit, dlq lists it, and resubmit -all replays it after
-// the backend heals.
+// dead-letters a submit, dlq lists it, resubmit -all replays it after the
+// backend heals, and after a drain a refused resubmit leaves its entry
+// queued under its own ID.
 func TestGoldenResubmit(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	addr, h := startDaemon(t)
@@ -206,6 +208,26 @@ func TestGoldenResubmit(t *testing.T) {
 	}
 	if _, out, _ = ctl(t, addr, "dlq"); out != "dead letters: 0\n" {
 		t.Errorf("queue not empty after resubmit: %q", out)
+	}
+
+	// Broken again, one more dead letter (ex-000004), then a drain: the
+	// refused rerun creates no exchange, so nothing is re-parked.
+	for _, f := range faults {
+		f.SetSchedule(backend.FaultSchedule{ErrProb: 1.0, Seed: 9})
+	}
+	if code, _, _ := ctl(t, addr, "submit", "-partner", "TP1", "-seed", "6"); code != 1 {
+		t.Fatalf("submit against dead backend: exit %d", code)
+	}
+	if code, _, errOut := ctl(t, addr, "drain"); code != 0 {
+		t.Fatalf("drain exit %d, stderr %q", code, errOut)
+	}
+	code, out, _ = ctl(t, addr, "resubmit", "ex-000004")
+	wantRefused := "resubmit ex-000004 failed (still queued): core: hub scheduler stopped\nresubmitted 0/1\n"
+	if code != 1 || out != wantRefused {
+		t.Errorf("refused resubmit: exit %d output:\n%q\nwant exit 1 and:\n%q", code, out, wantRefused)
+	}
+	if _, out, _ = ctl(t, addr, "dlq"); !strings.HasPrefix(out, "dead letters: 1\n") || !strings.Contains(out, "ex-000004 ") {
+		t.Errorf("dlq after a refused resubmit:\n%s", out)
 	}
 }
 

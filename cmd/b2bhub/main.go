@@ -370,7 +370,9 @@ func main() {
 		printHealthMetrics(hub)
 		printPlanMetrics(hub)
 	}
-	hub.StopWorkers()
+	if _, err := hub.Drain(ctx); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // workersPerShard is the scheduler's per-shard worker count: -workers, or
@@ -389,7 +391,6 @@ func workersPerShard() int {
 // ADDR") so scripts and tests can scrape the bound address.
 func runDaemon(hub *core.Hub, ccfg *cluster.Config) {
 	hub.StartScheduler()
-	defer hub.StopWorkers()
 	var node *cluster.Node
 	if ccfg != nil {
 		var err error
@@ -425,7 +426,7 @@ func runDaemon(hub *core.Hub, ccfg *cluster.Config) {
 		if err != nil {
 			fmt.Printf("b2bhub: drain: %v\n", err)
 		}
-		fmt.Printf("drained: %d completed, %d failed, %d shed, %d dead letters flushed\n",
+		fmt.Printf("drained: %d completed, %d failed, %d shed, %d dead letters left queued\n",
 			sum.Completed, sum.Failed, sum.Shed, sum.DeadLettered)
 	}()
 	if err := d.Serve(); err != nil {
@@ -526,8 +527,6 @@ func runChaos(hub *core.Hub) {
 		BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond,
 		PerAttemptTimeout: 50 * time.Millisecond,
 	})
-	hub.StartScheduler()
-	defer hub.StopWorkers()
 	cfgDone := startConfigOps(hub)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
@@ -577,12 +576,12 @@ func runChaos(hub *core.Hub) {
 		}
 	}
 
-	// Heal the backends and resubmit the dead-letter queue. With the
-	// breaker enabled a resubmission against a still-open circuit
-	// fast-fails back onto the queue, so keep draining until the half-open
-	// probes close the circuits and the replays go through (bounded, in
-	// case an entry is genuinely poisoned).
-	if dls := hub.DrainDeadLetters(); len(dls) > 0 {
+	// Heal the backends and rerun the dead-letter queue by the IDs of a
+	// snapshot. With the breaker enabled a rerun against a still-open
+	// circuit fast-fails back onto the queue as a new entry, so keep
+	// rerunning until the half-open probes close the circuits and the
+	// replays go through (bounded, in case an entry is genuinely poisoned).
+	if dls := hub.DeadLetters(); len(dls) > 0 {
 		for _, f := range faulties {
 			f.SetSchedule(backend.FaultSchedule{})
 		}
@@ -591,11 +590,11 @@ func runChaos(hub *core.Hub) {
 		deadline := time.Now().Add(30 * time.Second)
 		for len(dls) > 0 && time.Now().Before(deadline) {
 			for _, dl := range dls {
-				if _, err := hub.Resubmit(ctx, dl); err == nil {
+				if _, err := hub.Resubmit(ctx, dl.ExchangeID); err == nil {
 					recovered++
 				}
 			}
-			if dls = hub.DrainDeadLetters(); len(dls) > 0 {
+			if dls = hub.DeadLetters(); len(dls) > 0 {
 				time.Sleep(*probeInterval)
 			}
 		}
@@ -607,6 +606,9 @@ func runChaos(hub *core.Hub) {
 		printShardMetrics(hub)
 		printHealthMetrics(hub)
 		printPlanMetrics(hub)
+	}
+	if _, err := hub.Drain(ctx); err != nil {
+		log.Fatal(err)
 	}
 }
 

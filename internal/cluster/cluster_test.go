@@ -121,7 +121,7 @@ func (tn *testNode) stop() {
 	tn.client.Close()
 	tn.node.Stop()
 	tn.d.Close()
-	tn.hub.StopWorkers()
+	tn.hub.Drain(context.Background())
 	tn.hub.CloseJournal()
 }
 
@@ -317,7 +317,7 @@ func TestForwardExhaustionParks(t *testing.T) {
 		t.Fatal(err)
 	}
 	hub.StartScheduler()
-	defer hub.StopWorkers()
+	defer hub.Drain(context.Background())
 	d, err := server.NewDaemon(hub, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +510,7 @@ func TestTakeoverSkipsUnownedPartitions(t *testing.T) {
 			t.Fatalf("seed %s: %v", tp, err)
 		}
 	}
-	dead.StopWorkers()
+	dead.Drain(context.Background())
 	dead.CloseJournal()
 
 	// A fresh successor that owns only TP1 replays the journal.
@@ -526,7 +526,7 @@ func TestTakeoverSkipsUnownedPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	succ.StartScheduler()
-	defer succ.StopWorkers()
+	defer succ.Drain(context.Background())
 	rep, err := succ.TakeOverJournal(context.Background(), JournalPath(dir, "dead"),
 		func(partner string) bool { return partner == "TP1" })
 	if err != nil {
@@ -556,7 +556,7 @@ func TestTakeoverSkipsUnownedPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	other.StartScheduler()
-	defer other.StopWorkers()
+	defer other.Drain(context.Background())
 	rep2, err := other.TakeOverJournal(context.Background(), JournalPath(dir, "dead"),
 		func(partner string) bool { return partner != "TP1" })
 	if err != nil {

@@ -15,14 +15,7 @@ import (
 // parallel goroutines: every exchange completes with the right
 // correlation, and the back ends see each order exactly once.
 func TestConcurrentExchanges(t *testing.T) {
-	m, err := PaperFigure14Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHub(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newFig14Hub(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -76,14 +69,7 @@ func TestConcurrentClientsOverNetwork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network sweep")
 	}
-	m, err := PaperFigure14Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHub(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newFig14Hub(t)
 	n := msg.NewInProcNetwork(msg.Faults{LossProb: 0.1, Seed: 5})
 	defer n.Close()
 	rcfg := msg.ReliableConfig{RetryInterval: 10 * time.Millisecond, MaxAttempts: 80}
@@ -102,7 +88,7 @@ func TestConcurrentClientsOverNetwork(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 16)
-	for _, p := range m.Partners {
+	for _, p := range h.Model.Partners {
 		p := p
 		wg.Add(1)
 		go func() {

@@ -10,22 +10,7 @@ import (
 	"repro/internal/cfgstore"
 	"repro/internal/doc"
 	"repro/internal/formats"
-	"repro/internal/journal"
 )
-
-// configTestHub builds a journaled Figure 14 hub for the recovery drills.
-func configTestHub(t *testing.T, path string) *Hub {
-	t.Helper()
-	model, err := PaperFigure14Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub, err := NewHub(model, WithJournal(path), WithFsyncPolicy(journal.FsyncNever))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hub
-}
 
 // activeSet captures every managed artifact's active version.
 func activeSet(h *Hub) map[cfgstore.Key]int {
@@ -47,7 +32,7 @@ func activeSet(h *Hub) map[cfgstore.Key]int {
 // to the live latest instead of dangling.
 func TestConfigRecoveryRestoresEpoch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hub.wal")
-	hub1 := configTestHub(t, path)
+	hub1 := journaledHub(t, path)
 	if _, err := hub1.SwapBinding(formats.EDI, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +49,7 @@ func TestConfigRecoveryRestoresEpoch(t *testing.T) {
 	}
 	// hub1 is abandoned un-closed, as a crash would leave it.
 
-	hub2 := configTestHub(t, path)
-	defer hub2.StopWorkers()
+	hub2 := journaledHub(t, path)
 	defer hub2.CloseJournal()
 	if got := hub2.ConfigStore().Epoch(); got != wantEpoch {
 		t.Fatalf("restored config epoch %d, want pre-crash %d", got, wantEpoch)
@@ -107,7 +91,7 @@ func TestConfigRecoveryRestoresEpoch(t *testing.T) {
 // history is not an epoch reset.
 func TestConfigRecoveryCheckpointPreservesEpoch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hub.wal")
-	hub1 := configTestHub(t, path)
+	hub1 := journaledHub(t, path)
 	if _, err := hub1.SwapBinding(formats.RosettaNet, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +105,7 @@ func TestConfigRecoveryCheckpointPreservesEpoch(t *testing.T) {
 	wantActive := activeSet(hub1)
 	// Crash: abandoned un-closed.
 
-	hub2 := configTestHub(t, path)
-	defer hub2.StopWorkers()
+	hub2 := journaledHub(t, path)
 	defer hub2.CloseJournal()
 	if got := hub2.ConfigStore().Epoch(); got != wantEpoch {
 		t.Fatalf("epoch %d after checkpoint+swap crash, want %d", got, wantEpoch)
@@ -140,7 +123,7 @@ func TestConfigRecoveryCheckpointPreservesEpoch(t *testing.T) {
 // and the hub keeps serving and swapping.
 func TestConfigRecoveryTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hub.wal")
-	hub1 := configTestHub(t, path)
+	hub1 := journaledHub(t, path)
 	if _, err := hub1.SwapBinding(formats.EDI, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +142,7 @@ func TestConfigRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hub2 := configTestHub(t, path)
-	defer hub2.StopWorkers()
+	hub2 := journaledHub(t, path)
 	defer hub2.CloseJournal()
 	if hub2.Journal().Stats().TornBytes == 0 {
 		t.Fatal("reopen reported no torn bytes from a torn tail")

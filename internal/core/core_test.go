@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/doc"
 	"repro/internal/formats"
@@ -24,16 +25,34 @@ var (
 	seller = doc.Party{ID: "HUB", Name: "Receiver Inc", DUNS: "999999999"}
 )
 
+// newFig14Hub builds the Figure 14 hub with newHub.
 func newFig14Hub(t *testing.T, opts ...HubOption) *Hub {
 	t.Helper()
 	m, err := PaperFigure14Model()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newHub(t, m, opts...)
+}
+
+// newHub builds a hub on m and drains it when the test ends, so no test
+// leaves scheduler workers behind; the test fails if the hub's exchanges
+// have not finished within 10 s. A test that checks for leaked goroutines
+// registers leakcheck with t.Cleanup before building the hub, so the check
+// runs after the drain.
+func newHub(t *testing.T, m *Model, opts ...HubOption) *Hub {
+	t.Helper()
 	h, err := NewHub(m, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := h.Drain(ctx); err != nil {
+			t.Errorf("draining the test hub: %v", err)
+		}
+	})
 	return h
 }
 
@@ -510,10 +529,7 @@ func TestApprovalThresholdProperty(t *testing.T) {
 			t.Fatalf("Model.ChangePartnerThreshold, threshold %v: %v", th, err)
 		}
 		decides(t, m.Rules, ApprovalRuleSet, "TP1", th)
-		h, err := NewHub(m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := newHub(t, m)
 		if _, err := h.ChangePartnerThreshold("TP3", th); err != nil {
 			t.Fatalf("Hub.ChangePartnerThreshold, threshold %v: %v", th, err)
 		}
@@ -547,10 +563,7 @@ func TestAddBackendLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHub(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newHub(t, m)
 	rec, err := h.AddBackend(Backend{Name: "Oracle", Format: formats.OracleOIF})
 	if err != nil {
 		t.Fatal(err)

@@ -50,11 +50,10 @@ func waitDurability(t *testing.T, h *Hub, what string, cond func(*DurabilityStat
 // the next admission probes the disk again, so a healed disk resumes
 // service with no intervention.
 func TestFailStopRejectsUnloggableAdmissions(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	ctx := context.Background()
 	h, ffs := faultyJournaledHub(t, 21)
 	defer h.CloseJournal()
-	defer h.StopWorkers()
 	g := doc.NewGenerator(21)
 	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
 		t.Fatal(err)
@@ -87,12 +86,11 @@ func TestFailStopRejectsUnloggableAdmissions(t *testing.T) {
 // compacted segment once writes succeed, and only the exchanges that ran
 // durably are replayable by the next incarnation.
 func TestDegradedModeServesNonDurablyAndRearms(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	ctx := context.Background()
 	h, ffs := faultyJournaledHub(t, 22,
 		WithJournalFailurePolicy(FailDegraded),
 		WithJournalProbeInterval(2*time.Millisecond))
-	defer h.StopWorkers()
 	path := h.Journal().Path()
 	g := doc.NewGenerator(22)
 	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
@@ -146,12 +144,11 @@ func TestDegradedModeServesNonDurablyAndRearms(t *testing.T) {
 // CloseJournal on a still-degraded hub must stop the background prober:
 // leakcheck fails this test if the goroutine outlives the journal.
 func TestCloseJournalWhileDegradedStopsProber(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	ctx := context.Background()
 	h, ffs := faultyJournaledHub(t, 23,
 		WithJournalFailurePolicy(FailDegraded),
 		WithJournalProbeInterval(time.Millisecond))
-	defer h.StopWorkers()
 	g := doc.NewGenerator(23)
 	ffs.Arm(journal.FaultWriteErr)
 	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
@@ -171,7 +168,7 @@ func TestCloseJournalWhileDegradedStopsProber(t *testing.T) {
 // queue (durably) instead of crash-looping forever, while admissions under
 // the threshold still replay normally.
 func TestRecoverParksPoisonedAdmission(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	g := doc.NewGenerator(24)
@@ -184,7 +181,6 @@ func TestRecoverParksPoisonedAdmission(t *testing.T) {
 
 	h := journaledHub(t, path)
 	defer h.CloseJournal()
-	defer h.StopWorkers()
 	rep, err := h.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -226,14 +222,13 @@ func TestRecoverParksPoisonedAdmission(t *testing.T) {
 // trusted when the journal cannot be written — so it rejects the incoming
 // entry instead, and spilling resumes after the re-arm.
 func TestDLQSpillPinnedWhileJournalDegraded(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	ctx := context.Background()
 	h, ffs := faultyJournaledHub(t, 25,
 		WithJournalFailurePolicy(FailDegraded),
 		WithJournalProbeInterval(2*time.Millisecond),
 		WithDLQCap(2))
 	defer h.CloseJournal()
-	defer h.StopWorkers()
 	g := doc.NewGenerator(25)
 
 	park := func(id string) {
@@ -289,11 +284,10 @@ func TestDLQSpillPinnedWhileJournalDegraded(t *testing.T) {
 // everything that was still valid, and surfaces the repair's accounting
 // in both the recovery report and the durability status.
 func TestRecoverPastMidFileRot(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	h1 := journaledHub(t, path)
-	defer h1.StopWorkers()
 	g := doc.NewGenerator(26)
 	var ids []string
 	for i := 0; i < 3; i++ {
@@ -318,7 +312,6 @@ func TestRecoverPastMidFileRot(t *testing.T) {
 
 	h2 := newFig14Hub(t, WithJournal(path), WithFsyncPolicy(journal.FsyncNever))
 	defer h2.CloseJournal()
-	defer h2.StopWorkers()
 	rep, err := h2.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -9,9 +9,8 @@ import (
 
 // Sentinel errors of the hub's package boundary, matchable with errors.Is.
 var (
-	// ErrHubStopped is returned for submissions against a stopped
-	// scheduler, and resolves futures whose jobs were still queued when the
-	// scheduler stopped.
+	// ErrHubStopped is returned for submissions against a drained hub.
+	// It never resolves a future: a job the scheduler enqueued always runs.
 	ErrHubStopped = errors.New("core: hub scheduler stopped")
 	// ErrUnknownPartner is returned for documents from unregistered
 	// trading partners.
@@ -43,6 +42,10 @@ var (
 	// after the disk heals succeeds; WithJournalFailurePolicy(FailDegraded)
 	// trades the rejection for non-durable admission instead.
 	ErrJournalUnavailable = errors.New("core: journal unavailable")
+	// ErrNotDeadLettered is returned by Resubmit for an exchange ID the
+	// dead-letter queue does not hold: never dead-lettered, already rerun,
+	// or taken by a concurrent Resubmit.
+	ErrNotDeadLettered = errors.New("core: exchange not on the dead-letter queue")
 )
 
 // ExchangeError is the typed pipeline error of the hub boundary: it locates

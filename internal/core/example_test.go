@@ -43,6 +43,10 @@ func ExampleHub_Do() {
 	priv, _ := hub.PrivateInstance(res.Exchange)
 	fmt.Println("status:", res.POA.Status)
 	fmt.Println("needs approval:", priv.Data["needsApproval"])
+	// Drain stops the hub for good once its exchanges have finished.
+	if _, err := hub.Drain(context.Background()); err != nil {
+		log.Fatal(err)
+	}
 	// Output:
 	// status: accepted
 	// needs approval: true

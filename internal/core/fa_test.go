@@ -16,14 +16,7 @@ import (
 // referencing its interchange before the POA, and the 997 never reaches
 // the binding or the private process.
 func TestFunctionalAck997EndToEnd(t *testing.T) {
-	m, err := PaperFigure14Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHub(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newFig14Hub(t)
 	rec, err := h.EnableFunctionalAcks(formats.EDI)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +33,7 @@ func TestFunctionalAck997EndToEnd(t *testing.T) {
 	}
 	server := NewServer(h, hubEP)
 	defer server.Close()
-	p1, _ := m.PartnerByID("TP1")
+	p1, _ := h.Model.PartnerByID("TP1")
 	cliEP, err := n.Endpoint("TP1")
 	if err != nil {
 		t.Fatal(err)
@@ -102,14 +95,7 @@ func TestFunctionalAck997EndToEnd(t *testing.T) {
 
 // TestFunctionalAckInProcess also works without the network front end.
 func TestFunctionalAckInProcess(t *testing.T) {
-	m, err := PaperFigure14Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHub(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newFig14Hub(t)
 	if _, err := h.EnableFunctionalAcks(formats.EDI); err != nil {
 		t.Fatal(err)
 	}

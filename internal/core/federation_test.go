@@ -27,11 +27,11 @@ func TestParkRequestWirePOWithoutHint(t *testing.T) {
 	if _, ok := h.ExchangeByID(res.Exchange.ID); !ok {
 		t.Fatalf("parked exchange %s has no record", res.Exchange.ID)
 	}
-	dls := h.DrainDeadLetters()
+	dls := h.DeadLetters()
 	if len(dls) != 1 || dls[0].ExchangeID != res.Exchange.ID || dls[0].Protocol != formats.EDI || dls[0].Partner != "" {
 		t.Fatalf("dead letters %+v, want the request parked under its protocol", dls)
 	}
-	ex, err := h.Resubmit(ctx, dls[0])
+	ex, err := h.Resubmit(ctx, dls[0].ExchangeID)
 	if err != nil {
 		t.Fatalf("resubmit parked wire PO: %v", err)
 	}

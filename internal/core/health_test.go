@@ -54,7 +54,7 @@ func (c *callCounter) Process(ctx context.Context) (int, error) {
 // ProbeInterval runs as a half-open probe whose success closes the
 // circuit, and the parked dead letters then Resubmit cleanly.
 func TestBreakerFastFailAndResubmit(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	clock := health.NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	h := newFig14Hub(t, WithShards(2), WithHealth(health.Config{
 		Threshold:     0.5,
@@ -62,7 +62,6 @@ func TestBreakerFastFailAndResubmit(t *testing.T) {
 		ProbeInterval: time.Minute,
 		Now:           clock.Now,
 	}))
-	defer h.StopWorkers()
 	var sap *callCounter // TP1's back end
 	h.WrapBackends(func(sys backend.System) backend.System {
 		if sys.Name() != "SAP" {
@@ -142,8 +141,8 @@ func TestBreakerFastFailAndResubmit(t *testing.T) {
 	}
 
 	// The parked fast-fails replay exactly once each.
-	for _, dl := range h.DrainDeadLetters() {
-		if _, err := h.Resubmit(ctx, dl); err != nil {
+	for _, dl := range h.DeadLetters() {
+		if _, err := h.Resubmit(ctx, dl.ExchangeID); err != nil {
 			t.Fatalf("resubmit of %s failed after heal: %v", dl.ExchangeID, err)
 		}
 	}
@@ -228,7 +227,7 @@ func TestResubmitIsHealthGated(t *testing.T) {
 			if got := h.Health().StateOf("TP1"); got != health.StateOpen {
 				t.Fatalf("breaker after pipeline failure = %v, want open", got)
 			}
-			dls := h.DrainDeadLetters()
+			dls := h.DeadLetters()
 			if len(dls) != 1 {
 				t.Fatalf("dead letters = %d, want 1", len(dls))
 			}
@@ -239,10 +238,10 @@ func TestResubmitIsHealthGated(t *testing.T) {
 			// Healed backend, circuit still open: the rerun fast-fails and
 			// the entry is parked again.
 			sap.SetSchedule(backend.FaultSchedule{})
-			if _, err := h.Resubmit(ctx, dls[0]); !errors.Is(err, ErrPartnerUnavailable) {
+			if _, err := h.Resubmit(ctx, dls[0].ExchangeID); !errors.Is(err, ErrPartnerUnavailable) {
 				t.Fatalf("resubmit through open circuit = %v, want ErrPartnerUnavailable", err)
 			}
-			dls = h.DrainDeadLetters()
+			dls = h.DeadLetters()
 			if len(dls) != 1 {
 				t.Fatalf("dead letters after gated resubmit = %d, want 1 (re-parked)", len(dls))
 			}
@@ -250,7 +249,7 @@ func TestResubmitIsHealthGated(t *testing.T) {
 			// Past ProbeInterval the rerun is the probe: it completes and
 			// closes the circuit.
 			clock.Advance(time.Minute)
-			if _, err := h.Resubmit(ctx, dls[0]); err != nil {
+			if _, err := h.Resubmit(ctx, dls[0].ExchangeID); err != nil {
 				t.Fatalf("probe resubmit: %v", err)
 			}
 			if got := h.Health().StateOf("TP1"); got != health.StateClosed {
@@ -279,12 +278,11 @@ func TestResubmitIsHealthGated(t *testing.T) {
 // normal-priority submission is shed immediately while a high-priority one
 // is still admitted to the queue.
 func TestShedNormalLaneBeforeHigh(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	h := newFig14Hub(t,
 		WithShards(2), WithWorkersPerShard(1), WithQueueDepth(1),
 		WithHealth(health.Config{Threshold: 0.8, MinSamples: 4}),
 	)
-	defer h.StopWorkers()
 	g := doc.NewGenerator(11)
 
 	// Saturate TP2's home shard: a hung backend wedges the single worker
@@ -359,9 +357,8 @@ func TestShedNormalLaneBeforeHigh(t *testing.T) {
 // probe verdict, so one client resubmitting a bad document cannot open a
 // healthy partner's circuit and dead-letter its good traffic.
 func TestBreakerIgnoresPipelineFailures(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	h := newFig14Hub(t, WithHealth(health.Config{Threshold: 0.5, MinSamples: 2}))
-	defer h.StopWorkers()
 	ctx := context.Background()
 
 	bad := Request{Kind: DocWirePO, Protocol: formats.EDI, Wire: []byte("not an EDI document"), PartnerID: "TP1"}
@@ -409,7 +406,7 @@ func TestEndpointFailureAttribution(t *testing.T) {
 // exchange mid-flight, and the slot must come back so the next admission
 // is a fresh probe rather than a permanent rejection.
 func TestProbeSlotReleasedOnCancellation(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	clock := health.NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	h := newFig14Hub(t, WithHealth(health.Config{
 		Threshold: 0.5, MinSamples: 2, ProbeInterval: time.Minute, Now: clock.Now,
@@ -435,8 +432,10 @@ func TestProbeSlotReleasedOnCancellation(t *testing.T) {
 		t.Fatalf("cancelled probe error = %v, want context.Canceled", err)
 	}
 	// Do returned when ctx ended; the abandoned probe settles on its
-	// worker, and stopping the scheduler waits for it.
-	h.StopWorkers()
+	// worker, and draining the hub waits for it.
+	if _, err := h.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	// No verdict was recorded — the circuit is still half-open — but the
 	// slot is free again for a replacement probe.
@@ -453,7 +452,7 @@ func TestProbeSlotReleasedOnCancellation(t *testing.T) {
 // submission before the health gate, so a circuit due for a probe neither
 // spends its probe slot nor fast-fails the request into a dead letter.
 func TestProbeSlotReleasedOnStoppedScheduler(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	clock := health.NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	h := newFig14Hub(t, WithHealth(health.Config{
 		Threshold: 0.5, MinSamples: 2, ProbeInterval: time.Minute, Now: clock.Now,
@@ -491,12 +490,11 @@ func TestProbeSlotReleasedOnStoppedScheduler(t *testing.T) {
 // for room on a full shard, its ctx ends, and the probe slot must be put
 // back instead of leaking.
 func TestProbeSlotReleasedOnBackpressureRefusal(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	clock := health.NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	h := newFig14Hub(t, WithShards(1), WithWorkersPerShard(1), WithQueueDepth(1), WithHealth(health.Config{
 		Threshold: 0.5, MinSamples: 2, ProbeInterval: time.Minute, Now: clock.Now,
 	}))
-	defer h.StopWorkers()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	gate := gateSubmits(ctx, h, "Oracle", 0)
@@ -550,21 +548,22 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestDrainSummaryAndRestart covers graceful drain: admission stops, the
-// backlog completes, dead letters are flushed into the summary, and the
-// scheduler can be restarted afterwards — leaking nothing.
-func TestDrainSummaryAndRestart(t *testing.T) {
-	defer leakcheck.Check(t)()
+// TestDrainSummaryKeepsDeadLetters covers graceful drain: admission stops
+// for good, the backlog completes, and the dead-letter queue is left as it
+// is — its entry still listed and counted in the summary — leaking nothing.
+func TestDrainSummaryKeepsDeadLetters(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	h := newFig14Hub(t, WithShards(2), WithWorkersPerShard(2),
 		WithHealth(health.Config{Threshold: 0.5, MinSamples: 2, ProbeInterval: time.Hour}))
 	ctx := context.Background()
 	g := doc.NewGenerator(13)
 
-	// One parked fast-fail so the drain has a dead letter to flush.
+	// One parked fast-fail, so the drain has a dead letter to keep.
 	br := h.Health().Breaker("TP1")
 	br.Record(true)
 	br.Record(true)
-	if _, err := h.Do(ctx, Request{Kind: DocPO, PO: g.PO(tp1, seller)}); !errors.Is(err, ErrPartnerUnavailable) {
+	parked, err := h.Do(ctx, Request{Kind: DocPO, PO: g.PO(tp1, seller)})
+	if !errors.Is(err, ErrPartnerUnavailable) {
 		t.Fatalf("setup fast-fail error = %v", err)
 	}
 
@@ -587,48 +586,37 @@ func TestDrainSummaryAndRestart(t *testing.T) {
 			t.Fatalf("exchange %d did not complete through the drain: %v", i, res.Err)
 		}
 	}
-	if sum.Completed != n || sum.Failed != 1 || sum.Shed != 0 {
-		t.Fatalf("summary = %+v, want %d completed / 1 failed / 0 shed", sum, n)
+	if sum.Completed != n || sum.Failed != 1 || sum.Shed != 0 || sum.DeadLettered != 1 {
+		t.Fatalf("summary = %+v, want %d completed / 1 failed / 0 shed / 1 dead-lettered", sum, n)
 	}
-	if sum.DeadLettered != 1 || len(sum.DeadLetters) != 1 {
-		t.Fatalf("summary dead letters = %d/%d, want 1/1", sum.DeadLettered, len(sum.DeadLetters))
-	}
-	if n := len(h.DeadLetters()); n != 0 {
-		t.Fatalf("hub queue still holds %d dead letters after drain", n)
+	if dls := h.DeadLetters(); len(dls) != 1 || dls[0].ExchangeID != parked.Exchange.ID {
+		t.Fatalf("queue after drain = %+v, want the parked %s", dls, parked.Exchange.ID)
 	}
 
-	// Drained hub rejects new async work...
+	// The drained hub refuses new work, and StartScheduler does not
+	// reopen it.
 	if _, err := h.DoAsync(ctx, Request{Kind: DocPO, PO: g.PO(tp2, seller)}); !errors.Is(err, ErrHubStopped) {
 		t.Fatalf("DoAsync after drain = %v, want ErrHubStopped", err)
 	}
-	// ...until the scheduler is explicitly restarted.
 	h.StartScheduler()
-	fut, err := h.DoAsync(ctx, Request{Kind: DocPO, PO: g.PO(tp2, seller)})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := h.DoAsync(ctx, Request{Kind: DocPO, PO: g.PO(tp2, seller)}); !errors.Is(err, ErrHubStopped) {
+		t.Fatalf("DoAsync after drain and StartScheduler = %v, want ErrHubStopped", err)
 	}
-	if res := fut.Result(ctx); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	h.StopWorkers()
 }
 
 // TestDrainDeadlineExpiry pins Drain's contract under a wedged scheduler:
-// it returns ctx.Err() with a partial summary and leaves the dead-letter
-// queue intact for a later flush.
+// it returns ctx.Err() with a partial summary and the hub stays closed.
+// Every later Drain waits for the same shutdown: it returns ctx.Err()
+// while the exchange still runs and nil only once the exchange has ended.
 func TestDrainDeadlineExpiry(t *testing.T) {
 	h := newFig14Hub(t, WithShards(1), WithWorkersPerShard(1))
 	g := doc.NewGenerator(17)
 	hangBackend(h, "Oracle")
 	cancel, wg := submitHung(h, tp2, 1)
-	waitFor(t, func() bool {
-		for _, sh := range h.Status().Sched.PerShard {
-			if sh.Busy > 0 {
-				return true
-			}
-		}
-		return false
-	})
+	defer wg.Wait()
+	defer cancel()
+	busy := func() int64 { return h.Status().Sched.PerShard[0].Busy }
+	waitFor(t, func() bool { return len(h.Status().Sched.PerShard) > 0 && busy() > 0 })
 
 	dctx, dcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer dcancel()
@@ -640,18 +628,30 @@ func TestDrainDeadlineExpiry(t *testing.T) {
 		t.Fatalf("DoAsync after timed-out drain = %v, want ErrHubStopped", err)
 	}
 
-	// Unwedging the worker lets the background shutdown finish, after
-	// which the hub is restartable — a timed-out Drain is not terminal.
+	// A second Drain waits for the same shutdown, so its short ctx ends
+	// first while the worker is still busy.
+	dctx2, dcancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer dcancel2()
+	if _, err := h.Drain(dctx2); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("second Drain with %d busy worker(s) = %v, want DeadlineExceeded", busy(), err)
+	}
+
+	// A Drain returns nil only once the unwedged exchange has ended.
+	drained := make(chan error, 1)
+	go func() {
+		_, err := h.Drain(context.Background())
+		drained <- err
+	}()
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned %v with %d busy worker(s)", err, busy())
+	case <-time.After(50 * time.Millisecond):
+	}
 	cancel()
-	wg.Wait()
-	waitFor(t, func() bool { return h.ShardCount() == 0 })
-	h.StartScheduler()
-	fut, err := h.DoAsync(context.Background(), Request{Kind: DocPO, PO: g.PO(tp1, seller)})
-	if err != nil {
-		t.Fatalf("DoAsync after restart = %v, want admitted", err)
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain after the exchange ended = %v, want nil", err)
 	}
-	if res := fut.Result(context.Background()); res.Err != nil {
-		t.Fatalf("exchange after restart failed: %v", res.Err)
+	if n, c := busy(), h.Status().Exchanges; n != 0 || c.ByFlow[obs.FlowPO] != 1 {
+		t.Fatalf("Drain returned with %d busy worker(s) and %d ended exchanges, want 0 and 1", n, c.ByFlow[obs.FlowPO])
 	}
-	h.StopWorkers()
 }

@@ -131,11 +131,12 @@ type Hub struct {
 
 	// Sharded scheduler for asynchronous submission (see sched.go and
 	// submit.go). schedCfg holds the NewHub option values the scheduler is
-	// lazily started with.
-	schedMu     sync.Mutex
-	sched       *scheduler
-	schedClosed bool
-	schedCfg    hubConfig
+	// lazily started with; drained is set by the first Drain and never
+	// cleared.
+	schedMu  sync.Mutex
+	sched    *scheduler
+	drained  bool
+	schedCfg hubConfig
 
 	// Binding-resolution cache (see exchange.go): partner ID → resolved
 	// route, invalidated wholesale on deploy-time changes.

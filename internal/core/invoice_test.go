@@ -165,14 +165,7 @@ func TestInvoiceErrors(t *testing.T) {
 // TestInvoicePushOverNetwork: the server pushes the one-way invoice to the
 // partner over the reliable network; the client receives it.
 func TestInvoicePushOverNetwork(t *testing.T) {
-	m, err := PaperFigure14Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHub(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newFig14Hub(t)
 	if _, err := h.EnableInvoicing(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +178,7 @@ func TestInvoicePushOverNetwork(t *testing.T) {
 	}
 	server := NewServer(h, hubEP, WithReliableConfig(rcfg))
 	defer server.Close()
-	p1, _ := m.PartnerByID("TP1")
+	p1, _ := h.Model.PartnerByID("TP1")
 	cliEP, err := n.Endpoint("TP1")
 	if err != nil {
 		t.Fatal(err)

@@ -510,8 +510,8 @@ func (h *Hub) appendOutcome(key string, out journalOutcome) bool {
 // Resubmit attempt: a successful rerun resolves it for good; a rerun that
 // dead-lettered again resolves the old entry and parks the new exchange's
 // record, with the same request, in its place; a rerun that never produced
-// a dead letter (unknown partner, no retained request) leaves the original
-// entry recoverable.
+// a dead letter (an unknown partner) leaves the original entry
+// recoverable.
 func (h *Hub) journalResubmitOutcome(dl DeadLetter, ex *Exchange, err error) {
 	if h.jrn == nil {
 		return

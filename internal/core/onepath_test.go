@@ -112,7 +112,7 @@ func TestEveryEntryRunsOnTheScheduler(t *testing.T) {
 		}},
 		{"Resubmit", nil, func(t *testing.T, h *Hub, g *doc.Generator) func(*DrainSummary) error {
 			// Two dead letters from a hard-down SAP: one to rerun live,
-			// one to rerun after the drain flushed it.
+			// one to rerun after the drain, which keeps it queued.
 			var faulty *backend.Faulty
 			h.WrapBackends(func(sys backend.System) backend.System {
 				if sys.Name() != "SAP" {
@@ -134,28 +134,20 @@ func TestEveryEntryRunsOnTheScheduler(t *testing.T) {
 			}
 			return func(drained *DrainSummary) error {
 				if drained == nil {
-					dl, ok := h.TakeDeadLetter(dls[0].ExchangeID)
-					if !ok {
-						t.Fatalf("dead letter %s not on the queue", dls[0].ExchangeID)
-					}
-					_, err := h.Resubmit(ctx, dl)
+					_, err := h.Resubmit(ctx, dls[0].ExchangeID)
 					return err
 				}
-				if len(drained.DeadLetters) != 1 {
-					t.Fatalf("drain flushed %d dead letters, want 1", len(drained.DeadLetters))
+				if drained.DeadLettered != 1 {
+					t.Fatalf("drain summary counts %d dead letters, want 1", drained.DeadLettered)
 				}
-				dl := drained.DeadLetters[0]
-				_, err := h.Resubmit(ctx, dl)
-				if back := h.DeadLetters(); len(back) != 1 || back[0].ExchangeID != dl.ExchangeID {
-					t.Errorf("queue after a refused rerun holds %d entries, want %s back", len(back), dl.ExchangeID)
+				id := dls[1].ExchangeID
+				_, err := h.Resubmit(ctx, id)
+				// A second refusal must not park the entry twice.
+				if _, err := h.Resubmit(ctx, id); !errors.Is(err, ErrHubStopped) {
+					t.Errorf("second rerun of %s after Drain: %v, want ErrHubStopped", id, err)
 				}
-				// An entry resubmitted from a snapshot, without taking it,
-				// is still on the queue: a refusal must not park it twice.
-				if _, err := h.Resubmit(ctx, h.DeadLetters()[0]); !errors.Is(err, ErrHubStopped) {
-					t.Errorf("rerun of a queued entry after Drain: %v, want ErrHubStopped", err)
-				}
-				if back := h.DeadLetters(); len(back) != 1 {
-					t.Errorf("queue after a refused rerun of a queued entry holds %d entries, want 1", len(back))
+				if back := h.DeadLetters(); len(back) != 1 || back[0].ExchangeID != id {
+					t.Errorf("queue after refused reruns holds %d entries, want %s once", len(back), id)
 				}
 				return err
 			}
@@ -212,7 +204,6 @@ func TestEveryEntryRunsOnTheScheduler(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			t.Cleanup(leakcheck.Check(t))
 			h := newFig14Hub(t, append([]HubOption{WithShards(2)}, row.opts...)...)
-			t.Cleanup(h.StopWorkers)
 			g := doc.NewGenerator(71)
 			entry := row.setup(t, h, g)
 			sap := &callCounter{}
@@ -267,7 +258,6 @@ func TestEveryEntryRunsOnTheScheduler(t *testing.T) {
 func TestDrainWaitsForDo(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	h := newFig14Hub(t)
-	t.Cleanup(h.StopWorkers)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	gate := gateSubmits(ctx, h, "SAP", 0)
@@ -370,7 +360,6 @@ func TestRefusedAdmissionStaysRefusedAfterRestart(t *testing.T) {
 			t.Cleanup(leakcheck.Check(t))
 			path := filepath.Join(t.TempDir(), "hub.wal")
 			h := journaledHub(t, path, WithShards(1), WithWorkersPerShard(1), WithQueueDepth(1))
-			t.Cleanup(h.StopWorkers)
 			stored, err := row.refuse(t, h, doc.NewGenerator(79))
 			if !errors.Is(err, row.want) {
 				t.Fatalf("refused admission: %v, want %v", err, row.want)
@@ -381,14 +370,15 @@ func TestRefusedAdmissionStaysRefusedAfterRestart(t *testing.T) {
 			if js := h.Status().Journal; js.PendingAdmits != 0 {
 				t.Fatalf("journal holds %d pending admits after the refusal, want 0", js.PendingAdmits)
 			}
-			h.StopWorkers()
+			if _, err := h.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
 			if err := h.CloseJournal(); err != nil {
 				t.Fatal(err)
 			}
 
 			h2 := journaledHub(t, path)
 			t.Cleanup(func() { h2.CloseJournal() })
-			t.Cleanup(h2.StopWorkers)
 			rep, err := h2.Recover(ctx)
 			if err != nil {
 				t.Fatal(err)

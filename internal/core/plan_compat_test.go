@@ -21,14 +21,7 @@ import (
 // package's compat goldens cover synthetic graphs, this one the actual
 // model.
 func TestPlanInterpreterMatchesLegacyHub(t *testing.T) {
-	model, err := PaperFigure14Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub, err := NewHub(model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hub := newFig14Hub(t)
 	if _, err := hub.EnableInvoicing(); err != nil {
 		t.Fatal(err)
 	}

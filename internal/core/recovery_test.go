@@ -237,7 +237,6 @@ func TestRecoverReplaysPendingAdmission(t *testing.T) {
 
 	h2 := journaledHub(t, path)
 	defer h2.CloseJournal()
-	defer h2.StopWorkers()
 	rep, err := h2.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -298,8 +297,8 @@ func TestRecoverRestoresDeadLetters(t *testing.T) {
 	if len(dls) != 1 || dls[0].ExchangeID != ex.ID {
 		t.Fatalf("restored dead letters %+v, want original %s", dls, ex.ID)
 	}
-	for _, dl := range h2.DrainDeadLetters() {
-		if _, err := h2.Resubmit(ctx, dl); err != nil {
+	for _, dl := range h2.DeadLetters() {
+		if _, err := h2.Resubmit(ctx, dl.ExchangeID); err != nil {
 			t.Fatalf("resubmit restored dead letter: %v", err)
 		}
 	}
@@ -332,7 +331,6 @@ func TestRecoverIgnoresDuplicateAdmits(t *testing.T) {
 
 	h := journaledHub(t, path)
 	defer h.CloseJournal()
-	defer h.StopWorkers()
 	rep, err := h.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +551,6 @@ func TestReplayParity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h, rep, err := tc.replay()
 			defer h.CloseJournal()
-			defer h.StopWorkers()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -592,7 +589,7 @@ func TestReplayParity(t *testing.T) {
 // replayable, and the report, the queue and the recovery gauges agree.
 // New work is still refused.
 func TestTakeoverOntoFailingJournalParksInMemory(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	ctx := context.Background()
 	g := doc.NewGenerator(32)
 	peer := filepath.Join(t.TempDir(), "peer.wal")
@@ -603,7 +600,6 @@ func TestTakeoverOntoFailingJournalParksInMemory(t *testing.T) {
 
 	h, ffs := faultyJournaledHub(t, 32, WithExchangeIDBase(1_000_000))
 	defer h.CloseJournal()
-	defer h.StopWorkers()
 	ffs.Arm(journal.FaultWriteErr)
 	rep, err := h.TakeOverJournal(ctx, peer, nil)
 	if err != nil {
@@ -636,8 +632,8 @@ func TestTakeoverOntoFailingJournalParksInMemory(t *testing.T) {
 
 	// Once the disk heals, the parked work resubmits exactly once.
 	ffs.Heal()
-	for _, dl := range h.DrainDeadLetters() {
-		if _, err := h.Resubmit(ctx, dl); err != nil {
+	for _, dl := range h.DeadLetters() {
+		if _, err := h.Resubmit(ctx, dl.ExchangeID); err != nil {
 			t.Fatalf("resubmit parked takeover entry: %v", err)
 		}
 	}

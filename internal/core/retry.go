@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/backend"
@@ -319,7 +320,8 @@ func (h *Hub) parkDeadLetter(dl DeadLetter) {
 	case h.jrn != nil && !h.journalDown() && len(h.dlq) > 0 && h.dlq[0].journaled:
 		old := h.dlq[0]
 		evicted = &old
-		h.dlq = append(h.dlq[1:], dl)
+		h.removeDeadLetter(0)
+		h.dlq = append(h.dlq, dl)
 	default:
 		evicted = &dl
 	}
@@ -344,62 +346,83 @@ func (h *Hub) DeadLetters() []DeadLetter {
 	return append([]DeadLetter(nil), h.dlq...)
 }
 
-// deadLettered reports whether the queue holds the exchange's entry.
-func (h *Hub) deadLettered(exchangeID string) bool {
-	h.dlqMu.Lock()
-	defer h.dlqMu.Unlock()
-	for _, dl := range h.dlq {
-		if dl.ExchangeID == exchangeID {
-			return true
-		}
-	}
-	return false
-}
-
-// DrainDeadLetters empties the queue and returns what was on it.
-func (h *Hub) DrainDeadLetters() []DeadLetter {
-	h.dlqMu.Lock()
-	defer h.dlqMu.Unlock()
-	out := h.dlq
-	h.dlq = nil
-	return out
-}
-
-// Resubmit reruns a dead-lettered exchange from its retained Request as a
-// fresh exchange. The rerun is the same scheduler job as every other
-// admission: it is health-gated (an open circuit fast-fails it with
-// ErrPartnerUnavailable and parks it again) and its outcome feeds the
-// partner's breaker. Resubmissions of pipeline failures tolerate the
-// duplicate-order rejection of the back end (the paper's Section 1
-// duplicate elimination): when the dead-lettered run already stored the
-// order, the store step is satisfied by the existing copy instead of
-// double-mutating the backend. A DocWirePO entry keeps the caller's Wire
-// slice rather than a copy, so a submitter must not modify it afterwards.
+// Resubmit reruns the dead-lettered exchange exchangeID from its retained
+// Request as a fresh exchange; it is the dead-letter queue's one exit. The
+// rerun is the same scheduler job as every other admission: it is
+// health-gated (an open circuit fast-fails it with ErrPartnerUnavailable and
+// parks it again) and its outcome feeds the partner's breaker.
+// Resubmissions of pipeline failures tolerate the duplicate-order rejection
+// of the back end (the paper's Section 1 duplicate elimination): when the
+// dead-lettered run already stored the order, the store step is satisfied
+// by the existing copy instead of double-mutating the backend. A DocWirePO
+// entry keeps the caller's Wire slice rather than a copy, so a submitter
+// must not modify it afterwards.
 //
-// Resubmit returns when the rerun has finished; ctx bounds the rerun itself.
-// A rerun the scheduler refuses (the hub is stopped, or ctx ended while it
-// waited for room) never ran: the entry goes back on the queue unchanged —
-// unless the queue still holds it, because the caller passed an entry from
-// a DeadLetters snapshot without taking it — and the refusal is returned,
-// so nothing is lost between taking an entry and resubmitting it.
-func (h *Hub) Resubmit(ctx context.Context, dl DeadLetter) (*Exchange, error) {
-	if dl.req == nil {
-		return nil, fmt.Errorf("core: dead letter %s retains no request", dl.ExchangeID)
-	}
-	fut, err := h.doAsync(ctx, *dl.req, "")
+// Resubmit takes the entry off the queue, so of concurrent calls for one
+// ID only one reruns it; the others, like an ID the queue does not hold,
+// get ErrNotDeadLettered. An entry that retains no request stays queued.
+// Otherwise Resubmit returns when the rerun has finished (ctx bounds the
+// rerun itself) or the scheduler has refused it (the hub is drained, or
+// ctx ended while it waited for room). A rerun that fails and parks a
+// dead letter of its own replaces the entry; any other failure — a
+// refusal, or one before the rerun's exchange existed, such as a partner
+// that left the model — puts the entry back on the queue, so the queue
+// keeps what the journal keeps.
+func (h *Hub) Resubmit(ctx context.Context, exchangeID string) (*Exchange, error) {
+	dl, err := h.takeDeadLetter(exchangeID)
 	if err != nil {
-		if !h.deadLettered(dl.ExchangeID) {
-			h.parkDeadLetter(dl)
-		}
 		return nil, err
 	}
-	<-fut.Done()
-	res := fut.res
-	// Settle the journal: a successful rerun resolves the entry for good, a
-	// rerun that dead-lettered again takes the original's place, anything
-	// else leaves the original recoverable.
-	h.journalResubmitOutcome(dl, res.Exchange, res.Err)
+	var res Result
+	if fut, err := h.doAsync(ctx, *dl.req, ""); err != nil {
+		res.Err = err
+	} else {
+		<-fut.Done()
+		res = fut.res
+		// Settle the journal: a successful rerun resolves the entry for
+		// good, a rerun that dead-lettered again takes the original's
+		// place, anything else leaves the original recoverable.
+		h.journalResubmitOutcome(dl, res.Exchange, res.Err)
+	}
+	if res.Err != nil && (res.Exchange == nil || !res.Exchange.deadLettered) {
+		// Put back, not parked anew: the entry was already on the queue,
+		// so the cap does not push it out.
+		h.dlqMu.Lock()
+		h.dlq = append(h.dlq, dl)
+		h.dlqMu.Unlock()
+	}
 	return res.Exchange, res.Err
+}
+
+// takeDeadLetter removes one exchange's entry from the queue for a rerun.
+func (h *Hub) takeDeadLetter(exchangeID string) (DeadLetter, error) {
+	h.dlqMu.Lock()
+	defer h.dlqMu.Unlock()
+	for i := range h.dlq {
+		if h.dlq[i].ExchangeID != exchangeID {
+			continue
+		}
+		dl := h.dlq[i]
+		if dl.req == nil {
+			return DeadLetter{}, fmt.Errorf("core: dead letter %s retains no request", exchangeID)
+		}
+		h.removeDeadLetter(i)
+		return dl, nil
+	}
+	return DeadLetter{}, fmt.Errorf("%w: %s", ErrNotDeadLettered, exchangeID)
+}
+
+// removeDeadLetter deletes entry i in place; the caller holds dlqMu. The
+// head — where the cap spills and the order `resubmit all` walks — goes in
+// O(1) by advancing the slice; the vacated slot is zeroed so the backing
+// array does not keep the entry's request alive.
+func (h *Hub) removeDeadLetter(i int) {
+	if i == 0 {
+		h.dlq[0] = DeadLetter{}
+		h.dlq = h.dlq[1:]
+		return
+	}
+	h.dlq = slices.Delete(h.dlq, i, i+1)
 }
 
 // tolerateDuplicate converts the backend's duplicate-order rejection into

@@ -16,14 +16,7 @@ import (
 // decorator under the given schedule, returning the wrappers by name.
 func faultyHub(t *testing.T, s backend.FaultSchedule) (*Hub, map[string]*backend.Faulty) {
 	t.Helper()
-	m, err := PaperFigure14Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHub(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newFig14Hub(t)
 	wrapped := map[string]*backend.Faulty{}
 	h.WrapBackends(func(sys backend.System) backend.System {
 		f := backend.NewFaulty(sys, s)
@@ -111,15 +104,15 @@ func TestDeadLetterAndResubmit(t *testing.T) {
 		t.Fatalf("backend stored %d orders during injected failures", n)
 	}
 
-	// Heal and resubmit: the drained dead letter replays to completion.
+	// Heal and resubmit: the dead letter replays to completion and leaves
+	// the queue.
 	wrapped["SAP"].SetSchedule(backend.FaultSchedule{})
-	drained := h.DrainDeadLetters()
-	if len(drained) != 1 || len(h.DeadLetters()) != 0 {
-		t.Fatalf("drain left %d/%d entries", len(drained), len(h.DeadLetters()))
-	}
-	ex2, err := h.Resubmit(ctx, drained[0])
+	ex2, err := h.Resubmit(ctx, dl.ExchangeID)
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
+	}
+	if n := len(h.DeadLetters()); n != 0 {
+		t.Fatalf("queue holds %d entries after the rerun, want 0", n)
 	}
 	if ex2.ID == ex.ID {
 		t.Fatal("resubmission reused the dead exchange ID")
@@ -133,14 +126,7 @@ func TestDeadLetterAndResubmit(t *testing.T) {
 // stored its order, the replay must not double-store — the backend's
 // duplicate elimination satisfies the store step instead.
 func TestResubmitToleratesStoredOrder(t *testing.T) {
-	m, err := PaperFigure14Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHub(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newFig14Hub(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	g := doc.NewGenerator(4)
@@ -170,14 +156,14 @@ func TestResubmitToleratesStoredOrder(t *testing.T) {
 	if !errors.Is(err, backend.ErrDuplicateOrder) {
 		t.Fatalf("round trip error %v, want duplicate-order rejection", err)
 	}
-	dls := h.DrainDeadLetters()
+	dls := h.DeadLetters()
 	if len(dls) != 1 {
 		t.Fatalf("dead letters: %d, want 1", len(dls))
 	}
 
 	// The replay tolerates the duplicate, processes the stored copy and
 	// completes; the backend still holds exactly one copy.
-	ex, err := h.Resubmit(ctx, dls[0])
+	ex, err := h.Resubmit(ctx, dls[0].ExchangeID)
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
 	}

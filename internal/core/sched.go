@@ -52,8 +52,8 @@ type shard struct {
 	load atomic.Int64
 }
 
-// scheduler runs the shards. It is created started and stopped once; the
-// hub creates a fresh scheduler on restart.
+// scheduler runs the shards. It is created started and stops once, for
+// good.
 type scheduler struct {
 	hub             *Hub
 	shards          []*shard
@@ -62,9 +62,11 @@ type scheduler struct {
 	// quit closes when stop begins: submissions blocked on backpressure
 	// give up with ErrHubStopped. sealed closes once every submission
 	// admitted before the stop has returned: no job can be enqueued any
-	// more, so the workers run what is queued and exit.
+	// more, so the workers run what is queued and exit. done closes once
+	// they have.
 	quit   chan struct{}
 	sealed chan struct{}
+	done   chan struct{}
 
 	mu       sync.Mutex
 	closed   bool
@@ -91,6 +93,7 @@ func newScheduler(h *Hub, nShards, workersPerShard, queueDepth int) *scheduler {
 		workersPerShard: workersPerShard,
 		quit:            make(chan struct{}),
 		sealed:          make(chan struct{}),
+		done:            make(chan struct{}),
 		inflight:        map[string]int{},
 	}
 	for i := 0; i < nShards; i++ {
@@ -297,33 +300,25 @@ func (s *scheduler) runJob(sh *shard, j schedJob) {
 	s.release(j.key)
 }
 
-// stop shuts the scheduler down: no new admissions, and every job already
-// enqueued or running finishes before it returns — none is dropped.
-func (s *scheduler) stop() {
+// stop begins the shutdown on its first call — no new admissions, and
+// every job already enqueued or running finishes, none is dropped — and
+// returns a channel every call can wait on, which closes once the last job
+// has finished.
+func (s *scheduler) stop() <-chan struct{} {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		close(s.quit)
+		go func() {
+			// New admissions are rejected via closed, and quit releases
+			// the ones blocked on backpressure, so once senderWG drains no
+			// job can be enqueued: the workers' final drain sees every one.
+			s.senderWG.Wait()
+			close(s.sealed)
+			s.workerWG.Wait()
+			close(s.done)
+		}()
 	}
-	s.closed = true
-	s.mu.Unlock()
-
-	close(s.quit)
-	// New admissions are rejected via closed, and quit releases the ones
-	// blocked on backpressure, so once senderWG drains no job can be
-	// enqueued: the workers' final drain sees every one.
-	s.senderWG.Wait()
-	close(s.sealed)
-	s.workerWG.Wait()
-}
-
-// ShardCount reports the number of scheduler shards currently running (0
-// when the scheduler is stopped).
-func (h *Hub) ShardCount() int {
-	h.schedMu.Lock()
-	defer h.schedMu.Unlock()
-	if h.sched == nil {
-		return 0
-	}
-	return len(h.sched.shards)
+	return s.done
 }

@@ -87,9 +87,8 @@ func measureLatencies(t *testing.T, h *Hub, party doc.Party, tag string, n int) 
 // p99 within 2x of the unloaded baseline — one wedged partner cannot stall
 // the rest of the hub.
 func TestShardIsolationHungPartner(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	h := newFig14Hub(t, WithShards(4), WithWorkersPerShard(2), WithQueueDepth(2))
-	defer h.StopWorkers()
 	hangBackend(h, "Oracle") // TP2 → Oracle; TP1 → SAP stays healthy
 
 	const samples = 40
@@ -127,17 +126,16 @@ func TestShardIsolationHungPartner(t *testing.T) {
 	if busy == 0 && queued == 0 {
 		t.Fatalf("no hung work visible in gauges: %+v", snaps)
 	}
-	if h.ShardCount() != 4 {
-		t.Fatalf("shard count %d", h.ShardCount())
+	if n := h.Status().Sched.Shards; n != 4 {
+		t.Fatalf("shard count %d", n)
 	}
 }
 
 // TestSchedulerBackpressure: a full shard queue blocks further submissions
 // (bounded admission) and a blocked submission honors its context.
 func TestSchedulerBackpressure(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	h := newFig14Hub(t, WithShards(1), WithWorkersPerShard(1), WithQueueDepth(1))
-	defer h.StopWorkers()
 	hangBackend(h, "SAP") // TP1 → SAP: every dispatched job wedges
 
 	cancelHung, wg := submitHung(h, tp1, 2) // 1 dispatched + 1 queued
@@ -187,9 +185,8 @@ func (r *dispatchRecorder) Emit(e obs.Event) {
 // job queued after a backlog of normal jobs is dispatched first once the
 // worker frees up.
 func TestSchedulerPriorityLane(t *testing.T) {
-	defer leakcheck.Check(t)()
+	t.Cleanup(leakcheck.Check(t))
 	h := newFig14Hub(t, WithShards(1), WithWorkersPerShard(1), WithQueueDepth(4))
-	defer h.StopWorkers()
 	if _, err := h.AddPartner(Figure15Partner()); err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,7 @@ type deployment struct {
 
 func newDeployment(t *testing.T, faults msg.Faults, rcfg msg.ReliableConfig) *deployment {
 	t.Helper()
-	m, err := PaperFigure14Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHub(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newFig14Hub(t)
 	n := msg.NewInProcNetwork(faults)
 	hubEP, err := n.Endpoint("hub")
 	if err != nil {
@@ -42,7 +35,7 @@ func newDeployment(t *testing.T, faults msg.Faults, rcfg msg.ReliableConfig) *de
 		clients: map[string]*Client{},
 		network: n,
 	}
-	for _, p := range m.Partners {
+	for _, p := range h.Model.Partners {
 		ep, err := n.Endpoint(p.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -284,15 +277,15 @@ func gateSubmits(ctx context.Context, h *Hub, name string, n int) *submitGate {
 	return gate
 }
 
-// TestServeConcurrentOverlapsWorkers: n workers on one shard behind
-// Serve keep n partner exchanges in flight at once. SAP, TP1's
-// back end, holds every Submit until n are inside it, so n concurrent TP1
-// round trips complete only when the hub overlaps them; a hub that runs
-// fewer at once waits out the deadline.
-func TestServeConcurrentOverlapsWorkers(t *testing.T) {
+// TestServeOverlapsWorkers: n workers on one shard behind Serve keep n
+// partner exchanges in flight at once. SAP, TP1's back end, holds every
+// Submit until n are inside it, so n concurrent TP1 round trips complete
+// only when the hub overlaps them; a hub that runs fewer at once waits out
+// the deadline.
+func TestServeOverlapsWorkers(t *testing.T) {
 	for _, n := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
-			defer leakcheck.Check(t)()
+			t.Cleanup(leakcheck.Check(t))
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			h := newFig14Hub(t, WithWorkersPerShard(n))
@@ -313,7 +306,6 @@ func TestServeConcurrentOverlapsWorkers(t *testing.T) {
 			defer func() {
 				cancel()
 				<-serving
-				h.StopWorkers()
 			}()
 
 			partner, _ := h.Model.PartnerByID(tp1.ID)

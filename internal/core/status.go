@@ -23,8 +23,8 @@ type SchedStatus struct {
 	// been started).
 	Shards int `json:"shards"`
 	// Running reports whether the scheduler is started and admitting work
-	// (it starts on the first submission or StartScheduler, and stops at
-	// StopWorkers or Drain).
+	// (it starts on the first submission or StartScheduler, and stops for
+	// good at Drain).
 	Running bool `json:"running"`
 	// Shed counts submissions dropped by the adaptive load shedder.
 	Shed int64 `json:"shed"`
@@ -110,15 +110,16 @@ func (h *Hub) Status() StatusSnapshot {
 		s.Partners = h.healthMetrics.Snapshot()
 	}
 
-	h.schedMu.Lock()
-	running := h.sched != nil && !h.schedClosed
-	h.schedMu.Unlock()
 	s.Sched = SchedStatus{
-		Shards:   h.ShardCount(),
-		Running:  running,
 		Shed:     h.shed.Load(),
 		PerShard: h.schedMetrics.Snapshot(),
 	}
+	h.schedMu.Lock()
+	if h.sched != nil {
+		s.Sched.Shards = len(h.sched.shards)
+		s.Sched.Running = !h.drained
+	}
+	h.schedMu.Unlock()
 
 	h.dlqMu.Lock()
 	s.DLQ = DLQStatus{Depth: len(h.dlq), Cap: h.dlqCap}
@@ -136,21 +137,4 @@ func (h *Hub) Status() StatusSnapshot {
 	s.Cluster = h.clusterStatus()
 	s.Durability = h.durabilityStatus()
 	return s
-}
-
-// TakeDeadLetter removes and returns the queued dead letter of one
-// exchange, for a resubmission driven by ID (the wire protocol's Resubmit
-// op: remote clients name exchanges, they cannot hold DeadLetter values).
-// The returned entry is off the queue; a failed Resubmit re-parks a fresh
-// entry automatically, so nothing is lost between Take and Resubmit.
-func (h *Hub) TakeDeadLetter(exchangeID string) (DeadLetter, bool) {
-	h.dlqMu.Lock()
-	defer h.dlqMu.Unlock()
-	for i, dl := range h.dlq {
-		if dl.ExchangeID == exchangeID {
-			h.dlq = append(h.dlq[:i:i], h.dlq[i+1:]...)
-			return dl, true
-		}
-	}
-	return DeadLetter{}, false
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,7 +20,6 @@ import (
 func TestStatusSnapshot(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "hub.journal")
 	h := newFig14Hub(t, WithShards(2), WithWorkersPerShard(1), WithJournal(jpath))
-	defer h.StopWorkers()
 	defer h.CloseJournal()
 	ctx := context.Background()
 
@@ -89,13 +91,16 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 }
 
-// TestTakeDeadLetter pins the ID-addressed DLQ removal the wire protocol's
-// resubmit op uses: take removes exactly one entry, a second take misses,
-// and a failed resubmission of the taken entry re-parks automatically.
+// TestTakeDeadLetter pins how Resubmit takes a dead letter off the queue by
+// exchange ID, the queue's one exit: an ID the queue does not hold gets
+// ErrNotDeadLettered, a rerun that fails parks its own exchange in place
+// of the taken entry, of two concurrent calls for one ID only one reruns
+// it, an entry without a retained request stays queued, and a rerun the
+// drained hub refuses leaves its entry on the queue exactly once.
 func TestTakeDeadLetter(t *testing.T) {
 	h := newFig14Hub(t)
-	defer h.StopWorkers()
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 
 	var faults []*backend.Faulty
 	h.WrapBackends(func(sys backend.System) backend.System {
@@ -115,40 +120,125 @@ func TestTakeDeadLetter(t *testing.T) {
 	}
 	exID := dls[0].ExchangeID
 
-	if _, ok := h.TakeDeadLetter("ex-does-not-exist"); ok {
-		t.Fatal("took a nonexistent entry")
-	}
-	dl, ok := h.TakeDeadLetter(exID)
-	if !ok || dl.ExchangeID != exID {
-		t.Fatalf("take %q: ok=%v dl=%+v", exID, ok, dl)
-	}
-	if len(h.DeadLetters()) != 0 {
-		t.Fatal("take left the entry queued")
-	}
-	if _, ok := h.TakeDeadLetter(exID); ok {
-		t.Fatal("second take succeeded")
+	if _, err := h.Resubmit(ctx, "ex-does-not-exist"); !errors.Is(err, ErrNotDeadLettered) {
+		t.Fatalf("Resubmit of an unknown ID = %v, want ErrNotDeadLettered", err)
 	}
 
-	// A failed rerun of the taken entry re-parks a fresh entry.
-	if _, err := h.Resubmit(ctx, dl); err == nil {
+	// A rerun against the still-down backend runs, fails and parks its own
+	// exchange in place of the taken entry.
+	ex, err := h.Resubmit(ctx, exID)
+	if err == nil {
 		t.Fatal("resubmit against hard-down backend succeeded")
 	}
-	if len(h.DeadLetters()) != 1 {
-		t.Fatal("failed resubmit did not re-park")
+	if dls = h.DeadLetters(); len(dls) != 1 || ex == nil || dls[0].ExchangeID != ex.ID {
+		t.Fatalf("queue after a failed rerun = %+v, want the rerun's own entry", dls)
+	}
+	if _, err := h.Resubmit(ctx, exID); !errors.Is(err, ErrNotDeadLettered) {
+		t.Fatalf("second Resubmit of %s = %v, want ErrNotDeadLettered", exID, err)
 	}
 
-	// Heal, take, rerun: the queue ends empty.
+	// Healed, two concurrent calls for one ID: the one that takes the entry
+	// is held inside SAP, so the other finds the queue without it.
 	for _, f := range faults {
 		f.SetSchedule(backend.FaultSchedule{})
 	}
-	dl, ok = h.TakeDeadLetter(h.DeadLetters()[0].ExchangeID)
-	if !ok {
-		t.Fatal("take after re-park failed")
+	gate := gateSubmits(ctx, h, "SAP", 0)
+	started := h.Status().Exchanges.Started
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := h.Resubmit(ctx, dls[0].ExchangeID)
+			errs <- err
+		}()
 	}
-	if _, err := h.Resubmit(ctx, dl); err != nil {
+	if err := <-errs; !errors.Is(err, ErrNotDeadLettered) {
+		t.Fatalf("Resubmit racing the rerun = %v, want ErrNotDeadLettered", err)
+	}
+	close(gate.open)
+	if err := <-errs; err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	if n := h.Status().Exchanges.Started - started; n != 1 || gate.maxInside() != 1 {
+		t.Fatalf("concurrent Resubmits started %d exchanges (%d inside SAP at once), want 1", n, gate.maxInside())
+	}
+	if n := len(h.DeadLetters()); n != 0 {
+		t.Fatalf("healed rerun left %d entries queued", n)
+	}
+
+	// An entry without a retained request stays queued.
+	h.parkDeadLetter(DeadLetter{ExchangeID: "ex-bare", Partner: tp1.ID})
+	if _, err := h.Resubmit(ctx, "ex-bare"); err == nil || errors.Is(err, ErrNotDeadLettered) {
+		t.Fatalf("Resubmit of an entry without a request = %v, want it refused", err)
+	}
+
+	// A rerun that fails before its exchange exists (its partner is not in
+	// the model) parks nothing of its own: the entry goes back.
+	gone := doc.Party{ID: "TP-GONE", Name: "Departed Buyer"}
+	orphan := Request{Kind: DocPO, PO: g.PO(gone, seller), resubmit: true}
+	h.parkDeadLetter(DeadLetter{ExchangeID: "ex-orphan", Partner: gone.ID, req: &orphan})
+	if ex, err := h.Resubmit(ctx, "ex-orphan"); !errors.Is(err, ErrUnknownPartner) || ex != nil {
+		t.Fatalf("Resubmit for a departed partner = %v, %v; want ErrUnknownPartner and no exchange", ex, err)
+	}
+
+	// The drained hub refuses a rerun: its entry goes back on the queue
+	// once, however often it is refused.
+	req := Request{Kind: DocPO, PO: g.PO(tp1, seller), resubmit: true}
+	h.parkDeadLetter(DeadLetter{ExchangeID: "ex-refused", Partner: tp1.ID, req: &req})
+	if _, err := h.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.DeadLetters()) != 0 {
-		t.Fatal("healed resubmit left the queue non-empty")
+	started = h.Status().Exchanges.Started
+	for i := 0; i < 2; i++ {
+		if _, err := h.Resubmit(ctx, "ex-refused"); !errors.Is(err, ErrHubStopped) {
+			t.Fatalf("Resubmit on a drained hub = %v, want ErrHubStopped", err)
+		}
+	}
+	var ids []string
+	for _, dl := range h.DeadLetters() {
+		ids = append(ids, dl.ExchangeID)
+	}
+	if want := []string{"ex-bare", "ex-orphan", "ex-refused"}; !slices.Equal(ids, want) {
+		t.Fatalf("queue = %v, want %v", ids, want)
+	}
+	if n := h.Status().Exchanges.Started - started; n != 0 {
+		t.Fatalf("refused reruns started %d exchanges", n)
+	}
+}
+
+// TestTakeDeadLetterInPlace holds the queue's one exit to an in-place
+// removal: taking entries in queue order, the order `resubmit all` walks,
+// allocates nothing however long the queue is, and taking one from the
+// middle keeps the rest in order.
+func TestTakeDeadLetterInPlace(t *testing.T) {
+	h := newFig14Hub(t)
+	const n = 4096
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("ex-%06d", i)
+		h.parkDeadLetter(DeadLetter{ExchangeID: ids[i], req: &Request{Kind: DocPO}})
+	}
+	if _, err := h.takeDeadLetter(ids[n/2]); err != nil {
+		t.Fatal(err)
+	}
+	ids = slices.Delete(ids, n/2, n/2+1)
+	var queued []string
+	for _, dl := range h.DeadLetters() {
+		queued = append(queued, dl.ExchangeID)
+	}
+	if !slices.Equal(queued, ids) {
+		t.Fatalf("queue after taking ex-%06d from the middle = %d entries, want the other %d in order", n/2, len(queued), len(ids))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(n/2, func() {
+		if _, err := h.takeDeadLetter(ids[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("taking the head of a %d-entry queue allocates %.1f times, want 0", n, allocs)
+	}
+	if got := h.Status().DLQ.Depth; got != len(ids)-next {
+		t.Fatalf("depth %d after %d takes, want %d", got, next, len(ids)-next)
 	}
 }

@@ -204,8 +204,8 @@ func (h *Hub) DoAsync(ctx context.Context, req Request) (*Future, error) {
 // under their original key and dead-letter reruns with none. A request
 // the scheduler refuses is returned as the error with nothing run, parked
 // or journaled, and each caller settles it: DoAsync journals it as
-// aborted, Resubmit re-parks the dead letter, and a replay leaves its
-// admission pending for the next Recover.
+// aborted, Resubmit puts the dead letter back on the queue, and a replay
+// leaves its admission pending for the next Recover.
 func (h *Hub) doAsync(ctx context.Context, req Request, key string) (*Future, error) {
 	// A stopped hub refuses before the health gate, which would otherwise
 	// fast-fail an open circuit's request into a new dead letter.
@@ -265,12 +265,13 @@ func (h *Hub) run(ctx context.Context, req Request) Result {
 	return Result{Err: err}
 }
 
-// ensureScheduler starts the scheduler with the hub's configured options if
-// it is not already running.
+// ensureScheduler returns the running scheduler, starting it with the
+// hub's configured options on first use; a drained hub refuses with
+// ErrHubStopped.
 func (h *Hub) ensureScheduler() (*scheduler, error) {
 	h.schedMu.Lock()
 	defer h.schedMu.Unlock()
-	if h.schedClosed {
+	if h.drained {
 		return nil, ErrHubStopped
 	}
 	if h.sched == nil {
@@ -281,36 +282,11 @@ func (h *Hub) ensureScheduler() (*scheduler, error) {
 }
 
 // StartScheduler starts the sharded scheduler with the hub's configured
-// options (WithShards, WithWorkersPerShard, WithQueueDepth). It is a no-op
-// when the scheduler is already running.
+// options (WithShards, WithWorkersPerShard, WithQueueDepth) ahead of the
+// first submission, which would otherwise start it. It is a no-op when the
+// scheduler is already running or the hub has been drained.
 func (h *Hub) StartScheduler() {
-	h.schedMu.Lock()
-	defer h.schedMu.Unlock()
-	if h.sched == nil {
-		h.schedClosed = false
-		cfg := h.schedCfg
-		h.sched = newScheduler(h, cfg.shards, cfg.workersPerShard, cfg.queueDepthOrDefault())
-	}
-}
-
-// StopWorkers stops the scheduler: new submissions get ErrHubStopped, and
-// it returns once every queued and in-flight exchange has finished. The
-// scheduler can be restarted with StartScheduler.
-func (h *Hub) StopWorkers() {
-	h.schedMu.Lock()
-	s := h.sched
-	if s == nil {
-		h.schedMu.Unlock()
-		return
-	}
-	h.schedClosed = true
-	h.schedMu.Unlock()
-
-	s.stop()
-
-	h.schedMu.Lock()
-	h.sched = nil
-	h.schedMu.Unlock()
+	_, _ = h.ensureScheduler() // ErrHubStopped: a drained hub stays stopped
 }
 
 // DrainSummary reports what a graceful Drain delivered.
@@ -323,64 +299,50 @@ type DrainSummary struct {
 	Failed int64
 	// Shed counts submissions dropped by the adaptive load shedder.
 	Shed int64
-	// DeadLettered is the number of dead letters flushed by this drain.
+	// DeadLettered is the dead-letter queue's depth when Drain returns.
+	// Drain leaves the queue as it is: DeadLetters still lists every
+	// entry, and a journaled hub's next Recover restores them.
 	DeadLettered int64
-	// DeadLetters are the flushed dead letters, handed to the caller for
-	// offline replay; the hub's queue is empty afterwards.
-	DeadLetters []DeadLetter
 }
 
-// Drain gracefully shuts the scheduler down: admission stops immediately
-// (every entry — Do, DoAsync, Resubmit, Server.Serve — gets ErrHubStopped,
-// also for a partner whose circuit is open),
-// queued and in-flight exchanges run to completion, and the dead-letter
-// queue is flushed into the returned summary. ctx bounds the wait: on
-// expiry Drain returns ctx.Err() with a summary of what had finished by
-// then, while the shutdown continues in the background — dead letters are
-// left queued for a later flush (DrainDeadLetters or another Drain), and
-// once the background shutdown completes the hub can be restarted with
-// StartScheduler.
+// Drain is the hub's one shutdown, and a final one: admission stops at
+// once (every entry — Do, DoAsync, Resubmit, Server.Serve — gets
+// ErrHubStopped, also for a partner whose circuit is open), queued and
+// in-flight exchanges run to completion, and the dead-letter queue is left
+// as it is. Every call waits for the same shutdown: Drain returns nil once
+// the last exchange has finished, or ctx.Err() when ctx ends first, with a
+// summary of what had finished by then, while the shutdown goes on in the
+// background for a later Drain to wait for.
 func (h *Hub) Drain(ctx context.Context) (DrainSummary, error) {
 	h.schedMu.Lock()
+	h.drained = true
 	s := h.sched
-	h.schedClosed = true
 	h.schedMu.Unlock()
 	if s != nil {
-		done := make(chan struct{})
-		go func() {
-			s.stop()
-			// Clear the slot here, not on Drain's goroutine: when ctx
-			// expired before the stop finished, the hub would otherwise
-			// keep the dead scheduler forever and could never restart
-			// (StartScheduler only re-opens admission once h.sched is nil).
-			h.schedMu.Lock()
-			if h.sched == s {
-				h.sched = nil
-			}
-			h.schedMu.Unlock()
-			close(done)
-		}()
 		select {
-		case <-done:
+		case <-s.stop():
 		case <-ctx.Done():
-			return h.drainSummary(nil), ctx.Err()
+			return h.drainSummary(), ctx.Err()
 		}
 	}
-	return h.drainSummary(h.DrainDeadLetters()), nil
+	return h.drainSummary(), nil
 }
 
-// drainSummary derives the drain outcome from the lifecycle counters.
-func (h *Hub) drainSummary(dls []DeadLetter) DrainSummary {
+// drainSummary derives the drain outcome from the lifecycle counters and
+// the dead-letter queue.
+func (h *Hub) drainSummary() DrainSummary {
 	c := h.counters.Snapshot()
 	var terminal int64
 	for _, n := range c.ByFlow {
 		terminal += n
 	}
+	h.dlqMu.Lock()
+	depth := len(h.dlq)
+	h.dlqMu.Unlock()
 	return DrainSummary{
 		Completed:    terminal - c.Failed,
 		Failed:       c.Failed,
 		Shed:         h.shed.Load(),
-		DeadLettered: int64(len(dls)),
-		DeadLetters:  dls,
+		DeadLettered: int64(depth),
 	}
 }

@@ -13,9 +13,11 @@
 //
 //	defer leakcheck.Check(t)()
 //	h := newHub(t)
-//	defer h.StopWorkers()
+//	defer h.Drain(context.Background())
 //
-// Deferred FIRST so it runs LAST (LIFO), after the deferred shutdown.
+// Deferred FIRST so it runs LAST (LIFO), after the deferred shutdown. A
+// shutdown registered with t.Cleanup needs the check registered the same
+// way, before it: t.Cleanup(leakcheck.Check(t)).
 package leakcheck
 
 import (

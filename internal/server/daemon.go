@@ -462,23 +462,27 @@ func (d *Daemon) resubmitOp(body json.RawMessage) (any, error) {
 	if err := json.Unmarshal(body, &rr); err != nil {
 		return nil, protoError(CodeBadFrame, fmt.Sprintf("server: decode resubmit: %v", err))
 	}
-	var entries []core.DeadLetter
+	var ids []string
 	switch {
 	case rr.All:
-		entries = d.hub.DrainDeadLetters()
-	case rr.ExchangeID != "":
-		dl, ok := d.hub.TakeDeadLetter(rr.ExchangeID)
-		if !ok {
-			return nil, protoError(CodeNotFound, fmt.Sprintf("server: exchange %q not on the dead-letter queue", rr.ExchangeID))
+		for _, dl := range d.hub.DeadLetters() {
+			ids = append(ids, dl.ExchangeID)
 		}
-		entries = []core.DeadLetter{dl}
+	case rr.ExchangeID != "":
+		ids = []string{rr.ExchangeID}
 	default:
 		return nil, protoError(CodeBadFrame, "server: resubmit requires exchange_id or all")
 	}
-	resp := &ResubmitResponse{Outcomes: make([]ResubmitOutcome, 0, len(entries))}
-	for _, dl := range entries {
-		out := ResubmitOutcome{ExchangeID: dl.ExchangeID}
-		ex, err := d.hub.Resubmit(d.ctx, dl)
+	resp := &ResubmitResponse{Outcomes: make([]ResubmitOutcome, 0, len(ids))}
+	for _, id := range ids {
+		ex, err := d.hub.Resubmit(d.ctx, id)
+		if errors.Is(err, core.ErrNotDeadLettered) {
+			if !rr.All {
+				return nil, protoError(CodeNotFound, fmt.Sprintf("server: exchange %q not on the dead-letter queue", id))
+			}
+			continue // a concurrent resubmit took it
+		}
+		out := ResubmitOutcome{ExchangeID: id}
 		if ex != nil {
 			out.NewExchangeID = ex.ID
 		}

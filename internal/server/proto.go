@@ -41,8 +41,9 @@ const (
 	OpDLQ = "dlq"
 	// OpResubmit reruns dead-lettered exchanges by ID (or all of them).
 	OpResubmit = "resubmit"
-	// OpDrain gracefully stops admission, waits for in-flight exchanges
-	// under a deadline, flushes the DLQ and checkpoints the journal.
+	// OpDrain gracefully stops admission for good, waits for in-flight
+	// exchanges under a deadline and checkpoints the journal; the DLQ is
+	// left as it is.
 	OpDrain = "drain"
 	// OpForward relays a submit from a cluster node that does not own the
 	// target partner to the node that does. The receiver executes it
@@ -207,7 +208,10 @@ type ResubmitOutcome struct {
 	ExchangeID string `json:"exchange_id"`
 	// NewExchangeID is the rerun's exchange, when one was created.
 	NewExchangeID string `json:"new_exchange_id,omitempty"`
-	// Err reports a failed rerun (the entry is re-parked on the DLQ).
+	// Err reports a failed rerun. One that ran and failed is parked as its
+	// new exchange's dead letter (NewExchangeID names it); one the hub
+	// refused, or one that failed before its exchange existed, leaves the
+	// original entry on the DLQ and NewExchangeID empty.
 	Err *WireError `json:"err,omitempty"`
 }
 
@@ -243,9 +247,10 @@ type DrainRequest struct {
 
 // DrainResponse is the body of a successful OpDrain.
 type DrainResponse struct {
-	Completed    int64 `json:"completed"`
-	Failed       int64 `json:"failed"`
-	Shed         int64 `json:"shed"`
+	Completed int64 `json:"completed"`
+	Failed    int64 `json:"failed"`
+	Shed      int64 `json:"shed"`
+	// DeadLettered is the DLQ's depth after the drain, which keeps it.
 	DeadLettered int64 `json:"dead_lettered"`
 	// Checkpointed reports a successful post-drain journal checkpoint.
 	Checkpointed bool `json:"checkpointed,omitempty"`

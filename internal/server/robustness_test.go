@@ -40,7 +40,7 @@ func TestDaemonSlowReaderEvicted(t *testing.T) {
 		if err := <-serveDone; err != nil {
 			t.Errorf("Serve: %v", err)
 		}
-		h.StopWorkers()
+		h.Drain(context.Background())
 	}()
 
 	// The slow reader: raw frames in, nothing ever read back. Far more
@@ -153,7 +153,7 @@ func TestClientCallsRaceDaemonCrash(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("disconnected call took %v, want fail-fast", d)
 	}
-	h.StopWorkers()
+	h.Drain(context.Background())
 }
 
 // TestClientReconnectCorrelation: the daemon process dies and a
@@ -172,7 +172,7 @@ func TestClientReconnectCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.StartScheduler()
-	defer h.StopWorkers()
+	defer h.Drain(context.Background())
 
 	d1, err := NewDaemon(h, "127.0.0.1:0")
 	if err != nil {

@@ -55,7 +55,7 @@ func newDaemon(t *testing.T, opts ...core.HubOption) (*core.Hub, *Daemon, *Clien
 		if err := <-serveDone; err != nil {
 			t.Errorf("Serve: %v", err)
 		}
-		h.StopWorkers()
+		h.Drain(context.Background())
 		h.CloseJournal()
 	})
 	return h, d, c
@@ -400,6 +400,56 @@ func TestDaemonDLQResubmitDrain(t *testing.T) {
 	req.Async = true
 	if _, err := c.Submit(ctx, req); !errors.Is(err, core.ErrHubStopped) {
 		t.Fatalf("want ErrHubStopped after drain, got %v", err)
+	}
+}
+
+// TestDrainKeepsDeadLetters: a drain leaves the daemon's dead-letter queue
+// as it is. A journal-less daemon holding one dead letter answers drain
+// with the entry counted, dlq still lists it, and a resubmit the drained
+// hub refuses leaves it queued once; an ID the queue does not hold is
+// not-found.
+func TestDrainKeepsDeadLetters(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	h, d, c := newDaemon(t)
+	ctx := context.Background()
+	h.WrapBackends(func(sys backend.System) backend.System {
+		return backend.NewFaulty(sys, backend.FaultSchedule{ErrProb: 1, Seed: 3})
+	})
+	h.SetDefaultRetryPolicy(core.RetryPolicy{MaxAttempts: 1})
+	req, err := PORequest(doc.NewGenerator(13).PO(tp1, seller))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(ctx, req); err == nil {
+		t.Fatal("submit against hard-down backend succeeded")
+	}
+	dlq, err := c.DLQ(ctx)
+	if err != nil || len(dlq.Entries) != 1 {
+		t.Fatalf("dlq before drain: %v %+v, want one entry", err, dlq)
+	}
+	exID := dlq.Entries[0].ExchangeID
+
+	dr, err := c.Drain(ctx, 5000)
+	if err != nil || dr.TimedOut || dr.DeadLettered != 1 {
+		t.Fatalf("drain: %v %+v, want dead_lettered 1", err, dr)
+	}
+	for i := 0; i < 2; i++ {
+		if dlq, err = c.DLQ(ctx); err != nil || len(dlq.Entries) != 1 || dlq.Entries[0].ExchangeID != exID {
+			t.Fatalf("dlq after drain: %v %+v, want %s once", err, dlq, exID)
+		}
+		rs, err := c.Resubmit(ctx, exID, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Outcomes) != 1 || !errors.Is(DecodeError(rs.Outcomes[0].Err), core.ErrHubStopped) {
+			t.Fatalf("resubmit after drain: %+v, want one ErrHubStopped outcome", rs.Outcomes)
+		}
+	}
+
+	_, err = d.resubmitOp(json.RawMessage(`{"exchange_id":"ex-not-queued"}`))
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != CodeNotFound {
+		t.Fatalf("resubmit of an ID not on the queue = %v, want %s", err, CodeNotFound)
 	}
 }
 

@@ -145,7 +145,7 @@ func TestSwapPropertyNoMixedVersions(t *testing.T) {
 	// a swap trivially runs all stages at the newest epoch, so its tuple is
 	// that epoch's legal tuple for its partner.
 	oracle := swapTestHub(t)
-	defer oracle.StopWorkers()
+	defer oracle.Drain(context.Background())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	hubParty := doc.Party{ID: "HUB", Name: "Receiver Inc", DUNS: "999999999"}
@@ -174,7 +174,7 @@ func TestSwapPropertyNoMixedVersions(t *testing.T) {
 
 	// Live hub: the same schedule races concurrent load.
 	hub := swapTestHub(t, core.WithShards(4), core.WithWorkersPerShard(4))
-	defer hub.StopWorkers()
+	defer hub.Drain(context.Background())
 
 	type sub struct {
 		po  *doc.PurchaseOrder
@@ -276,7 +276,7 @@ func keysOf(set map[string]bool) []string {
 func TestSwapRollbackRestoresVersion(t *testing.T) {
 	defer leakcheck.Check(t)()
 	hub := swapTestHub(t)
-	defer hub.StopWorkers()
+	defer hub.Drain(context.Background())
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 

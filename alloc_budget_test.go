@@ -14,6 +14,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/doc"
 	"repro/internal/formats"
+	"repro/internal/formats/oagis"
+	"repro/internal/formats/rosettanet"
 	"repro/internal/formats/sapidoc"
 	"repro/internal/journal"
 	"repro/internal/obs"
@@ -62,6 +64,15 @@ const (
 	// measured (the document string, its field and segment slices, the
 	// document and its items); 81-93 while every segment was a map.
 	idocDecodeAllocBudget = 6
+	// xmlEncodeAllocBudget bounds allocations per PIP 3A4, PIP 3C3 or
+	// OAGIS BOD encode: 1 measured, the output copy; 15-27 while
+	// encoding/xml's Encoder rendered the struct by reflection.
+	xmlEncodeAllocBudget = 2
+	// xmlDecodeAllocBudget bounds allocations per PIP 3A4, PIP 3C3 or OAGIS
+	// BOD decode: 3 measured (the document, its line slice and its values
+	// string); 406-584 while encoding/xml's Decoder unmarshalled it by
+	// reflection, an allocation per token and per string field.
+	xmlDecodeAllocBudget = 4
 	// canaryAllocBudget bounds the allocations an active canary adds to a
 	// TP1 exchange through Hub.Do (canary fraction 0.25, never settling):
 	// 0 measured, a mean of 258.9-259.0 with the canary and without it.
@@ -94,6 +105,11 @@ func TestAllocBudgets(t *testing.T) {
 		rows = append(rows,
 			row{"sapidoc " + c.name + " encode", "document", idocEncodeAllocBudget, c.encodeAllocs},
 			row{"sapidoc " + c.name + " decode", "document", idocDecodeAllocBudget, c.decodeAllocs})
+	}
+	for _, c := range xmlCodecs() {
+		rows = append(rows,
+			row{c.name + " encode", "document", xmlEncodeAllocBudget, c.encodeAllocs},
+			row{c.name + " decode", "document", xmlDecodeAllocBudget, c.decodeAllocs})
 	}
 	for _, r := range rows {
 		got := r.measure(t)
@@ -342,14 +358,14 @@ func emitAllocs(t *testing.T) float64 {
 	})
 }
 
-// idocCodec measures one SAP IDoc message type's encode and decode.
-type idocCodec struct {
+// docCodec measures one document type's encode and decode.
+type docCodec struct {
 	name   string
 	encode func() ([]byte, error)
 	decode func([]byte) error
 }
 
-func (c idocCodec) encodeAllocs(t *testing.T) float64 {
+func (c docCodec) encodeAllocs(t *testing.T) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(1000, func() {
 		if _, err := c.encode(); err != nil {
@@ -358,7 +374,7 @@ func (c idocCodec) encodeAllocs(t *testing.T) float64 {
 	})
 }
 
-func (c idocCodec) decodeAllocs(t *testing.T) float64 {
+func (c docCodec) decodeAllocs(t *testing.T) float64 {
 	t.Helper()
 	wire, err := c.encode()
 	if err != nil {
@@ -373,7 +389,7 @@ func (c idocCodec) decodeAllocs(t *testing.T) float64 {
 
 // idocCodecs returns three-item ORDERS, ORDRSP and INVOIC documents of the
 // shape the Figure 14 SAP back end exchanges.
-func idocCodecs() []idocCodec {
+func idocCodecs() []docCodec {
 	at := time.Date(2001, 9, 3, 9, 30, 0, 0, time.UTC)
 	buyer := sapidoc.Partner{PartnerID: "TP1", Name: "Trading Partner 1", DUNS: "111111111"}
 	seller := sapidoc.Partner{PartnerID: "HUB", Name: "Widget Inc", DUNS: "999999999"}
@@ -398,9 +414,66 @@ func idocCodecs() []idocCodec {
 		ordrsp.Items = append(ordrsp.Items, sapidoc.AckItem{Posex: 10 * i, Status: sapidoc.StatusAccepted, Quantity: 5 * i, ShipDate: at.AddDate(0, 0, 7)})
 		invoic.Items = append(invoic.Items, sapidoc.InvoiceItem{Posex: 10 * i, SKU: sku, Description: "Widget", Quantity: 5 * i, UnitPrice: 12.5 * float64(i)})
 	}
-	return []idocCodec{
+	return []docCodec{
 		{"ORDERS", orders.Encode, func(b []byte) error { _, err := sapidoc.DecodeOrders(b); return err }},
 		{"ORDRSP", ordrsp.Encode, func(b []byte) error { _, err := sapidoc.DecodeOrdrsp(b); return err }},
 		{"INVOIC", invoic.Encode, func(b []byte) error { _, err := sapidoc.DecodeInvoic(b); return err }},
+	}
+}
+
+// xmlCodecs returns three-line PIP 3A4 request and confirmation, PIP 3C3,
+// and OAGIS ProcessPurchaseOrder, AcknowledgePurchaseOrder and
+// ProcessInvoice documents of the shape the Figure 15 partners exchange.
+func xmlCodecs() []docCodec {
+	const stamp, iso = "20010903T093000Z", "2001-09-03T09:30:00Z"
+	role := func(class, id, name string) rosettanet.PartnerRole {
+		return rosettanet.PartnerRole{RoleClassification: class, BusinessIdentifier: "222222222", ProprietaryIdentifier: id, BusinessName: name}
+	}
+	buyer, seller := role("Buyer", "TP2", "Trading Partner 2"), role("Seller", "HUB", "Widget Inc")
+	request := &rosettanet.PurchaseOrderRequest{
+		FromRole: buyer, ToRole: seller, DocumentIdentifier: "PO-TP2-000001", GenerationDateTime: stamp,
+		OrderType: "Standalone", Currency: "USD", DeliverTo: "Trading Partner 2 Receiving Dock 1",
+	}
+	confirmation := &rosettanet.PurchaseOrderConfirmation{
+		FromRole: seller, ToRole: buyer, DocumentIdentifier: "POA-000001", RequestIdentifier: "PO-TP2-000001",
+		GenerationDateTime: stamp, StatusCode: "Accept",
+	}
+	notification := &rosettanet.InvoiceNotification{
+		FromRole: role("Seller", "HUB", "Widget Inc"), ToRole: role("Buyer", "TP2", "Trading Partner 2"),
+		DocumentIdentifier: "INV-000001", PurchaseOrderReference: "PO-TP2-000001", GenerationDateTime: stamp,
+		PaymentDueDate: stamp, Currency: "USD",
+	}
+	area := oagis.ApplicationArea{SenderID: "TP3", ReceiverID: "HUB", CreationDateTime: iso, BODID: "BOD-000001"}
+	customer := oagis.PartyOAGIS{PartyID: "TP3", Name: "Trading Partner 3", DUNS: "333333333"}
+	supplier := oagis.PartyOAGIS{PartyID: "HUB", Name: "Widget Inc", DUNS: "999999999"}
+	process := &oagis.ProcessPurchaseOrder{ApplicationArea: area, PurchaseOrder: oagis.PurchaseOrderNoun{
+		DocumentID: "PO-TP3-000001", DocumentDate: iso, Currency: "USD", CustomerParty: customer,
+		SupplierParty: supplier, ShipToAddress: "Trading Partner 3 Receiving Dock 1",
+	}}
+	ack := &oagis.AcknowledgePurchaseOrder{ApplicationArea: area, PurchaseOrder: oagis.AcknowledgePurchaseOrderNoun{
+		DocumentID: "POA-000001", OriginalPOID: "PO-TP3-000001", DocumentDate: iso, StatusCode: "Accepted",
+		CustomerParty: customer, SupplierParty: supplier,
+	}}
+	invoice := &oagis.ProcessInvoice{ApplicationArea: area, Invoice: oagis.InvoiceNoun{
+		DocumentID: "INV-000001", OriginalPOID: "PO-TP3-000001", DocumentDate: iso, PaymentDue: iso,
+		Currency: "USD", CustomerParty: customer, SupplierParty: supplier,
+	}}
+	for i := 1; i <= 3; i++ {
+		sku := fmt.Sprintf("SKU-%03d", i)
+		price := rosettanet.FinancialAmount{Currency: "USD", Amount: 12.5 * float64(i)}
+		request.LineItems = append(request.LineItems, rosettanet.ProductLineItem{LineNumber: i, ProductIdentifier: sku, ProductDescription: "Widget", RequestedQuantity: 5 * i, RequestedUnitPrice: price})
+		confirmation.LineItems = append(confirmation.LineItems, rosettanet.LineStatus{LineNumber: i, StatusCode: "Accept", ConfirmedQuantity: 5 * i, ScheduledShipDate: stamp})
+		notification.LineItems = append(notification.LineItems, rosettanet.InvoiceLineItem{LineNumber: i, ProductIdentifier: sku, ProductDescription: "Widget", InvoiceQuantity: 5 * i, UnitPrice: price})
+		process.PurchaseOrder.Lines = append(process.PurchaseOrder.Lines, oagis.POLine{LineNumber: i, ItemID: sku, Description: "Widget", Quantity: 5 * i, UnitPrice: 12.5 * float64(i), Currency: "USD"})
+		ack.PurchaseOrder.Lines = append(ack.PurchaseOrder.Lines, oagis.AckLine{LineNumber: i, StatusCode: "Accepted", Quantity: 5 * i, ShipDate: iso})
+		invoice.Invoice.Lines = append(invoice.Invoice.Lines, oagis.InvoiceLine{LineNumber: i, ItemID: sku, Description: "Widget", Quantity: 5 * i, UnitPrice: 12.5 * float64(i), Currency: "USD"})
+	}
+	return []docCodec{
+		{"rosettanet PIP 3A4 request", request.Encode, func(b []byte) error { _, err := rosettanet.DecodeRequest(b); return err }},
+		{"rosettanet PIP 3A4 confirmation", confirmation.Encode, func(b []byte) error { _, err := rosettanet.DecodeConfirmation(b); return err }},
+		{"rosettanet PIP 3C3 notification", notification.Encode, func(b []byte) error { _, err := rosettanet.DecodeInvoiceNotification(b); return err }},
+		{"oagis ProcessPurchaseOrder", process.Encode, func(b []byte) error { _, err := oagis.DecodeProcessPO(b); return err }},
+		{"oagis AcknowledgePurchaseOrder", ack.Encode, func(b []byte) error { _, err := oagis.DecodeAcknowledgePO(b); return err }},
+		{"oagis ProcessInvoice", invoice.Encode, func(b []byte) error { _, err := oagis.DecodeProcessInvoice(b); return err }},
 	}
 }

@@ -24,7 +24,7 @@
 //
 // The package layers on the daemon without the server package knowing: the
 // node registers Daemon.Handle overrides for OpSubmit (routing) and handlers
-// for OpForward/OpHeartbeat, delegating the local path to Daemon.Builtin.
+// for OpForward/OpHeartbeat, running the local path through Daemon.Submit.
 package cluster
 
 import (
@@ -279,9 +279,10 @@ func (n *Node) Stop() {
 }
 
 // handleSubmit is the routing override: a submit for a partner this node
-// owns runs locally (Daemon.Builtin); anything else forwards to the owner,
-// and a forward that exhausts its policy parks locally with a typed
-// ErrPeerUnavailable so the work stays durable and resubmittable.
+// owns runs locally (Daemon.Submit, on the request decoded here); anything
+// else forwards to the owner, and a forward that exhausts its policy parks
+// locally with a typed ErrPeerUnavailable so the work stays durable and
+// resubmittable.
 func (n *Node) handleSubmit(ctx context.Context, body json.RawMessage) (any, error) {
 	var sr server.SubmitRequest
 	if err := json.Unmarshal(body, &sr); err != nil {
@@ -290,7 +291,7 @@ func (n *Node) handleSubmit(ctx context.Context, body json.RawMessage) (any, err
 	}
 	owner := n.ownerOf(sr.PartnerKey())
 	if owner == n.cfg.Node {
-		return n.d.Builtin(server.OpSubmit, body)
+		return n.d.Submit(&sr)
 	}
 	resp, err := n.forward(ctx, owner, server.ForwardRequest{
 		From: n.cfg.Node, Hops: 1, Submit: sr,
@@ -334,11 +335,7 @@ func (n *Node) handleForward(ctx context.Context, body json.RawMessage) (any, er
 		}
 		// The true owner is unreachable too: fall through and execute here.
 	}
-	raw, err := json.Marshal(fr.Submit)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encode forwarded submit: %w", err)
-	}
-	return n.d.Builtin(server.OpSubmit, raw)
+	return n.d.Submit(&fr.Submit)
 }
 
 // handleHeartbeat answers a peer's liveness probe.

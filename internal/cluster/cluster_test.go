@@ -2,17 +2,21 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/doc"
+	"repro/internal/formats"
 	"repro/internal/journal"
 	"repro/internal/leakcheck"
 	"repro/internal/msg"
 	"repro/internal/server"
+	"repro/internal/transform"
 )
 
 var seller = doc.Party{ID: "HUB", Name: "Receiver Inc", DUNS: "999999999"}
@@ -254,6 +258,107 @@ func TestSubmitForwardsToOwner(t *testing.T) {
 	}
 	if got := nodes[owner].hub.Status().Cluster.Forwarded; got != 0 {
 		t.Fatalf("owner forwarded=%d, want 0", got)
+	}
+}
+
+// TestWireSubmitRunsOnOwner: a protocol-native PO in each of the three
+// Figure 15 protocols, submitted to a relay and to the owner, runs once on
+// the owner (decoded there once, not re-encoded on the way) and comes back
+// as a POA wire the partner's POA codec decodes.
+func TestWireSubmitRunsOnOwner(t *testing.T) {
+	defer leakcheck.Check(t)()
+	nodes, shutdown := bootCluster(t, []string{"n1", "n2", "n3"}, "", nil)
+	defer shutdown()
+	reg := &transform.Registry{}
+	transform.RegisterAll(reg)
+	codecs := core.NewCodecRegistry()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	g := doc.NewGenerator(1)
+	for partner, protocol := range map[string]formats.Format{"TP1": formats.EDI, "TP2": formats.RosettaNet, "TP3": formats.OAGIS} {
+		owner := nodes["n1"].node.Owner(partner)
+		var relay *testNode
+		for id, tn := range nodes {
+			if id != owner {
+				relay = tn
+				break
+			}
+		}
+		for _, via := range []*testNode{relay, nodes[owner]} {
+			po := g.PO(doc.Party{ID: partner, Name: partner, DUNS: "111111111"}, seller)
+			native, err := reg.FromNormalized(protocol, doc.TypePO, po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poCodec, err := codecs.Lookup(protocol, doc.TypePO)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire, err := poCodec.Encode(native)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := via.client.Submit(ctx, server.SubmitRequest{
+				Kind: string(core.DocWirePO), Protocol: string(protocol), Wire: wire, PartnerID: partner,
+			})
+			if err != nil {
+				t.Fatalf("%s wire PO via %s: %v", protocol, via.id, err)
+			}
+			poaCodec, err := codecs.Lookup(protocol, doc.TypePOA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := poaCodec.Decode(resp.Wire); err != nil {
+				t.Fatalf("%s POA wire via %s does not decode: %v\n%s", protocol, via.id, err, resp.Wire)
+			}
+			for id, tn := range nodes {
+				if _, ok := tn.hub.ExchangeByID(resp.ExchangeID); ok != (id == owner) {
+					t.Fatalf("%s exchange %s via %s: on %s %v, owner %s", protocol, resp.ExchangeID, via.id, id, ok, owner)
+				}
+			}
+		}
+	}
+}
+
+// TestMalformedSubmitIsBadFrame: a submit body that does not decode gets
+// the same bad-frame error from a cluster node as from a bare daemon.
+func TestMalformedSubmitIsBadFrame(t *testing.T) {
+	defer leakcheck.Check(t)()
+	nodes, shutdown := bootCluster(t, []string{"n1", "n2"}, "", nil)
+	defer shutdown()
+	m, err := core.PaperFigure14Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, err := core.NewHub(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub.StartScheduler()
+	defer hub.Drain(context.Background())
+	bare, err := server.NewDaemon(hub, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	go bare.Serve()
+	bareClient, err := server.Dial(context.Background(), bare.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bareClient.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	body := json.RawMessage(`{"kind":5}`)
+	want := bareClient.Call(ctx, server.OpSubmit, body, nil)
+	if want == nil || !strings.HasPrefix(want.Error(), "server: decode submit: ") {
+		t.Fatalf("bare daemon: want a bad-frame decode error, got %v", want)
+	}
+	for id, tn := range nodes {
+		if err := tn.client.Call(ctx, server.OpSubmit, body, nil); err == nil || err.Error() != want.Error() {
+			t.Fatalf("node %s: error %v, bare daemon %v", id, err, want)
+		}
 	}
 }
 

@@ -12,7 +12,6 @@
 package oagis
 
 import (
-	"bytes"
 	"encoding/xml"
 	"fmt"
 	"strings"
@@ -34,6 +33,13 @@ type ApplicationArea struct {
 	BODID string `xml:"BODID"`
 }
 
+var applicationAreaXML = formats.NewXMLStruct(
+	formats.XMLString("Sender>LogicalID", func(a *ApplicationArea) *string { return &a.SenderID }),
+	formats.XMLString("Receiver>LogicalID", func(a *ApplicationArea) *string { return &a.ReceiverID }),
+	formats.XMLString("CreationDateTime", func(a *ApplicationArea) *string { return &a.CreationDateTime }),
+	formats.XMLString("BODID", func(a *ApplicationArea) *string { return &a.BODID }),
+)
+
 // oagisTimeLayout is ISO 8601 with seconds, UTC.
 const oagisTimeLayout = "2006-01-02T15:04:05Z"
 
@@ -50,6 +56,12 @@ type PartyOAGIS struct {
 	DUNS    string `xml:"DUNSNumber,omitempty"`
 }
 
+var partyXML = formats.NewXMLStruct(
+	formats.XMLString("PartyID", func(p *PartyOAGIS) *string { return &p.PartyID }),
+	formats.XMLString("Name", func(p *PartyOAGIS) *string { return &p.Name }),
+	formats.XMLString("DUNSNumber,omitempty", func(p *PartyOAGIS) *string { return &p.DUNS }),
+)
+
 // POLine is one purchase order line in the BOD noun.
 type POLine struct {
 	LineNumber  int     `xml:"LineNumber"`
@@ -59,6 +71,15 @@ type POLine struct {
 	UnitPrice   float64 `xml:"UnitPrice>Amount"`
 	Currency    string  `xml:"UnitPrice>Currency"`
 }
+
+var poLineXML = formats.NewXMLStruct(
+	formats.XMLInt("LineNumber", func(l *POLine) *int { return &l.LineNumber }),
+	formats.XMLString("ItemID", func(l *POLine) *string { return &l.ItemID }),
+	formats.XMLString("Description,omitempty", func(l *POLine) *string { return &l.Description }),
+	formats.XMLInt("Quantity", func(l *POLine) *int { return &l.Quantity }),
+	formats.XMLFloat("UnitPrice>Amount", func(l *POLine) *float64 { return &l.UnitPrice }),
+	formats.XMLString("UnitPrice>Currency", func(l *POLine) *string { return &l.Currency }),
+)
 
 // PurchaseOrderNoun is the PurchaseOrder noun of ProcessPurchaseOrder.
 type PurchaseOrderNoun struct {
@@ -72,12 +93,31 @@ type PurchaseOrderNoun struct {
 	Lines         []POLine   `xml:"Line"`
 }
 
+var purchaseOrderNounXML = formats.NewXMLStruct(
+	formats.XMLString("Header>DocumentID", func(n *PurchaseOrderNoun) *string { return &n.DocumentID }),
+	formats.XMLString("Header>DocumentDateTime", func(n *PurchaseOrderNoun) *string { return &n.DocumentDate }),
+	formats.XMLString("Header>Currency", func(n *PurchaseOrderNoun) *string { return &n.Currency }),
+	formats.XMLElem("Header>CustomerParty", partyXML, func(n *PurchaseOrderNoun) *PartyOAGIS { return &n.CustomerParty }),
+	formats.XMLElem("Header>SupplierParty", partyXML, func(n *PurchaseOrderNoun) *PartyOAGIS { return &n.SupplierParty }),
+	formats.XMLString("Header>ShipTo>Address,omitempty", func(n *PurchaseOrderNoun) *string { return &n.ShipToAddress }),
+	formats.XMLString("Header>Note,omitempty", func(n *PurchaseOrderNoun) *string { return &n.Note }),
+	formats.XMLList("Line", poLineXML, func(n *PurchaseOrderNoun) *[]POLine { return &n.Lines }),
+)
+
 // ProcessPurchaseOrder is the request BOD (verb Process, noun PurchaseOrder).
 type ProcessPurchaseOrder struct {
 	XMLName         xml.Name          `xml:"ProcessPurchaseOrder"`
 	ApplicationArea ApplicationArea   `xml:"ApplicationArea"`
 	PurchaseOrder   PurchaseOrderNoun `xml:"DataArea>PurchaseOrder"`
 }
+
+// processPOXML is the BOD's codec: its field tables follow the struct tags
+// above, field for field.
+var processPOXML = formats.NewXMLDoc("oagis", "ProcessPurchaseOrder",
+	func(b *ProcessPurchaseOrder) *xml.Name { return &b.XMLName },
+	formats.XMLElem("ApplicationArea", applicationAreaXML, func(b *ProcessPurchaseOrder) *ApplicationArea { return &b.ApplicationArea }),
+	formats.XMLElem("DataArea>PurchaseOrder", purchaseOrderNounXML, func(b *ProcessPurchaseOrder) *PurchaseOrderNoun { return &b.PurchaseOrder }),
+)
 
 // Validate reports structural problems with the BOD.
 func (b *ProcessPurchaseOrder) Validate() error {
@@ -116,19 +156,19 @@ func (b *ProcessPurchaseOrder) Encode() ([]byte, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	return marshalXML(b)
+	return processPOXML.Encode(b), nil
 }
 
 // DecodeProcessPO parses a ProcessPurchaseOrder BOD.
 func DecodeProcessPO(data []byte) (*ProcessPurchaseOrder, error) {
-	var b ProcessPurchaseOrder
-	if err := unmarshalStrict(data, &b, "ProcessPurchaseOrder"); err != nil {
+	b, err := processPOXML.Decode(data)
+	if err != nil {
 		return nil, err
 	}
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	return &b, nil
+	return b, nil
 }
 
 // AckLine is a per-line acknowledgment in the response BOD.
@@ -140,6 +180,13 @@ type AckLine struct {
 	// ShipDate is an ISO 8601 timestamp, empty if not scheduled.
 	ShipDate string `xml:"ShipDate,omitempty"`
 }
+
+var ackLineXML = formats.NewXMLStruct(
+	formats.XMLInt("LineNumber", func(l *AckLine) *int { return &l.LineNumber }),
+	formats.XMLString("StatusCode", func(l *AckLine) *string { return &l.StatusCode }),
+	formats.XMLInt("Quantity", func(l *AckLine) *int { return &l.Quantity }),
+	formats.XMLString("ShipDate,omitempty", func(l *AckLine) *string { return &l.ShipDate }),
+)
 
 // AcknowledgePurchaseOrderNoun is the acknowledgment noun.
 type AcknowledgePurchaseOrderNoun struct {
@@ -153,12 +200,31 @@ type AcknowledgePurchaseOrderNoun struct {
 	Lines         []AckLine  `xml:"Line"`
 }
 
+var ackNounXML = formats.NewXMLStruct(
+	formats.XMLString("Header>DocumentID", func(n *AcknowledgePurchaseOrderNoun) *string { return &n.DocumentID }),
+	formats.XMLString("Header>OriginalDocumentID", func(n *AcknowledgePurchaseOrderNoun) *string { return &n.OriginalPOID }),
+	formats.XMLString("Header>DocumentDateTime", func(n *AcknowledgePurchaseOrderNoun) *string { return &n.DocumentDate }),
+	formats.XMLString("Header>StatusCode", func(n *AcknowledgePurchaseOrderNoun) *string { return &n.StatusCode }),
+	formats.XMLElem("Header>CustomerParty", partyXML, func(n *AcknowledgePurchaseOrderNoun) *PartyOAGIS { return &n.CustomerParty }),
+	formats.XMLElem("Header>SupplierParty", partyXML, func(n *AcknowledgePurchaseOrderNoun) *PartyOAGIS { return &n.SupplierParty }),
+	formats.XMLString("Header>Note,omitempty", func(n *AcknowledgePurchaseOrderNoun) *string { return &n.Note }),
+	formats.XMLList("Line", ackLineXML, func(n *AcknowledgePurchaseOrderNoun) *[]AckLine { return &n.Lines }),
+)
+
 // AcknowledgePurchaseOrder is the response BOD (verb Acknowledge).
 type AcknowledgePurchaseOrder struct {
 	XMLName         xml.Name                     `xml:"AcknowledgePurchaseOrder"`
 	ApplicationArea ApplicationArea              `xml:"ApplicationArea"`
 	PurchaseOrder   AcknowledgePurchaseOrderNoun `xml:"DataArea>PurchaseOrder"`
 }
+
+// acknowledgePOXML is the BOD's codec: its field tables follow the struct
+// tags above, field for field.
+var acknowledgePOXML = formats.NewXMLDoc("oagis", "AcknowledgePurchaseOrder",
+	func(b *AcknowledgePurchaseOrder) *xml.Name { return &b.XMLName },
+	formats.XMLElem("ApplicationArea", applicationAreaXML, func(b *AcknowledgePurchaseOrder) *ApplicationArea { return &b.ApplicationArea }),
+	formats.XMLElem("DataArea>PurchaseOrder", ackNounXML, func(b *AcknowledgePurchaseOrder) *AcknowledgePurchaseOrderNoun { return &b.PurchaseOrder }),
+)
 
 // Validate reports structural problems with the BOD.
 func (b *AcknowledgePurchaseOrder) Validate() error {
@@ -195,49 +261,17 @@ func (b *AcknowledgePurchaseOrder) Encode() ([]byte, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	return marshalXML(b)
+	return acknowledgePOXML.Encode(b), nil
 }
 
 // DecodeAcknowledgePO parses an AcknowledgePurchaseOrder BOD.
 func DecodeAcknowledgePO(data []byte) (*AcknowledgePurchaseOrder, error) {
-	var b AcknowledgePurchaseOrder
-	if err := unmarshalStrict(data, &b, "AcknowledgePurchaseOrder"); err != nil {
+	b, err := acknowledgePOXML.Decode(data)
+	if err != nil {
 		return nil, err
 	}
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	return &b, nil
-}
-
-func marshalXML(v any) ([]byte, error) {
-	buf := formats.GetBuffer()
-	defer formats.PutBuffer(buf)
-	buf.WriteString(xml.Header)
-	enc := xml.NewEncoder(buf)
-	enc.Indent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return nil, fmt.Errorf("oagis: encode: %w", err)
-	}
-	buf.WriteString("\n")
-	return formats.CopyBytes(buf), nil
-}
-
-func unmarshalStrict(data []byte, v any, wantRoot string) error {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return fmt.Errorf("oagis: decode: %w", err)
-		}
-		if se, ok := tok.(xml.StartElement); ok {
-			if se.Name.Local != wantRoot {
-				return fmt.Errorf("oagis: decode: root element %q, want %q", se.Name.Local, wantRoot)
-			}
-			if err := dec.DecodeElement(v, &se); err != nil {
-				return fmt.Errorf("oagis: decode: %w", err)
-			}
-			return nil
-		}
-	}
+	return b, nil
 }

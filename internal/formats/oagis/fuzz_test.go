@@ -4,8 +4,10 @@ import "testing"
 
 // The fuzz targets assert the decoder robustness contract: arbitrary
 // bytes must never panic a decoder, and any BOD a decoder accepts must
-// survive re-encoding and re-decoding. Seed corpora are the golden
-// sample BODs plus structural mutations of them.
+// survive re-encoding and re-decoding. Every input is also checked against
+// the encoding/xml reference (reference_test.go): the same verdict, the
+// same decoded document and the same re-encoded bytes. Seed corpora are the
+// golden sample BODs plus structural mutations of them.
 
 // bodSeeds returns seed inputs derived from the golden documents.
 func bodSeeds(encode func() ([]byte, error)) [][]byte {
@@ -27,6 +29,7 @@ func FuzzDecodeProcessPO(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		processPOPair.CheckDecode(t, data)
 		doc, err := DecodeProcessPO(data)
 		if err != nil {
 			return
@@ -46,6 +49,7 @@ func FuzzDecodeAcknowledgePO(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		acknowledgePOPair.CheckDecode(t, data)
 		doc, err := DecodeAcknowledgePO(data)
 		if err != nil {
 			return
@@ -65,6 +69,7 @@ func FuzzDecodeProcessInvoice(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		processInvoicePair.CheckDecode(t, data)
 		doc, err := DecodeProcessInvoice(data)
 		if err != nil {
 			return

@@ -83,10 +83,12 @@ func codecsUnderTest(t *testing.T) map[string]struct {
 }
 
 // TestDecodersSurviveMutation flips, deletes and inserts random bytes in
-// valid wires; decoders must never panic.
+// valid wires; decoders must never panic. The seed changes from run to run
+// and a failure names it, so the input can be replayed.
 func TestDecodersSurviveMutation(t *testing.T) {
 	cases := codecsUnderTest(t)
-	r := rand.New(rand.NewSource(time.Now().UnixNano()%1000 + 1))
+	seed := time.Now().UnixNano()%1000 + 1
+	r := rand.New(rand.NewSource(seed))
 	for name, c := range cases {
 		c := c
 		t.Run(name, func(t *testing.T) {
@@ -111,7 +113,7 @@ func TestDecodersSurviveMutation(t *testing.T) {
 				func() {
 					defer func() {
 						if p := recover(); p != nil {
-							t.Fatalf("decoder panicked on mutated input: %v", p)
+							t.Fatalf("decoder panicked on mutated input (seed %d): %v\ninput: %q", seed, p, wire)
 						}
 					}()
 					_, _ = c.codec.Decode(wire)

@@ -14,7 +14,6 @@
 package rosettanet
 
 import (
-	"bytes"
 	"encoding/xml"
 	"fmt"
 	"strings"
@@ -37,11 +36,23 @@ type PartnerRole struct {
 	BusinessName string `xml:"PartnerRoleDescription>PartnerDescription>BusinessDescription>businessName"`
 }
 
+var partnerRoleXML = formats.NewXMLStruct(
+	formats.XMLString("PartnerRoleDescription>GlobalPartnerRoleClassificationCode", func(r *PartnerRole) *string { return &r.RoleClassification }),
+	formats.XMLString("PartnerRoleDescription>PartnerDescription>BusinessDescription>GlobalBusinessIdentifier", func(r *PartnerRole) *string { return &r.BusinessIdentifier }),
+	formats.XMLString("PartnerRoleDescription>PartnerDescription>BusinessDescription>proprietaryBusinessIdentifier", func(r *PartnerRole) *string { return &r.ProprietaryIdentifier }),
+	formats.XMLString("PartnerRoleDescription>PartnerDescription>BusinessDescription>businessName", func(r *PartnerRole) *string { return &r.BusinessName }),
+)
+
 // FinancialAmount is a currency-qualified monetary amount.
 type FinancialAmount struct {
 	Currency string  `xml:"GlobalCurrencyCode"`
 	Amount   float64 `xml:"MonetaryAmount"`
 }
+
+var financialAmountXML = formats.NewXMLStruct(
+	formats.XMLString("GlobalCurrencyCode", func(a *FinancialAmount) *string { return &a.Currency }),
+	formats.XMLFloat("MonetaryAmount", func(a *FinancialAmount) *float64 { return &a.Amount }),
+)
 
 // ProductLineItem is one requested order line.
 type ProductLineItem struct {
@@ -51,6 +62,14 @@ type ProductLineItem struct {
 	RequestedQuantity  int             `xml:"OrderQuantity>requestedQuantity"`
 	RequestedUnitPrice FinancialAmount `xml:"requestedUnitPrice>FinancialAmount"`
 }
+
+var productLineItemXML = formats.NewXMLStruct(
+	formats.XMLInt("LineNumber", func(li *ProductLineItem) *int { return &li.LineNumber }),
+	formats.XMLString("GlobalProductIdentifier", func(li *ProductLineItem) *string { return &li.ProductIdentifier }),
+	formats.XMLString("ProductDescription,omitempty", func(li *ProductLineItem) *string { return &li.ProductDescription }),
+	formats.XMLInt("OrderQuantity>requestedQuantity", func(li *ProductLineItem) *int { return &li.RequestedQuantity }),
+	formats.XMLElem("requestedUnitPrice>FinancialAmount", financialAmountXML, func(li *ProductLineItem) *FinancialAmount { return &li.RequestedUnitPrice }),
+)
 
 // PurchaseOrderRequest is the PIP 3A4 purchase order request action.
 type PurchaseOrderRequest struct {
@@ -65,6 +84,21 @@ type PurchaseOrderRequest struct {
 	Comment            string            `xml:"PurchaseOrder>comment,omitempty"`
 	LineItems          []ProductLineItem `xml:"PurchaseOrder>ProductLineItem"`
 }
+
+// requestXML is the request's codec: its field table follows the struct
+// tags above, field for field.
+var requestXML = formats.NewXMLDoc("rosettanet", "Pip3A4PurchaseOrderRequest",
+	func(r *PurchaseOrderRequest) *xml.Name { return &r.XMLName },
+	formats.XMLElem("fromRole", partnerRoleXML, func(r *PurchaseOrderRequest) *PartnerRole { return &r.FromRole }),
+	formats.XMLElem("toRole", partnerRoleXML, func(r *PurchaseOrderRequest) *PartnerRole { return &r.ToRole }),
+	formats.XMLString("thisDocumentIdentifier>ProprietaryDocumentIdentifier", func(r *PurchaseOrderRequest) *string { return &r.DocumentIdentifier }),
+	formats.XMLString("thisDocumentGenerationDateTime>DateTimeStamp", func(r *PurchaseOrderRequest) *string { return &r.GenerationDateTime }),
+	formats.XMLString("PurchaseOrder>GlobalPurchaseOrderTypeCode", func(r *PurchaseOrderRequest) *string { return &r.OrderType }),
+	formats.XMLString("PurchaseOrder>GlobalCurrencyCode", func(r *PurchaseOrderRequest) *string { return &r.Currency }),
+	formats.XMLString("PurchaseOrder>deliverTo>PhysicalLocation>addressLine,omitempty", func(r *PurchaseOrderRequest) *string { return &r.DeliverTo }),
+	formats.XMLString("PurchaseOrder>comment,omitempty", func(r *PurchaseOrderRequest) *string { return &r.Comment }),
+	formats.XMLList("PurchaseOrder>ProductLineItem", productLineItemXML, func(r *PurchaseOrderRequest) *[]ProductLineItem { return &r.LineItems }),
+)
 
 // rnTimeLayout is the RosettaNet DateTimeStamp layout (UTC, basic format).
 const rnTimeLayout = "20060102T150405Z"
@@ -112,19 +146,19 @@ func (r *PurchaseOrderRequest) Encode() ([]byte, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	return marshalXML(r)
+	return requestXML.Encode(r), nil
 }
 
 // DecodeRequest parses an XML 3A4 purchase order request.
 func DecodeRequest(data []byte) (*PurchaseOrderRequest, error) {
-	var r PurchaseOrderRequest
-	if err := unmarshalStrict(data, &r, "Pip3A4PurchaseOrderRequest"); err != nil {
+	r, err := requestXML.Decode(data)
+	if err != nil {
 		return nil, err
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	return &r, nil
+	return r, nil
 }
 
 // LineStatus is the per-line confirmation status.
@@ -138,6 +172,13 @@ type LineStatus struct {
 	// ScheduledShipDate is a DateTimeStamp, empty if not scheduled.
 	ScheduledShipDate string `xml:"scheduledShipDate>DateTimeStamp,omitempty"`
 }
+
+var lineStatusXML = formats.NewXMLStruct(
+	formats.XMLInt("LineNumber", func(li *LineStatus) *int { return &li.LineNumber }),
+	formats.XMLString("GlobalPurchaseOrderStatusCode", func(li *LineStatus) *string { return &li.StatusCode }),
+	formats.XMLInt("OrderQuantity>confirmedQuantity", func(li *LineStatus) *int { return &li.ConfirmedQuantity }),
+	formats.XMLString("scheduledShipDate>DateTimeStamp,omitempty", func(li *LineStatus) *string { return &li.ScheduledShipDate }),
+)
 
 // PurchaseOrderConfirmation is the PIP 3A4 purchase order confirmation
 // action returned by the Seller.
@@ -154,6 +195,20 @@ type PurchaseOrderConfirmation struct {
 	Comment    string       `xml:"PurchaseOrder>comment,omitempty"`
 	LineItems  []LineStatus `xml:"PurchaseOrder>ProductLineItem"`
 }
+
+// confirmationXML is the confirmation's codec: its field table follows the
+// struct tags above, field for field.
+var confirmationXML = formats.NewXMLDoc("rosettanet", "Pip3A4PurchaseOrderConfirmation",
+	func(c *PurchaseOrderConfirmation) *xml.Name { return &c.XMLName },
+	formats.XMLElem("fromRole", partnerRoleXML, func(c *PurchaseOrderConfirmation) *PartnerRole { return &c.FromRole }),
+	formats.XMLElem("toRole", partnerRoleXML, func(c *PurchaseOrderConfirmation) *PartnerRole { return &c.ToRole }),
+	formats.XMLString("thisDocumentIdentifier>ProprietaryDocumentIdentifier", func(c *PurchaseOrderConfirmation) *string { return &c.DocumentIdentifier }),
+	formats.XMLString("requestingDocumentIdentifier>ProprietaryDocumentIdentifier", func(c *PurchaseOrderConfirmation) *string { return &c.RequestIdentifier }),
+	formats.XMLString("thisDocumentGenerationDateTime>DateTimeStamp", func(c *PurchaseOrderConfirmation) *string { return &c.GenerationDateTime }),
+	formats.XMLString("PurchaseOrder>GlobalPurchaseOrderStatusCode", func(c *PurchaseOrderConfirmation) *string { return &c.StatusCode }),
+	formats.XMLString("PurchaseOrder>comment,omitempty", func(c *PurchaseOrderConfirmation) *string { return &c.Comment }),
+	formats.XMLList("PurchaseOrder>ProductLineItem", lineStatusXML, func(c *PurchaseOrderConfirmation) *[]LineStatus { return &c.LineItems }),
+)
 
 // Validate reports structural problems with the confirmation.
 func (c *PurchaseOrderConfirmation) Validate() error {
@@ -190,52 +245,17 @@ func (c *PurchaseOrderConfirmation) Encode() ([]byte, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return marshalXML(c)
+	return confirmationXML.Encode(c), nil
 }
 
 // DecodeConfirmation parses an XML 3A4 purchase order confirmation.
 func DecodeConfirmation(data []byte) (*PurchaseOrderConfirmation, error) {
-	var c PurchaseOrderConfirmation
-	if err := unmarshalStrict(data, &c, "Pip3A4PurchaseOrderConfirmation"); err != nil {
+	c, err := confirmationXML.Decode(data)
+	if err != nil {
 		return nil, err
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return &c, nil
-}
-
-func marshalXML(v any) ([]byte, error) {
-	buf := formats.GetBuffer()
-	defer formats.PutBuffer(buf)
-	buf.WriteString(xml.Header)
-	enc := xml.NewEncoder(buf)
-	enc.Indent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return nil, fmt.Errorf("rosettanet: encode: %w", err)
-	}
-	buf.WriteString("\n")
-	return formats.CopyBytes(buf), nil
-}
-
-// unmarshalStrict decodes XML and verifies the expected root element, since
-// encoding/xml happily decodes a request into a confirmation struct
-// otherwise.
-func unmarshalStrict(data []byte, v any, wantRoot string) error {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return fmt.Errorf("rosettanet: decode: %w", err)
-		}
-		if se, ok := tok.(xml.StartElement); ok {
-			if se.Name.Local != wantRoot {
-				return fmt.Errorf("rosettanet: decode: root element %q, want %q", se.Name.Local, wantRoot)
-			}
-			if err := dec.DecodeElement(v, &se); err != nil {
-				return fmt.Errorf("rosettanet: decode: %w", err)
-			}
-			return nil
-		}
-	}
+	return c, nil
 }

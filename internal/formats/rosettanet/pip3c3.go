@@ -4,6 +4,8 @@ import (
 	"encoding/xml"
 	"fmt"
 	"strings"
+
+	"repro/internal/formats"
 )
 
 // InvoiceLineItem is one billed line of a PIP 3C3 invoice notification.
@@ -14,6 +16,14 @@ type InvoiceLineItem struct {
 	InvoiceQuantity    int             `xml:"InvoiceQuantity"`
 	UnitPrice          FinancialAmount `xml:"unitPrice>FinancialAmount"`
 }
+
+var invoiceLineItemXML = formats.NewXMLStruct(
+	formats.XMLInt("LineNumber", func(li *InvoiceLineItem) *int { return &li.LineNumber }),
+	formats.XMLString("GlobalProductIdentifier", func(li *InvoiceLineItem) *string { return &li.ProductIdentifier }),
+	formats.XMLString("ProductDescription,omitempty", func(li *InvoiceLineItem) *string { return &li.ProductDescription }),
+	formats.XMLInt("InvoiceQuantity", func(li *InvoiceLineItem) *int { return &li.InvoiceQuantity }),
+	formats.XMLElem("unitPrice>FinancialAmount", financialAmountXML, func(li *InvoiceLineItem) *FinancialAmount { return &li.UnitPrice }),
+)
 
 // InvoiceNotification is the PIP 3C3 invoice notification action: a
 // one-way message from the Seller role (the paper's "one-way messages"
@@ -32,6 +42,21 @@ type InvoiceNotification struct {
 	Comment        string            `xml:"Invoice>comment,omitempty"`
 	LineItems      []InvoiceLineItem `xml:"Invoice>InvoiceLineItem"`
 }
+
+// notificationXML is the notification's codec: its field table follows
+// the struct tags above, field for field.
+var notificationXML = formats.NewXMLDoc("rosettanet", "Pip3C3InvoiceNotification",
+	func(n *InvoiceNotification) *xml.Name { return &n.XMLName },
+	formats.XMLElem("fromRole", partnerRoleXML, func(n *InvoiceNotification) *PartnerRole { return &n.FromRole }),
+	formats.XMLElem("toRole", partnerRoleXML, func(n *InvoiceNotification) *PartnerRole { return &n.ToRole }),
+	formats.XMLString("thisDocumentIdentifier>ProprietaryDocumentIdentifier", func(n *InvoiceNotification) *string { return &n.DocumentIdentifier }),
+	formats.XMLString("Invoice>purchaseOrderReference>ProprietaryDocumentIdentifier", func(n *InvoiceNotification) *string { return &n.PurchaseOrderReference }),
+	formats.XMLString("thisDocumentGenerationDateTime>DateTimeStamp", func(n *InvoiceNotification) *string { return &n.GenerationDateTime }),
+	formats.XMLString("Invoice>paymentDueDate>DateTimeStamp,omitempty", func(n *InvoiceNotification) *string { return &n.PaymentDueDate }),
+	formats.XMLString("Invoice>GlobalCurrencyCode", func(n *InvoiceNotification) *string { return &n.Currency }),
+	formats.XMLString("Invoice>comment,omitempty", func(n *InvoiceNotification) *string { return &n.Comment }),
+	formats.XMLList("Invoice>InvoiceLineItem", invoiceLineItemXML, func(n *InvoiceNotification) *[]InvoiceLineItem { return &n.LineItems }),
+)
 
 // Validate reports structural problems with the notification.
 func (n *InvoiceNotification) Validate() error {
@@ -73,17 +98,17 @@ func (n *InvoiceNotification) Encode() ([]byte, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	return marshalXML(n)
+	return notificationXML.Encode(n), nil
 }
 
 // DecodeInvoiceNotification parses an XML 3C3 invoice notification.
 func DecodeInvoiceNotification(data []byte) (*InvoiceNotification, error) {
-	var n InvoiceNotification
-	if err := unmarshalStrict(data, &n, "Pip3C3InvoiceNotification"); err != nil {
+	n, err := notificationXML.Decode(data)
+	if err != nil {
 		return nil, err
 	}
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	return &n, nil
+	return n, nil
 }

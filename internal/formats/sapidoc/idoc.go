@@ -219,90 +219,126 @@ func (w *writer) partner(parvw string, p Partner) {
 	w.seg("E1EDKA1").set("PARVW", parvw).set("PARTN", p.PartnerID).set("NAME1", p.Name).set("DUNS", p.DUNS)
 }
 
-// field is one KEY=VALUE pair of a decoded segment.
-type field struct{ key, value string }
+// field is one KEY=VALUE pair of a decoded segment: a window of the input
+// and the offset of its '='.
+type field struct {
+	kv []byte
+	eq int
+}
 
 // segment is one decoded line: its name and a window of the document's
 // field slice.
 type segment struct {
-	name   string
+	name   []byte
 	fields []field
 }
 
-// get returns the last non-empty value of key, or "": a repeated key
+// is reports whether the segment is named name.
+func (s *segment) is(name string) bool { return string(s.name) == name }
+
+// get returns the last non-empty value of key, or nil: a repeated key
 // overrides the earlier value, and an empty value sets nothing.
-func (s *segment) get(k string) string {
+func (s *segment) get(k string) []byte {
 	for i := len(s.fields) - 1; i >= 0; i-- {
-		if f := s.fields[i]; f.key == k && f.value != "" {
-			return f.value
+		if f := s.fields[i]; string(f.kv[:f.eq]) == k && len(f.kv) > f.eq+1 {
+			return f.kv[f.eq+1:]
 		}
 	}
-	return ""
+	return nil
 }
 
 // parseLines splits a flat file into segments, skipping whitespace-only
-// lines. The document becomes a string once, and all its fields share one
-// slice sized by its tab count.
+// lines. Names, keys and values are windows of data, which the decoded
+// document must not keep: its strings are copied into a formats.Values.
+// All the fields share one slice sized by the document's tab count.
 func parseLines(data []byte) ([]segment, error) {
-	text := string(data)
-	fields := make([]field, 0, strings.Count(text, fieldSep))
-	segs := make([]segment, 0, strings.Count(text, "\n")+1)
-	for rest := text; rest != ""; {
-		var line string
-		line, rest, _ = strings.Cut(rest, "\n")
-		if strings.TrimSpace(line) == "" {
+	fields := make([]field, 0, bytes.Count(data, []byte(fieldSep)))
+	segs := make([]segment, 0, bytes.Count(data, []byte("\n"))+1)
+	for rest := data; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		name, tail, more := strings.Cut(line, fieldSep)
+		name, tail, more := bytes.Cut(line, []byte(fieldSep))
 		start := len(fields)
 		for more {
-			var part string
-			part, tail, more = strings.Cut(tail, fieldSep)
-			k, v, ok := strings.Cut(part, "=")
-			if !ok {
+			var part []byte
+			part, tail, more = bytes.Cut(tail, []byte(fieldSep))
+			eq := bytes.IndexByte(part, '=')
+			if eq < 0 {
 				return nil, fmt.Errorf("sapidoc: malformed field %q in segment %s", part, name)
 			}
-			fields = append(fields, field{k, v})
+			fields = append(fields, field{part, eq})
 		}
 		segs = append(segs, segment{name: name, fields: fields[start:len(fields):len(fields)]})
 	}
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("sapidoc: empty document")
 	}
-	if segs[0].name != "EDI_DC40" {
+	if !segs[0].is("EDI_DC40") {
 		return nil, fmt.Errorf("sapidoc: document must start with EDI_DC40 control record, got %s", segs[0].name)
 	}
 	return segs, nil
 }
 
 // countItems sizes a decoded item slice: the number of E1EDP01 segments,
-// each of which starts one item.
+// each of which starts one item. The slice then never moves, as the
+// pending string assignments into it require.
 func countItems(segs []segment) int {
 	n := 0
 	for i := range segs {
-		if segs[i].name == "E1EDP01" {
+		if segs[i].is("E1EDP01") {
 			n++
 		}
 	}
 	return n
 }
 
-func parseControl(s *segment, wantMestyp string) (docnum int, snd, rcv string, at time.Time, err error) {
-	if got := s.get("MESTYP"); got != wantMestyp {
-		return 0, "", "", time.Time{}, fmt.Errorf("sapidoc: message type %q, want %q", got, wantMestyp)
+// parseControl reads the control record: the sending and receiving
+// partners go to vals.
+func parseControl(vals *formats.Values, s *segment, wantMestyp string, snd, rcv *string) (docnum int, at time.Time, err error) {
+	if got := s.get("MESTYP"); string(got) != wantMestyp {
+		return 0, time.Time{}, fmt.Errorf("sapidoc: message type %q, want %q", got, wantMestyp)
 	}
-	dn := strings.TrimLeft(s.get("DOCNUM"), "0")
-	if dn == "" {
-		dn = "0"
+	dn := bytes.TrimLeft(s.get("DOCNUM"), "0")
+	if len(dn) == 0 {
+		dn = []byte("0")
 	}
-	docnum, err = strconv.Atoi(dn)
+	docnum, err = strconv.Atoi(string(dn))
 	if err != nil {
-		return 0, "", "", time.Time{}, fmt.Errorf("sapidoc: bad DOCNUM %q", s.get("DOCNUM"))
+		return 0, time.Time{}, fmt.Errorf("sapidoc: bad DOCNUM %q", s.get("DOCNUM"))
 	}
-	at, _ = time.Parse(credat+cretim, s.get("CREDAT")+s.get("CRETIM"))
-	return docnum, s.get("SNDPRN"), s.get("RCVPRN"), at, nil
+	at, _ = time.Parse(credat+cretim, string(s.get("CREDAT"))+string(s.get("CRETIM")))
+	vals.Set(snd, s.get("SNDPRN"))
+	vals.Set(rcv, s.get("RCVPRN"))
+	return docnum, at, nil
 }
 
-func parsePartner(s *segment) Partner {
-	return Partner{PartnerID: s.get("PARTN"), Name: s.get("NAME1"), DUNS: s.get("DUNS")}
+func parsePartner(vals *formats.Values, s *segment, p *Partner) {
+	vals.Set(&p.PartnerID, s.get("PARTN"))
+	vals.Set(&p.Name, s.get("NAME1"))
+	vals.Set(&p.DUNS, s.get("DUNS"))
+}
+
+// parseItem reads an E1EDP01 item segment's number and quantity.
+func parseItem(s *segment) (posex, qty int, err error) {
+	posex, err = strconv.Atoi(string(bytes.TrimLeft(s.get("POSEX"), "0")))
+	if err != nil {
+		return 0, 0, fmt.Errorf("sapidoc: bad POSEX %q", s.get("POSEX"))
+	}
+	qty, err = strconv.Atoi(string(s.get("MENGE")))
+	if err != nil {
+		return 0, 0, fmt.Errorf("sapidoc: bad MENGE %q", s.get("MENGE"))
+	}
+	return posex, qty, nil
+}
+
+// parsePrice reads an item segment's VPREI.
+func parsePrice(s *segment) (float64, error) {
+	price, err := strconv.ParseFloat(string(s.get("VPREI")), 64)
+	if err != nil {
+		return 0, fmt.Errorf("sapidoc: bad VPREI %q", s.get("VPREI"))
+	}
+	return price, nil
 }

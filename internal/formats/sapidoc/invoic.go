@@ -2,9 +2,9 @@ package sapidoc
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
+
+	"repro/internal/formats"
 )
 
 // InvoiceItem is one E1EDP01/E1EDP19 item group of an INVOIC IDoc.
@@ -77,8 +77,10 @@ func DecodeInvoic(data []byte) (*Invoic, error) {
 	if err != nil {
 		return nil, err
 	}
+	vals := formats.GetValues()
+	defer vals.Release()
 	o := &Invoic{}
-	o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt, err = parseControl(&segs[0], "INVOIC")
+	o.DocNum, o.CreatedAt, err = parseControl(vals, &segs[0], "INVOIC", &o.SenderPartner, &o.ReceiverPartner)
 	if err != nil {
 		return nil, err
 	}
@@ -87,53 +89,50 @@ func DecodeInvoic(data []byte) (*Invoic, error) {
 	}
 	for i := 1; i < len(segs); i++ {
 		s := &segs[i]
-		switch s.name {
+		switch string(s.name) {
 		case "E1EDK01":
-			o.InvoiceNumber = s.get("BELNR")
-			o.Currency = s.get("CURCY")
+			vals.Set(&o.InvoiceNumber, s.get("BELNR"))
+			vals.Set(&o.Currency, s.get("CURCY"))
 		case "E1EDK02":
-			if s.get("QUALF") == "001" {
-				o.PONumber = s.get("BELNR")
+			if string(s.get("QUALF")) == "001" {
+				vals.Set(&o.PONumber, s.get("BELNR"))
 			}
 		case "E1EDK03":
-			if s.get("IDDAT") == "012" {
-				if d, err := time.Parse(credat, s.get("DATUM")); err == nil {
+			if string(s.get("IDDAT")) == "012" {
+				if d, err := time.Parse(credat, string(s.get("DATUM"))); err == nil {
 					o.DueDate = d
 				}
 			}
 		case "E1EDKA1":
-			switch s.get("PARVW") {
+			switch string(s.get("PARVW")) {
 			case "AG":
-				o.Buyer = parsePartner(s)
+				parsePartner(vals, s, &o.Buyer)
 			case "LF":
-				o.Seller = parsePartner(s)
+				parsePartner(vals, s, &o.Seller)
 			}
 		case "E1EDKT1":
-			o.Note = s.get("TDLINE")
+			vals.Set(&o.Note, s.get("TDLINE"))
 		case "E1EDP01":
-			posex, err := strconv.Atoi(strings.TrimLeft(s.get("POSEX"), "0"))
+			posex, qty, err := parseItem(s)
 			if err != nil {
-				return nil, fmt.Errorf("sapidoc: bad POSEX %q", s.get("POSEX"))
+				return nil, err
 			}
-			qty, err := strconv.Atoi(s.get("MENGE"))
+			price, err := parsePrice(s)
 			if err != nil {
-				return nil, fmt.Errorf("sapidoc: bad MENGE %q", s.get("MENGE"))
+				return nil, err
 			}
-			price, err := strconv.ParseFloat(s.get("VPREI"), 64)
-			if err != nil {
-				return nil, fmt.Errorf("sapidoc: bad VPREI %q", s.get("VPREI"))
-			}
-			it := InvoiceItem{Posex: posex, Quantity: qty, UnitPrice: price}
-			if i+1 < len(segs) && segs[i+1].name == "E1EDP19" {
-				it.SKU = segs[i+1].get("IDTNR")
-				it.Description = segs[i+1].get("KTEXT")
+			o.Items = append(o.Items, InvoiceItem{Posex: posex, Quantity: qty, UnitPrice: price})
+			if i+1 < len(segs) && segs[i+1].is("E1EDP19") {
+				it := &o.Items[len(o.Items)-1]
+				vals.Set(&it.SKU, segs[i+1].get("IDTNR"))
+				vals.Set(&it.Description, segs[i+1].get("KTEXT"))
 				i++
 			}
-			o.Items = append(o.Items, it)
 		default:
 			return nil, fmt.Errorf("sapidoc: unexpected segment %s in INVOIC", s.name)
 		}
 	}
+	vals.Resolve()
 	if o.InvoiceNumber == "" || o.PONumber == "" {
 		return nil, fmt.Errorf("sapidoc: INVOIC is missing header segments")
 	}

@@ -2,9 +2,9 @@ package sapidoc
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
+
+	"repro/internal/formats"
 )
 
 // Encode renders the ORDERS IDoc as a flat file.
@@ -43,8 +43,10 @@ func DecodeOrders(data []byte) (*Orders, error) {
 	if err != nil {
 		return nil, err
 	}
+	vals := formats.GetValues()
+	defer vals.Release()
 	o := &Orders{}
-	o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt, err = parseControl(&segs[0], "ORDERS")
+	o.DocNum, o.CreatedAt, err = parseControl(vals, &segs[0], "ORDERS", &o.SenderPartner, &o.ReceiverPartner)
 	if err != nil {
 		return nil, err
 	}
@@ -53,45 +55,42 @@ func DecodeOrders(data []byte) (*Orders, error) {
 	}
 	for i := 1; i < len(segs); i++ {
 		s := &segs[i]
-		switch s.name {
+		switch string(s.name) {
 		case "E1EDK01":
-			o.PONumber = s.get("BELNR")
-			o.Currency = s.get("CURCY")
+			vals.Set(&o.PONumber, s.get("BELNR"))
+			vals.Set(&o.Currency, s.get("CURCY"))
 		case "E1EDKA1":
-			switch s.get("PARVW") {
+			switch string(s.get("PARVW")) {
 			case "AG":
-				o.Buyer = parsePartner(s)
+				parsePartner(vals, s, &o.Buyer)
 			case "LF":
-				o.Seller = parsePartner(s)
+				parsePartner(vals, s, &o.Seller)
 			case "WE":
-				o.ShipTo = s.get("NAME1")
+				vals.Set(&o.ShipTo, s.get("NAME1"))
 			}
 		case "E1EDKT1":
-			o.Note = s.get("TDLINE")
+			vals.Set(&o.Note, s.get("TDLINE"))
 		case "E1EDP01":
-			posex, err := strconv.Atoi(strings.TrimLeft(s.get("POSEX"), "0"))
+			posex, qty, err := parseItem(s)
 			if err != nil {
-				return nil, fmt.Errorf("sapidoc: bad POSEX %q", s.get("POSEX"))
+				return nil, err
 			}
-			qty, err := strconv.Atoi(s.get("MENGE"))
+			price, err := parsePrice(s)
 			if err != nil {
-				return nil, fmt.Errorf("sapidoc: bad MENGE %q", s.get("MENGE"))
+				return nil, err
 			}
-			price, err := strconv.ParseFloat(s.get("VPREI"), 64)
-			if err != nil {
-				return nil, fmt.Errorf("sapidoc: bad VPREI %q", s.get("VPREI"))
-			}
-			it := Item{Posex: posex, Quantity: qty, UnitPrice: price}
-			if i+1 < len(segs) && segs[i+1].name == "E1EDP19" {
-				it.SKU = segs[i+1].get("IDTNR")
-				it.Description = segs[i+1].get("KTEXT")
+			o.Items = append(o.Items, Item{Posex: posex, Quantity: qty, UnitPrice: price})
+			if i+1 < len(segs) && segs[i+1].is("E1EDP19") {
+				it := &o.Items[len(o.Items)-1]
+				vals.Set(&it.SKU, segs[i+1].get("IDTNR"))
+				vals.Set(&it.Description, segs[i+1].get("KTEXT"))
 				i++
 			}
-			o.Items = append(o.Items, it)
 		default:
 			return nil, fmt.Errorf("sapidoc: unexpected segment %s in ORDERS", s.name)
 		}
 	}
+	vals.Resolve()
 	if o.PONumber == "" {
 		return nil, fmt.Errorf("sapidoc: ORDERS is missing E1EDK01")
 	}
@@ -144,8 +143,10 @@ func DecodeOrdrsp(data []byte) (*Ordrsp, error) {
 	if err != nil {
 		return nil, err
 	}
+	vals := formats.GetValues()
+	defer vals.Release()
 	o := &Ordrsp{}
-	o.DocNum, o.SenderPartner, o.ReceiverPartner, o.CreatedAt, err = parseControl(&segs[0], "ORDRSP")
+	o.DocNum, o.CreatedAt, err = parseControl(vals, &segs[0], "ORDRSP", &o.SenderPartner, &o.ReceiverPartner)
 	if err != nil {
 		return nil, err
 	}
@@ -154,44 +155,42 @@ func DecodeOrdrsp(data []byte) (*Ordrsp, error) {
 	}
 	for i := 1; i < len(segs); i++ {
 		s := &segs[i]
-		switch s.name {
+		switch string(s.name) {
 		case "E1EDK01":
-			o.AckNumber = s.get("BELNR")
-			o.Status = AckStatusCode(s.get("ACTION"))
+			vals.Set(&o.AckNumber, s.get("BELNR"))
+			vals.Set((*string)(&o.Status), s.get("ACTION"))
 		case "E1EDK02":
-			if s.get("QUALF") == "001" {
-				o.PONumber = s.get("BELNR")
+			if string(s.get("QUALF")) == "001" {
+				vals.Set(&o.PONumber, s.get("BELNR"))
 			}
 		case "E1EDKA1":
-			switch s.get("PARVW") {
+			switch string(s.get("PARVW")) {
 			case "AG":
-				o.Buyer = parsePartner(s)
+				parsePartner(vals, s, &o.Buyer)
 			case "LF":
-				o.Seller = parsePartner(s)
+				parsePartner(vals, s, &o.Seller)
 			}
 		case "E1EDKT1":
-			o.Note = s.get("TDLINE")
+			vals.Set(&o.Note, s.get("TDLINE"))
 		case "E1EDP01":
-			posex, err := strconv.Atoi(strings.TrimLeft(s.get("POSEX"), "0"))
+			posex, qty, err := parseItem(s)
 			if err != nil {
-				return nil, fmt.Errorf("sapidoc: bad POSEX %q", s.get("POSEX"))
+				return nil, err
 			}
-			qty, err := strconv.Atoi(s.get("MENGE"))
-			if err != nil {
-				return nil, fmt.Errorf("sapidoc: bad MENGE %q", s.get("MENGE"))
-			}
-			it := AckItem{Posex: posex, Quantity: qty, Status: AckStatusCode(s.get("ACTION"))}
-			if i+1 < len(segs) && segs[i+1].name == "E1EDP20" {
-				if d, err := time.Parse(edatu, segs[i+1].get("EDATU")); err == nil {
+			o.Items = append(o.Items, AckItem{Posex: posex, Quantity: qty})
+			it := &o.Items[len(o.Items)-1]
+			vals.Set((*string)(&it.Status), s.get("ACTION"))
+			if i+1 < len(segs) && segs[i+1].is("E1EDP20") {
+				if d, err := time.Parse(edatu, string(segs[i+1].get("EDATU"))); err == nil {
 					it.ShipDate = d
 				}
 				i++
 			}
-			o.Items = append(o.Items, it)
 		default:
 			return nil, fmt.Errorf("sapidoc: unexpected segment %s in ORDRSP", s.name)
 		}
 	}
+	vals.Resolve()
 	if o.AckNumber == "" || o.PONumber == "" {
 		return nil, fmt.Errorf("sapidoc: ORDRSP is missing header segments")
 	}

@@ -345,9 +345,10 @@ func (d *Daemon) serve(op string, body json.RawMessage) (any, error) {
 }
 
 // Builtin serves one op with the daemon's built-in handler, bypassing any
-// override registered with Handle. Overrides delegate to it for the local
-// path (the cluster node's submit override calls Builtin(OpSubmit, …) when
-// this node owns the partner).
+// override registered with Handle. An override delegates to it the ops it
+// does not decode itself (the cluster node's submit override hands it a
+// body that does not decode, so the caller gets the built-in decode
+// error; a submit it has decoded runs through Submit).
 func (d *Daemon) Builtin(op string, body json.RawMessage) (any, error) {
 	switch op {
 	case OpHello:
@@ -389,6 +390,16 @@ func (d *Daemon) submit(body json.RawMessage) (any, error) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		return nil, protoError(CodeBadFrame, fmt.Sprintf("server: decode submit: %v", err))
 	}
+	return d.Submit(&sr)
+}
+
+// Submit runs one decoded submit request on the hub's sharded scheduler,
+// as OpSubmit does once its body decodes: a request that does not convert
+// to a core.Request is a CodeBadFrame error, TimeoutMS bounds the
+// exchange, and the request's priority and retry override apply. The
+// cluster node calls it for the submits it routes, so a body is decoded
+// once wherever it runs.
+func (d *Daemon) Submit(sr *SubmitRequest) (any, error) {
 	req, err := sr.CoreRequest()
 	if err != nil {
 		return nil, protoError(CodeBadFrame, err.Error())

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/formats/sapidoc"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/wf"
 	"repro/internal/wfstore"
 )
@@ -81,6 +83,14 @@ const (
 	// adds to a Journal.Append (FsyncNever) over the real filesystem: 0
 	// measured, 2 through the FaultFS and 2 through OSFS.
 	seamAllocBudget = 0
+	// frameAllocBudget bounds allocations per submit round trip's framing
+	// (a PIP 3A4 submit request frame and its response frame, each written
+	// with server.WriteFrame and read back with server.ReadFrame): 16
+	// measured, 10 of them inside json.Unmarshal; 24 while WriteFrame
+	// marshalled the Frame around its body and copied the result, and
+	// ReadFrame copied the body out of the payload and allocated the length
+	// prefix and the Frame apart.
+	frameAllocBudget = 19
 )
 
 func TestAllocBudgets(t *testing.T) {
@@ -100,6 +110,7 @@ func TestAllocBudgets(t *testing.T) {
 		{"obs.Collector.Emit", "exchange of 32 events into a full ring", emitAllocBudget, emitAllocs},
 		{"an active canary", "TP1 exchange", canaryAllocBudget, canaryAllocs},
 		{"an unarmed journal.FaultFS", "Journal.Append", seamAllocBudget, seamAllocs},
+		{"server.WriteFrame and ReadFrame", "submit round trip", frameAllocBudget, frameAllocs},
 	}
 	for _, c := range idocCodecs() {
 		rows = append(rows,
@@ -224,6 +235,47 @@ func seamAllocs(t *testing.T) float64 {
 	faulty, plain := perAppend(journal.NewFaultFS(nil, 1)), perAppend(journal.OSFS())
 	t.Logf("Journal.Append: %.2f allocations through a FaultFS, %.2f through OSFS", faulty, plain)
 	return float64(int(math.Round(faulty - plain))) // int turns a rounded -0 into 0
+}
+
+// frameAllocs measures one submit round trip's framing as hubbench's server
+// layer replays it: a PIP 3A4 wire submit's request frame and its response
+// frame, their bodies encoded beforehand, each written with WriteFrame and
+// read back with ReadFrame.
+func frameAllocs(t *testing.T) float64 {
+	t.Helper()
+	xml := xmlCodecs()
+	po, err := xml[0].encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	poa, err := xml[1].encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := json.Marshal(server.SubmitRequest{Kind: string(core.DocWirePO), Protocol: string(formats.RosettaNet), Wire: po, PartnerID: "TP2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := json.Marshal(server.SubmitResponse{ExchangeID: "ex-000001", Partner: "TP2", Wire: poa})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := []*server.Frame{
+		{V: server.ProtocolVersion, ID: 2, Op: server.OpSubmit, Body: req},
+		{V: server.ProtocolVersion, ID: 2, Op: server.OpSubmit, Body: resp},
+	}
+	var buf bytes.Buffer
+	return testing.AllocsPerRun(1000, func() {
+		for _, f := range frames {
+			buf.Reset()
+			if err := server.WriteFrame(&buf, f); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := server.ReadFrame(&buf, server.MaxFrame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // meanAllocs returns the mean allocations per call of f over runs calls,

@@ -280,7 +280,8 @@ func (n *Node) Stop() {
 
 // handleSubmit is the routing override: a submit for a partner this node
 // owns runs locally (Daemon.Submit, on the request decoded here); anything
-// else forwards to the owner, and a forward that exhausts its policy parks
+// else forwards to the owner, whose response body becomes this node's
+// response body unchanged, and a forward that exhausts its policy parks
 // locally with a typed ErrPeerUnavailable so the work stays durable and
 // resubmittable.
 func (n *Node) handleSubmit(ctx context.Context, body json.RawMessage) (any, error) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -264,7 +265,9 @@ func TestSubmitForwardsToOwner(t *testing.T) {
 // TestWireSubmitRunsOnOwner: a protocol-native PO in each of the three
 // Figure 15 protocols, submitted to a relay and to the owner, runs once on
 // the owner (decoded there once, not re-encoded on the way) and comes back
-// as a POA wire the partner's POA codec decodes.
+// as a POA wire the partner's POA codec decodes. The relay answers with the
+// owner's response body as it arrived: the same bytes a relay that decoded
+// the SubmitResponse and encoded it again would send.
 func TestWireSubmitRunsOnOwner(t *testing.T) {
 	defer leakcheck.Check(t)()
 	nodes, shutdown := bootCluster(t, []string{"n1", "n2", "n3"}, "", nil)
@@ -298,11 +301,18 @@ func TestWireSubmitRunsOnOwner(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := via.client.Submit(ctx, server.SubmitRequest{
+			var raw json.RawMessage
+			if err := via.client.Call(ctx, server.OpSubmit, server.SubmitRequest{
 				Kind: string(core.DocWirePO), Protocol: string(protocol), Wire: wire, PartnerID: partner,
-			})
-			if err != nil {
+			}, &raw); err != nil {
 				t.Fatalf("%s wire PO via %s: %v", protocol, via.id, err)
+			}
+			resp := &server.SubmitResponse{}
+			if err := json.Unmarshal(raw, resp); err != nil {
+				t.Fatal(err)
+			}
+			if again, err := json.Marshal(resp); err != nil || !bytes.Equal(again, raw) {
+				t.Fatalf("%s response via %s is not the SubmitResponse's encoding:\n%s\n%s", protocol, via.id, raw, again)
 			}
 			poaCodec, err := codecs.Lookup(protocol, doc.TypePOA)
 			if err != nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -16,6 +17,8 @@ import (
 // seeded faults injected in front of every attempt. Transport failures
 // retry and feed the breaker; a response that made the round trip — even
 // an error response — is the owner's verdict and passes through untouched.
+// A successful response's body is relayed as it arrived: the entry node
+// answers with the owner's SubmitResponse bytes, without decoding them.
 
 // passThrough reports whether a forward error is the remote pipeline's
 // own verdict (the frame made it there and back) rather than a transport
@@ -48,7 +51,8 @@ func passThrough(err error) bool {
 
 // forward relays one submit to owner, retrying transport failures under
 // the forward policy and recording every outcome on the owner's breaker.
-func (n *Node) forward(ctx context.Context, owner string, fr server.ForwardRequest) (*server.SubmitResponse, error) {
+// It returns the owner's response body, a SubmitResponse in JSON.
+func (n *Node) forward(ctx context.Context, owner string, fr server.ForwardRequest) (json.RawMessage, error) {
 	p := n.peers[owner]
 	if p == nil {
 		return nil, fmt.Errorf("%w: unknown peer %q", core.ErrPeerUnavailable, owner)
@@ -104,7 +108,7 @@ func (n *Node) forward(ctx context.Context, owner string, fr server.ForwardReque
 
 // attemptForward is one wire attempt: inject the seeded faults, get (or
 // dial) the peer client, call OpForward under the per-attempt timeout.
-func (n *Node) attemptForward(ctx context.Context, p *peer, fr server.ForwardRequest, timeout time.Duration) (*server.SubmitResponse, error) {
+func (n *Node) attemptForward(ctx context.Context, p *peer, fr server.ForwardRequest, timeout time.Duration) (json.RawMessage, error) {
 	if err := n.injectFault(); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+
+	"repro/internal/formats"
 )
 
 // Item810 is one IT1 loop of an X12 810 invoice.
@@ -92,17 +94,23 @@ func (p *Invoice810) Interchange() *Interchange {
 }
 
 // ParseInvoice810 lifts a decoded interchange into the typed 810, checking
-// the CTT count and the TDS total against the items.
+// the CTT count and the TDS total against the items. Its strings are
+// copies, so the typed 810 does not keep the interchange alive.
 func ParseInvoice810(ic *Interchange) (*Invoice810, error) {
 	if ic.TxSetID != "810" {
 		return nil, decodeErrf("transaction set is %s, want 810", ic.TxSetID)
 	}
 	p := &Invoice810{
-		SenderID:   ic.SenderID,
-		ReceiverID: ic.ReceiverID,
-		Control:    ic.Control,
-		Date:       ic.Date,
+		Control: ic.Control,
+		Date:    ic.Date,
 	}
+	if n := count(ic.Body, "IT1"); n > 0 {
+		p.Items = make([]Item810, 0, n) // never regrown: keep points into it
+	}
+	v := formats.GetValues()
+	defer v.Release()
+	keep(v, &p.SenderID, ic.SenderID)
+	keep(v, &p.ReceiverID, ic.ReceiverID)
 	cttCount, tdsTotal := -1, -1
 	for i := 0; i < len(ic.Body); i++ {
 		s := ic.Body[i]
@@ -111,10 +119,10 @@ func ParseInvoice810(ic *Interchange) (*Invoice810, error) {
 			if d, err := time.Parse("20060102", s.Elem(1)); err == nil {
 				p.Date = d
 			}
-			p.InvoiceNumber = s.Elem(2)
-			p.PONumber = s.Elem(4)
+			keep(v, &p.InvoiceNumber, s.Elem(2))
+			keep(v, &p.PONumber, s.Elem(4))
 		case "CUR":
-			p.Currency = s.Elem(2)
+			keep(v, &p.Currency, s.Elem(2))
 		case "DTM":
 			if s.Elem(1) == "047" {
 				if d, err := time.Parse("20060102", s.Elem(2)); err == nil {
@@ -124,12 +132,14 @@ func ParseInvoice810(ic *Interchange) (*Invoice810, error) {
 		case "N1":
 			switch s.Elem(1) {
 			case "BY":
-				p.BuyerName, p.BuyerDUNS = s.Elem(2), s.Elem(4)
+				keep(v, &p.BuyerName, s.Elem(2))
+				keep(v, &p.BuyerDUNS, s.Elem(4))
 			case "SE":
-				p.SellerName, p.SellerDUNS = s.Elem(2), s.Elem(4)
+				keep(v, &p.SellerName, s.Elem(2))
+				keep(v, &p.SellerDUNS, s.Elem(4))
 			}
 		case "MSG":
-			p.Note = s.Elem(1)
+			keep(v, &p.Note, s.Elem(1))
 		case "IT1":
 			line, err := strconv.Atoi(s.Elem(1))
 			if err != nil {
@@ -143,12 +153,13 @@ func ParseInvoice810(ic *Interchange) (*Invoice810, error) {
 			if err != nil {
 				return nil, decodeErrf("IT104 %q is not a price", s.Elem(4))
 			}
-			it := Item810{Line: line, Quantity: qty, UnitPrice: price, SKU: s.Elem(7)}
+			p.Items = append(p.Items, Item810{Line: line, Quantity: qty, UnitPrice: price})
+			it := &p.Items[len(p.Items)-1]
+			keep(v, &it.SKU, s.Elem(7))
 			if i+1 < len(ic.Body) && ic.Body[i+1].ID == "PID" {
-				it.Description = ic.Body[i+1].Elem(5)
+				keep(v, &it.Description, ic.Body[i+1].Elem(5))
 				i++
 			}
-			p.Items = append(p.Items, it)
 		case "TDS":
 			n, err := strconv.Atoi(s.Elem(1))
 			if err != nil {
@@ -165,6 +176,7 @@ func ParseInvoice810(ic *Interchange) (*Invoice810, error) {
 			return nil, decodeErrf("unexpected segment %s in 810", s.ID)
 		}
 	}
+	v.Resolve()
 	if p.InvoiceNumber == "" {
 		return nil, decodeErrf("810 is missing BIG segment")
 	}

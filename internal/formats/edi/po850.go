@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+
+	"repro/internal/formats"
 )
 
 // Item850 is one PO1 loop of an 850: baseline item data plus its PID
@@ -89,39 +91,47 @@ func (p *PO850) Interchange() *Interchange {
 }
 
 // ParsePO850 lifts a decoded interchange into the typed 850, verifying the
-// transaction set type and the CTT line count.
+// transaction set type and the CTT line count. Its strings are copies, so
+// the typed 850 does not keep the interchange alive.
 func ParsePO850(ic *Interchange) (*PO850, error) {
 	if ic.TxSetID != "850" {
 		return nil, decodeErrf("transaction set is %s, want 850", ic.TxSetID)
 	}
 	p := &PO850{
-		SenderID:   ic.SenderID,
-		ReceiverID: ic.ReceiverID,
-		Control:    ic.Control,
-		Date:       ic.Date,
+		Control: ic.Control,
+		Date:    ic.Date,
 	}
+	if n := count(ic.Body, "PO1"); n > 0 {
+		p.Items = make([]Item850, 0, n) // never regrown: keep points into it
+	}
+	v := formats.GetValues()
+	defer v.Release()
+	keep(v, &p.SenderID, ic.SenderID)
+	keep(v, &p.ReceiverID, ic.ReceiverID)
 	var cttCount = -1
 	for i := 0; i < len(ic.Body); i++ {
 		s := ic.Body[i]
 		switch s.ID {
 		case "BEG":
-			p.PONumber = s.Elem(3)
+			keep(v, &p.PONumber, s.Elem(3))
 			if d, err := time.Parse("20060102", s.Elem(5)); err == nil {
 				p.Date = d
 			}
 		case "CUR":
-			p.Currency = s.Elem(2)
+			keep(v, &p.Currency, s.Elem(2))
 		case "N1":
 			switch s.Elem(1) {
 			case "BY":
-				p.BuyerName, p.BuyerDUNS = s.Elem(2), s.Elem(4)
+				keep(v, &p.BuyerName, s.Elem(2))
+				keep(v, &p.BuyerDUNS, s.Elem(4))
 			case "SE":
-				p.SellerName, p.SellerDUNS = s.Elem(2), s.Elem(4)
+				keep(v, &p.SellerName, s.Elem(2))
+				keep(v, &p.SellerDUNS, s.Elem(4))
 			case "ST":
-				p.ShipTo = s.Elem(2)
+				keep(v, &p.ShipTo, s.Elem(2))
 			}
 		case "MSG":
-			p.Note = s.Elem(1)
+			keep(v, &p.Note, s.Elem(1))
 		case "PO1":
 			line, err := strconv.Atoi(s.Elem(1))
 			if err != nil {
@@ -135,12 +145,13 @@ func ParsePO850(ic *Interchange) (*PO850, error) {
 			if err != nil {
 				return nil, decodeErrf("PO104 %q is not a price", s.Elem(4))
 			}
-			it := Item850{Line: line, Quantity: qty, UnitPrice: price, SKU: s.Elem(7)}
+			p.Items = append(p.Items, Item850{Line: line, Quantity: qty, UnitPrice: price})
+			it := &p.Items[len(p.Items)-1]
+			keep(v, &it.SKU, s.Elem(7))
 			if i+1 < len(ic.Body) && ic.Body[i+1].ID == "PID" {
-				it.Description = ic.Body[i+1].Elem(5)
+				keep(v, &it.Description, ic.Body[i+1].Elem(5))
 				i++
 			}
-			p.Items = append(p.Items, it)
 		case "CTT":
 			n, err := strconv.Atoi(s.Elem(1))
 			if err != nil {
@@ -151,6 +162,7 @@ func ParsePO850(ic *Interchange) (*PO850, error) {
 			return nil, decodeErrf("unexpected segment %s in 850", s.ID)
 		}
 	}
+	v.Resolve()
 	if p.PONumber == "" {
 		return nil, decodeErrf("850 is missing BEG segment")
 	}

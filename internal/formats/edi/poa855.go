@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+
+	"repro/internal/formats"
 )
 
 // AckCode is the X12 ACK01 line item status code.
@@ -93,17 +95,23 @@ func (p *POA855) Interchange() *Interchange {
 	}
 }
 
-// ParsePOA855 lifts a decoded interchange into the typed 855.
+// ParsePOA855 lifts a decoded interchange into the typed 855. Its strings
+// are copies, so the typed 855 does not keep the interchange alive.
 func ParsePOA855(ic *Interchange) (*POA855, error) {
 	if ic.TxSetID != "855" {
 		return nil, decodeErrf("transaction set is %s, want 855", ic.TxSetID)
 	}
 	p := &POA855{
-		SenderID:   ic.SenderID,
-		ReceiverID: ic.ReceiverID,
-		Control:    ic.Control,
-		Date:       ic.Date,
+		Control: ic.Control,
+		Date:    ic.Date,
 	}
+	if n := count(ic.Body, "PO1"); n > 0 {
+		p.Items = make([]AckItem855, 0, n) // never regrown: keep points into it
+	}
+	v := formats.GetValues()
+	defer v.Release()
+	keep(v, &p.SenderID, ic.SenderID)
+	keep(v, &p.ReceiverID, ic.ReceiverID)
 	cttCount := -1
 	sawBAK := false
 	for i := 0; i < len(ic.Body); i++ {
@@ -111,21 +119,23 @@ func ParsePOA855(ic *Interchange) (*POA855, error) {
 		switch s.ID {
 		case "BAK":
 			sawBAK = true
-			p.Code = BAKCode(s.Elem(2))
-			p.PONumber = s.Elem(3)
-			p.AckNumber = s.Elem(8)
+			keep(v, (*string)(&p.Code), s.Elem(2))
+			keep(v, &p.PONumber, s.Elem(3))
+			keep(v, &p.AckNumber, s.Elem(8))
 			if d, err := time.Parse("20060102", s.Elem(4)); err == nil {
 				p.Date = d
 			}
 		case "N1":
 			switch s.Elem(1) {
 			case "BY":
-				p.BuyerName, p.BuyerDUNS = s.Elem(2), s.Elem(4)
+				keep(v, &p.BuyerName, s.Elem(2))
+				keep(v, &p.BuyerDUNS, s.Elem(4))
 			case "SE":
-				p.SellerName, p.SellerDUNS = s.Elem(2), s.Elem(4)
+				keep(v, &p.SellerName, s.Elem(2))
+				keep(v, &p.SellerDUNS, s.Elem(4))
 			}
 		case "MSG":
-			p.Note = s.Elem(1)
+			keep(v, &p.Note, s.Elem(1))
 		case "PO1":
 			line, err := strconv.Atoi(s.Elem(1))
 			if err != nil {
@@ -140,13 +150,14 @@ func ParsePOA855(ic *Interchange) (*POA855, error) {
 			if err != nil {
 				return nil, decodeErrf("ACK02 %q is not a quantity", ack.Elem(2))
 			}
-			it := AckItem855{Line: line, Code: AckCode(ack.Elem(1)), Quantity: qty}
+			it := AckItem855{Line: line, Quantity: qty}
 			if ack.Elem(4) == "067" {
 				if d, err := time.Parse("20060102", ack.Elem(5)); err == nil {
 					it.ShipDate = d
 				}
 			}
 			p.Items = append(p.Items, it)
+			keep(v, (*string)(&p.Items[len(p.Items)-1].Code), ack.Elem(1))
 		case "CTT":
 			n, err := strconv.Atoi(s.Elem(1))
 			if err != nil {
@@ -157,6 +168,7 @@ func ParsePOA855(ic *Interchange) (*POA855, error) {
 			return nil, decodeErrf("unexpected segment %s in 855", s.ID)
 		}
 	}
+	v.Resolve()
 	if !sawBAK {
 		return nil, decodeErrf("855 is missing BAK segment")
 	}

@@ -136,6 +136,23 @@ func (ic *Interchange) Encode() ([]byte, error) {
 	return formats.CopyBytes(sb), nil
 }
 
+// keep records that *dst receives s, a window of the decoded interchange,
+// copied into the document's values string (see formats.Values): a typed
+// document must not keep its whole interchange alive.
+func keep(v *formats.Values, dst *string, s string) { v.Set(dst, []byte(s)) }
+
+// count returns how many segments of body have the given ID, so a
+// document's item slice can be sized before keep points into it.
+func count(body []Segment, id string) int {
+	n := 0
+	for _, s := range body {
+		if s.ID == id {
+			n++
+		}
+	}
+	return n
+}
+
 // DecodeError reports a malformed interchange.
 type DecodeError struct {
 	Msg string

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/doc"
 	"repro/internal/formats"
+	"repro/internal/formats/edi"
 	"repro/internal/formats/oagis"
 	"repro/internal/formats/rosettanet"
 	"repro/internal/formats/sapidoc"
@@ -18,7 +19,6 @@ import (
 // the hub's exchange record does. What stays live per kept ID must be less
 // than half the wire document: a decoded string that is a window of the
 // input (or of a copy of all of it) would keep the markup alive with it.
-// The X12 decoder is not listed: it still keeps its input (ROADMAP item 1).
 // Not parallel: it reads the live heap.
 func TestDecodedDocumentsDoNotPinInput(t *testing.T) {
 	reg := &transform.Registry{}
@@ -39,6 +39,9 @@ func TestDecodedDocumentsDoNotPinInput(t *testing.T) {
 		{"IDoc ORDERS", sapidoc.POCodec{}, doc.TypePO},
 		{"IDoc ORDRSP", sapidoc.POACodec{}, doc.TypePOA},
 		{"IDoc INVOIC", sapidoc.INVCodec{}, doc.TypeINV},
+		{"X12 850", edi.POCodec{}, doc.TypePO},
+		{"X12 855", edi.POACodec{}, doc.TypePOA},
+		{"X12 810", edi.INVCodec{}, doc.TypeINV},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			const n = 10000

@@ -12,9 +12,10 @@ import (
 // through the framing and the open-time replay. The contract under test:
 // Decode never panics, never reports an offset past the data, yields only
 // records whose frames verify (truncation, bit flips and CRC mismatches
-// end the scan instead of mis-parsing into a valid record), and a journal
-// opened on the raw bytes replays exactly ScanAll's records and accepts
-// further appends that replay cleanly.
+// end the scan instead of mis-parsing into a valid record) and that
+// re-encode to the bytes json.Marshal framing gives, and a journal opened
+// on the raw bytes replays exactly ScanAll's records and accepts further
+// appends that replay cleanly.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -56,6 +57,9 @@ func FuzzDecode(f *testing.F) {
 			frame, err := Encode(r)
 			if err != nil {
 				t.Fatalf("re-encode accepted record: %v", err)
+			}
+			if ref, err := marshalFrame(r); err != nil || !bytes.Equal(frame, ref) {
+				t.Fatalf("Encode(%+v) = %q, json.Marshal framing gives %q (%v)", r, frame, ref, err)
 			}
 			reenc.Write(frame)
 		}

@@ -196,9 +196,9 @@ type Journal struct {
 	syncer    syncer
 	// scrub is the open-time repair's account of the file.
 	scrub ScrubReport
-	// buf is Append's frame buffer, reused under mu: a File must not
+	// w holds Append's frame buffer, reused under mu: a File must not
 	// retain the slice it is given, as for any io.Writer.
-	buf []byte
+	w *frameWriter
 
 	crash        *CrashPoint
 	crashCompact bool
@@ -224,7 +224,7 @@ func Open(path string, opts Options) (*Journal, error) {
 	if err := fs.Remove(path + ".compact"); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("journal: remove stale compaction %s: %w", path+".compact", err)
 	}
-	j := &Journal{path: path, fs: fs}
+	j := &Journal{path: path, fs: fs, w: newFrameWriter()}
 	if data, err := fs.ReadFile(path); err == nil {
 		if j.replayed, j.scrub, err = repair(fs, path, data); err != nil {
 			return nil, err
@@ -293,31 +293,61 @@ func decodeFrame(data []byte, off int64) (Record, int64, bool) {
 }
 
 // Encode frames one record.
-func Encode(rec Record) ([]byte, error) { return appendFrame(nil, rec) }
+func Encode(rec Record) ([]byte, error) {
+	w := newFrameWriter()
+	err := w.append(&rec)
+	return w.buf, err
+}
 
-// appendFrame appends rec's frame to dst: the one framing function behind
-// Encode, Append, Compact and the repair rewrite.
-func appendFrame(dst []byte, rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return dst, fmt.Errorf("journal: marshal: %w", err)
+// frameWriter appends framed records to buf: the one framing function
+// behind Encode, Append, Compact and the repair rewrite. Each record is
+// encoded straight into buf, behind a header that is filled in once the
+// payload's length and CRC are known.
+type frameWriter struct {
+	buf []byte
+	enc *json.Encoder // writes into buf
+}
+
+func newFrameWriter() *frameWriter {
+	w := &frameWriter{}
+	w.enc = json.NewEncoder(w)
+	return w
+}
+
+// Write appends p to buf; it is enc's output.
+func (w *frameWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
+
+// append frames rec at the end of buf. The payload is json.Marshal(rec)
+// byte for byte: json.Encoder applies Marshal's options and ends the value
+// with a newline, which is dropped. On error buf is left as it was.
+func (w *frameWriter) append(rec *Record) error {
+	start := len(w.buf)
+	w.buf = append(w.buf, make([]byte, headerSize)...)
+	if err := w.enc.Encode(rec); err != nil {
+		w.buf = w.buf[:start]
+		return fmt.Errorf("journal: marshal: %w", err)
 	}
+	w.buf = w.buf[:len(w.buf)-1]
+	payload := w.buf[start+headerSize:]
 	if len(payload) > MaxRecordSize {
-		return dst, fmt.Errorf("journal: record of %d bytes exceeds MaxRecordSize", len(payload))
+		w.buf = w.buf[:start]
+		return fmt.Errorf("journal: record of %d bytes exceeds MaxRecordSize", len(payload))
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...), nil
+	binary.LittleEndian.PutUint32(w.buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.buf[start+4:], crc32.ChecksumIEEE(payload))
+	return nil
 }
 
 // writeFile writes recs to name (created or truncated) as one framed log
 // and fsyncs it. On any failure it removes name, so a partial rewrite
 // never survives to be mistaken for a log.
 func writeFile(fs FS, name string, recs []Record) error {
-	var buf []byte
-	for _, rec := range recs {
-		var err error
-		if buf, err = appendFrame(buf, rec); err != nil {
+	w := newFrameWriter()
+	for i := range recs {
+		if err := w.append(&recs[i]); err != nil {
 			return err
 		}
 	}
@@ -325,7 +355,7 @@ func writeFile(fs FS, name string, recs []Record) error {
 	if err != nil {
 		return err
 	}
-	if err := writeSyncClose(f, buf); err != nil {
+	if err := writeSyncClose(f, w.buf); err != nil {
 		_ = fs.Remove(name)
 		return err
 	}
@@ -365,11 +395,11 @@ func (j *Journal) Append(rec Record) error {
 	if j.f == nil {
 		return ErrNoAppender
 	}
-	frame, err := appendFrame(j.buf[:0], rec)
-	if err != nil {
+	j.w.buf = j.w.buf[:0]
+	if err := j.w.append(&rec); err != nil {
 		return err
 	}
-	j.buf = frame
+	frame := j.w.buf
 	if cp := j.crash; cp != nil && cp.Before && cp.matches(rec) {
 		j.frozen = true
 		return nil

@@ -1,8 +1,10 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -56,6 +58,73 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	if st := j2.Stats(); st.TornBytes != 0 || st.Records != len(want) {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// marshalFrame frames rec as the journal framed records before it encoded
+// them in place: json.Marshal(rec) behind its length and CRC.
+func marshalFrame(rec Record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...), nil
+}
+
+// TestEncodeMatchesMarshal holds Encode and Append to the bytes the
+// journal wrote when it marshalled each record first, on records whose
+// bytes json.Marshal decides: escapes, invalid UTF-8, a payload that is
+// not compact or holds HTML, and empty key and payload. A record Marshal
+// refuses fails Append without a trace in the file.
+func TestEncodeMatchesMarshal(t *testing.T) {
+	recs := []Record{
+		rec("admit", "j-00000001", `{"kind":"wire-po","wire":"SVNBKjAw"}`),
+		rec("complete", "", ""),
+		rec("resolve", "ex-000001", `null`),
+		rec("ad<mit>&\u2028\x01\xff", "k\"ey\\", " {\n \"a\" : [ 1, 2 ], \"b\": \"<x>&\u2029\" } "),
+		{Kind: "config", Payload: json.RawMessage{}},
+	}
+	path := filepath.Join(t.TempDir(), "bytes.wal")
+	j := openT(t, path, Options{Fsync: FsyncNever})
+	var want []byte
+	for _, r := range recs {
+		ref, err := marshalFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Encode(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Errorf("Encode(%+v)\n got %q\nwant %q", r, got, ref)
+		}
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, ref...)
+		bad := Record{Kind: "admit", Payload: json.RawMessage(`{"a":`)}
+		if _, err := marshalFrame(bad); err == nil {
+			t.Fatal("json.Marshal accepted a truncated payload")
+		}
+		if _, err := Encode(bad); err == nil {
+			t.Fatal("Encode accepted a truncated payload")
+		}
+		if err := j.Append(bad); err == nil {
+			t.Fatal("Append accepted a truncated payload")
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, want) {
+		t.Fatalf("appended log\n got %q\nwant %q", onDisk, want)
 	}
 }
 

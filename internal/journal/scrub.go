@@ -147,7 +147,7 @@ func repair(fs FS, path string, data []byte) ([]Record, ScrubReport, error) {
 // before the journal rewrite may drop the bytes.
 func quarantine(fs FS, path string, data []byte, regions []CorruptRegion) error {
 	qp := QuarantinePath(path)
-	var buf []byte
+	w := newFrameWriter()
 	for _, r := range regions {
 		payload, err := json.Marshal(quarantinePayload{
 			Offset: r.Offset,
@@ -156,18 +156,17 @@ func quarantine(fs FS, path string, data []byte, regions []CorruptRegion) error 
 		if err != nil {
 			return fmt.Errorf("journal: quarantine %s: %w", qp, err)
 		}
-		buf, err = appendFrame(buf, Record{
+		if err := w.append(&Record{
 			Kind:    KindQuarantine,
 			Key:     fmt.Sprintf("%d", r.Offset),
 			Payload: payload,
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
 	}
 	f, err := fs.OpenFile(qp, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err == nil {
-		err = writeSyncClose(f, buf)
+		err = writeSyncClose(f, w.buf)
 	}
 	if err != nil {
 		return fmt.Errorf("journal: quarantine %s: %w", qp, err)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/doc"
+	"repro/internal/formats"
 )
 
 // ErrClientClosed is returned by calls on a client that was Closed.
@@ -272,31 +273,43 @@ func (c *Client) redialLoop() {
 	}
 }
 
-// Call performs one op: in is marshaled as the request body, and the
+// Call performs one op: in is encoded as the request body, and the
 // response body is unmarshaled into out (out may be nil to discard it).
 // Wire errors come back typed: errors.Is sees the core sentinels and
 // errors.As extracts *core.ExchangeError, exactly as in-process callers
 // do. While the connection is down, Call fails fast with ErrConnLost
-// (retryable) instead of blocking on the redialer.
+// (retryable) instead of blocking on the redialer. A request whose frame
+// would exceed MaxFrame fails with ErrFrameTooLarge before anything is
+// sent, and the connection stays up.
 func (c *Client) Call(ctx context.Context, op string, in, out any) error {
-	body, err := json.Marshal(in)
+	f, err := c.call(ctx, op, in)
 	if err != nil {
-		return fmt.Errorf("server: marshal %s request: %w", op, err)
+		return err
 	}
+	if out != nil && len(f.Body) > 0 {
+		if err := json.Unmarshal(f.Body, out); err != nil {
+			return fmt.Errorf("server: decode %s response: %w", op, err)
+		}
+	}
+	return nil
+}
+
+// call sends one request and returns its successful response frame.
+func (c *Client) call(ctx context.Context, op string, in any) (*Frame, error) {
 	ch := make(chan callResult, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return ErrClientClosed
+		return nil, ErrClientClosed
 	}
 	conn := c.conn
 	if conn == nil {
 		lost := c.lost
 		c.mu.Unlock()
 		if lost != nil {
-			return fmt.Errorf("%w: %v", ErrConnLost, lost)
+			return nil, fmt.Errorf("%w: %v", ErrConnLost, lost)
 		}
-		return ErrConnLost
+		return nil, ErrConnLost
 	}
 	c.nextID++
 	id := c.nextID
@@ -308,31 +321,41 @@ func (c *Client) Call(ctx context.Context, op string, in, out any) error {
 		c.mu.Unlock()
 	}()
 
-	c.writeMu.Lock()
-	err = WriteFrame(conn, &Frame{V: ProtocolVersion, ID: id, Op: op, Body: body})
-	c.writeMu.Unlock()
-	if err != nil {
-		c.connLost(conn, err)
-		return fmt.Errorf("%w: %v", ErrConnLost, err)
+	if err := c.send(conn, id, op, in); err != nil {
+		return nil, err
 	}
-
 	select {
 	case r := <-ch:
 		if r.err != nil {
-			return r.err
+			return nil, r.err
 		}
 		if r.f.Err != nil {
-			return DecodeError(r.f.Err)
+			return nil, DecodeError(r.f.Err)
 		}
-		if out != nil && len(r.f.Body) > 0 {
-			if err := json.Unmarshal(r.f.Body, out); err != nil {
-				return fmt.Errorf("server: decode %s response: %w", op, err)
-			}
-		}
-		return nil
+		return r.f, nil
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
+}
+
+// send encodes one request frame into a pooled buffer, outside writeMu,
+// and writes it holding writeMu only for the Write. A write error is the
+// connection's loss.
+func (c *Client) send(conn net.Conn, id uint64, op string, in any) error {
+	buf := formats.GetBuffer()
+	defer formats.PutBuffer(buf)
+	if err := appendFrame(buf, ProtocolVersion, id, op, orNull(in), nil); err != nil {
+		return fmt.Errorf("server: %s request: %w", op, err)
+	}
+	c.writeMu.Lock()
+	_, err := conn.Write(buf.Bytes())
+	c.writeMu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("server: write frame: %w", err)
+		c.connLost(conn, err)
+		return fmt.Errorf("%w: %v", ErrConnLost, err)
+	}
+	return nil
 }
 
 // Status fetches the hub's unified snapshot.
@@ -353,13 +376,17 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*SubmitResponse
 	return out, nil
 }
 
-// Forward relays a submit to a peer daemon on behalf of another node.
-func (c *Client) Forward(ctx context.Context, req ForwardRequest) (*ForwardResponse, error) {
-	out := &ForwardResponse{}
-	if err := c.Call(ctx, OpForward, req, out); err != nil {
+// Forward relays a submit to a peer daemon on behalf of another node and
+// returns the owner's response body as it arrived, a SubmitResponse in
+// JSON: the relaying node answers its own caller with it instead of
+// decoding and encoding it again. The body is a window of the response
+// frame, which nothing else holds.
+func (c *Client) Forward(ctx context.Context, req ForwardRequest) (json.RawMessage, error) {
+	f, err := c.call(ctx, OpForward, req)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return f.Body, nil
 }
 
 // Heartbeat probes a peer daemon's liveness.

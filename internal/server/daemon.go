@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/formats"
 )
 
 // Daemon serves one hub over the wire protocol. Each accepted connection
@@ -71,9 +73,11 @@ func WithWriteQueue(n int) Option {
 	}
 }
 
-// HandlerFunc serves one op: body is the request frame's payload, the
-// returned value is marshaled as the response body (an error becomes a
-// typed WireError, exactly like built-in ops).
+// HandlerFunc serves one op: body is the request frame's body, the
+// returned value is encoded as the response body (an error becomes a
+// typed WireError, exactly like built-in ops). body is a window of the
+// request frame's payload; a handler decodes it and keeps nothing of it
+// after it returns.
 type HandlerFunc func(ctx context.Context, body json.RawMessage) (any, error)
 
 // Handle registers fn for op, consulted before the built-in ops — an
@@ -208,14 +212,15 @@ func (d *Daemon) DrainAndClose(timeout time.Duration) (core.DrainSummary, error)
 // per-frame write deadline. Responses used to be written directly by the
 // handler goroutines under a mutex — one client that stopped reading could
 // park every handler of the connection on a blocked write forever. Now a
-// handler enqueues and moves on; a reader that stalls the writer past the
-// write deadline (or keeps the queue full past it) is evicted: the
-// connection is closed, the pipelined handlers finish into a draining
-// queue, and the rest of the daemon never notices.
+// handler encodes its response frame into a pooled buffer, enqueues it and
+// moves on; a reader that stalls the writer past the write deadline (or
+// keeps the queue full past it) is evicted: the connection is closed, the
+// pipelined handlers finish into a draining queue, and the rest of the
+// daemon never notices.
 type connState struct {
 	c       net.Conn
 	writeTO time.Duration
-	out     chan *Frame
+	out     chan *bytes.Buffer // encoded frames, each from formats.GetBuffer
 	reqs    sync.WaitGroup
 	wdone   chan struct{}
 
@@ -232,43 +237,47 @@ func (cs *connState) abort() {
 	})
 }
 
-// respond enqueues one response frame. A full queue blocks the handler for
-// at most the write timeout before the connection is declared wedged and
-// evicted.
-func (cs *connState) respond(f *Frame) {
+// respond enqueues one encoded response frame. A full queue blocks the
+// handler for at most the write timeout before the connection is declared
+// wedged and evicted.
+func (cs *connState) respond(frame *bytes.Buffer) {
 	select {
-	case cs.out <- f:
+	case cs.out <- frame:
+		return
 	case <-cs.aborted:
 	default:
 		t := time.NewTimer(cs.writeTO)
 		defer t.Stop()
 		select {
-		case cs.out <- f:
+		case cs.out <- frame:
+			return
 		case <-cs.aborted:
 		case <-t.C:
 			cs.abort()
 		}
 	}
+	formats.PutBuffer(frame)
 }
 
 // writeLoop is the connection's single writer: it drains the response
-// queue under a per-frame write deadline until the queue is closed. After
-// a write failure or deadline expiry it keeps draining (discarding) so
-// handlers never block on a dead connection.
+// queue under a per-frame write deadline until the queue is closed,
+// returning each frame's buffer to the pool once written. After a write
+// failure or deadline expiry it keeps draining (discarding) so handlers
+// never block on a dead connection.
 func (cs *connState) writeLoop() {
 	defer close(cs.wdone)
-	for f := range cs.out {
+	for frame := range cs.out {
 		select {
-		case <-cs.aborted:
-			continue // discard: the connection is gone
+		case <-cs.aborted: // discard: the connection is gone
 		default:
+			if cs.writeTO > 0 {
+				_ = cs.c.SetWriteDeadline(time.Now().Add(cs.writeTO))
+			}
+			if _, err := cs.c.Write(frame.Bytes()); err != nil {
+				cs.abort()
+			}
 		}
-		if cs.writeTO > 0 {
-			_ = cs.c.SetWriteDeadline(time.Now().Add(cs.writeTO))
-		}
-		if WriteFrame(cs.c, f) != nil {
-			cs.abort()
-		}
+		formats.PutBuffer(frame)
 	}
 }
 
@@ -276,7 +285,7 @@ func (d *Daemon) handleConn(c net.Conn) {
 	cs := &connState{
 		c:       c,
 		writeTO: d.writeTimeout,
-		out:     make(chan *Frame, d.writeQueue),
+		out:     make(chan *bytes.Buffer, d.writeQueue),
 		wdone:   make(chan struct{}),
 		aborted: make(chan struct{}),
 	}
@@ -295,42 +304,49 @@ func (d *Daemon) handleConn(c net.Conn) {
 		f, err := ReadFrame(c, MaxFrame)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
-				cs.respond(&Frame{V: ProtocolVersion, Err: protoError(CodeBadFrame, err.Error())})
+				cs.respond(encodeResponse(0, "", nil, protoError(CodeBadFrame, err.Error())))
 			}
 			return
 		}
 		if f.V != ProtocolVersion {
-			cs.respond(&Frame{V: ProtocolVersion, ID: f.ID, Err: protoError(CodeVersion,
-				fmt.Sprintf("server: protocol version %d not supported (daemon speaks %d)", f.V, ProtocolVersion))})
+			cs.respond(encodeResponse(f.ID, "", nil, protoError(CodeVersion,
+				fmt.Sprintf("server: protocol version %d not supported (daemon speaks %d)", f.V, ProtocolVersion))))
 			continue
 		}
 		cs.reqs.Add(1)
 		go func(f *Frame) {
 			defer cs.reqs.Done()
-			cs.respond(d.dispatch(f))
+			body, err := d.serve(f.Op, f.Body)
+			cs.respond(encodeResponse(f.ID, f.Op, body, err))
 		}(f)
 	}
 }
 
-// dispatch serves one request frame and builds its response frame.
-func (d *Daemon) dispatch(f *Frame) *Frame {
-	resp := &Frame{V: ProtocolVersion, ID: f.ID, Op: f.Op}
-	body, err := d.serve(f.Op, f.Body)
-	if err != nil {
-		if we, ok := err.(*WireError); ok {
-			resp.Err = we
-		} else {
-			resp.Err = EncodeError(err)
+// encodeResponse encodes the response frame to request id into a pooled
+// buffer: the handler's body, or its error as a typed WireError. A body
+// that does not encode, or whose frame would exceed MaxFrame, is answered
+// with a CodeInternal error instead, so only this request fails and the
+// connection stays up.
+func encodeResponse(id uint64, op string, body any, err error) *bytes.Buffer {
+	buf := formats.GetBuffer()
+	if err == nil {
+		if err = appendFrame(buf, ProtocolVersion, id, op, orNull(body), nil); err == nil {
+			return buf
 		}
-		return resp
+		err = protoError(CodeInternal, fmt.Sprintf("server: %s response: %v", op, err))
 	}
-	raw, merr := json.Marshal(body)
-	if merr != nil {
-		resp.Err = protoError(CodeInternal, fmt.Sprintf("server: marshal response: %v", merr))
-		return resp
+	we, ok := err.(*WireError)
+	if !ok {
+		we = EncodeError(err)
 	}
-	resp.Body = raw
-	return resp
+	if ferr := appendFrame(buf, ProtocolVersion, id, op, nil, we); ferr != nil {
+		// Only the size fails an error frame, whose op or message echoes an
+		// input too large to send back; a frame that names only the size
+		// cannot fail.
+		_ = appendFrame(buf, ProtocolVersion, id, "", nil,
+			protoError(CodeInternal, fmt.Sprintf("server: error response: %v", ferr)))
+	}
+	return buf
 }
 
 // Error implements error so a *WireError can flow through serve directly

@@ -9,7 +9,10 @@
 // Frame. Requests carry a protocol version, a connection-unique ID, an op
 // name and an op-specific body; responses echo the ID and carry either a
 // body or a typed WireError. Requests on one connection may be served
-// concurrently and respond out of order — the ID is the correlator.
+// concurrently and respond out of order — the ID is the correlator. A
+// frame is encoded once: its body value goes straight into a pooled
+// buffer together with the envelope, and a frame that is read keeps its
+// body as a window of its payload.
 package server
 
 import "encoding/json"
@@ -48,8 +51,8 @@ const (
 	// OpForward relays a submit from a cluster node that does not own the
 	// target partner to the node that does. The receiver executes it
 	// locally (journaling it in its own journal before acking) and answers
-	// with a SubmitResponse, so the forwarding node can ack its caller with
-	// the owner's durable exchange ID.
+	// with a SubmitResponse, which the forwarding node passes on to its
+	// caller as it arrived, with the owner's durable exchange ID.
 	OpForward = "forward"
 	// OpHeartbeat is the cluster liveness probe: peers exchange it on a
 	// fixed period, and a run of missed beats marks the peer suspect and
@@ -144,10 +147,6 @@ type ForwardRequest struct {
 	// Submit is the relayed submission, unchanged from the origin.
 	Submit SubmitRequest `json:"submit"`
 }
-
-// ForwardResponse is the body of a successful OpForward: the owner's
-// SubmitResponse, unchanged.
-type ForwardResponse = SubmitResponse
 
 // HeartbeatRequest is the body of OpHeartbeat.
 type HeartbeatRequest struct {

@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -253,6 +256,76 @@ func TestClientReconnectCorrelation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestOversizedFrameKeepsConnection: a response or a request whose frame
+// would exceed MaxFrame fails that one call. The writer refuses the frame
+// before anything is sent, so the connection stays up and the next call on
+// the same client succeeds; neither failure is the retryable ErrConnLost,
+// which would have a retrying caller loop forever.
+func TestOversizedFrameKeepsConnection(t *testing.T) {
+	defer leakcheck.Check(t)()
+	m, err := core.PaperFigure14Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := core.NewHub(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDaemon(h, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A JSON string whose frame is just over the cap.
+	huge := json.RawMessage(`"` + strings.Repeat("x", MaxFrame) + `"`)
+	d.Handle("huge", func(context.Context, json.RawMessage) (any, error) { return huge, nil })
+	d.Handle("huge-error", func(context.Context, json.RawMessage) (any, error) { return nil, errors.New(string(huge)) })
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- d.Serve() }()
+	defer func() {
+		d.Close()
+		if err := <-serveDone; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+		h.Drain(context.Background())
+	}()
+	c, err := Dial(context.Background(), d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	// The daemon answers the oversized response's request alone, with an
+	// internal error naming the size and the cap.
+	err = c.Call(ctx, "huge", struct{}{}, nil)
+	size := len(`{"v":1,"id":2,"op":"huge","body":}`) + len(huge)
+	if err == nil || errors.Is(err, ErrConnLost) || !strings.Contains(err.Error(), fmt.Sprintf("%d bytes (cap %d)", size, MaxFrame)) {
+		t.Errorf("oversized response: got %v, want an internal error naming %d bytes and the cap", err, size)
+	}
+	if _, err := c.Status(ctx); err != nil {
+		t.Fatalf("status after an oversized response: %v", err)
+	}
+
+	// An error too large to send back is answered with one naming its size.
+	err = c.Call(ctx, "huge-error", struct{}{}, nil)
+	if err == nil || errors.Is(err, ErrConnLost) || !strings.Contains(err.Error(), "server: error response: server: frame exceeds size cap") {
+		t.Errorf("oversized error response: got %.200v, want an internal error naming the size and the cap", err)
+	}
+	if _, err := c.Status(ctx); err != nil {
+		t.Fatalf("status after an oversized error response: %v", err)
+	}
+
+	// The client refuses an oversized request before writing it.
+	err = c.Call(ctx, OpStatus, huge, nil)
+	if !errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrConnLost) {
+		t.Errorf("oversized request: got %v, want ErrFrameTooLarge and not ErrConnLost", err)
+	}
+	if _, err := c.Status(ctx); err != nil {
+		t.Fatalf("status after an oversized request: %v", err)
+	}
 }
 
 // waitCond polls cond until it holds or the deadline expires.

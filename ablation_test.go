@@ -173,27 +173,39 @@ func TestAblationChangeImpactRecompiles(t *testing.T) {
 
 	// Rules-only change: invisible to every process type.
 	if n := recompiles(func() error {
-		_, err := hub.Model.ChangePartnerThreshold("TP1", 70000)
+		_, err := hub.Apply(core.ChangeThreshold{PartnerID: "TP1", Threshold: 70000})
 		return err
 	}); n != 0 {
 		t.Fatalf("threshold change recompiled %d plans, want 0", n)
 	}
 	// Local private-process change: one type.
 	if n := recompiles(func() error {
-		_, err := hub.AddPrivateAuditStep()
+		audit, err := core.BuildPrivateProcessWithAudit()
+		if err != nil {
+			return err
+		}
+		_, err = hub.Apply(core.NewTypeVersion{Type: audit})
 		return err
 	}); n != 1 {
 		t.Fatalf("audit step recompiled %d plans, want 1", n)
 	}
 	// Local public-process changes: one type each.
 	if n := recompiles(func() error {
-		_, err := hub.EnableTransportAcks(hub.Model.Partners[0])
+		acks, err := core.BuildPublicProcessWithAcks(hub.Snapshot().Model.Partners[0].Protocol)
+		if err != nil {
+			return err
+		}
+		_, err = hub.Apply(core.NewTypeVersion{Type: acks})
 		return err
 	}); n != 1 {
 		t.Fatalf("transport acks recompiled %d plans, want 1", n)
 	}
 	if n := recompiles(func() error {
-		_, err := hub.EnableFunctionalAcks(formats.EDI)
+		fa, err := core.BuildPublicProcessWithFunctionalAck(formats.EDI, 3)
+		if err != nil {
+			return err
+		}
+		_, err = hub.Apply(core.NewTypeVersion{Type: fa})
 		return err
 	}); n != 1 {
 		t.Fatalf("functional acks recompiled %d plans, want 1", n)
@@ -217,7 +229,7 @@ func TestAblationChangeImpactRecompiles(t *testing.T) {
 	}
 	// A new backend adds one application binding.
 	if n := recompiles(func() error {
-		_, err := hub.AddBackend(core.Backend{Name: "SAP2", Format: formats.SAPIDoc})
+		_, err := hub.Apply(core.AddBackend{Backend: core.Backend{Name: "SAP2", Format: formats.SAPIDoc}})
 		return err
 	}); n != 1 {
 		t.Fatalf("new backend recompiled %d plans, want 1", n)
@@ -229,7 +241,8 @@ func TestAblationChangeImpactRecompiles(t *testing.T) {
 		_, err := hub.EnableInvoicing()
 		return err
 	})
-	want := int64(1 + len(hub.Model.InvoicePublic) + len(hub.Model.InvoiceBindings) + len(hub.Model.InvoiceAppBindings))
+	inv := hub.Snapshot().Model
+	want := int64(1 + len(inv.InvoicePublic) + len(inv.InvoiceBindings) + len(inv.InvoiceAppBindings))
 	if n != want {
 		t.Fatalf("invoicing recompiled %d plans, want %d", n, want)
 	}
@@ -278,7 +291,7 @@ func TestAblationRuntimeChangeImpact(t *testing.T) {
 
 	// Threshold change: one new rules version, no recompilation.
 	if v, e, r := impact(func() error {
-		_, err := hub.ChangePartnerThreshold("TP1", 70000)
+		_, err := hub.Apply(core.ChangeThreshold{PartnerID: "TP1", Threshold: 70000})
 		return err
 	}); v != 1 || e != 1 || r != 0 {
 		t.Fatalf("threshold change: %d versions, %d epochs, %d recompiles; want 1, 1, 0", v, e, r)
@@ -286,7 +299,7 @@ func TestAblationRuntimeChangeImpact(t *testing.T) {
 	// Transform swap: one new transform version, no recompilation — the
 	// binding step resolves the transformer at run time, not compile time.
 	if v, e, r := impact(func() error {
-		_, err := hub.SwapTransform(ediPOTransformV2())
+		_, err := hub.Apply(core.SwapTransform{Transformer: ediPOTransformV2()})
 		return err
 	}); v != 1 || e != 1 || r != 0 {
 		t.Fatalf("transform swap: %d versions, %d epochs, %d recompiles; want 1, 1, 0", v, e, r)
@@ -294,7 +307,11 @@ func TestAblationRuntimeChangeImpact(t *testing.T) {
 	// Binding swap: one new binding version, exactly one recompile (the
 	// swapped type), and nothing else in the model.
 	if v, e, r := impact(func() error {
-		_, err := hub.SwapBinding(formats.EDI, nil)
+		bind, err := core.BuildBinding(formats.EDI)
+		if err != nil {
+			return err
+		}
+		_, err = hub.Apply(core.NewTypeVersion{Type: bind})
 		return err
 	}); v != 1 || e != 1 || r != 1 {
 		t.Fatalf("binding swap: %d versions, %d epochs, %d recompiles; want 1, 1, 1", v, e, r)

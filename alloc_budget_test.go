@@ -181,7 +181,7 @@ func canaryAllocs(t *testing.T) float64 {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := h.Canary("TP1", cand, 0.25); err != nil {
+			if _, err := h.Apply(core.Canary{Partner: "TP1", Candidate: cand, Fraction: 0.25}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -788,7 +788,11 @@ func BenchmarkFunctionalAck997(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := h.EnableFunctionalAcks(formats.EDI); err != nil {
+	fa, err := core.BuildPublicProcessWithFunctionalAck(formats.EDI, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := h.Apply(core.NewTypeVersion{Type: fa}); err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()

@@ -137,7 +137,7 @@ func TestChaosExactlyOnceAccounting(t *testing.T) {
 				fut *core.Future
 			}
 			var subs []sub
-			for pi, p := range hub.Model.Partners {
+			for pi, p := range hub.Snapshot().Model.Partners {
 				buyer := doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS}
 				g := doc.NewGenerator(int64(1000*pi) + sc.faults.Seed)
 				for i := 0; i < ordersPerPartner; i++ {
@@ -326,7 +326,7 @@ func TestChaosPartnerOutageBreaker(t *testing.T) {
 	gens := map[string]*doc.Generator{}
 	submitted, failed := 0, 0
 	var futs []*core.Future
-	for pi, p := range hub.Model.Partners {
+	for pi, p := range hub.Snapshot().Model.Partners {
 		buyer := doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS}
 		g := doc.NewGenerator(int64(2000*pi) + 17 + chaosSeedOffset())
 		gens[p.ID] = g
@@ -1026,10 +1026,11 @@ func TestChaosCanaryBrokenCandidate(t *testing.T) {
 	if !broke {
 		t.Fatal("no inbound transform step found in the EDI binding to break")
 	}
-	c, err := hub.Canary("TP1", candidate, 0.5)
+	rec, err := hub.Apply(core.Canary{Partner: "TP1", Candidate: candidate, Fraction: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := rec.Canary
 	incumbentVersion := c.Incumbent
 
 	// Drive all three partners' order streams concurrently.
@@ -1040,7 +1041,7 @@ func TestChaosCanaryBrokenCandidate(t *testing.T) {
 	}
 	var subs []sub
 	gens := map[string]*doc.Generator{}
-	for pi, p := range hub.Model.Partners {
+	for pi, p := range hub.Snapshot().Model.Partners {
 		buyer := doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS}
 		g := doc.NewGenerator(int64(3000*pi) + sc.faults.Seed)
 		gens[p.ID] = g
@@ -1094,7 +1095,7 @@ func TestChaosCanaryBrokenCandidate(t *testing.T) {
 
 	// 2. The candidate's failures never opened TP1's circuit: the breaker
 	// records no opens and every partner ends closed.
-	for _, p := range hub.Model.Partners {
+	for _, p := range hub.Snapshot().Model.Partners {
 		if st := hub.Health().StateOf(p.ID); st != health.StateClosed {
 			t.Fatalf("partner %s breaker %v after the canary incident, want closed", p.ID, st)
 		}

@@ -74,8 +74,14 @@ func TestClusterHelperProcess(t *testing.T) {
 		},
 		Faults: msg.Faults{LossProb: loss, Seed: seed},
 	}
+	// TP3 is part of the startup model: a node restarted on its journal
+	// is built on the same model, and the journal replays only the changes
+	// made to the live hub.
 	m, err := core.PaperFigure14Model()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddPartner(core.Figure15Partner()); err != nil {
 		t.Fatal(err)
 	}
 	h, err := core.NewHub(m,
@@ -84,9 +90,6 @@ func TestClusterHelperProcess(t *testing.T) {
 		core.WithJournal(cluster.JournalPath(dir, nodeID)),
 		core.WithFsyncPolicy(journal.FsyncAlways))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.AddPartner(core.Figure15Partner()); err != nil {
 		t.Fatal(err)
 	}
 	rctx, rcancel := context.WithTimeout(context.Background(), time.Minute)

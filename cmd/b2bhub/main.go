@@ -161,6 +161,37 @@ func clusterConfig() *cluster.Config {
 	return &cfg
 }
 
+// startupModel is the Figure 14 model with the -tp3, -fa997 and -invoice
+// changes made before the hub is built: the model a restart on the same
+// journal is built on again, so the journal replays only the changes made
+// to the live hub.
+func startupModel() (*core.Model, error) {
+	m, err := core.PaperFigure14Model()
+	if err != nil {
+		return nil, err
+	}
+	var changes []core.Change
+	if *tp3 {
+		changes = append(changes, core.AddPartner{Partner: core.Figure15Partner()})
+	}
+	if *fa997 {
+		fa, err := core.BuildPublicProcessWithFunctionalAck(formats.EDI, 2)
+		if err != nil {
+			return nil, err
+		}
+		changes = append(changes, core.NewTypeVersion{Type: fa})
+	}
+	if *invoice {
+		changes = append(changes, core.EnableInvoicing{})
+	}
+	for _, c := range changes {
+		if _, err := m.Apply(c); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
 // network abstracts the two transports the tool can run over.
 type network interface {
 	Endpoint(addr string) (msg.Endpoint, error)
@@ -170,7 +201,7 @@ type network interface {
 func main() {
 	flag.Parse()
 
-	model, err := core.PaperFigure14Model()
+	model, err := startupModel()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -214,11 +245,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer hub.CloseJournal()
-	if *tp3 {
-		if _, err := hub.AddPartner(core.Figure15Partner()); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if *journalPath != "" {
 		rctx, rcancel := context.WithTimeout(context.Background(), time.Minute)
 		rep, err := hub.Recover(rctx)
@@ -236,16 +262,8 @@ func main() {
 			fmt.Printf("journal repair: %d corrupt regions (%d bytes) quarantined; %d poison admissions parked to DLQ\n",
 				rep.Corrupt, rep.QuarantinedBytes, rep.Poisoned)
 		}
-	}
-
-	if *fa997 {
-		if _, err := hub.EnableFunctionalAcks(formats.EDI); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *invoice {
-		if _, err := hub.EnableInvoicing(); err != nil {
-			log.Fatal(err)
+		for _, u := range rep.Unrebuildable {
+			fmt.Printf("journal change not replayed: %s\n", u)
 		}
 	}
 
@@ -288,10 +306,10 @@ func main() {
 		mu        sync.Mutex
 		total     int
 		traced    bool
-		summaries = make([]string, len(hub.Model.Partners))
+		summaries = make([]string, len(hub.Snapshot().Model.Partners))
 	)
 	var wg sync.WaitGroup
-	for pi, p := range hub.Model.Partners {
+	for pi, p := range hub.Snapshot().Model.Partners {
 		ep, err := network.Endpoint(p.ID)
 		if err != nil {
 			log.Fatal(err)
@@ -404,7 +422,7 @@ func runDaemon(hub *core.Hub, ccfg *cluster.Config) {
 	}
 	fmt.Printf("b2bhub daemon listening on %s\n", d.Addr())
 	fmt.Printf("serving %d partners (journal=%v); SIGTERM drains within %v\n",
-		len(hub.Model.Partners), hub.Journal() != nil, *drainTimeout)
+		len(hub.Snapshot().Model.Partners), hub.Journal() != nil, *drainTimeout)
 	if node != nil {
 		node.Attach(d)
 		node.Start()
@@ -461,10 +479,11 @@ func startConfigOps(hub *core.Hub) chan struct{} {
 			if err != nil {
 				log.Fatalf("build canary candidate: %v", err)
 			}
-			c, err := hub.Canary("TP1", cand, *canaryFrac)
+			rec, err := hub.Apply(core.Canary{Partner: "TP1", Candidate: cand, Fraction: *canaryFrac})
 			if err != nil {
 				log.Fatalf("canary %s: %v", name, err)
 			}
+			c := rec.Canary
 			liveCanary = c
 			fmt.Printf("canary: %s candidate v%d staged on %.0f%% of TP1 traffic (incumbent v%d)\n",
 				name, c.Candidate, c.Fraction*100, c.Incumbent)
@@ -472,18 +491,24 @@ func startConfigOps(hub *core.Hub) chan struct{} {
 		time.Sleep(10 * time.Millisecond)
 		if *swap {
 			prev, _ := hub.ConfigStore().Active(cfgstore.ClassBinding, name)
-			nt, err := hub.SwapBinding(formats.EDI, nil)
+			bind, err := core.BuildBinding(formats.EDI)
+			if err != nil {
+				log.Fatalf("build %s: %v", name, err)
+			}
+			rec, err := hub.Apply(core.NewTypeVersion{Type: bind})
 			if err != nil {
 				log.Fatalf("hot-swap %s: %v", name, err)
 			}
+			next := rec.Versions[0].Version
 			fmt.Printf("hot-swap: %s v%d -> v%d live at epoch %d, no drain; in-flight exchanges finish on v%d\n",
-				name, prev, nt.Version, hub.ConfigStore().Epoch(), prev)
+				name, prev, next, rec.Epoch, prev)
 			time.Sleep(10 * time.Millisecond)
-			if _, err := hub.Rollback(cfgstore.ClassBinding, name, prev); err != nil {
+			rec, err = hub.Apply(core.Rollback{Class: cfgstore.ClassBinding, Name: name, Version: prev})
+			if err != nil {
 				log.Fatalf("rollback %s to v%d: %v", name, prev, err)
 			}
 			fmt.Printf("rollback: %s active pointer back to v%d at epoch %d (v%d stays registered)\n",
-				name, prev, hub.ConfigStore().Epoch(), nt.Version)
+				name, prev, rec.Epoch, next)
 		}
 	}()
 	return done
@@ -534,7 +559,7 @@ func runChaos(hub *core.Hub) {
 	sellerParty := doc.Party{ID: "HUB", Name: "Widget Inc", DUNS: "999999999"}
 	start := time.Now()
 	var futs []*core.Future
-	for _, p := range hub.Model.Partners {
+	for _, p := range hub.Snapshot().Model.Partners {
 		g := doc.NewGenerator(int64(len(p.ID)))
 		buyerParty := doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS}
 		for i := 0; i < *n; i++ {

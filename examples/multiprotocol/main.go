@@ -80,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	impact := metrics.Diff(before, model.AllTypes())
+	impact := metrics.Diff(before, hub.Snapshot().Model.AllTypes())
 	fmt.Printf("  change: %s\n", rec.Description)
 	fmt.Printf("  types added:    %v\n", impact.Added)
 	fmt.Printf("  types modified: %v\n", impact.Modified)
@@ -88,7 +88,7 @@ func main() {
 		impact.Untouched, !rec.PrivateTouched)
 	fmt.Printf("  business rules added: %d\n", rec.RulesAdded)
 
-	tp3, _ := model.PartnerByID("TP3")
+	tp3, _ := hub.Snapshot().Model.PartnerByID("TP3")
 	c3 := newClient(tp3)
 	defer c3.Close()
 	exchange(c3, doc.Party{ID: "TP3", Name: "Trading Partner 3", DUNS: "333333333"}, 15000) // approved at 10000

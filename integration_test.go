@@ -36,14 +36,19 @@ func TestFullStackOverTCP(t *testing.T) {
 	if _, err := hub.AddPartner(core.Figure15Partner()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.EnableFunctionalAcks(formats.EDI); err != nil {
+	fa, err := core.BuildPublicProcessWithFunctionalAck(formats.EDI, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := hub.Apply(core.NewTypeVersion{Type: fa}); err != nil {
+		t.Fatal(err)
+	}
+	live := hub.Snapshot().Model
 
 	// Conformance pre-check: each partner's side of the exchange is
 	// complementary to the hub's public process.
-	for _, p := range model.Protocols() {
-		hubSide := model.PublicProcesses[p]
+	for _, p := range live.Protocols() {
+		hubSide := live.PublicProcesses[p]
 		partnerSide, err := core.BuildPartnerPublicProcess(p)
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +78,7 @@ func TestFullStackOverTCP(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, 32)
 	clients := map[string]*core.Client{}
-	for _, p := range hub.Model.Partners {
+	for _, p := range live.Partners {
 		ep, err := network.Endpoint(p.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +90,7 @@ func TestFullStackOverTCP(t *testing.T) {
 			c.Close()
 		}
 	}()
-	for _, p := range hub.Model.Partners {
+	for _, p := range live.Partners {
 		p := p
 		wg.Add(1)
 		go func() {

@@ -15,6 +15,8 @@ package cfgstore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -53,7 +55,8 @@ type Version struct {
 	Note string
 }
 
-// artifact is the store's record for one Key.
+// artifact is the store's record for one Key. A change replaces the
+// record and never writes its versions in place, so clones share them.
 type artifact struct {
 	versions []Version // ascending by Version, append-only
 	active   int       // active version number (StateStore half)
@@ -64,29 +67,18 @@ type artifact struct {
 type Store struct {
 	mu    sync.RWMutex
 	epoch int64
-	arts  map[Key]*artifact
+	arts  map[Key]artifact
 	keys  []Key // registration order, for deterministic listings
 }
 
 // New creates an empty store at epoch 0.
-func New() *Store { return &Store{arts: map[Key]*artifact{}} }
+func New() *Store { return &Store{arts: map[Key]artifact{}} }
 
 // Epoch returns the current config epoch.
 func (s *Store) Epoch() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.epoch
-}
-
-// get returns the artifact record, creating it if create is set.
-func (s *Store) get(k Key, create bool) *artifact {
-	a := s.arts[k]
-	if a == nil && create {
-		a = &artifact{}
-		s.arts[k] = a
-		s.keys = append(s.keys, k)
-	}
-	return a
 }
 
 // Register records a new immutable version of the artifact and makes it
@@ -115,18 +107,23 @@ func (s *Store) add(class Class, name string, version int, note string, activate
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a := s.get(Key{class, name}, true)
+	k := Key{class, name}
+	a, ok := s.arts[k]
 	for _, v := range a.versions {
 		if v.Version >= version {
 			return 0, fmt.Errorf("cfgstore: %s:%s version %d already registered (have %d); versions are immutable",
 				class, name, version, v.Version)
 		}
 	}
+	if !ok {
+		s.keys = append(s.keys, k)
+	}
 	s.epoch++
-	a.versions = append(a.versions, Version{Version: version, Epoch: s.epoch, Note: note})
+	a.versions = append(slices.Clip(a.versions), Version{Version: version, Epoch: s.epoch, Note: note})
 	if activate || a.active == 0 {
 		a.active = version
 	}
+	s.arts[k] = a
 	return s.epoch, nil
 }
 
@@ -137,8 +134,9 @@ func (s *Store) add(class Class, name string, version int, note string, activate
 func (s *Store) Activate(class Class, name string, version int, note string) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a := s.get(Key{class, name}, false)
-	if a == nil {
+	k := Key{class, name}
+	a, ok := s.arts[k]
+	if !ok {
 		return 0, fmt.Errorf("cfgstore: unknown artifact %s:%s", class, name)
 	}
 	found := false
@@ -153,6 +151,7 @@ func (s *Store) Activate(class Class, name string, version int, note string) (in
 	}
 	s.epoch++
 	a.active = version
+	s.arts[k] = a
 	_ = note
 	return s.epoch, nil
 }
@@ -161,19 +160,16 @@ func (s *Store) Activate(class Class, name string, version int, note string) (in
 func (s *Store) Active(class Class, name string) (int, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	a := s.arts[Key{class, name}]
-	if a == nil {
-		return 0, false
-	}
-	return a.active, true
+	a, ok := s.arts[Key{class, name}]
+	return a.active, ok
 }
 
 // History lists the registered versions of the artifact in ascending order.
 func (s *Store) History(class Class, name string) []Version {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	a := s.arts[Key{class, name}]
-	if a == nil {
+	a, ok := s.arts[Key{class, name}]
+	if !ok {
 		return nil
 	}
 	out := make([]Version, len(a.versions))
@@ -198,6 +194,16 @@ func (s *Store) Artifacts() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.arts)
+}
+
+// Clone returns a copy of the store that later registrations and
+// activations do not reach: the hub changes a clone and publishes it
+// whole, so a published store is never written again. Records are
+// replaced, never written in place, so the copy shares them.
+func (s *Store) Clone() *Store {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return &Store{epoch: s.epoch, arts: maps.Clone(s.arts), keys: slices.Clip(s.keys)}
 }
 
 // Snapshot is an atomic admission-time capture of the StateStore: the epoch
@@ -241,37 +247,4 @@ func (s *Store) Keys() []Key {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// Restore replays one journaled config change during recovery. Unlike the
-// live entry points it never advances the epoch on its own: the journaled
-// epoch is authoritative, and the store's epoch only moves up to it (never
-// backward) — so replaying a compacted journal, where many records share an
-// epoch or epochs were swallowed, still lands on the exact pre-crash epoch.
-// Registration records for versions the journal already presented (or whose
-// registration was compacted away before an activation) are tolerated:
-// versions are recorded once, kept in ascending order.
-func (s *Store) Restore(class Class, name string, version int, epoch int64, activate bool, note string) error {
-	if name == "" {
-		return fmt.Errorf("cfgstore: artifact of class %q has no name", class)
-	}
-	if version <= 0 {
-		return fmt.Errorf("cfgstore: %s:%s version %d must be positive", class, name, version)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a := s.get(Key{class, name}, true)
-	idx := sort.Search(len(a.versions), func(i int) bool { return a.versions[i].Version >= version })
-	if idx == len(a.versions) || a.versions[idx].Version != version {
-		a.versions = append(a.versions, Version{})
-		copy(a.versions[idx+1:], a.versions[idx:])
-		a.versions[idx] = Version{Version: version, Epoch: epoch, Note: note}
-	}
-	if activate || a.active == 0 {
-		a.active = version
-	}
-	if epoch > s.epoch {
-		s.epoch = epoch
-	}
-	return nil
 }

@@ -133,31 +133,46 @@ func TestSnapshotIsAtomicUnderConcurrentSwaps(t *testing.T) {
 	wg.Wait()
 }
 
-func TestRestoreReachesExactEpoch(t *testing.T) {
+// TestCloneIsIndependent: registrations and activations on a clone reach
+// neither the original store nor a snapshot taken of it, and the clone
+// keeps the original's history, epoch and active versions.
+func TestCloneIsIndependent(t *testing.T) {
 	s := New()
-	// Replay a journal: register v1@3, v2@7 (compaction swallowed epochs
-	// 1-2 and 4-6), activation of v1 at epoch 9.
-	if err := s.Restore(ClassBinding, "b", 1, 3, false, "seed"); err != nil {
+	if _, err := s.Register(ClassBinding, "b", 1, "seed"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Restore(ClassBinding, "b", 2, 7, true, "swap"); err != nil {
+	if _, err := s.Register(ClassBinding, "b", 2, "swap"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Restore(ClassBinding, "b", 1, 9, true, "rollback"); err != nil {
+	before := s.Snapshot()
+	c := s.Clone()
+	if c.Epoch() != s.Epoch() || len(c.History(ClassBinding, "b")) != 2 {
+		t.Fatalf("clone epoch %d history %v, want %d and two versions", c.Epoch(), c.History(ClassBinding, "b"), s.Epoch())
+	}
+	if _, err := c.Register(ClassBinding, "b", 3, "swap"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch() != 9 {
-		t.Fatalf("restored epoch %d, want 9", s.Epoch())
-	}
-	if v, _ := s.Active(ClassBinding, "b"); v != 1 {
-		t.Fatalf("restored active %d, want 1", v)
-	}
-	// Activation whose registration record was compacted away still lands.
-	if err := s.Restore(ClassTransform, "t", 4, 12, true, "swap"); err != nil {
+	if _, err := c.Activate(ClassBinding, "b", 1, "rollback"); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Active(ClassTransform, "t"); v != 4 || s.Epoch() != 12 {
-		t.Fatalf("compacted-registration restore: active %d epoch %d", v, s.Epoch())
+	if _, err := c.Register(ClassRules, "r", 1, "new"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Epoch() != 2 || len(s.History(ClassBinding, "b")) != 2 || s.Artifacts() != 1 {
+		t.Fatalf("original changed: epoch %d, history %v, %d artifacts", s.Epoch(), s.History(ClassBinding, "b"), s.Artifacts())
+	}
+	if v, _ := s.Active(ClassBinding, "b"); v != 2 || before.Version(ClassBinding, "b") != 2 {
+		t.Fatalf("original active v%d, snapshot v%d; want v2", v, before.Version(ClassBinding, "b"))
+	}
+	if v, _ := c.Active(ClassBinding, "b"); v != 1 || c.Epoch() != 5 {
+		t.Fatalf("clone active v%d at epoch %d, want v1 at 5", v, c.Epoch())
+	}
+	// Both histories grow on their own from the shared prefix.
+	if _, err := s.Register(ClassBinding, "b", 3, "other"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.History(ClassBinding, "b")[2].Note; got != "swap" {
+		t.Fatalf("clone's v3 note %q after the original registered its own v3", got)
 	}
 }
 

@@ -33,6 +33,21 @@ type testNode struct {
 	stopped bool
 }
 
+// fig15Model is the startup model of every test node: Figure 14 plus the
+// Figure 15 partner, so a node restarted on its journal is built on the
+// same model and replays only the changes made to the live hub.
+func fig15Model(t *testing.T) *core.Model {
+	t.Helper()
+	m, err := core.PaperFigure14Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddPartner(core.Figure15Partner()); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // bootCluster builds and serves one daemon per member ID: every hub runs
 // the Figure 14+15 model (three partners, so ownership spreads), journals
 // with fsync=always into dir when dir is non-empty, and takes its
@@ -56,21 +71,16 @@ func bootCluster(t *testing.T, ids []string, dir string, tweak func(*Config)) (m
 		for _, peerID := range ids {
 			cfg.Peers = append(cfg.Peers, Peer{Node: peerID})
 		}
-		m, err := core.PaperFigure14Model()
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := fig15Model(t)
 		hubOpts := []core.HubOption{core.WithExchangeIDBase(cfg.ExchangeIDBase())}
 		if dir != "" {
 			hubOpts = append(hubOpts,
 				core.WithJournal(JournalPath(dir, id)),
 				core.WithFsyncPolicy(journal.FsyncAlways))
 		}
+		var err error
 		tn.hub, err = core.NewHub(m, hubOpts...)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tn.hub.AddPartner(core.Figure15Partner()); err != nil {
 			t.Fatal(err)
 		}
 		tn.hub.StartScheduler()
@@ -605,17 +615,10 @@ func TestTakeoverSkipsUnownedPartitions(t *testing.T) {
 	dir := t.TempDir()
 
 	// A dead node's journal, written by a throwaway hub owning everything.
-	m, err := core.PaperFigure14Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead, err := core.NewHub(m,
+	dead, err := core.NewHub(fig15Model(t),
 		core.WithJournal(JournalPath(dir, "dead")),
 		core.WithFsyncPolicy(journal.FsyncAlways))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dead.AddPartner(core.Figure15Partner()); err != nil {
 		t.Fatal(err)
 	}
 	g := doc.NewGenerator(1)
@@ -629,15 +632,8 @@ func TestTakeoverSkipsUnownedPartitions(t *testing.T) {
 	dead.CloseJournal()
 
 	// A fresh successor that owns only TP1 replays the journal.
-	m2, err := core.PaperFigure14Model()
+	succ, err := core.NewHub(fig15Model(t), core.WithExchangeIDBase(1_000_000))
 	if err != nil {
-		t.Fatal(err)
-	}
-	succ, err := core.NewHub(m2, core.WithExchangeIDBase(1_000_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := succ.AddPartner(core.Figure15Partner()); err != nil {
 		t.Fatal(err)
 	}
 	succ.StartScheduler()
@@ -659,15 +655,8 @@ func TestTakeoverSkipsUnownedPartitions(t *testing.T) {
 
 	// The dead file is untouched: a second successor claiming the rest
 	// still finds everything.
-	m3, err := core.PaperFigure14Model()
+	other, err := core.NewHub(fig15Model(t), core.WithExchangeIDBase(2_000_000))
 	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := core.NewHub(m3, core.WithExchangeIDBase(2_000_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := other.AddPartner(core.Figure15Partner()); err != nil {
 		t.Fatal(err)
 	}
 	other.StartScheduler()

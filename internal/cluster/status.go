@@ -21,8 +21,9 @@ func (n *Node) status() *core.ClusterStatus {
 
 	// Ownership of every configured trading partner, after reassignment.
 	owned := map[string][]string{}
-	partners := make([]string, 0, len(n.hub.Model.Partners))
-	for _, tp := range n.hub.Model.Partners {
+	model := n.hub.Snapshot().Model
+	partners := make([]string, 0, len(model.Partners))
+	for _, tp := range model.Partners {
 		partners = append(partners, tp.ID)
 	}
 	if len(partners) > 0 {

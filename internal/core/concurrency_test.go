@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/doc"
+	"repro/internal/formats"
 	"repro/internal/msg"
 )
 
@@ -88,7 +90,7 @@ func TestConcurrentClientsOverNetwork(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 16)
-	for _, p := range h.Model.Partners {
+	for _, p := range h.Snapshot().Model.Partners {
 		p := p
 		wg.Add(1)
 		go func() {
@@ -123,5 +125,69 @@ func TestConcurrentClientsOverNetwork(t *testing.T) {
 	}
 	if got := h.Systems["SAP"].StoredOrders() + h.Systems["Oracle"].StoredOrders(); got != 20 {
 		t.Errorf("back ends stored %d orders, want 20", got)
+	}
+}
+
+// TestAddPartnerRacesAdmissions adds partners to a live hub while its
+// workers admit orders, and each new partner's first order races its own
+// AddPartner. Run under -race it holds the partner index to copy-on-write
+// publication (a worker resolving a route never reads a model being
+// written); in any mode an order either completes or, admitted before its
+// partner joined, fails with ErrUnknownPartner — never on a type that is
+// not deployed yet (TP3 brings the OAGIS processes with it).
+func TestAddPartnerRacesAdmissions(t *testing.T) {
+	h := newFig14Hub(t, WithShards(2), WithWorkersPerShard(2))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 128)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g := doc.NewGenerator(int64(300 + w))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				po := g.PO(tp1, seller)
+				po.ID = fmt.Sprintf("%s-w%d", po.ID, w)
+				if _, _, err := roundTrip(h, ctx, po); err != nil {
+					errs <- fmt.Errorf("TP1 order during partner additions: %w", err)
+					return
+				}
+			}
+		}(w)
+	}
+	partners := []TradingPartner{Figure15Partner()}
+	for i := 0; i < 40; i++ {
+		partners = append(partners, TradingPartner{ID: fmt.Sprintf("TPX%02d", i), Name: "X", DUNS: "0",
+			Protocol: formats.EDI, Backend: "SAP", ApprovalThreshold: float64(1000 * (i + 1))})
+	}
+	for i, p := range partners {
+		race := make(chan error, 1)
+		go func() {
+			buyer := doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS}
+			_, _, err := roundTrip(h, ctx, doc.NewGenerator(int64(400+i)).PO(buyer, seller))
+			race <- err
+		}()
+		if _, err := h.AddPartner(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-race; err != nil && !errors.Is(err, ErrUnknownPartner) {
+			t.Fatalf("%s's order racing its AddPartner: %v", p.ID, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := len(h.Snapshot().Model.Partners); n != 2+len(partners) {
+		t.Fatalf("%d partners after the additions, want %d", n, 2+len(partners))
 	}
 }

@@ -23,23 +23,33 @@ func activeSet(h *Hub) map[cfgstore.Key]int {
 	return out
 }
 
+// swapBinding applies a binding re-version to the live hub and returns the
+// version it registered.
+func swapBinding(t *testing.T, h *Hub, p formats.Format) int {
+	t.Helper()
+	bind, err := BuildBinding(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := h.Apply(NewTypeVersion{Type: bind})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Versions[0].Version
+}
+
 // TestConfigRecoveryRestoresEpoch is the crash-point drill of the change
 // journal: a hub applies a run of hot-swaps and crashes (abandoned
 // un-closed, exactly as a dead process leaves its journal); the next
 // incarnation must restore the exact pre-crash config epoch and
-// active-version set before Recover even runs, and still serve exchanges —
-// pinned versions whose type bodies did not survive the restart fall back
-// to the live latest instead of dangling.
+// active-version set before Recover even runs, and still serve exchanges
+// on the journaled type bodies.
 func TestConfigRecoveryRestoresEpoch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	hub1 := journaledHub(t, path)
-	if _, err := hub1.SwapBinding(formats.EDI, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hub1.SwapBinding(formats.EDI, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hub1.ChangePartnerThreshold("TP2", 90000); err != nil {
+	swapBinding(t, hub1, formats.EDI)
+	swapBinding(t, hub1, formats.EDI)
+	if _, err := hub1.Apply(ChangeThreshold{PartnerID: "TP2", Threshold: 90000}); err != nil {
 		t.Fatal(err)
 	}
 	wantEpoch := hub1.ConfigStore().Epoch()
@@ -64,8 +74,10 @@ func TestConfigRecoveryRestoresEpoch(t *testing.T) {
 	if _, err := hub2.Recover(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// The swapped binding's v3 body is gone with the old process; the pin
-	// falls back to the live latest and the hub still serves.
+	// The swapped binding's v3 body came back with its change record.
+	if !hub2.Engine.HasType(BindingName(formats.EDI), 3) {
+		t.Fatal("the replayed binding v3 is not deployed")
+	}
 	g := doc.NewGenerator(41)
 	po := g.PO(doc.Party{ID: "TP1", Name: "Trading Partner 1", DUNS: "111111111"},
 		doc.Party{ID: "HUB", Name: "Receiver Inc", DUNS: "999999999"})
@@ -73,34 +85,26 @@ func TestConfigRecoveryRestoresEpoch(t *testing.T) {
 		t.Fatalf("round trip after config recovery: %v", err)
 	}
 	// A further swap continues the version and epoch sequences monotonically.
-	nt, err := hub2.SwapBinding(formats.EDI, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nt.Version != 4 {
-		t.Fatalf("post-recovery swap assigned v%d, want v4 (history v1..v3 restored)", nt.Version)
+	if v := swapBinding(t, hub2, formats.EDI); v != 4 {
+		t.Fatalf("post-recovery swap assigned v%d, want v4 (history v1..v3 restored)", v)
 	}
 	if got := hub2.ConfigStore().Epoch(); got != wantEpoch+1 {
 		t.Fatalf("post-recovery swap moved the epoch to %d, want %d", got, wantEpoch+1)
 	}
 }
 
-// TestConfigRecoveryCheckpointPreservesEpoch: compaction exports the config
-// store's live state as replayable records, so a checkpoint followed by
-// more swaps and a crash still recovers the exact epoch — the compacted
-// history is not an epoch reset.
+// TestConfigRecoveryCheckpointPreservesEpoch: compaction keeps every change
+// record the replay needs, so a checkpoint followed by more swaps and a
+// crash still recovers the exact epoch — the compacted history is not an
+// epoch reset.
 func TestConfigRecoveryCheckpointPreservesEpoch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	hub1 := journaledHub(t, path)
-	if _, err := hub1.SwapBinding(formats.RosettaNet, nil); err != nil {
-		t.Fatal(err)
-	}
+	swapBinding(t, hub1, formats.RosettaNet)
 	if err := hub1.CheckpointJournal(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub1.SwapBinding(formats.RosettaNet, nil); err != nil {
-		t.Fatal(err)
-	}
+	swapBinding(t, hub1, formats.RosettaNet)
 	wantEpoch := hub1.ConfigStore().Epoch()
 	wantActive := activeSet(hub1)
 	// Crash: abandoned un-closed.
@@ -124,15 +128,11 @@ func TestConfigRecoveryCheckpointPreservesEpoch(t *testing.T) {
 func TestConfigRecoveryTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	hub1 := journaledHub(t, path)
-	if _, err := hub1.SwapBinding(formats.EDI, nil); err != nil {
-		t.Fatal(err)
-	}
+	swapBinding(t, hub1, formats.EDI)
 	midEpoch := hub1.ConfigStore().Epoch()
 	// The RosettaNet swap is the journal's final record; tearing its frame
 	// simulates a crash mid-append.
-	if _, err := hub1.SwapBinding(formats.RosettaNet, nil); err != nil {
-		t.Fatal(err)
-	}
+	swapBinding(t, hub1, formats.RosettaNet)
 	hub1.CloseJournal()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -155,12 +155,8 @@ func TestConfigRecoveryTornTail(t *testing.T) {
 	if got, _ := hub2.ConfigStore().Active(cfgstore.ClassBinding, BindingName(formats.RosettaNet)); got != 1 {
 		t.Fatalf("RosettaNet binding active at v%d after torn tail, want v1", got)
 	}
-	nt, err := hub2.SwapBinding(formats.RosettaNet, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nt.Version != 2 {
-		t.Fatalf("post-tear swap assigned v%d, want v2", nt.Version)
+	if v := swapBinding(t, hub2, formats.RosettaNet); v != 2 {
+		t.Fatalf("post-tear swap assigned v%d, want v2", v)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()

@@ -279,7 +279,7 @@ func TestFig15AddThirdPartner(t *testing.T) {
 	h := newFig14Hub(t)
 	ctx := context.Background()
 
-	before := h.Model.AllTypes()
+	before := h.Snapshot().Model.AllTypes()
 	beforeClones := make([]*wf.TypeDef, len(before))
 	for i, d := range before {
 		beforeClones[i] = d.Clone()
@@ -296,7 +296,7 @@ func TestFig15AddThirdPartner(t *testing.T) {
 		t.Fatalf("record %+v", rec)
 	}
 
-	impact := metrics.Diff(beforeClones, h.Model.AllTypes())
+	impact := metrics.Diff(beforeClones, h.Snapshot().Model.AllTypes())
 	if len(impact.Modified) != 0 {
 		t.Fatalf("existing types modified: %v", impact.Modified)
 	}
@@ -375,7 +375,11 @@ func TestChangeLocalityAudit(t *testing.T) {
 	ctx := context.Background()
 	g := doc.NewGenerator(7)
 
-	rec, err := h.AddPrivateAuditStep()
+	audit, err := BuildPrivateProcessWithAudit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := h.Apply(NewTypeVersion{Type: audit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,8 +408,12 @@ func TestChangeLocalityTransportAcks(t *testing.T) {
 	h := newFig14Hub(t)
 	ctx := context.Background()
 	g := doc.NewGenerator(8)
-	p1, _ := h.Model.PartnerByID("TP1")
-	rec, err := h.EnableTransportAcks(p1)
+	p1, _ := h.Snapshot().Model.PartnerByID("TP1")
+	acks, err := BuildPublicProcessWithAcks(p1.Protocol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := h.Apply(NewTypeVersion{Type: acks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,19 +447,19 @@ func TestChangeThresholdIsRulesOnly(t *testing.T) {
 	ctx := context.Background()
 	g := doc.NewGenerator(9)
 
-	before := h.Model.AllTypes()
+	before := h.Snapshot().Model.AllTypes()
 	clones := make([]*wf.TypeDef, len(before))
 	for i, d := range before {
 		clones[i] = d.Clone()
 	}
-	rec, err := h.Model.ChangePartnerThreshold("TP1", 100)
+	rec, err := h.Apply(ChangeThreshold{PartnerID: "TP1", Threshold: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.RulesAdded != 1 || rec.RulesRemoved != 1 {
 		t.Fatalf("record %+v", rec)
 	}
-	impact := metrics.Diff(clones, h.Model.AllTypes())
+	impact := metrics.Diff(clones, h.Snapshot().Model.AllTypes())
 	if impact.TouchedTypes() != 0 {
 		t.Fatalf("rule change touched types: %+v", impact)
 	}
@@ -514,32 +522,32 @@ func TestApprovalThresholdProperty(t *testing.T) {
 			t.Fatalf("BuildModel, threshold %v: %v", th, err)
 		}
 		decides(t, m.Rules, ApprovalRuleSet, "TP1", th)
-		if _, err := m.AddPartner(TradingPartner{ID: "TP3", Protocol: formats.OAGIS, Backend: "SAP", ApprovalThreshold: th}); err != nil {
+		if _, err := m.Apply(AddPartner{Partner: TradingPartner{ID: "TP3", Protocol: formats.OAGIS, Backend: "SAP", ApprovalThreshold: th}}); err != nil {
 			t.Fatalf("AddPartner, threshold %v: %v", th, err)
 		}
 		decides(t, m.Rules, ApprovalRuleSet, "TP3", th)
-		if _, err := m.EnableInvoicing(); err != nil {
+		if _, err := m.Apply(EnableInvoicing{}); err != nil {
 			t.Fatalf("EnableInvoicing, threshold %v: %v", th, err)
 		}
 		decides(t, m.Rules, InvoiceReviewRuleSet, "TP1", th)
-		if _, err := m.ChangePartnerThreshold("TP1", 1); err != nil {
+		if _, err := m.Apply(ChangeThreshold{PartnerID: "TP1", Threshold: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.ChangePartnerThreshold("TP1", th); err != nil {
-			t.Fatalf("Model.ChangePartnerThreshold, threshold %v: %v", th, err)
+		if _, err := m.Apply(ChangeThreshold{PartnerID: "TP1", Threshold: th}); err != nil {
+			t.Fatalf("Model.Apply(ChangeThreshold), threshold %v: %v", th, err)
 		}
 		decides(t, m.Rules, ApprovalRuleSet, "TP1", th)
 		h := newHub(t, m)
-		if _, err := h.ChangePartnerThreshold("TP3", th); err != nil {
-			t.Fatalf("Hub.ChangePartnerThreshold, threshold %v: %v", th, err)
+		if _, err := h.Apply(ChangeThreshold{PartnerID: "TP3", Threshold: th}); err != nil {
+			t.Fatalf("Hub.Apply(ChangeThreshold), threshold %v: %v", th, err)
 		}
-		decides(t, h.Model.Rules, ApprovalRuleSet, "TP3", th)
+		decides(t, h.Snapshot().Model.Rules, ApprovalRuleSet, "TP3", th)
 	}
 }
 
 func TestRemovePartner(t *testing.T) {
 	h := newFig14Hub(t)
-	rec, err := h.Model.RemovePartner("TP1")
+	rec, err := h.Apply(RemovePartner{ID: "TP1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +558,7 @@ func TestRemovePartner(t *testing.T) {
 	if _, _, err := roundTrip(h, context.Background(), g.POWithAmount(tp1, seller, 1)); !errors.Is(err, ErrUnknownPartner) {
 		t.Fatalf("err %v", err)
 	}
-	if _, err := h.Model.RemovePartner("GHOST"); err == nil {
+	if _, err := h.Apply(RemovePartner{ID: "GHOST"}); err == nil {
 		t.Fatal("unknown partner removed")
 	}
 }
@@ -564,7 +572,7 @@ func TestAddBackendLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := newHub(t, m)
-	rec, err := h.AddBackend(Backend{Name: "Oracle", Format: formats.OracleOIF})
+	rec, err := h.Apply(AddBackend{Backend: Backend{Name: "Oracle", Format: formats.OracleOIF}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +628,7 @@ func TestModelGrowthIsAdditive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m3.AddPartner(Figure15Partner()); err != nil {
+	if _, err := m3.Apply(AddPartner{Partner: Figure15Partner()}); err != nil {
 		t.Fatal(err)
 	}
 	st3 := metrics.StatsOf(m3.AllTypes())

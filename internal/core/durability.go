@@ -136,15 +136,20 @@ func (h *Hub) noteNonDurableAdmit() {
 	h.dur.mu.Unlock()
 }
 
-// journalAppendFailed applies the failure policy to one failed admission
-// append: it returns the error the admission must fail with (fail-stop),
-// or nil when the admission should proceed non-durably (degraded).
-func (h *Hub) journalAppendFailed(err error) error {
+// journalAppendFailed applies the failure policy to one failed append of
+// an admission, or of a change when change is set: it returns the error the
+// admission or change must fail with (fail-stop), or nil when it should
+// proceed non-durably (degraded).
+func (h *Hub) journalAppendFailed(err error, change bool) error {
 	d := &h.dur
 	d.mu.Lock()
 	d.appendFailures++
 	d.lastErr = err
 	if d.policy != FailDegraded {
+		if change {
+			d.mu.Unlock()
+			return fmt.Errorf("core: journal change: %w (%v)", ErrJournalUnavailable, err)
+		}
 		d.rejected++
 		d.mu.Unlock()
 		h.bus.Emit(obs.Event{

@@ -5,93 +5,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cfgstore"
 	"repro/internal/doc"
 	"repro/internal/formats"
 	"repro/internal/obs"
 	"repro/internal/wf"
 )
-
-// resolvedRoute is the binding-resolution cache entry for one trading
-// partner: the partner record plus every workflow type name its exchanges
-// route through, resolved once per deploy instead of per exchange.
-type resolvedRoute struct {
-	partner TradingPartner
-
-	publicName  string
-	bindingName string
-	appBinding  string
-
-	invPublicName  string
-	invBindingName string
-	invAppBinding  string
-
-	// epoch is the engine's plan epoch at resolution time. Every successful
-	// deploy advances the epoch, so a cached route older than the current
-	// epoch may name type versions whose plans were superseded — it is
-	// treated as a miss and re-resolved. This catches deploys that bypass
-	// invalidateRoutes (direct Engine.Deploy in tests or embedders).
-	epoch int64
-
-	// cfg is the config-store snapshot at resolution time: the config epoch
-	// plus every active artifact version. Admissions copy it onto their
-	// exchange so all stages resolve versions from one consistent view; a
-	// route whose snapshot epoch is behind the store is stale (hot-swaps
-	// invalidate cached routes without an explicit invalidateRoutes call).
-	cfg cfgstore.Snapshot
-}
-
-// resolveRoute returns the partner's route, read-through: a miss resolves
-// against the model under the write lock. Deploy-time changes (AddPartner,
-// AddBackend, EnableInvoicing, …) invalidate the cache wholesale.
-func (h *Hub) resolveRoute(partnerID string) (resolvedRoute, bool) {
-	epoch := h.Engine.PlanEpoch()
-	cfgEpoch := h.cfg.Epoch()
-	h.routeMu.RLock()
-	r, ok := h.routes[partnerID]
-	h.routeMu.RUnlock()
-	if ok && r.epoch == epoch && r.cfg.Epoch == cfgEpoch {
-		return r, true
-	}
-	partner, ok := h.Model.PartnerByID(partnerID)
-	if !ok {
-		return resolvedRoute{}, false
-	}
-	r = resolvedRoute{
-		partner:        partner,
-		publicName:     PublicProcessName(partner.Protocol),
-		bindingName:    BindingName(partner.Protocol),
-		appBinding:     AppBindingName(partner.Backend),
-		invPublicName:  InvoicePublicProcessName(partner.Protocol),
-		invBindingName: InvoiceBindingName(partner.Protocol),
-		invAppBinding:  InvoiceAppBindingName(partner.Backend),
-		epoch:          epoch,
-		cfg:            h.cfg.Snapshot(),
-	}
-	h.routeMu.Lock()
-	if h.routes == nil {
-		h.routes = map[string]resolvedRoute{}
-	}
-	h.routes[partnerID] = r
-	h.routeMu.Unlock()
-	return r, true
-}
-
-// invalidateRoutes drops the binding-resolution cache; the next exchange
-// re-resolves against the current model. Every deploy-time change calls it.
-func (h *Hub) invalidateRoutes() {
-	h.routeMu.Lock()
-	h.routes = nil
-	h.routeMu.Unlock()
-}
-
-// CachedRoutes reports the number of cached partner routes (cache
-// observability for tests).
-func (h *Hub) CachedRoutes() int {
-	h.routeMu.RLock()
-	defer h.routeMu.RUnlock()
-	return len(h.routes)
-}
 
 // processInboundPO decodes an inbound protocol-native purchase order, runs
 // it through the full chain and encodes the outbound POA wire bytes.
@@ -104,7 +22,7 @@ func (h *Hub) processInboundPO(ctx context.Context, req Request) ([]byte, *Excha
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: inbound %s PO: %w", req.Protocol, err)
 	}
-	ex, err := h.processPO(ctx, req, req.Protocol, native)
+	ex, err := h.processPO(ctx, h.snap.Load(), req, req.Protocol, native)
 	if err != nil {
 		return nil, ex, err
 	}
@@ -123,7 +41,8 @@ func (h *Hub) processInboundPO(ctx context.Context, req Request) ([]byte, *Excha
 // buyer's registered protocol, processes it, and converts the returned POA
 // back to the normalized model.
 func (h *Hub) roundTrip(ctx context.Context, req Request) (*doc.PurchaseOrderAck, *Exchange, error) {
-	route, ok := h.resolveRoute(req.PO.Buyer.ID)
+	snap := h.snap.Load()
+	route, ok := snap.Model.routes[req.PO.Buyer.ID]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPartner, req.PO.Buyer.ID)
 	}
@@ -131,7 +50,7 @@ func (h *Hub) roundTrip(ctx context.Context, req Request) (*doc.PurchaseOrderAck
 	if err != nil {
 		return nil, nil, err
 	}
-	ex, err := h.processPO(ctx, req, route.partner.Protocol, native)
+	ex, err := h.processPO(ctx, snap, req, route.partner.Protocol, native)
 	if err != nil {
 		return nil, ex, err
 	}
@@ -142,16 +61,17 @@ func (h *Hub) roundTrip(ctx context.Context, req Request) (*doc.PurchaseOrderAck
 	return nd.(*doc.PurchaseOrderAck), ex, nil
 }
 
-// processPO runs the chain for a decoded native PO of the request; a
-// failed exchange is parked on the dead-letter queue with the request.
-func (h *Hub) processPO(ctx context.Context, req Request, protocol formats.Format, native any) (*Exchange, error) {
+// processPO runs the chain for a decoded native PO of the request on the
+// snapshot it was admitted under; a failed exchange is parked on the
+// dead-letter queue with the request.
+func (h *Hub) processPO(ctx context.Context, snap *Snapshot, req Request, protocol formats.Format, native any) (*Exchange, error) {
 	// Identify the sending partner from the document itself (buyer ID).
 	nd, err := h.reg.ToNormalized(protocol, doc.TypePO, native)
 	if err != nil {
 		return nil, err
 	}
 	po := nd.(*doc.PurchaseOrder)
-	route, ok := h.resolveRoute(po.Buyer.ID)
+	route, ok := snap.Model.routes[po.Buyer.ID]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPartner, po.Buyer.ID)
 	}
@@ -160,7 +80,7 @@ func (h *Hub) processPO(ctx context.Context, req Request, protocol formats.Forma
 			ErrProtocolMismatch, route.partner.ID, route.partner.Protocol, protocol)
 	}
 
-	ex := h.newExchange(route, obs.FlowPO, &req, po.ID)
+	ex := h.newExchange(snap, route, obs.FlowPO, &req, po.ID)
 	start := time.Now()
 	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
 	err = h.runPO(ctx, ex, native)
@@ -199,13 +119,13 @@ func (h *Hub) runPO(ctx context.Context, ex *Exchange, native any) error {
 	return nil
 }
 
-// newExchange allocates and registers an exchange record. It copies the
-// request's execution flags — never the request itself, since records are
-// kept for the process lifetime. canaryKey is the stable business
-// identifier (PO ID) canary routing hashes on, so a resubmitted document
-// lands on the same arm as its original run; empty falls back to the
-// exchange ID.
-func (h *Hub) newExchange(route resolvedRoute, flow obs.Flow, req *Request, canaryKey string) *Exchange {
+// newExchange allocates and registers an exchange record that runs on the
+// snapshot it was admitted under. It copies the request's execution flags
+// — never the request itself, since records are kept for the process
+// lifetime. canaryKey is the stable business identifier (PO ID) canary
+// routing hashes on, so a resubmitted document lands on the same arm as its
+// original run; empty falls back to the exchange ID.
+func (h *Hub) newExchange(snap *Snapshot, route *resolvedRoute, flow obs.Flow, req *Request, canaryKey string) *Exchange {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.exchSeq++
@@ -216,7 +136,7 @@ func (h *Hub) newExchange(route resolvedRoute, flow obs.Flow, req *Request, cana
 		Backend:  route.partner.Backend,
 		Flow:     flow,
 		route:    route,
-		cfg:      route.cfg,
+		snap:     snap,
 		resubmit: req.resubmit,
 		retry:    req.Retry,
 	}

@@ -17,7 +17,7 @@ import (
 // the binding or the private process.
 func TestFunctionalAck997EndToEnd(t *testing.T) {
 	h := newFig14Hub(t)
-	rec, err := h.EnableFunctionalAcks(formats.EDI)
+	rec, err := h.Apply(NewTypeVersion{Type: functionalAckProcess(t, formats.EDI)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestFunctionalAck997EndToEnd(t *testing.T) {
 	}
 	server := NewServer(h, hubEP)
 	defer server.Close()
-	p1, _ := h.Model.PartnerByID("TP1")
+	p1, _ := h.Snapshot().Model.PartnerByID("TP1")
 	cliEP, err := n.Endpoint("TP1")
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestFunctionalAck997EndToEnd(t *testing.T) {
 // TestFunctionalAckInProcess also works without the network front end.
 func TestFunctionalAckInProcess(t *testing.T) {
 	h := newFig14Hub(t)
-	if _, err := h.EnableFunctionalAcks(formats.EDI); err != nil {
+	if _, err := h.Apply(NewTypeVersion{Type: functionalAckProcess(t, formats.EDI)}); err != nil {
 		t.Fatal(err)
 	}
 	g := doc.NewGenerator(2)
@@ -115,7 +115,18 @@ func TestEnableFunctionalAcksUnknownProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.EnableFunctionalAcks(formats.Format("Ghost")); err == nil {
+	if _, err := m.Apply(NewTypeVersion{Type: functionalAckProcess(t, formats.Format("Ghost"))}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
+}
+
+// functionalAckProcess builds the public process variant that returns 997
+// functional acknowledgments; the change path assigns its version.
+func functionalAckProcess(t *testing.T, p formats.Format) *wf.TypeDef {
+	t.Helper()
+	fa, err := BuildPublicProcessWithFunctionalAck(p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fa
 }

@@ -160,7 +160,7 @@ func (h *Hub) TakeOverJournal(ctx context.Context, path string, owns func(partne
 		return rep, fmt.Errorf("core: takeover: %w", err)
 	}
 	recs, regions, torn := journal.ScanAll(data)
-	snap, _, _ := scanJournal(recs, nil)
+	snap, _, _ := scanJournal(recs)
 	rep.TornBytes = torn
 	rep.Corrupt = len(regions)
 	start := time.Now()

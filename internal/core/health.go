@@ -68,7 +68,7 @@ func (h *Hub) healthGate(req Request, key string) (partner string, probe bool, r
 	if partner == "" {
 		return "", false, nil
 	}
-	if _, ok := h.resolveRoute(partner); !ok {
+	if _, ok := h.snap.Load().Model.routes[partner]; !ok {
 		// Unknown partner: let the pipeline fail with ErrUnknownPartner
 		// instead of growing a breaker for a partner that does not exist.
 		return "", false, nil

@@ -20,7 +20,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/rules"
 	"repro/internal/transform"
 	"repro/internal/wf"
 	"repro/internal/wfstore"
@@ -58,9 +57,9 @@ type Exchange struct {
 	// instance.
 	queue []routeTask
 
-	// route is the partner's cached binding resolution, captured at
-	// admission so the exchange never re-derives type names per hop.
-	route resolvedRoute
+	// route is the partner's entry in the snapshot's partner index: its
+	// record and the type names the exchange routes through.
+	route *resolvedRoute
 
 	// resubmit marks a dead-letter replay: its app binding tolerates the
 	// backend's duplicate-order rejection.
@@ -75,20 +74,20 @@ type Exchange struct {
 	// use the hub's configured policies.
 	retry *RetryPolicy
 
-	// cfg is the admission-time config snapshot (epoch + active artifact
-	// versions): every stage of this exchange resolves its artifact version
-	// from this one snapshot, so hot-swaps concurrent with the exchange are
-	// invisible to it. Immutable after newExchange.
-	cfg cfgstore.Snapshot
+	// snap is the model snapshot the exchange was admitted under: every
+	// stage resolves its artifact versions, rules and transforms from this
+	// one snapshot, so changes concurrent with the exchange are invisible
+	// to it.
+	snap *Snapshot
 
-	// canary is the partner's canary run at admission time (nil if none);
-	// canaryArm marks this exchange as routed to the candidate version.
+	// canary is the partner's canary run in snap (nil if none); canaryArm
+	// marks this exchange as routed to the candidate version.
 	canary    *canaryRun
 	canaryArm bool
 }
 
 // ConfigEpoch returns the config epoch the exchange was admitted under.
-func (ex *Exchange) ConfigEpoch() int64 { return ex.cfg.Epoch }
+func (ex *Exchange) ConfigEpoch() int64 { return ex.snap.cfg.Epoch }
 
 // CanaryArm reports whether the exchange rode a canary candidate version.
 func (ex *Exchange) CanaryArm() bool { return ex.canaryArm }
@@ -106,6 +105,9 @@ type routeTask struct {
 // public process → binding → private process → application binding and
 // back (Figure 14).
 type Hub struct {
+	// Model is the model of the current snapshot, kept for callers that
+	// read the model as a field. Read the snapshot (Snapshot) instead: it
+	// is published atomically, the field is not.
 	Model  *Model
 	Engine *wf.Engine
 	// Systems maps backend name to the simulated ERP.
@@ -138,15 +140,11 @@ type Hub struct {
 	drained  bool
 	schedCfg hubConfig
 
-	// Binding-resolution cache (see exchange.go): partner ID → resolved
-	// route, invalidated wholesale on deploy-time changes.
-	routeMu sync.RWMutex
-	routes  map[string]resolvedRoute
+	// snap is the current model snapshot (see config.go); Apply publishes
+	// the next one under swapMu.
+	snap atomic.Pointer[Snapshot]
 
-	// appHandlersFor registers the app-binding handlers for one backend;
-	// kept so the change manager can wire backends added after startup.
-	appHandlersFor func(backendName string)
-	handlerReg     *wf.Handlers
+	handlerReg *wf.Handlers
 
 	// Reliability layer (see retry.go): per-binding retry policies and the
 	// dead-letter queue of exchanges that exhausted theirs.
@@ -171,7 +169,9 @@ type Hub struct {
 	// (jrnPending: admissions without a terminal outcome; jrnDead:
 	// unresolved dead letters) plus jrnSeq, the admission-key sequence.
 	// jrnStartup is the open-time replay snapshot, consumed once by
-	// Recover. Lock order: h.mu is never taken inside jrnMu.
+	// Recover; jrnChanges are the change records the next compaction keeps
+	// (replayed at open or applied since). Lock order: h.mu is never taken
+	// inside jrnMu.
 	// jrnAttempts counts recovery replay attempts per pending admission
 	// key (poison detection); jrnFS is the storage seam under the journal
 	// (and TakeOverJournal's reads), nil meaning the real filesystem.
@@ -183,6 +183,7 @@ type Hub struct {
 	jrnDead         map[string]journalOutcome
 	jrnAttempts     map[string]int
 	jrnStartup      *journalSnapshot
+	jrnChanges      []journal.Record
 	recoveryMetrics *obs.RecoveryMetrics
 	// dur is the storage-health state of the durability failure policy
 	// (see durability.go).
@@ -191,25 +192,17 @@ type Hub struct {
 	// dlqCap bounds the in-memory dead-letter queue (0 = unbounded).
 	dlqCap int
 
-	// Runtime change management (see config.go): cfg is the versioned
-	// config store every admission snapshots; configMetrics derives the
-	// change gauges from KindConfig events; canaryMu guards the per-partner
-	// canary runs. Lock order: canaryMu is never taken inside h.mu or jrnMu.
-	cfg           *cfgstore.Store
+	// Runtime change management (see change.go and config.go):
+	// configMetrics derives the change gauges from KindConfig events;
+	// swapMu serializes changes (Apply), which build and publish the next
+	// snapshot. bodies keeps the body of every registered rule-set and
+	// transform version (a *rules.Set or a transform.Transformer) for
+	// Rollback; swapMu guards it. Lock order: swapMu is taken before h.mu
+	// and jrnMu.
 	configMetrics *obs.ConfigMetrics
 	canaryPolicy  cfgstore.CanaryPolicy
-	canaryMu      sync.Mutex
-	canaries      map[string]*canaryRun
-	// swapMu serializes hot-swap/canary/rollback operations (they mutate
-	// model maps and assign version numbers). Never taken inside canaryMu.
-	swapMu sync.Mutex
-
-	// Frozen non-workflow artifact versions: when a rule set or transform is
-	// hot-swapped, the displaced value is kept here under its version so
-	// pinned exchanges keep evaluating exactly what they admitted under.
-	frozenMu     sync.RWMutex
-	frozenRules  map[string]map[int]*rules.Set
-	frozenXforms map[string]map[int]transform.Transformer
+	swapMu        sync.Mutex
+	bodies        map[VersionRef]any
 
 	// Federation (see federation.go): clusterFn is the registered provider
 	// of StatusSnapshot's cluster section, set by the cluster node wrapping
@@ -299,16 +292,11 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 		recoveryMetrics: obs.NewRecoveryMetrics(),
 		configMetrics:   obs.NewConfigMetrics(),
 		canaryPolicy:    cfg.canaryPolicy,
-		canaries:        map[string]*canaryRun{},
-		frozenRules:     map[string]map[int]*rules.Set{},
-		frozenXforms:    map[string]map[int]transform.Transformer{},
+		bodies:          map[VersionRef]any{},
 		schedCfg:        cfg,
 		dlqCap:          cfg.dlqCap,
 		exchSeq:         cfg.exchIDBase,
 	}
-	// The versioned config store must exist before the journal is opened:
-	// initJournal replays config records into it.
-	h.cfg = cfgstore.New()
 	if h.bus == nil {
 		h.bus = obs.NewBus()
 	}
@@ -357,6 +345,9 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 	}
 	handlers := wf.NewHandlers()
 	h.registerHandlers(handlers)
+	for _, b := range m.Backends {
+		h.appHandlersFor(b)
+	}
 	// The engine compiles every deployed type against the hub's routing
 	// fabric (checkPort) so broken models are rejected before any exchange
 	// runs; WithStepParallelism passes through to the plan interpreter.
@@ -400,25 +391,51 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 	// (see retry.go); without configured policies the decider retries
 	// nothing beyond each step's own Retries budget.
 	h.Engine.SetRetryDecider(h.retryDecider)
-	for _, t := range m.AllTypes() {
-		if err := h.deployType(t); err != nil {
-			return nil, err
-		}
+	if err := h.seed(m); err != nil {
+		return nil, err
 	}
-	// Rule sets and transform programs join version management at v1 so
-	// exchanges pin them like process artifacts. registerArtifact skips
-	// versions already restored from the journal on a restart.
-	for _, set := range m.Rules.SetNames() {
-		if _, err := h.registerArtifact(cfgstore.ClassRules, set, 1, "seed", false); err != nil {
-			return nil, err
-		}
-	}
-	for _, name := range h.reg.Keys() {
-		if _, err := h.registerArtifact(cfgstore.ClassTransform, name, 1, "seed", false); err != nil {
-			return nil, err
-		}
+	if h.jrn != nil {
+		h.replayChanges()
 	}
 	return h, nil
+}
+
+// seed deploys the startup model and publishes a copy of it as the first
+// snapshot, so neither the hub nor a later Model.Apply by the caller writes
+// what the other reads. Every type, rule set and transform program joins
+// version management at the version the startup model gives it, so
+// exchanges pin them all.
+func (h *Hub) seed(m *Model) error {
+	m = m.clone()
+	store := cfgstore.New()
+	register := func(class cfgstore.Class, name string, version int) error {
+		epoch, err := store.Register(class, name, version, "seed")
+		if err == nil {
+			h.bus.Emit(configEvent(obs.StepSwapped, "", class, name, version, epoch))
+		}
+		return err
+	}
+	for _, t := range m.AllTypes() {
+		if err := h.deployType(t); err != nil {
+			return err
+		}
+		if err := register(classOf(t.Name), t.Name, t.Version); err != nil {
+			return err
+		}
+	}
+	for _, name := range m.Rules.SetNames() {
+		if err := register(cfgstore.ClassRules, name, 1); err != nil {
+			return err
+		}
+		h.bodies[VersionRef{Class: cfgstore.ClassRules, Name: name, Version: 1}], _ = m.Rules.Lookup(name)
+	}
+	for _, name := range h.reg.Keys() {
+		if err := register(cfgstore.ClassTransform, name, 1); err != nil {
+			return err
+		}
+	}
+	h.publish(&Snapshot{Model: m, store: store, cfg: store.Snapshot()})
+	return nil
 }
 
 func newSystem(b Backend) (backend.System, error) {
@@ -429,25 +446,6 @@ func newSystem(b Backend) (backend.System, error) {
 		return backend.NewOracle(b.Name, nil), nil
 	}
 	return nil, fmt.Errorf("core: backend format %s is not executable", b.Format)
-}
-
-// DeployBackend adds a backend system created after hub construction (used
-// by the change manager when a backend is added at runtime).
-func (h *Hub) DeployBackend(b Backend) error {
-	sys, err := newSystem(b)
-	if err != nil {
-		return err
-	}
-	h.mu.Lock()
-	h.Systems[b.Name] = sys
-	h.mu.Unlock()
-	ab, ok := h.Model.AppBindings[b.Name]
-	if !ok {
-		return fmt.Errorf("core: model has no app binding for %q", b.Name)
-	}
-	h.appHandlersFor(b.Name)
-	h.invalidateRoutes()
-	return h.deployType(ab)
 }
 
 // registerHandlers registers the generic handler set. Note what is NOT
@@ -536,138 +534,125 @@ func (h *Hub) registerHandlers(reg *wf.Handlers) {
 		}
 		return nil
 	})
-	h.registerAppHandlers(reg)
+	h.handlerReg = reg
 }
 
-// registerAppHandlers wires the application-binding handlers. They resolve
-// the backend system at execution time so backends added later work too.
-func (h *Hub) registerAppHandlers(reg *wf.Handlers) {
-	appHandlersFor := func(bName string) {
-		// Every handler of the binding runs each attempt under the
-		// backend's PerAttemptTimeout (when a policy configures one).
-		register := func(name string, fn wf.Handler) { reg.Register(name, h.withAttemptTimeout(bName, fn)) }
-		register("app-xform-in:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
-			b, ok := h.Model.BackendByName(bName)
-			if !ok {
-				return fmt.Errorf("core: unknown backend %q", bName)
-			}
-			po, ok := in.Document().(*doc.PurchaseOrder)
-			if !ok {
-				return fmt.Errorf("core: app binding expects a normalized PO, got %T", in.Document())
-			}
-			in.Data["poid"] = po.ID
-			native, err := h.applyXform(in, formats.Normalized, b.Format, doc.TypePO, po)
-			if err != nil {
-				return err
-			}
-			in.SetDocument(native)
-			return nil
-		})
-		register("app-store:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
-			b, _ := h.Model.BackendByName(bName)
-			codec, err := h.codecs.Lookup(b.Format, doc.TypePO)
-			if err != nil {
-				return err
-			}
-			wire, err := codec.Encode(in.Document())
-			if err != nil {
-				return err
-			}
-			sys, ok := h.system(bName)
-			if !ok {
-				return fmt.Errorf("core: no system deployed for backend %q", bName)
-			}
-			// A resubmitted dead letter may have stored the order before
-			// failing downstream; the backend's duplicate elimination then
-			// satisfies this step without a second mutation.
-			return tolerateDuplicate(in, sys.Submit(ctx, wire))
-		})
-		register("app-extract:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
-			sys, ok := h.system(bName)
-			if !ok {
-				return fmt.Errorf("core: no system deployed for backend %q", bName)
-			}
-			poID, _ := in.Data["poid"].(string)
-			if poID == "" {
-				return fmt.Errorf("core: app binding lost the order identifier")
-			}
-			if _, err := sys.Process(ctx); err != nil {
-				return err
-			}
-			// Extract this exchange's acknowledgment specifically:
-			// concurrent exchanges share the back end.
-			wire, ok2, err := sys.ExtractByPO(ctx, poID)
-			if err != nil {
-				return err
-			}
-			if !ok2 {
-				return fmt.Errorf("core: backend %s produced no acknowledgment for %s", bName, poID)
-			}
-			b, _ := h.Model.BackendByName(bName)
-			codec, err := h.codecs.Lookup(b.Format, doc.TypePOA)
-			if err != nil {
-				return err
-			}
-			native, err := codec.Decode(wire)
-			if err != nil {
-				return err
-			}
-			in.SetDocument(native)
-			return nil
-		})
-		register("app-xform-out:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
-			b, _ := h.Model.BackendByName(bName)
-			nd, err := h.applyXform(in, b.Format, formats.Normalized, doc.TypePOA, in.Document())
-			if err != nil {
-				return err
-			}
-			in.SetDocument(nd)
-			return nil
-		})
-		register("app-inv-extract:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
-			sys, ok := h.system(bName)
-			if !ok {
-				return fmt.Errorf("core: no system deployed for backend %q", bName)
-			}
-			poID, _ := in.Data["poid"].(string)
-			if poID == "" {
-				return fmt.Errorf("core: invoice extraction requires the order identifier")
-			}
-			wire, ok2, err := sys.ExtractInvoiceByPO(ctx, poID)
-			if err != nil {
-				return err
-			}
-			if !ok2 {
-				return fmt.Errorf("core: backend %s has no billing document for %s", bName, poID)
-			}
-			b, _ := h.Model.BackendByName(bName)
-			codec, err := h.codecs.Lookup(b.Format, doc.TypeINV)
-			if err != nil {
-				return err
-			}
-			native, err := codec.Decode(wire)
-			if err != nil {
-				return err
-			}
-			in.SetDocument(native)
-			return nil
-		})
-		register("app-inv-xform:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
-			b, _ := h.Model.BackendByName(bName)
-			nd, err := h.applyXform(in, b.Format, formats.Normalized, doc.TypeINV, in.Document())
-			if err != nil {
-				return err
-			}
-			in.SetDocument(nd)
-			return nil
-		})
-	}
-	for _, b := range h.Model.Backends {
-		appHandlersFor(b.Name)
-	}
-	// Allow later-added backends: expose for the change manager.
-	h.appHandlersFor = appHandlersFor
-	h.handlerReg = reg
+// appHandlersFor registers the application-binding handlers of one back
+// end; AddBackend calls it for a back end added to a live hub. The
+// handlers resolve the backend system at execution time, through the hub
+// lock, because a back end's system is installed when its change is
+// published.
+func (h *Hub) appHandlersFor(b Backend) {
+	reg, bName := h.handlerReg, b.Name
+	// Every handler of the binding runs each attempt under the backend's
+	// PerAttemptTimeout (when a policy configures one).
+	register := func(name string, fn wf.Handler) { reg.Register(name, h.withAttemptTimeout(bName, fn)) }
+	register("app-xform-in:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
+		po, ok := in.Document().(*doc.PurchaseOrder)
+		if !ok {
+			return fmt.Errorf("core: app binding expects a normalized PO, got %T", in.Document())
+		}
+		in.Data["poid"] = po.ID
+		native, err := h.applyXform(in, formats.Normalized, b.Format, doc.TypePO, po)
+		if err != nil {
+			return err
+		}
+		in.SetDocument(native)
+		return nil
+	})
+	register("app-store:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
+		codec, err := h.codecs.Lookup(b.Format, doc.TypePO)
+		if err != nil {
+			return err
+		}
+		wire, err := codec.Encode(in.Document())
+		if err != nil {
+			return err
+		}
+		sys, ok := h.system(bName)
+		if !ok {
+			return fmt.Errorf("core: no system deployed for backend %q", bName)
+		}
+		// A resubmitted dead letter may have stored the order before
+		// failing downstream; the backend's duplicate elimination then
+		// satisfies this step without a second mutation.
+		return tolerateDuplicate(in, sys.Submit(ctx, wire))
+	})
+	register("app-extract:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
+		sys, ok := h.system(bName)
+		if !ok {
+			return fmt.Errorf("core: no system deployed for backend %q", bName)
+		}
+		poID, _ := in.Data["poid"].(string)
+		if poID == "" {
+			return fmt.Errorf("core: app binding lost the order identifier")
+		}
+		if _, err := sys.Process(ctx); err != nil {
+			return err
+		}
+		// Extract this exchange's acknowledgment specifically:
+		// concurrent exchanges share the back end.
+		wire, ok2, err := sys.ExtractByPO(ctx, poID)
+		if err != nil {
+			return err
+		}
+		if !ok2 {
+			return fmt.Errorf("core: backend %s produced no acknowledgment for %s", bName, poID)
+		}
+		codec, err := h.codecs.Lookup(b.Format, doc.TypePOA)
+		if err != nil {
+			return err
+		}
+		native, err := codec.Decode(wire)
+		if err != nil {
+			return err
+		}
+		in.SetDocument(native)
+		return nil
+	})
+	register("app-xform-out:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
+		nd, err := h.applyXform(in, b.Format, formats.Normalized, doc.TypePOA, in.Document())
+		if err != nil {
+			return err
+		}
+		in.SetDocument(nd)
+		return nil
+	})
+	register("app-inv-extract:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
+		sys, ok := h.system(bName)
+		if !ok {
+			return fmt.Errorf("core: no system deployed for backend %q", bName)
+		}
+		poID, _ := in.Data["poid"].(string)
+		if poID == "" {
+			return fmt.Errorf("core: invoice extraction requires the order identifier")
+		}
+		wire, ok2, err := sys.ExtractInvoiceByPO(ctx, poID)
+		if err != nil {
+			return err
+		}
+		if !ok2 {
+			return fmt.Errorf("core: backend %s has no billing document for %s", bName, poID)
+		}
+		codec, err := h.codecs.Lookup(b.Format, doc.TypeINV)
+		if err != nil {
+			return err
+		}
+		native, err := codec.Decode(wire)
+		if err != nil {
+			return err
+		}
+		in.SetDocument(native)
+		return nil
+	})
+	register("app-inv-xform:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
+		nd, err := h.applyXform(in, b.Format, formats.Normalized, doc.TypeINV, in.Document())
+		if err != nil {
+			return err
+		}
+		in.SetDocument(nd)
+		return nil
+	})
 }
 
 // portFunc enqueues routing work onto the owning exchange's queue; the

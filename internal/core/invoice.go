@@ -8,7 +8,6 @@ import (
 	"repro/internal/doc"
 	"repro/internal/formats"
 	"repro/internal/obs"
-	"repro/internal/rules"
 	"repro/internal/wf"
 )
 
@@ -130,100 +129,21 @@ func BuildInvoicePublicProcess(p formats.Format) (*wf.TypeDef, error) {
 	return t, nil
 }
 
-// EnableInvoicing adds the invoice flow to the model: the Section 4.6
-// "adding a new private process" change. Existing artifacts are untouched.
-func (m *Model) EnableInvoicing() (*ChangeRecord, error) {
-	if m.InvoicePrivate != nil {
-		return nil, fmt.Errorf("core: invoicing already enabled")
-	}
-	rec := &ChangeRecord{Description: "enable invoice dispatch (new private process)", Local: true}
-	priv, err := BuildInvoicePrivateProcess()
-	if err != nil {
-		return nil, err
-	}
-	m.InvoicePrivate = priv
-	rec.TypesAdded = append(rec.TypesAdded, InvoicePrivateProcessName)
-	m.InvoicePublic = map[formats.Format]*wf.TypeDef{}
-	m.InvoiceBindings = map[formats.Format]*wf.TypeDef{}
-	m.InvoiceAppBindings = map[string]*wf.TypeDef{}
-	for _, p := range m.Protocols() {
-		pub, err := BuildInvoicePublicProcess(p)
-		if err != nil {
-			return nil, err
-		}
-		bind, err := BuildInvoiceBinding(p)
-		if err != nil {
-			return nil, err
-		}
-		m.InvoicePublic[p] = pub
-		m.InvoiceBindings[p] = bind
-		rec.TypesAdded = append(rec.TypesAdded, pub.Name, bind.Name)
-	}
-	for _, b := range m.Backends {
-		ab, err := BuildInvoiceAppBinding(b)
-		if err != nil {
-			return nil, err
-		}
-		m.InvoiceAppBindings[b.Name] = ab
-		rec.TypesAdded = append(rec.TypesAdded, ab.Name)
-	}
-	// The new private process brings its business rules: one review rule
-	// per partner, reusing the partner's threshold.
-	set := m.Rules.Set(InvoiceReviewRuleSet)
-	for _, p := range m.Partners {
-		if err := set.Add(rules.Rule{
-			Name:      fmt.Sprintf("invoice review %s→%s", p.ID, p.Backend),
-			Source:    p.ID,
-			Target:    p.Backend,
-			DocType:   doc.TypeINV,
-			Condition: approvalCondition(p.ApprovalThreshold),
-		}); err != nil {
-			return nil, err
-		}
-		rec.RulesAdded++
-	}
-	return rec, nil
-}
-
-// EnableInvoicing applies the model change and deploys the new types.
-func (h *Hub) EnableInvoicing() (*ChangeRecord, error) {
-	rec, err := h.Model.EnableInvoicing()
-	if err != nil {
-		return nil, err
-	}
-	h.invalidateRoutes()
-	deploy := []*wf.TypeDef{h.Model.InvoicePrivate}
-	for _, t := range h.Model.InvoicePublic {
-		deploy = append(deploy, t)
-	}
-	for _, t := range h.Model.InvoiceBindings {
-		deploy = append(deploy, t)
-	}
-	for _, t := range h.Model.InvoiceAppBindings {
-		deploy = append(deploy, t)
-	}
-	for _, t := range deploy {
-		if err := h.deployType(t); err != nil {
-			return rec, err
-		}
-	}
-	return rec, nil
-}
-
 // sendInvoice runs the outbound invoice flow for a fulfilled order: it
 // extracts the billing document from the partner's back end, drives it
 // through the invoice chain and returns the protocol-native wire bytes
 // ready to transmit, plus the exchange record. A failed invoice exchange is
 // parked on the dead-letter queue with the request.
 func (h *Hub) sendInvoice(ctx context.Context, req Request) ([]byte, *Exchange, error) {
-	if h.Model.InvoicePrivate == nil {
+	snap := h.snap.Load()
+	if snap.Model.InvoicePrivate == nil {
 		return nil, nil, fmt.Errorf("core: invoicing is not enabled")
 	}
-	route, ok := h.resolveRoute(req.PartnerID)
+	route, ok := snap.Model.routes[req.PartnerID]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPartner, req.PartnerID)
 	}
-	ex := h.newExchange(route, obs.FlowInvoice, &req, req.POID)
+	ex := h.newExchange(snap, route, obs.FlowInvoice, &req, req.POID)
 	start := time.Now()
 	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
 	outbound, err := h.runInvoice(ctx, ex, req.POID)

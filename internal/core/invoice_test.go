@@ -23,7 +23,7 @@ func TestEnableInvoicingIsAdditive(t *testing.T) {
 	for _, d := range m.AllTypes() {
 		before = append(before, d.Clone())
 	}
-	rec, err := m.EnableInvoicing()
+	rec, err := m.Apply(EnableInvoicing{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestEnableInvoicingIsAdditive(t *testing.T) {
 		t.Fatalf("impact %+v", impact)
 	}
 	// Double enablement is rejected.
-	if _, err := m.EnableInvoicing(); err == nil {
+	if _, err := m.Apply(EnableInvoicing{}); err == nil {
 		t.Fatal("double enablement accepted")
 	}
 }
@@ -178,7 +178,7 @@ func TestInvoicePushOverNetwork(t *testing.T) {
 	}
 	server := NewServer(h, hubEP, WithReliableConfig(rcfg))
 	defer server.Close()
-	p1, _ := h.Model.PartnerByID("TP1")
+	p1, _ := h.Snapshot().Model.PartnerByID("TP1")
 	cliEP, err := n.Endpoint("TP1")
 	if err != nil {
 		t.Fatal(err)

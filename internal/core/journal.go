@@ -15,8 +15,9 @@ import (
 )
 
 // The durability layer: a hub built WithJournal write-ahead-logs its
-// exchange lifecycle (see internal/journal for the file format). The
-// protocol is three record kinds plus a compaction checkpoint:
+// exchange lifecycle and its model changes (see internal/journal for the
+// file format). The protocol is four record kinds plus a compaction
+// checkpoint:
 //
 //   - "admit": one record per admitted Request, appended in Do/DoAsync
 //     before the health gate or the scheduler sees the submission. The
@@ -27,6 +28,9 @@ import (
 //     submissions the scheduler refused, which have nothing to recover.
 //   - "resolve": a dead letter left the queue for good (a successful
 //     Resubmit), keyed by its exchange ID.
+//   - "change": one change applied to the live hub (Hub.Apply) with its
+//     artifact, replayed onto the startup model when the hub opens the
+//     journal.
 //   - "checkpoint": compaction high-water marks (exchange and admission
 //     sequence floors), so IDs are never reused after records that carried
 //     them are compacted away.
@@ -44,9 +48,14 @@ const (
 	recComplete   = "complete"
 	recResolve    = "resolve"
 	recCheckpoint = "checkpoint"
-	// recConfig is one runtime configuration change (register, stage or
-	// activate of an artifact version); replaying the config records restores
-	// the exact pre-crash config epoch and active-version set.
+	// recChange is one change applied to the live hub (Hub.Apply), with
+	// its artifact; replaying the change records onto the startup model
+	// restores the pre-crash model, config epoch and active versions.
+	recChange = "change"
+	// recConfig is the pointer-only config record of an earlier journal
+	// format (an artifact's class, name and version, not its body). It
+	// cannot be replayed; Recover reports the versions it names that the
+	// restarted hub does not hold.
 	recConfig = "config"
 	// recReplay marks one recovery replay attempt of a pending admission
 	// (keyed like the admit). Appended before the replay runs, so an
@@ -61,101 +70,149 @@ const (
 // accumulate before Recover stops re-running it and parks it as poisoned.
 const poisonThreshold = 3
 
-// Config record actions.
-const (
-	cfgActionRegister = "register"
-	cfgActionStage    = "stage"
-	cfgActionActivate = "activate"
-)
+// changeEntry is the payload of a change record: the kind and the
+// change's artifact.
+type changeEntry struct {
+	Kind   string          `json:"kind"`
+	Change json.RawMessage `json:"change,omitempty"`
+}
 
-// journalConfig is the payload of a config record.
+// encodeChange renders one applied change as a change record payload. A
+// swapped transform is Go code: its record names the key and version.
+func encodeChange(c Change, rec *ChangeRecord) ([]byte, error) {
+	var body any = c
+	if _, ok := c.(SwapTransform); ok {
+		v := rec.Versions[0]
+		body = transformRef{Key: v.Name, Version: v.Version}
+	}
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(changeEntry{Kind: c.kind(), Change: raw})
+}
+
+// changeDecoders decodes each kind's journaled artifact.
+var changeDecoders = map[string]func(json.RawMessage) (Change, error){
+	AddPartner{}.kind():      decodeAs[AddPartner],
+	RemovePartner{}.kind():   decodeAs[RemovePartner],
+	AddBackend{}.kind():      decodeAs[AddBackend],
+	ChangeThreshold{}.kind(): decodeAs[ChangeThreshold],
+	NewTypeVersion{}.kind():  decodeAs[NewTypeVersion],
+	EnableInvoicing{}.kind(): decodeAs[EnableInvoicing],
+	Rollback{}.kind():        decodeAs[Rollback],
+	Canary{}.kind():          decodeAs[Canary],
+	SettleCanary{}.kind():    decodeAs[SettleCanary],
+	SwapTransform{}.kind(): func(raw json.RawMessage) (Change, error) {
+		var ref transformRef
+		err := json.Unmarshal(raw, &ref)
+		return SwapTransform{ref: ref}, err
+	},
+}
+
+func decodeAs[C Change](raw json.RawMessage) (Change, error) {
+	var c C
+	err := json.Unmarshal(raw, &c)
+	return c, err
+}
+
+// decodeChange parses one change record payload. It is the fuzzed decoding
+// surface: any payload yields either a change or an error, and Apply
+// decides whether the change holds.
+func decodeChange(payload []byte) (Change, error) {
+	var ce changeEntry
+	if err := json.Unmarshal(payload, &ce); err != nil {
+		return nil, fmt.Errorf("core: change record: %w", err)
+	}
+	decode, ok := changeDecoders[ce.Kind]
+	if !ok {
+		return nil, fmt.Errorf("core: change record: unknown kind %q", ce.Kind)
+	}
+	if len(ce.Change) == 0 {
+		ce.Change = json.RawMessage("{}")
+	}
+	c, err := decode(ce.Change)
+	if err != nil {
+		return nil, fmt.Errorf("core: change record %s: %w", ce.Kind, err)
+	}
+	return c, nil
+}
+
+// journalChange write-ahead-logs one change before Apply publishes it.
+// Under FailStop a refused append refuses the change; under Degraded the
+// change goes ahead non-durably and, like the live admission index, is
+// kept for the re-arm compaction.
+func (h *Hub) journalChange(c Change, rec *ChangeRecord) error {
+	if h.jrn == nil {
+		return nil
+	}
+	payload, err := encodeChange(c, rec)
+	if err != nil {
+		return fmt.Errorf("core: journal change: %w", err)
+	}
+	r := journal.Record{Kind: recChange, Payload: payload}
+	down := h.journalDown()
+	h.jrnMu.Lock()
+	if !down {
+		err = h.jrn.Append(r)
+	}
+	if err == nil {
+		h.jrnChanges = append(h.jrnChanges, r)
+	}
+	h.jrnMu.Unlock()
+	if err == nil {
+		return nil
+	}
+	if err := h.journalAppendFailed(err, true); err != nil {
+		return err
+	}
+	h.jrnMu.Lock()
+	h.jrnChanges = append(h.jrnChanges, r)
+	h.jrnMu.Unlock()
+	return nil
+}
+
+// replayChanges applies the journaled changes onto the startup snapshot in
+// journal order, at open. A change that does not apply again — its
+// artifact is Go code this process cannot rebuild, or it rests on a change
+// that did not replay — is left out and reported by Recover, as is every
+// version a pointer-only config record names that the hub does not hold.
+func (h *Hub) replayChanges() {
+	snap := h.jrnStartup
+	h.swapMu.Lock()
+	defer h.swapMu.Unlock()
+	for _, r := range snap.changes {
+		c, err := decodeChange(r.Payload)
+		if err == nil {
+			if _, err = h.apply(c, false); err != nil {
+				err = fmt.Errorf("%s: %w", c.kind(), err)
+			}
+		}
+		if err != nil {
+			snap.unrebuilt = append(snap.unrebuilt, err.Error())
+			continue
+		}
+		h.jrnChanges = append(h.jrnChanges, r)
+	}
+	store := h.snap.Load().store
+	for _, jc := range snap.pointers {
+		held := false
+		for _, v := range store.History(cfgstore.Class(jc.Class), jc.Name) {
+			held = held || v.Version == jc.Version
+		}
+		if !held {
+			snap.unrebuilt = append(snap.unrebuilt, fmt.Sprintf("core: config record %s %s:%s v%d names no body", jc.Action, jc.Class, jc.Name, jc.Version))
+		}
+	}
+}
+
+// journalConfig is the payload of an earlier format's pointer-only config
+// record.
 type journalConfig struct {
-	Epoch   int64  `json:"epoch"`
 	Action  string `json:"action"`
 	Class   string `json:"class"`
 	Name    string `json:"name"`
 	Version int    `json:"version"`
-	Note    string `json:"note,omitempty"`
-}
-
-// decodeConfigRecord parses and validates one config record payload. It is
-// the fuzzed decoding surface: arbitrary payloads must either yield a
-// well-formed change or an error, never a malformed apply.
-func decodeConfigRecord(payload []byte) (journalConfig, error) {
-	var jc journalConfig
-	if err := json.Unmarshal(payload, &jc); err != nil {
-		return journalConfig{}, fmt.Errorf("core: config record: %w", err)
-	}
-	switch jc.Action {
-	case cfgActionRegister, cfgActionStage, cfgActionActivate:
-	default:
-		return journalConfig{}, fmt.Errorf("core: config record: unknown action %q", jc.Action)
-	}
-	if jc.Class == "" || jc.Name == "" {
-		return journalConfig{}, fmt.Errorf("core: config record: missing artifact key")
-	}
-	if jc.Version <= 0 {
-		return journalConfig{}, fmt.Errorf("core: config record: version %d must be positive", jc.Version)
-	}
-	if jc.Epoch < 0 {
-		return journalConfig{}, fmt.Errorf("core: config record: epoch %d must be non-negative", jc.Epoch)
-	}
-	return jc, nil
-}
-
-// applyConfigRecord replays one config record into the hub's config store.
-// Undecodable or unreplayable records are skipped: a torn or corrupt tail
-// must not block recovery of the rest of the journal.
-func (h *Hub) applyConfigRecord(payload []byte) {
-	jc, err := decodeConfigRecord(payload)
-	if err != nil {
-		return
-	}
-	activate := jc.Action != cfgActionStage
-	_ = h.cfg.Restore(cfgstore.Class(jc.Class), jc.Name, jc.Version, jc.Epoch, activate, jc.Note)
-}
-
-// journalConfigChange write-ahead-logs one config change. Append errors are
-// swallowed: the change is already applied in memory and a lost record only
-// costs epoch exactness after a crash, never correctness of live routing.
-func (h *Hub) journalConfigChange(jc journalConfig) {
-	if h.jrn == nil || h.journalDown() {
-		// Degraded: the config store itself holds the state and the re-arm
-		// compaction snapshots it (configLiveRecords), so the skipped
-		// record costs nothing once the disk heals.
-		return
-	}
-	payload, err := json.Marshal(jc)
-	if err != nil {
-		return
-	}
-	h.jrnMu.Lock()
-	_ = h.jrn.Append(journal.Record{Kind: recConfig, Payload: payload})
-	h.jrnMu.Unlock()
-}
-
-// configLiveRecords exports the config store's current state as replayable
-// records for compaction: per-artifact registration records carrying their
-// original epochs (staged, so replay does not move pointers prematurely)
-// followed by an activation record per artifact carrying the current epoch,
-// so replay lands on the exact live epoch and active-version set.
-func (h *Hub) configLiveRecords() []journal.Record {
-	var out []journal.Record
-	epoch := h.cfg.Epoch()
-	appendRec := func(jc journalConfig) {
-		if payload, err := json.Marshal(jc); err == nil {
-			out = append(out, journal.Record{Kind: recConfig, Payload: payload})
-		}
-	}
-	for _, k := range h.cfg.Keys() {
-		for _, v := range h.cfg.History(k.Class, k.Name) {
-			appendRec(journalConfig{Epoch: v.Epoch, Action: cfgActionStage, Class: string(k.Class), Name: k.Name, Version: v.Version, Note: v.Note})
-		}
-		if active, ok := h.cfg.Active(k.Class, k.Name); ok && active > 0 {
-			appendRec(journalConfig{Epoch: epoch, Action: cfgActionActivate, Class: string(k.Class), Name: k.Name, Version: active, Note: "checkpoint"})
-		}
-	}
-	return out
 }
 
 // Terminal outcomes of a complete record.
@@ -259,16 +316,22 @@ type journalSnapshot struct {
 	attempts map[string]int
 	// dupAdmits counts duplicate admission records that were ignored.
 	dupAdmits int
+	// changes are the change records and pointers the pointer-only config
+	// records of the hub's own journal; unrebuilt describes those that did
+	// not replay (replayChanges).
+	changes   []journal.Record
+	pointers  []journalConfig
+	unrebuilt []string
 }
 
 // scanJournal derives a replay snapshot from a sequence of journal records:
-// unfinished admissions, unresolved dead letters, finished outcomes, plus
-// the exchange/admission sequence high-water marks. It is shared by the
-// open-time replay of the hub's own journal (initJournal, which also replays
-// config records via onConfig) and by the read-only takeover scan of a dead
-// peer's journal (TakeOverJournal, which passes a nil onConfig — a peer's
-// config history is not replayed into this hub).
-func scanJournal(recs []journal.Record, onConfig func([]byte)) (snap *journalSnapshot, maxExch, maxKey int) {
+// unfinished admissions, unresolved dead letters, finished outcomes, the
+// change records, plus the exchange/admission sequence high-water marks.
+// It is shared by the open-time replay of the hub's own journal
+// (initJournal; NewHub then replays the changes) and by the read-only
+// takeover scan of a dead peer's journal (TakeOverJournal, which ignores
+// the changes — a peer's config history is not replayed into this hub).
+func scanJournal(recs []journal.Record) (snap *journalSnapshot, maxExch, maxKey int) {
 	snap = &journalSnapshot{
 		pending:  map[string]*journalRequest{},
 		dead:     map[string]journalOutcome{},
@@ -347,12 +410,12 @@ func scanJournal(recs []journal.Record, onConfig func([]byte)) (snap *journalSna
 			if rec.Key != "" {
 				snap.attempts[rec.Key]++
 			}
+		case recChange:
+			snap.changes = append(snap.changes, rec)
 		case recConfig:
-			// Replay config changes in journal order so the store converges
-			// on the exact pre-crash epoch and active-version set before the
-			// seed deploys run (they skip already-restored versions).
-			if onConfig != nil {
-				onConfig(rec.Payload)
+			var jc journalConfig
+			if json.Unmarshal(rec.Payload, &jc) == nil && jc.Name != "" && jc.Version > 0 {
+				snap.pointers = append(snap.pointers, jc)
 			}
 		}
 	}
@@ -364,7 +427,7 @@ func scanJournal(recs []journal.Record, onConfig func([]byte)) (snap *journalSna
 // counters so post-restart IDs never collide with journaled ones. Called
 // once from NewHub.
 func (h *Hub) initJournal() {
-	snap, maxExch, maxKey := scanJournal(h.jrn.Records(), h.applyConfigRecord)
+	snap, maxExch, maxKey := scanJournal(h.jrn.Records())
 	h.jrnStartup = snap
 	h.jrnSeq = maxKey
 	h.mu.Lock()
@@ -430,7 +493,7 @@ func (h *Hub) journalAdmit(req *Request) (string, error) {
 	}
 	h.jrnMu.Unlock()
 	if err != nil {
-		return "", h.journalAppendFailed(err)
+		return "", h.journalAppendFailed(err, false)
 	}
 	req.journaled = true
 	return key, nil
@@ -582,6 +645,11 @@ type RecoveryReport struct {
 	// rejected: partners reassigned to a different successor, which
 	// recovers them from the same journal.
 	Skipped int
+	// Unrebuildable describes each journaled change the hub could not
+	// replay at open — a swapped transform is Go code, and a pointer-only
+	// config record of an earlier format names no body — so the version it
+	// names is not active.
+	Unrebuildable []string
 }
 
 // Recover replays the journal a hub was opened on: completed exchanges
@@ -607,6 +675,7 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 	if snap == nil {
 		return rep, nil
 	}
+	rep.Unrebuildable = snap.unrebuilt
 	jst := h.jrn.Stats()
 	rep.TornBytes = jst.TornBytes
 	rep.Corrupt = jst.Corrupt
@@ -774,7 +843,8 @@ func (h *Hub) restoreExchange(out journalOutcome) bool {
 	if out.ExchangeID == "" {
 		return false
 	}
-	route, ok := h.resolveRoute(out.Partner)
+	snap := h.snap.Load()
+	route, ok := snap.Model.routes[out.Partner]
 	if !ok {
 		return false
 	}
@@ -790,15 +860,17 @@ func (h *Hub) restoreExchange(out journalOutcome) bool {
 		Backend:  route.partner.Backend,
 		Flow:     out.Flow,
 		route:    route,
+		snap:     snap,
 	}
 	return true
 }
 
 // CheckpointJournal compacts the journal to its live entries: a checkpoint
-// record carrying the sequence floors, every unfinished admission, and
-// every unresolved dead letter. Finished exchanges' records are dropped —
-// compaction trades restart-time history for a log that grows with live
-// state, not with traffic.
+// record carrying the sequence floors, every unfinished admission, every
+// unresolved dead letter, and every change record the next open replays.
+// Finished exchanges' records are dropped — compaction trades restart-time
+// history for a log that grows with live state and changes, not with
+// traffic.
 func (h *Hub) CheckpointJournal() error {
 	if h.jrn == nil {
 		return ErrNoJournal
@@ -832,9 +904,7 @@ func (h *Hub) CheckpointJournal() error {
 		}
 		live = append(live, journal.Record{Kind: recComplete, Payload: payload})
 	}
-	// The config store's live state is part of the compacted log: replaying
-	// it restores the exact config epoch and active versions.
-	live = append(live, h.configLiveRecords()...)
+	live = append(live, h.jrnChanges...)
 	return h.jrn.Compact(live)
 }
 

@@ -15,16 +15,20 @@
 // All four process kinds are ordinary workflow types executed by the
 // internal/wf engine; the architecture is about where concerns live, not
 // about different execution machinery. The Hub (hub.go) is the runtime that
-// routes messages through the chain, and the change manager (change.go)
+// routes messages through the chain, and the change path (change.go)
 // implements Section 4.5/4.6's change classification and locality
 // guarantees.
 package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
+	"repro/internal/doc"
 	"repro/internal/formats"
 	"repro/internal/rules"
 	"repro/internal/wf"
@@ -62,7 +66,9 @@ type Backend struct {
 const ApprovalRuleSet = "check-need-for-approval"
 
 // Model is the complete advanced integration model: the artifact inventory
-// of Figure 14/15.
+// of Figure 14/15. A model is changed through Apply: in place while it is
+// a startup model, and by copy on a live hub (Hub.Apply), which never
+// writes a model it has published.
 type Model struct {
 	// Partners and Backends are the population.
 	Partners []TradingPartner
@@ -84,6 +90,55 @@ type Model struct {
 	InvoicePublic      map[formats.Format]*wf.TypeDef
 	InvoiceBindings    map[formats.Format]*wf.TypeDef
 	InvoiceAppBindings map[string]*wf.TypeDef
+
+	// routes indexes Partners by ID, each with the type names its
+	// exchanges run; backends indexes Backends by name.
+	routes   map[string]*resolvedRoute
+	backends map[string]Backend
+}
+
+// resolvedRoute is one partner's entry in the model's partner index: the
+// partner record plus every workflow type name its exchanges route
+// through, resolved once when the partner is added instead of per
+// exchange. The invoice names are set while invoicing is on.
+type resolvedRoute struct {
+	partner TradingPartner
+
+	publicName  string
+	bindingName string
+	appBinding  string
+
+	invPublicName  string
+	invBindingName string
+	invAppBinding  string
+}
+
+// newRoute indexes p. Its type names are those of the model's processes
+// for its protocol and back end, so partners share them.
+func (m *Model) newRoute(p TradingPartner) *resolvedRoute {
+	r := &resolvedRoute{
+		partner:     p,
+		publicName:  m.PublicProcesses[p.Protocol].Name,
+		bindingName: m.Bindings[p.Protocol].Name,
+		appBinding:  m.AppBindings[p.Backend].Name,
+	}
+	if m.InvoicePrivate != nil {
+		r.invPublicName = m.InvoicePublic[p.Protocol].Name
+		r.invBindingName = m.InvoiceBindings[p.Protocol].Name
+		r.invAppBinding = m.InvoiceAppBindings[p.Backend].Name
+	}
+	return r
+}
+
+// uses reports whether the named workflow type serves the route.
+func (r *resolvedRoute) uses(name string) bool {
+	switch name {
+	case r.publicName, r.bindingName, r.appBinding,
+		r.invPublicName, r.invBindingName, r.invAppBinding,
+		PrivateProcessName, InvoicePrivateProcessName:
+		return true
+	}
+	return false
 }
 
 // BuildModel constructs the advanced model for a population: one public
@@ -92,78 +147,72 @@ type Model struct {
 // targeted back end.
 func BuildModel(partners []TradingPartner, backends []Backend) (*Model, error) {
 	m := &Model{
+		Partners:        make([]TradingPartner, 0, len(partners)),
 		PublicProcesses: map[formats.Format]*wf.TypeDef{},
 		Bindings:        map[formats.Format]*wf.TypeDef{},
 		AppBindings:     map[string]*wf.TypeDef{},
 		Rules:           rules.NewRegistry(),
-	}
-	byName := map[string]Backend{}
-	for _, b := range backends {
-		if b.Name == "" || b.Format == "" {
-			return nil, fmt.Errorf("core: backend %+v incomplete", b)
-		}
-		if _, dup := byName[b.Name]; dup {
-			return nil, fmt.Errorf("core: duplicate backend %q", b.Name)
-		}
-		byName[b.Name] = b
-		m.Backends = append(m.Backends, b)
-		ab, err := BuildAppBinding(b)
-		if err != nil {
-			return nil, err
-		}
-		m.AppBindings[b.Name] = ab
+		routes:          make(map[string]*resolvedRoute, len(partners)),
+		backends:        make(map[string]Backend, len(backends)),
 	}
 	var err error
-	m.Private, err = BuildPrivateProcess()
-	if err != nil {
+	if m.Private, err = BuildPrivateProcess(); err != nil {
 		return nil, err
 	}
+	e := &edit{m: m, rec: &ChangeRecord{}}
+	for _, b := range backends {
+		if err := e.addBackend(b); err != nil {
+			return nil, err
+		}
+	}
 	for _, p := range partners {
-		if _, err := m.addPartner(p, byName); err != nil {
+		if err := e.addPartner(p); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
 }
 
-// addPartner performs the model-side work of adding a partner and reports
-// whether a new protocol (public process + binding) had to be added.
-func (m *Model) addPartner(p TradingPartner, byName map[string]Backend) (newProtocol bool, err error) {
-	if p.ID == "" || p.Protocol == "" {
-		return false, fmt.Errorf("core: partner %+v incomplete", p)
-	}
-	for _, existing := range m.Partners {
-		if existing.ID == p.ID {
-			return false, fmt.Errorf("core: duplicate partner %q", p.ID)
-		}
-	}
-	if _, ok := byName[p.Backend]; !ok {
-		return false, fmt.Errorf("core: partner %q references unknown backend %q", p.ID, p.Backend)
-	}
-	if _, ok := m.PublicProcesses[p.Protocol]; !ok {
-		pub, err := BuildPublicProcess(p.Protocol)
-		if err != nil {
-			return false, err
-		}
-		bind, err := BuildBinding(p.Protocol)
-		if err != nil {
-			return false, err
-		}
-		m.PublicProcesses[p.Protocol] = pub
-		m.Bindings[p.Protocol] = bind
-		newProtocol = true
-	}
-	m.Partners = append(m.Partners, p)
-	// The partner's business rule, outside any workflow type.
-	if err := m.Rules.Set(ApprovalRuleSet).Add(rules.Rule{
-		Name:      fmt.Sprintf("approval %s→%s", p.ID, p.Backend),
+// clone returns a copy of m that a live hub's edit may write: the
+// population, its indexes, the type maps and the rule registry are copied;
+// type definitions and rule sets are shared, and an edit replaces them
+// instead of writing them.
+func (m *Model) clone() *Model {
+	c := *m
+	c.Partners = slices.Clip(m.Partners)
+	c.Backends = slices.Clip(m.Backends)
+	c.PublicProcesses = maps.Clone(m.PublicProcesses)
+	c.Bindings = maps.Clone(m.Bindings)
+	c.AppBindings = maps.Clone(m.AppBindings)
+	c.Rules = m.Rules.Clone()
+	c.InvoicePublic = maps.Clone(m.InvoicePublic)
+	c.InvoiceBindings = maps.Clone(m.InvoiceBindings)
+	c.InvoiceAppBindings = maps.Clone(m.InvoiceAppBindings)
+	c.routes = maps.Clone(m.routes)
+	c.backends = maps.Clone(m.backends)
+	return &c
+}
+
+// approvalRule is a partner's business rule in the approval set.
+func approvalRule(p TradingPartner) rules.Rule {
+	return rules.Rule{
+		Name:      "approval " + p.ID + "→" + p.Backend,
 		Source:    p.ID,
 		Target:    p.Backend,
 		Condition: approvalCondition(p.ApprovalThreshold),
-	}); err != nil {
-		return newProtocol, err
 	}
-	return newProtocol, nil
+}
+
+// reviewRule is a partner's business rule in the invoice review set; it
+// reuses the partner's threshold.
+func reviewRule(p TradingPartner) rules.Rule {
+	return rules.Rule{
+		Name:      "invoice review " + p.ID + "→" + p.Backend,
+		Source:    p.ID,
+		Target:    p.Backend,
+		DocType:   doc.TypeINV,
+		Condition: approvalCondition(p.ApprovalThreshold),
+	}
 }
 
 // approvalCondition renders the rule condition of a partner threshold. The
@@ -174,33 +223,18 @@ func approvalCondition(threshold float64) string {
 	return "document.amount >= " + strconv.FormatFloat(threshold, 'f', -1, 64)
 }
 
-// backendsByName rebuilds the lookup used by addPartner.
-func (m *Model) backendsByName() map[string]Backend {
-	byName := map[string]Backend{}
-	for _, b := range m.Backends {
-		byName[b.Name] = b
-	}
-	return byName
-}
-
 // PartnerByID finds a partner.
 func (m *Model) PartnerByID(id string) (TradingPartner, bool) {
-	for _, p := range m.Partners {
-		if p.ID == id {
-			return p, true
-		}
+	if r, ok := m.routes[id]; ok {
+		return r.partner, true
 	}
 	return TradingPartner{}, false
 }
 
 // BackendByName finds a backend.
 func (m *Model) BackendByName(name string) (Backend, bool) {
-	for _, b := range m.Backends {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Backend{}, false
+	b, ok := m.backends[name]
+	return b, ok
 }
 
 // Protocols lists the model's distinct protocols, sorted.
@@ -249,6 +283,54 @@ func (m *Model) AllTypes() []*wf.TypeDef {
 		}
 	}
 	return out
+}
+
+// typeDef returns the model's current definition of the named workflow
+// artifact (nil when the model has none).
+func (m *Model) typeDef(name string) *wf.TypeDef {
+	for _, t := range m.AllTypes() {
+		if t.Name == name {
+			return t
+		}
+	}
+	return nil
+}
+
+// setTypeDef makes t the model's definition of its artifact. The artifact
+// must already exist unless added is set, and an invoice artifact needs the
+// invoice flow.
+func (m *Model) setTypeDef(t *wf.TypeDef, added bool) error {
+	if !added && m.typeDef(t.Name) == nil {
+		return fmt.Errorf("core: %s is not an artifact of the model", t.Name)
+	}
+	prefix, rest, _ := strings.Cut(t.Name, ":")
+	if strings.HasSuffix(prefix, "-inv") && m.InvoicePrivate == nil {
+		return fmt.Errorf("core: %s needs the invoice flow", t.Name)
+	}
+	switch prefix {
+	case "public":
+		m.PublicProcesses[formats.Format(rest)] = t
+	case "binding":
+		m.Bindings[formats.Format(rest)] = t
+	case "appbinding":
+		m.AppBindings[rest] = t
+	case "public-inv":
+		m.InvoicePublic[formats.Format(rest)] = t
+	case "binding-inv":
+		m.InvoiceBindings[formats.Format(rest)] = t
+	case "appbinding-inv":
+		m.InvoiceAppBindings[rest] = t
+	default:
+		switch t.Name {
+		case PrivateProcessName:
+			m.Private = t
+		case InvoicePrivateProcessName:
+			m.InvoicePrivate = t
+		default:
+			return fmt.Errorf("core: %s is not an artifact of the model", t.Name)
+		}
+	}
+	return nil
 }
 
 // PaperFigure14Model is the advanced counterpart of Figure 9's population:

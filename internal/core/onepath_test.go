@@ -166,7 +166,7 @@ func TestEveryEntryRunsOnTheScheduler(t *testing.T) {
 				defer close(served)
 				srv.Serve(sctx, errs)
 			}()
-			partner, _ := h.Model.PartnerByID(tp1.ID)
+			partner, _ := h.Snapshot().Model.PartnerByID(tp1.ID)
 			ep, err := network.Endpoint(tp1.ID)
 			if err != nil {
 				t.Fatal(err)

@@ -63,15 +63,10 @@ func (h *Hub) checkPort(s *wf.StepDef) error {
 // Deploy, adding the hub-level outbound check: a public process (PO or
 // invoice flow) must send on PortPublicOut, or every exchange through it
 // would end in ErrNoOutbound. Catching that shape here makes the runtime
-// ErrNoOutbound path unreachable for compiled deployments.
+// ErrNoOutbound path unreachable for compiled deployments. Version
+// management is the caller's: the startup seed and the change path
+// register what they deploy.
 func (h *Hub) deployType(t *wf.TypeDef) error {
-	return h.deployTypeMode(t, false, "deploy")
-}
-
-// deployTypeMode is deployType with the version-management mode explicit:
-// staged deploys (canary candidates) register the version in the config
-// store without moving the active pointer.
-func (h *Hub) deployTypeMode(t *wf.TypeDef, staged bool, note string) error {
 	if isPublicProcess(t.Name) && !sendsOnPublicOut(t) {
 		perr := wf.PlanErrors{{
 			Class:  wf.PlanUnroutablePort,
@@ -81,14 +76,7 @@ func (h *Hub) deployTypeMode(t *wf.TypeDef, staged bool, note string) error {
 		}}
 		return fmt.Errorf("core: deploy %s: %w", t.Name, perr)
 	}
-	if err := h.Engine.Deploy(t); err != nil {
-		return err
-	}
-	// Every deployed type joins version management. A version already in the
-	// store (restored from the journal before the seed deploys re-ran) is
-	// skipped inside registerArtifact so restarts do not re-bump the epoch.
-	_, err := h.registerArtifact(classOf(t.Name), t.Name, t.Version, note, staged)
-	return err
+	return h.Engine.Deploy(t)
 }
 
 // isPublicProcess reports whether the type name identifies a public process

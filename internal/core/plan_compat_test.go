@@ -29,7 +29,7 @@ func TestPlanInterpreterMatchesLegacyHub(t *testing.T) {
 	var buf bytes.Buffer
 	ctx := context.Background()
 	seller := doc.Party{ID: "HUB", Name: "Widget Inc", DUNS: "999999999"}
-	for _, p := range hub.Model.Partners {
+	for _, p := range hub.Snapshot().Model.Partners {
 		g := doc.NewGenerator(int64(len(p.ID) + int(p.ApprovalThreshold)))
 		buyer := doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS}
 		for i := 0; i < 3; i++ {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -40,10 +41,10 @@ func TestRecoverEmptyJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep != (RecoveryReport{}) {
+	if !reflect.DeepEqual(rep, RecoveryReport{}) {
 		t.Fatalf("empty journal recovered %+v", rep)
 	}
-	if rep2, err := h.Recover(context.Background()); err != nil || rep2 != (RecoveryReport{}) {
+	if rep2, err := h.Recover(context.Background()); err != nil || !reflect.DeepEqual(rep2, RecoveryReport{}) {
 		t.Fatalf("second Recover: %+v, %v", rep2, err)
 	}
 }
@@ -554,7 +555,7 @@ func TestReplayParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep != want {
+			if !reflect.DeepEqual(rep, want) {
 				t.Fatalf("report %+v, want %+v", rep, want)
 			}
 			dls := h.DeadLetters()

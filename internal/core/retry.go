@@ -271,11 +271,12 @@ func (h *Hub) deadLetter(ex *Exchange, reason error, req Request) {
 // partner the model does not know fails with ErrUnknownPartner instead.
 func (h *Hub) park(req Request, key string, cause error, kind obs.Kind, stage obs.Stage, step string) Result {
 	partner := req.healthKey()
-	route, ok := h.resolveRoute(partner)
+	snap := h.snap.Load()
+	route, ok := snap.Model.routes[partner]
 	switch {
 	case ok:
 	case partner == "" && req.Kind == DocWirePO:
-		route = resolvedRoute{partner: TradingPartner{Protocol: req.Protocol}, cfg: h.cfg.Snapshot()}
+		route = &resolvedRoute{partner: TradingPartner{Protocol: req.Protocol}}
 	default:
 		res := Result{Err: fmt.Errorf("%w: %q", ErrUnknownPartner, partner)}
 		h.journalComplete(key, &req, &res)
@@ -285,7 +286,7 @@ func (h *Hub) park(req Request, key string, cause error, kind obs.Kind, stage ob
 	if req.Kind == DocInvoice {
 		flow = obs.FlowInvoice
 	}
-	ex := h.newExchange(route, flow, &req, "")
+	ex := h.newExchange(snap, route, flow, &req, "")
 	err := wrapExchangeErr(ex, obs.StageExchange, "", cause)
 	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
 	h.emitLifecycle(ex, obs.StepFailed, 0, err)

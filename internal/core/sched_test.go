@@ -241,58 +241,6 @@ func TestSchedulerPriorityLane(t *testing.T) {
 	}
 }
 
-// TestRouteCacheInvalidation: the binding-resolution cache fills on use and
-// is invalidated wholesale by deploy-time changes.
-func TestRouteCacheInvalidation(t *testing.T) {
-	h := newFig14Hub(t)
-	ctx := context.Background()
-	g := doc.NewGenerator(43)
-
-	if got := h.CachedRoutes(); got != 0 {
-		t.Fatalf("fresh hub caches %d routes", got)
-	}
-	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.CachedRoutes(); got != 1 {
-		t.Fatalf("cached %d routes after one exchange, want 1", got)
-	}
-
-	// AddPartner invalidates wholesale.
-	if _, err := h.AddPartner(Figure15Partner()); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.CachedRoutes(); got != 0 {
-		t.Fatalf("cached %d routes after AddPartner, want 0", got)
-	}
-	// The cache repopulates, including for the new partner.
-	if _, _, err := roundTrip(h, ctx, g.PO(tp3, seller)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.CachedRoutes(); got != 2 {
-		t.Fatalf("cached %d routes, want 2", got)
-	}
-
-	// EnableInvoicing changes the route shape (invoice type names) and must
-	// invalidate too.
-	if _, err := h.EnableInvoicing(); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.CachedRoutes(); got != 0 {
-		t.Fatalf("cached %d routes after EnableInvoicing, want 0", got)
-	}
-	po := g.PO(tp1, seller)
-	if _, _, err := roundTrip(h, ctx, po); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := invoiceFor(h, ctx, tp1.ID, po.ID); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTransformProgramCache: transform programs compile once per
 // (from, to, doctype) key, are shared across exchanges, and the compile
 // cache resets when a new transformer is registered.

@@ -35,7 +35,7 @@ func newDeployment(t *testing.T, faults msg.Faults, rcfg msg.ReliableConfig) *de
 		clients: map[string]*Client{},
 		network: n,
 	}
-	for _, p := range h.Model.Partners {
+	for _, p := range h.Snapshot().Model.Partners {
 		ep, err := n.Endpoint(p.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +308,7 @@ func TestServeOverlapsWorkers(t *testing.T) {
 				<-serving
 			}()
 
-			partner, _ := h.Model.PartnerByID(tp1.ID)
+			partner, _ := h.Snapshot().Model.PartnerByID(tp1.ID)
 			g := doc.NewGenerator(61)
 			var wg sync.WaitGroup
 			for c := 0; c < n; c++ {

@@ -208,7 +208,9 @@ func (l *lexer) next() (Token, error) {
 // lex tokenizes the whole source, returning tokens including the final EOF.
 func lex(src string) ([]Token, error) {
 	l := &lexer{src: src}
-	var toks []Token
+	// Room for one comparison ("document.amount >= 1000") and its EOF
+	// without regrowing: most business rules are one.
+	toks := make([]Token, 0, 4)
 	for {
 		t, err := l.next()
 		if err != nil {

@@ -14,6 +14,8 @@ package rules
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -132,20 +134,24 @@ func (s *Set) Names() []string {
 	return out
 }
 
-// Clone returns a copy of the set sharing no mutable state with the
-// original: versioned-configuration callers freeze the current set, clone
-// it, mutate the clone and atomically install it via Registry.Replace, so
-// exchanges pinned to the frozen version never observe a half-applied
-// change.
+// Clone returns a copy of the set that Add and Remove can change without
+// changing the original: copy-on-write callers clone the set, change the
+// clone and install it via Registry.Replace, so evaluations of the
+// original never observe a half-applied change. Rules are never written
+// after Add, so the copy shares them.
 func (s *Set) Clone() *Set {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c := &Set{Name: s.Name, rules: make([]*Rule, len(s.rules))}
-	for i, r := range s.rules {
-		rr := *r
-		c.rules[i] = &rr
+	return &Set{Name: s.Name, rules: slices.Clone(s.rules)}
+}
+
+// Selectors calls fn with the selectors of each rule, in evaluation order.
+func (s *Set) Selectors(fn func(source, target string, dt doc.DocType)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, r := range s.rules {
+		fn(r.Source, r.Target, r.DocType)
 	}
-	return c
 }
 
 // Evaluate selects the applicable rule for (source, target, document) and
@@ -197,6 +203,14 @@ func (g *Registry) Set(name string) *Set {
 		g.sets[name] = s
 	}
 	return s
+}
+
+// Clone returns a registry holding the same sets: replacing a set in the
+// clone leaves the original registry as it was.
+func (g *Registry) Clone() *Registry {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return &Registry{sets: maps.Clone(g.sets)}
 }
 
 // Replace atomically installs the set under its name and returns the set

@@ -394,7 +394,7 @@ func (d *Daemon) hello() *HelloResponse {
 		Name:    d.name,
 		Journal: d.hub.Journal() != nil,
 	}
-	for _, p := range d.hub.Model.Partners {
+	for _, p := range d.hub.Snapshot().Model.Partners {
 		h.Partners = append(h.Partners, p.ID)
 	}
 	sort.Strings(h.Partners)

@@ -1,24 +1,25 @@
 package repro
 
-// Change-management property battery for the hub's versioned config store
-// (internal/cfgstore) and hot-swap machinery: under concurrent exchange
-// load, randomized hot-swaps (binding re-versions, rule-set changes,
-// transform replacements) must never produce a mixed-version exchange.
-// Every exchange pins the config snapshot it admitted under and runs all
-// of its stages at exactly that epoch's versions; the set of legal
-// per-exchange version tuples is derived differentially from an oracle hub
-// that applies the identical swap schedule with no concurrent load
-// (drain-then-swap), where each epoch's tuple is trivially observable.
+// Change-management property battery for the hub's one change path
+// (Hub.Apply): under concurrent exchange load, a seeded schedule of live
+// changes of every kind — partners added and removed, a back end added,
+// binding, private-process and public-process versions, rule and transform
+// changes, rollbacks, invoicing and a canary with its settle — must never
+// produce an exchange that mixes two snapshots' versions. Every exchange
+// runs all of its stages on the snapshot it admitted under; the legal
+// per-stage version tuple of each (partner, config epoch, canary arm) is
+// derived differentially from an oracle hub that applies the identical
+// schedule with no concurrent load, probing after each change.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 	"time"
-
-	"context"
 
 	"repro/internal/cfgstore"
 	"repro/internal/core"
@@ -28,13 +29,23 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/transform"
+	"repro/internal/wf"
 )
 
 // swapOp is one schedule entry, applicable to any hub so the concurrent
 // hub and the drain-then-swap oracle replay the identical schedule.
 type swapOp struct {
-	name  string
-	apply func(h *core.Hub) error
+	name   string
+	change func() (core.Change, error)
+}
+
+func (op swapOp) apply(h *core.Hub) error {
+	c, err := op.change()
+	if err != nil {
+		return err
+	}
+	_, err = h.Apply(c)
+	return err
 }
 
 // ediPOTransformV2 is a behavior-identical replacement for the EDI→
@@ -54,34 +65,92 @@ func ediPOTransformV2() transform.Transformer {
 	}
 }
 
-// swapSchedule generates a seeded random schedule over the three hot-swap
-// families: binding re-versions (structural — the stage-version tuple
-// changes), partner threshold changes (rules-only) and transform
-// replacements (registry-only).
+// The population of the property battery: TP1 and TP2 are in the startup
+// model; TP3 (a new protocol) and TP4 (an existing protocol, on the back
+// end SAP2 added live) join mid-schedule, and TP2 leaves.
+var (
+	swapParties = []doc.Party{
+		{ID: "TP1", Name: "Trading Partner 1", DUNS: "111111111"},
+		{ID: "TP2", Name: "Trading Partner 2", DUNS: "222222222"},
+		{ID: "TP3", Name: "Trading Partner 3", DUNS: "333333333"},
+		{ID: "TP4", Name: "Trading Partner 4", DUNS: "444444444"},
+	}
+	tp4 = core.TradingPartner{ID: "TP4", Name: "Trading Partner 4", DUNS: "444444444",
+		Protocol: formats.EDI, Backend: "SAP2", ApprovalThreshold: 25000}
+)
+
+func fixed(c core.Change) func() (core.Change, error) {
+	return func() (core.Change, error) { return c, nil }
+}
+
+func newVersion(build func() (*wf.TypeDef, error)) func() (core.Change, error) {
+	return func() (core.Change, error) {
+		t, err := build()
+		return core.NewTypeVersion{Type: t}, err
+	}
+}
+
+// swapSchedule generates a seeded schedule of n changes: the one-off kinds
+// at fixed places (add TP3 on a new protocol, add the back end SAP2 and
+// TP4 on it, start a canary on TP1's binding and later promote it, enable
+// invoicing, remove TP2), and between them random repeatable kinds valid
+// at their place — binding, audit-step and acknowledgment versions,
+// threshold changes, transform swaps and rollbacks.
 func swapSchedule(rng *rand.Rand, n int) []swapOp {
-	protos := []formats.Format{formats.EDI, formats.RosettaNet, formats.OAGIS}
-	partners := []string{"TP1", "TP2", "TP3"}
+	protos := []formats.Format{formats.EDI, formats.RosettaNet}
+	partners := []string{"TP1", "TP2"}
+	oneOff := map[int]swapOp{
+		2: {"add-partner:TP3", fixed(core.AddPartner{Partner: core.Figure15Partner()})},
+		5: {"add-backend:SAP2", fixed(core.AddBackend{Backend: core.Backend{Name: "SAP2", Format: formats.SAPIDoc}})},
+		7: {"add-partner:TP4", fixed(core.AddPartner{Partner: tp4})},
+		9: {"canary:TP1", func() (core.Change, error) {
+			t, err := core.BuildBinding(formats.EDI)
+			return core.Canary{Partner: "TP1", Candidate: t, Fraction: 0.5}, err
+		}},
+		13: {"enable-invoicing", fixed(core.EnableInvoicing{})},
+		16: {"settle-canary:TP1", fixed(core.SettleCanary{Partner: "TP1", Verdict: cfgstore.CanaryPromote})},
+		20: {"remove-partner:TP2", fixed(core.RemovePartner{ID: "TP2"})},
+	}
 	ops := make([]swapOp, 0, n)
 	for i := 0; i < n; i++ {
-		switch rng.Intn(4) {
+		if op, ok := oneOff[i]; ok {
+			ops = append(ops, op)
+			switch op.name {
+			case "add-partner:TP3":
+				protos = append(protos, formats.OAGIS)
+				partners = append(partners, "TP3")
+			case "add-partner:TP4":
+				partners = append(partners, "TP4")
+			case "remove-partner:TP2":
+				partners = []string{"TP1", "TP3", "TP4"}
+				protos = []formats.Format{formats.EDI, formats.OAGIS}
+			}
+			continue
+		}
+		p := protos[rng.Intn(len(protos))]
+		switch rng.Intn(8) {
 		case 0, 1: // weighted: structural swaps are the interesting case
-			p := protos[rng.Intn(len(protos))]
-			ops = append(ops, swapOp{
-				name:  fmt.Sprintf("swap-binding:%s", p),
-				apply: func(h *core.Hub) error { _, err := h.SwapBinding(p, nil); return err },
-			})
+			ops = append(ops, swapOp{"swap-binding:" + string(p), newVersion(func() (*wf.TypeDef, error) { return core.BuildBinding(p) })})
 		case 2:
+			ops = append(ops, swapOp{"audit-step", newVersion(core.BuildPrivateProcessWithAudit)})
+		case 3:
+			ops = append(ops, swapOp{"transport-acks:" + string(p), newVersion(func() (*wf.TypeDef, error) { return core.BuildPublicProcessWithAcks(p) })})
+		case 4:
 			id := partners[rng.Intn(len(partners))]
 			thr := float64(10000 + rng.Intn(9)*10000)
-			ops = append(ops, swapOp{
-				name:  fmt.Sprintf("change-threshold:%s=%v", id, thr),
-				apply: func(h *core.Hub) error { _, err := h.ChangePartnerThreshold(id, thr); return err },
-			})
+			ops = append(ops, swapOp{fmt.Sprintf("change-threshold:%s=%v", id, thr), fixed(core.ChangeThreshold{PartnerID: id, Threshold: thr})})
+		case 5:
+			ops = append(ops, swapOp{"swap-transform:EDI-PO", func() (core.Change, error) {
+				return core.SwapTransform{Transformer: ediPOTransformV2()}, nil
+			}})
 		default:
-			ops = append(ops, swapOp{
-				name:  "swap-transform:EDI-PO",
-				apply: func(h *core.Hub) error { _, err := h.SwapTransform(ediPOTransformV2()); return err },
-			})
+			targets := []core.Rollback{
+				{Class: cfgstore.ClassBinding, Name: core.BindingName(formats.EDI), Version: 1},
+				{Class: cfgstore.ClassPrivateProcess, Name: core.PrivateProcessName, Version: 1},
+				{Class: cfgstore.ClassTransform, Name: "EDI-X12→Normalized:PurchaseOrder", Version: 1},
+			}
+			rb := targets[rng.Intn(len(targets))]
+			ops = append(ops, swapOp{fmt.Sprintf("rollback:%s@1", rb.Name), fixed(rb)})
 		}
 	}
 	return ops
@@ -102,74 +171,91 @@ func stageTuple(vs map[obs.Stage]int) string {
 	return fmt.Sprintf("%v", parts)
 }
 
-// swapTestHub assembles the three-protocol hub with healthy backends.
+// swapTestHub assembles the Figure 14 hub with healthy backends. Canaries
+// settle only through the schedule, so both hubs stay on the same epochs.
 func swapTestHub(t *testing.T, opts ...core.HubOption) *core.Hub {
 	t.Helper()
 	model, err := core.PaperFigure14Model()
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts = append(opts, core.WithCanaryPolicy(cfgstore.CanaryPolicy{MinSamples: 1 << 30}))
 	hub, err := core.NewHub(model, opts...)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hub.AddPartner(core.Figure15Partner()); err != nil {
 		t.Fatal(err)
 	}
 	return hub
 }
 
-// TestSwapPropertyNoMixedVersions is the hot-swap correctness property:
+// snapshotKey identifies one snapshot's view of one partner.
+type snapshotKey struct {
+	partner string
+	epoch   int64
+	arm     bool
+}
+
+// TestSwapPropertyNoMixedVersions is the live-change correctness property:
 //
-//  1. a live hub serves concurrent exchange load while the seeded swap
-//     schedule runs against it — zero swap-attributable failures allowed;
+//  1. a live hub serves concurrent exchange load while the seeded change
+//     schedule runs against it — no change-attributable failure: an order
+//     either completes or, for a partner not in the model when it was
+//     admitted (TP3 and TP4 before they join, TP2 after it leaves), fails
+//     with ErrUnknownPartner, never on a type that is not deployed;
 //  2. an oracle hub applies the same schedule with no concurrent load,
-//     draining fully before and probing fully after each swap, so its
-//     observed stage-version tuples enumerate every legal epoch exactly;
-//  3. every concurrent exchange's observed tuple must be one of the
-//     oracle's legal tuples for its partner — an exchange whose stages
-//     mixed two epochs' versions would produce a tuple no drained epoch
-//     ever exhibits;
-//  4. both hubs end at the identical config epoch (the schedule is the
-//     only source of epoch advancement).
+//     probing every partner of the model after each change, on both canary
+//     arms while a canary runs, so it observes the stage-version tuple of
+//     every (partner, config epoch, canary arm);
+//  3. every concurrent exchange's tuple must be the oracle's tuple for its
+//     partner, admission epoch and arm — the versions of exactly one
+//     snapshot; an exchange whose stages mixed two snapshots would not
+//     match;
+//  4. both hubs end at the identical config epoch and active versions (the
+//     schedule is the only source of epoch advancement).
 func TestSwapPropertyNoMixedVersions(t *testing.T) {
 	defer leakcheck.Check(t)()
 	const (
-		swaps            = 24
+		swaps            = 26
 		ordersPerPartner = 50
 	)
 	seed := int64(7) + chaosSeedOffset()
 	schedule := swapSchedule(rand.New(rand.NewSource(seed)), swaps)
 
-	// Oracle: drain-then-swap. With no load in flight, each exchange after
-	// a swap trivially runs all stages at the newest epoch, so its tuple is
-	// that epoch's legal tuple for its partner.
 	oracle := swapTestHub(t)
 	defer oracle.Drain(context.Background())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	hubParty := doc.Party{ID: "HUB", Name: "Receiver Inc", DUNS: "999999999"}
-	legal := map[string]map[string]bool{} // partner → set of legal tuples
+	legal := map[snapshotKey]string{}
 	oracleGen := doc.NewGenerator(seed)
-	probe := func() {
-		for _, p := range oracle.Model.Partners {
-			buyer := doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS}
-			res, err := oracle.Do(ctx, core.Request{Kind: core.DocPO, PO: oracleGen.PO(buyer, hubParty)})
-			if err != nil {
-				t.Fatalf("oracle exchange for %s: %v", p.ID, err)
+	probe := func(after string) {
+		snap := oracle.Snapshot()
+		for _, p := range snap.Model.Partners {
+			_, canary := oracle.ActiveCanary(p.ID)
+			seen := map[bool]bool{}
+			for try := 0; len(seen) < 2 && try < 64; try++ {
+				buyer := doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS}
+				res, err := oracle.Do(ctx, core.Request{Kind: core.DocPO, PO: oracleGen.PO(buyer, hubParty)})
+				if err != nil {
+					t.Fatalf("oracle exchange for %s after %s: %v", p.ID, after, err)
+				}
+				ex := res.Exchange
+				legal[snapshotKey{p.ID, ex.ConfigEpoch(), ex.CanaryArm()}] = stageTuple(oracle.StageVersions(ex))
+				seen[ex.CanaryArm()] = true
+				if !canary {
+					break
+				}
 			}
-			if legal[p.ID] == nil {
-				legal[p.ID] = map[string]bool{}
+			if canary && len(seen) < 2 {
+				t.Fatalf("oracle probes of %s after %s never reached both canary arms", p.ID, after)
 			}
-			legal[p.ID][stageTuple(oracle.StageVersions(res.Exchange))] = true
 		}
 	}
-	probe() // the seed epoch's tuples
+	probe("startup")
 	for _, op := range schedule {
 		if err := op.apply(oracle); err != nil {
 			t.Fatalf("oracle %s: %v", op.name, err)
 		}
-		probe()
+		probe(op.name)
 	}
 
 	// Live hub: the same schedule races concurrent load.
@@ -185,27 +271,27 @@ func TestSwapPropertyNoMixedVersions(t *testing.T) {
 		subs []sub
 	)
 	var wg sync.WaitGroup
-	for pi, p := range hub.Model.Partners {
+	for pi, buyer := range swapParties {
 		wg.Add(1)
-		go func(pi int, p core.TradingPartner) {
+		go func(pi int, buyer doc.Party) {
 			defer wg.Done()
-			buyer := doc.Party{ID: p.ID, Name: p.Name, DUNS: p.DUNS}
 			g := doc.NewGenerator(seed + int64(1000*pi))
 			for i := 0; i < ordersPerPartner; i++ {
 				po := g.PO(buyer, hubParty)
 				fut, err := hub.DoAsync(ctx, core.Request{Kind: core.DocPO, PO: po})
 				if err != nil {
-					t.Errorf("submit %s/%d: %v", p.ID, i, err)
+					t.Errorf("submit %s/%d: %v", buyer.ID, i, err)
 					return
 				}
 				mu.Lock()
 				subs = append(subs, sub{po: po, fut: fut})
 				mu.Unlock()
+				time.Sleep(100 * time.Microsecond)
 			}
-		}(pi, p)
+		}(pi, buyer)
 	}
-	// The swapper races the submitters: a short pause between swaps spreads
-	// the epochs across the load window.
+	// The changer races the submitters: a short pause between changes
+	// spreads the epochs across the load window.
 	swapErr := make(chan error, 1)
 	go func() {
 		for _, op := range schedule {
@@ -219,34 +305,40 @@ func TestSwapPropertyNoMixedVersions(t *testing.T) {
 	}()
 	wg.Wait()
 	if err := <-swapErr; err != nil {
-		t.Fatalf("swap schedule against the live hub: %v", err)
+		t.Fatalf("change schedule against the live hub: %v", err)
 	}
 
-	// Property 1: zero swap-attributable failures — every exchange
-	// completes with correct correlation despite the swaps racing it.
-	minEpoch, maxEpoch := int64(0), hub.ConfigStore().Epoch()
+	unknown := map[string]int{}
 	for i, s := range subs {
 		res := s.fut.Result(ctx)
 		if res.Err != nil {
-			t.Fatalf("submission %d failed under hot-swap load: %v", i, res.Err)
+			// Property 1: only a partner outside the model at admission
+			// may fail, and only as unknown.
+			if errors.Is(res.Err, core.ErrUnknownPartner) && s.po.Buyer.ID != "TP1" {
+				unknown[s.po.Buyer.ID]++
+				continue
+			}
+			t.Fatalf("submission %d (%s) failed under live changes: %v", i, s.po.Buyer.ID, res.Err)
 		}
 		if res.POA == nil || res.POA.POID != s.po.ID {
 			t.Fatalf("submission %d: wrong correlation %+v", i, res.POA)
 		}
-		// Property 2: no mixed-version exchange — the observed tuple is one
-		// the drained oracle exhibited for this partner.
-		tuple := stageTuple(hub.StageVersions(res.Exchange))
-		partner := res.Exchange.Partner.ID
-		if !legal[partner][tuple] {
-			t.Fatalf("exchange %s (partner %s, epoch %d) ran mixed config versions %s; legal tuples: %v",
-				res.Exchange.ID, partner, res.Exchange.ConfigEpoch(), tuple, keysOf(legal[partner]))
+		// Properties 2 and 3: the exchange ran exactly one snapshot's
+		// versions.
+		ex := res.Exchange
+		key := snapshotKey{ex.Partner.ID, ex.ConfigEpoch(), ex.CanaryArm()}
+		want, ok := legal[key]
+		if !ok {
+			t.Fatalf("exchange %s ran on partner %s at epoch %d (canary arm %v), a snapshot the oracle never had",
+				ex.ID, key.partner, key.epoch, key.arm)
 		}
-		if e := res.Exchange.ConfigEpoch(); e < minEpoch || e > maxEpoch {
-			t.Fatalf("exchange %s pinned config epoch %d outside [%d, %d]", res.Exchange.ID, e, minEpoch, maxEpoch)
+		if got := stageTuple(hub.StageVersions(ex)); got != want {
+			t.Fatalf("exchange %s (partner %s, epoch %d, canary arm %v) ran versions %s; its snapshot has %s",
+				ex.ID, key.partner, key.epoch, key.arm, got, want)
 		}
 	}
 
-	// Property 3: the schedule is the only epoch driver, so both hubs land
+	// Property 4: the schedule is the only epoch driver, so both hubs land
 	// on the identical epoch and identical active versions.
 	if got, want := hub.ConfigStore().Epoch(), oracle.ConfigStore().Epoch(); got != want {
 		t.Fatalf("live hub ended at config epoch %d, oracle at %d", got, want)
@@ -257,17 +349,8 @@ func TestSwapPropertyNoMixedVersions(t *testing.T) {
 			t.Fatalf("artifact %s active at v%d on the live hub, v%d on the oracle", k, hv, ov)
 		}
 	}
-	t.Logf("%d exchanges across %d swaps (%d epochs), all single-version; final epoch %d",
-		len(subs), swaps, maxEpoch+1, maxEpoch)
-}
-
-func keysOf(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	t.Logf("%d exchanges across %d changes (%d legal snapshot views), all single-snapshot; unknown-partner refusals %v; final epoch %d",
+		len(subs), swaps, len(legal), unknown, hub.ConfigStore().Epoch())
 }
 
 // TestSwapRollbackRestoresVersion: a rules hot-swap followed by a rollback
@@ -282,29 +365,28 @@ func TestSwapRollbackRestoresVersion(t *testing.T) {
 
 	// TP1's seed threshold is 55000: a 60000 order needs approval. Raising
 	// the threshold to 70000 flips the decision; rolling back flips it back.
-	store := hub.ConfigStore()
-	v1, _ := store.Active(cfgstore.ClassRules, core.ApprovalRuleSet)
-	if _, err := hub.ChangePartnerThreshold("TP1", 70000); err != nil {
+	v1, _ := hub.ConfigStore().Active(cfgstore.ClassRules, core.ApprovalRuleSet)
+	if _, err := hub.Apply(core.ChangeThreshold{PartnerID: "TP1", Threshold: 70000}); err != nil {
 		t.Fatal(err)
 	}
-	v2, _ := store.Active(cfgstore.ClassRules, core.ApprovalRuleSet)
+	v2, _ := hub.ConfigStore().Active(cfgstore.ClassRules, core.ApprovalRuleSet)
 	if v2 != v1+1 {
 		t.Fatalf("threshold change activated v%d, want v%d", v2, v1+1)
 	}
-	dec, err := hub.Model.Rules.Evaluate(core.ApprovalRuleSet, "TP1", "SAP", approval60k())
+	dec, err := hub.Snapshot().Model.Rules.Evaluate(core.ApprovalRuleSet, "TP1", "SAP", approval60k())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Result {
 		t.Fatal("60000 order still needs approval after raising the threshold to 70000")
 	}
-	if _, err := hub.Rollback(cfgstore.ClassRules, core.ApprovalRuleSet, v1); err != nil {
+	if _, err := hub.Apply(core.Rollback{Class: cfgstore.ClassRules, Name: core.ApprovalRuleSet, Version: v1}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := store.Active(cfgstore.ClassRules, core.ApprovalRuleSet); got != v1 {
+	if got, _ := hub.ConfigStore().Active(cfgstore.ClassRules, core.ApprovalRuleSet); got != v1 {
 		t.Fatalf("rollback left v%d active, want v%d", got, v1)
 	}
-	dec, err = hub.Model.Rules.Evaluate(core.ApprovalRuleSet, "TP1", "SAP", approval60k())
+	dec, err = hub.Snapshot().Model.Rules.Evaluate(core.ApprovalRuleSet, "TP1", "SAP", approval60k())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +400,7 @@ func TestSwapRollbackRestoresVersion(t *testing.T) {
 	if _, err := hub.Do(ctx, core.Request{Kind: core.DocPO, PO: po}); err != nil {
 		t.Fatalf("round trip after rollback: %v", err)
 	}
-	if hist := store.History(cfgstore.ClassRules, core.ApprovalRuleSet); len(hist) < 2 {
+	if hist := hub.ConfigStore().History(cfgstore.ClassRules, core.ApprovalRuleSet); len(hist) < 2 {
 		t.Fatalf("config history holds %d versions after swap+rollback, want both", len(hist))
 	}
 }

@@ -32,28 +32,36 @@ import (
 // headroom for runtime differences between Go releases.
 const (
 	// exchangeAllocBudget bounds allocations per in-process PO exchange
-	// (Hub.Do on the Figure 14 hub): 294 measured, 588 while the SAP IDoc
-	// codec built a map per segment, the trace collector regrew each
-	// exchange's event slice and type lookups formatted "name@version"
-	// keys, and 1,026 while conditions read an eagerly built map and every
-	// persist deep-copied the instance.
-	exchangeAllocBudget = 350
+	// (Hub.Do on the Figure 14 hub): 207 measured, 294 while every instance
+	// snapshot rebuilt string-keyed step and arc maps, regrew and twice
+	// copied its history and took a fresh worklist per advance, 588 while
+	// the SAP IDoc codec built a map per segment, the trace collector
+	// regrew each exchange's event slice and type lookups formatted
+	// "name@version" keys, and 1,026 while conditions read an eagerly built
+	// map and every persist deep-copied the instance.
+	exchangeAllocBudget = 250
 	// ruleAllocBudget bounds allocations per business-rule decision
 	// (rules.Registry.Evaluate): 2 measured, 16 when the rule environment
 	// was built as a map.
 	ruleAllocBudget = 4
 	// deliverAllocBudget bounds allocations per Engine.Deliver into a parked
 	// receive step whose completion runs a conditional arc, a task and a
-	// JoinAny join: 15 measured, 21 while the worklist took four heap
-	// slices and the plan lookup formatted its key, 23 while Deliver
-	// signaled the delivered step's arcs from the TypeDef (building each
-	// arc key afresh). A second plan lookup per Deliver would exceed it.
-	deliverAllocBudget = 18
+	// JoinAny join: 7 measured, 15 while the clone rebuilt string-keyed
+	// step and arc maps, the history was copied at clone, regrown and copied
+	// again at persist, and each advance took a fresh worklist, 21 while
+	// the worklist took four heap slices and the plan lookup formatted its
+	// key, 23 while Deliver signaled the delivered step's arcs from the
+	// TypeDef (building each arc key afresh). A second plan lookup per
+	// Deliver would exceed it.
+	deliverAllocBudget = 8
 	// startAllocBudget bounds allocations per Engine.Start of the Figure 14
 	// application binding (six steps; the instance parks on its inbound
-	// connection): 12 measured, 26 while every step run was its own
-	// allocation and the type, plan and instance ID were formatted strings.
-	startAllocBudget = 15
+	// connection): 6 measured, 12 while step runs and arc signals were
+	// string-keyed maps, the history grew by append and was copied at
+	// persist, and each start built its port message and worklist, 26 while
+	// every step run was its own allocation and the type, plan and instance
+	// ID were formatted strings.
+	startAllocBudget = 7
 	// emitAllocBudget bounds allocations per exchange of 32 events emitted
 	// into a full trace collector: 0 measured, 6 while each exchange's
 	// event slice regrew from empty instead of reusing an evicted buffer.
@@ -77,7 +85,7 @@ const (
 	xmlDecodeAllocBudget = 4
 	// canaryAllocBudget bounds the allocations an active canary adds to a
 	// TP1 exchange through Hub.Do (canary fraction 0.25, never settling):
-	// 0 measured, a mean of 258.9-259.0 with the canary and without it.
+	// 0 measured, a mean of 171.9-172.0 with the canary and without it.
 	canaryAllocBudget = 0
 	// seamAllocBudget bounds the allocations a FaultFS with no fault armed
 	// adds to a Journal.Append (FsyncNever) over the real filesystem: 0
@@ -91,6 +99,13 @@ const (
 	// ReadFrame copied the body out of the payload and allocated the length
 	// prefix and the Frame apart.
 	frameAllocBudget = 19
+	// deliverChainBytesBudget bounds the bytes one Engine.Deliver allocates
+	// on a 64-step receive chain when it brings the instance's history to
+	// 128 events: 10,528 B measured, 23,608 B while the clone rebuilt the
+	// step and arc maps and the history was copied three times (at clone,
+	// by append growth and at persist) instead of once, at its exact
+	// length.
+	deliverChainBytesBudget = 12600
 )
 
 func TestAllocBudgets(t *testing.T) {
@@ -127,6 +142,15 @@ func TestAllocBudgets(t *testing.T) {
 		t.Logf("%s: %.0f allocations per %s (budget %d)", r.name, got, r.per, r.budget)
 		if got > float64(r.budget) {
 			t.Errorf("%s allocates %.0f times per %s, budget %d", r.name, got, r.per, r.budget)
+		}
+	}
+	for _, r := range []row{
+		{"wf.Engine.Deliver", "delivery that brings a 64-step receive chain to 128 events", deliverChainBytesBudget, deliverChainBytes},
+	} {
+		got := r.measure(t)
+		t.Logf("%s: %.0f B per %s (budget %d B)", r.name, got, r.per, r.budget)
+		if got > float64(r.budget) {
+			t.Errorf("%s allocates %.0f B per %s, budget %d B", r.name, got, r.per, r.budget)
 		}
 	}
 }
@@ -356,6 +380,66 @@ func deliverAllocs(t *testing.T) float64 {
 			t.Fatal(err)
 		}
 	})
+}
+
+// deliverChainBytes measures the bytes one Deliver allocates on a chain of
+// 64 receive steps, each parked in turn, into instances that already took
+// 62 deliveries: the delivery that brings the history to 128 events.
+func deliverChainBytes(t *testing.T) float64 {
+	t.Helper()
+	const steps, delivered, runs = 64, 62, 200
+	def := &wf.TypeDef{Name: "chain", Version: 1}
+	for i := 0; i < steps; i++ {
+		def.Steps = append(def.Steps, wf.StepDef{Name: fmt.Sprintf("r%d", i), Kind: wf.StepReceive, Port: fmt.Sprintf("p%d", i)})
+		if i > 0 {
+			def.Arcs = append(def.Arcs, wf.Arc{From: fmt.Sprintf("r%d", i-1), To: fmt.Sprintf("r%d", i)})
+		}
+	}
+	e := wf.NewEngine("bytes", wfstore.NewMemStore(), nil, nil)
+	if err := e.Deploy(def); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var payload any = "payload"
+	ids := make([]string, runs+1) // meanBytes adds one warm-up run
+	for i := range ids {
+		in, err := e.Start(ctx, "chain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < delivered; d++ {
+			if err := e.Deliver(ctx, in.ID, fmt.Sprintf("p%d", d), payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids[i] = in.ID
+	}
+	port := fmt.Sprintf("p%d", delivered)
+	next := 0
+	got := meanBytes(runs, func() {
+		if err := e.Deliver(ctx, ids[next], port, payload); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if in, err := e.Instance(ids[0]); err != nil || len(in.History) != 2*delivered+4 {
+		t.Fatalf("instance %s after the measured delivery: %v, %v; want %d events", ids[0], in, err, 2*delivered+4)
+	}
+	return got
+}
+
+// meanBytes returns the mean bytes allocated per call of f over runs calls,
+// after one warm-up call.
+func meanBytes(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // startAllocs measures one Start of the Figure 14 SAP application binding on

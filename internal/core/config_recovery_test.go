@@ -75,7 +75,7 @@ func TestConfigRecoveryRestoresEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The swapped binding's v3 body came back with its change record.
-	if !hub2.Engine.HasType(BindingName(formats.EDI), 3) {
+	if !hub2.Engine.Store().HasType(BindingName(formats.EDI), 3) {
 		t.Fatal("the replayed binding v3 is not deployed")
 	}
 	g := doc.NewGenerator(41)

@@ -85,7 +85,7 @@ func (m Migrator) MigrateInstance(from, to *wf.Engine, instanceID string) (typeM
 	tomb := &wf.Instance{
 		ID: in.ID, Type: in.Type, Version: in.Version,
 		State: wf.InstMigrated,
-		Data:  map[string]any{}, Steps: map[string]*wf.StepRun{}, Arcs: map[string]int{},
+		Data:  map[string]any{},
 		History: append(append([]wf.Event(nil), in.History...),
 			wf.Event{Seq: lastSeq(in) + 1, What: "migrated to engine " + to.Name()}),
 	}

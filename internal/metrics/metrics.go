@@ -85,7 +85,7 @@ type PlanStats struct {
 	// bound on how much intra-instance step parallelism the model admits.
 	MaxWidth int
 	// Epoch is the engine's plan epoch: it advances on every successful
-	// deploy, and route caches keyed off plans use it for invalidation.
+	// deploy.
 	Epoch int64
 	// Compiles counts compilations the engine has performed over its
 	// lifetime (eager deploys plus lazy recompiles) — the change-impact

@@ -85,8 +85,11 @@ func (g *golden) renderInstance(in *wf.Instance) {
 	if in.Error != "" {
 		g.printf("  error: %s\n", in.Error)
 	}
-	for _, name := range sortedKeys(in.Steps) {
-		r := in.Steps[name]
+	runs, arcs := map[string]wf.StepRun{}, map[string]int{}
+	in.RangeSteps(func(name string, run wf.StepRun) bool { runs[name] = run; return true })
+	in.RangeArcs(func(key string, sig int) bool { arcs[key] = sig; return true })
+	for _, name := range sortedKeys(runs) {
+		r := runs[name]
 		g.printf("  step %s: %s attempts=%d", name, r.State, r.Attempts)
 		if r.Child != "" {
 			g.printf(" child=%s", r.Child)
@@ -96,8 +99,8 @@ func (g *golden) renderInstance(in *wf.Instance) {
 		}
 		g.printf("\n")
 	}
-	for _, k := range sortedKeys(in.Arcs) {
-		g.printf("  arc %s: %d\n", k, in.Arcs[k])
+	for _, k := range sortedKeys(arcs) {
+		g.printf("  arc %s: %d\n", k, arcs[k])
 	}
 	for _, k := range sortedKeys(in.Data) {
 		g.printf("  data %s: %T %v\n", k, in.Data[k], in.Data[k])
@@ -367,7 +370,7 @@ func TestCompatSubworkflowResume(t *testing.T) {
 				ctx := context.Background()
 				// A child that fails inside Deliver reports the failure to
 				// the caller and marks its parent failed.
-				return e.Deliver(ctx, in.Steps["call"].Child, "p", reply)
+				return e.Deliver(ctx, runOf(in, "call").Child, "p", reply)
 			})
 	}
 	g.check()
@@ -494,8 +497,8 @@ func TestParallelWideWorkflow(t *testing.T) {
 		if ports["p"+task] != 1 {
 			t.Fatalf("port p%s hit %d times", task, ports["p"+task])
 		}
-		if in.Steps[task].State != wf.StepCompleted || in.Steps[task].Attempts != 1 {
-			t.Fatalf("step %s: %+v", task, in.Steps[task])
+		if in.StepStateOf(task) != wf.StepCompleted || runOf(in, task).Attempts != 1 {
+			t.Fatalf("step %s: %+v", task, runOf(in, task))
 		}
 	}
 }
@@ -590,10 +593,10 @@ func TestParallelBatchFailure(t *testing.T) {
 	if in.State != wf.InstFailed {
 		t.Fatalf("state %s", in.State)
 	}
-	if in.Steps["s0"].State != wf.StepCompleted {
-		t.Fatalf("s0 state %s, want completed (its side effect happened)", in.Steps["s0"].State)
+	if in.StepStateOf("s0") != wf.StepCompleted {
+		t.Fatalf("s0 state %s, want completed (its side effect happened)", in.StepStateOf("s0"))
 	}
-	if in.Steps["s1"].State != wf.StepFailed {
-		t.Fatalf("s1 state %s", in.Steps["s1"].State)
+	if in.StepStateOf("s1") != wf.StepFailed {
+		t.Fatalf("s1 state %s", in.StepStateOf("s1"))
 	}
 }

@@ -2,6 +2,7 @@ package wf
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -100,36 +101,44 @@ func Compile(t *TypeDef, deps CompileDeps) (*Plan, error) {
 		key:   t.Key(),
 		steps: make([]planStep, len(t.Steps)),
 		index: make(map[string]int, len(t.Steps)),
+		lay:   &layout{steps: make([]string, len(t.Steps))},
 	}
 	for i := range t.Steps {
 		s := &t.Steps[i]
 		p.index[s.Name] = i
+		p.lay.steps[i] = s.Name
 		p.steps[i] = planStep{
 			def: s, name: s.Name, idx: i,
 			join: s.join(), guard: -1, timeout: -1,
+			portMsg: portMessage(s),
+		}
+	}
+	// Validate indexed every arc, so each has known endpoints: out and in
+	// list a step's arcs in declaration order, and arcs that share a key
+	// share a signal.
+	for i := range t.Arcs {
+		a := &t.Arcs[i]
+		key := arcKey(a)
+		sig := slices.Index(p.lay.arcs, key)
+		if sig < 0 {
+			sig = len(p.lay.arcs)
+			p.lay.arcs = append(p.lay.arcs, key)
+		}
+		pa := planArc{
+			src: p.index[a.From], dst: p.index[a.To],
+			cond: a.cond, condition: a.Condition,
+			loop: a.Loop, sig: sig,
+		}
+		p.steps[pa.src].out = append(p.steps[pa.src].out, pa)
+		dst := &p.steps[pa.dst]
+		dst.in = append(dst.in, pa)
+		if !a.Loop {
+			dst.fanIn++
 		}
 	}
 	for i := range t.Steps {
 		s := &t.Steps[i]
 		ps := &p.steps[i]
-		for _, a := range t.outgoing[s.Name] {
-			ps.out = append(ps.out, planArc{
-				src: i, dst: p.index[a.To],
-				cond: a.cond, condition: a.Condition,
-				loop: a.Loop, key: arcKey(a),
-			})
-		}
-		for _, a := range t.incoming[s.Name] {
-			pa := planArc{
-				src: p.index[a.From], dst: i,
-				cond: a.cond, condition: a.Condition,
-				loop: a.Loop, key: arcKey(a),
-			}
-			ps.in = append(ps.in, pa)
-			if !a.Loop {
-				ps.fanIn++
-			}
-		}
 		if guard, ok := t.timeoutTarget[s.Name]; ok {
 			ps.isTimeout = true
 			ps.guard = p.index[guard]
@@ -150,6 +159,21 @@ func Compile(t *TypeDef, deps CompileDeps) (*Plan, error) {
 		return nil, errs
 	}
 	return p, nil
+}
+
+// portMessage is the history entry a port step logs when it sends or parks.
+func portMessage(s *StepDef) string {
+	switch {
+	case s.Kind == StepSend:
+		return "sent on port " + s.Port
+	case s.Kind == StepReceive:
+		return "waiting on port " + s.Port
+	case s.Kind == StepConnection && s.Dir == DirOut:
+		return "passed control to binding via port " + s.Port
+	case s.Kind == StepConnection:
+		return "waiting for binding on port " + s.Port
+	}
+	return ""
 }
 
 // checkHandlers resolves every task step's handler against the registry,

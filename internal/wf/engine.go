@@ -119,9 +119,8 @@ type Engine struct {
 
 	// plans caches compiled plans by type version, and rejected the
 	// PlanErrors of stored types that failed lazy compilation; epoch
-	// increments on every deploy so downstream caches (the hub's route
-	// cache) can detect recompiles. compiles counts compilations for
-	// change-impact analysis.
+	// counts successful deploys and compiles counts compilations, both
+	// reported for change-impact analysis.
 	planMu   sync.RWMutex
 	plans    map[planKey]*Plan
 	rejected map[planKey]error
@@ -254,9 +253,8 @@ func (e *Engine) compile(t *TypeDef) (*Plan, error) {
 	return p, err
 }
 
-// PlanEpoch increments on every successful Deploy. Downstream caches keyed
-// off compiled plans (the hub's binding-resolution cache) compare epochs to
-// detect recompiles.
+// PlanEpoch counts successful Deploys: the plan statistics report it next
+// to CompiledPlans, so a model change shows how many deploys it made.
 func (e *Engine) PlanEpoch() int64 { return e.epoch.Load() }
 
 // CompiledPlans counts compilation runs since engine creation — the
@@ -314,15 +312,6 @@ func (e *Engine) instancePlan(in *Instance) (*Plan, error) {
 	return e.planFor(t)
 }
 
-// HasType reports whether the engine's store holds the named type at the
-// exact version (version 0 asks for the latest). Version-pinned callers use
-// it to detect pins that predate the store's content — e.g. a config epoch
-// journaled before a crash whose type bodies did not survive the restart.
-func (e *Engine) HasType(name string, version int) bool {
-	_, err := e.store.GetType(name, version)
-	return err == nil
-}
-
 // nextID names the next instance "<engine>-<counter>", the counter
 // zero-padded to six digits.
 func (e *Engine) nextID() string {
@@ -365,24 +354,10 @@ func (e *Engine) startChildVersion(ctx context.Context, typeName string, version
 	if err != nil {
 		return nil, err
 	}
-	in := &Instance{
-		ID:         e.nextID(),
-		Type:       t.Name,
-		Version:    t.Version,
-		State:      InstRunning,
-		Data:       map[string]any{},
-		Steps:      make(map[string]*StepRun, len(t.Steps)),
-		Arcs:       map[string]int{},
-		Parent:     parent,
-		ParentStep: parentStep,
-	}
+	in := newInstance(p)
+	in.ID, in.Parent, in.ParentStep = e.nextID(), parent, parentStep
 	for k, v := range data {
 		in.Data[k] = v
-	}
-	runs := make([]StepRun, len(t.Steps))
-	for i := range t.Steps {
-		runs[i].State = StepPending
-		in.Steps[t.Steps[i].Name] = &runs[i]
 	}
 	in.log("", "created")
 	if err := e.advancePlan(ctx, p, in, nil); err != nil {
@@ -410,7 +385,7 @@ func (e *Engine) Deliver(ctx context.Context, instanceID, port string, payload a
 		if ps.def.Port != port {
 			continue
 		}
-		if run := snap.Steps[ps.name]; run != nil && run.State == StepWaiting {
+		if snap.stateAt(p, i) == StepWaiting {
 			target = ps
 			break
 		}
@@ -418,7 +393,7 @@ func (e *Engine) Deliver(ctx context.Context, instanceID, port string, payload a
 	if target == nil {
 		return fmt.Errorf("%w: instance %s has no step waiting on port %q", ErrNotWaiting, instanceID, port)
 	}
-	in := snap.clone()
+	in := snap.clone(p)
 	key := target.def.DataKey
 	if key == "" {
 		key = "document"
@@ -452,11 +427,11 @@ func (e *Engine) Expire(ctx context.Context, instanceID, stepName string) error 
 	if ps.def.OnTimeout == "" {
 		return fmt.Errorf("wf: step %q declares no timeout branch", stepName)
 	}
-	if run := snap.Steps[ps.name]; run == nil || run.State != StepWaiting {
+	if snap.stateAt(p, i) != StepWaiting {
 		return fmt.Errorf("%w: step %q is not waiting", ErrNotWaiting, stepName)
 	}
-	in := snap.clone()
-	in.Steps[ps.name].State = StepSkipped
+	in := snap.clone(p)
+	in.runs[i].State = StepSkipped
 	in.log(ps.name, "timed out")
 	e.planSignalOutgoing(p, in, ps, false, nil)
 	return e.settle(ctx, in, e.advancePlan(ctx, p, in, map[string]bool{ps.def.OnTimeout: true}))
@@ -488,12 +463,11 @@ func (e *Engine) Instance(id string) (*Instance, error) {
 // advanced state of the workflow instance back into the database"). The
 // store owns it from then on: the engine never changes an instance after
 // persisting it, and Deliver, Expire and resumeParentIfDone advance a clone
-// of the stored snapshot. The history is first copied to an exact-size
-// slice, so the snapshot keeps no append headroom alive.
+// of the stored snapshot. The history is first copied out of its pooled
+// buffer into a slice of exactly its length, the snapshot's one history
+// allocation.
 func (e *Engine) persist(in *Instance) error {
-	if len(in.History) < cap(in.History) {
-		in.History = append(make([]Event, 0, len(in.History)), in.History...)
-	}
+	in.sealHistory()
 	return e.store.PutInstance(in)
 }
 
@@ -502,8 +476,8 @@ func (e *Engine) persist(in *Instance) error {
 // repeated while the decider (or, absent one, the step's Retries budget)
 // allows. Backoff pauses are interruptible by the exchange's context; a
 // done context always stops the loop with the last attempt's error.
-func (e *Engine) attemptLoop(ctx context.Context, in *Instance, s *StepDef, op func() error) error {
-	run := in.Steps[s.Name]
+func (e *Engine) attemptLoop(ctx context.Context, in *Instance, ps *planStep, op func() error) error {
+	s, run := ps.def, &in.runs[ps.idx]
 	for attempt := 1; ; attempt++ {
 		err := op()
 		run.Attempts = attempt
@@ -554,8 +528,8 @@ func (e *Engine) absorbChild(parent, child *Instance) {
 	}
 }
 
-func (e *Engine) failStep(in *Instance, s *StepDef, err error) error {
-	e.markFailed(in, s, err)
+func (e *Engine) failStep(in *Instance, ps *planStep, err error) error {
+	e.markFailed(in, ps, err)
 	if perr := e.persist(in); perr != nil {
 		return errors.Join(err, perr)
 	}
@@ -563,12 +537,13 @@ func (e *Engine) failStep(in *Instance, s *StepDef, err error) error {
 }
 
 // markFailed records a step failure on the instance without persisting.
-func (e *Engine) markFailed(in *Instance, s *StepDef, err error) {
-	in.Steps[s.Name].State = StepFailed
-	in.Steps[s.Name].Error = err.Error()
+func (e *Engine) markFailed(in *Instance, ps *planStep, err error) {
+	run := &in.runs[ps.idx]
+	run.State = StepFailed
+	run.Error = err.Error()
 	in.State = InstFailed
-	in.Error = fmt.Sprintf("step %q: %v", s.Name, err)
-	in.log(s.Name, "failed: "+err.Error())
+	in.Error = fmt.Sprintf("step %q: %v", ps.name, err)
+	in.log(ps.name, "failed: "+err.Error())
 }
 
 // maybeFinish marks the instance completed when every step is terminal and
@@ -577,12 +552,13 @@ func (e *Engine) maybeFinish(in *Instance) {
 	if in.State != InstRunning {
 		return
 	}
-	for _, r := range in.Steps {
-		switch r.State {
-		case StepCompleted, StepSkipped:
-		default:
-			return
-		}
+	done := true
+	in.RangeSteps(func(_ string, run StepRun) bool {
+		done = run.State == StepCompleted || run.State == StepSkipped
+		return done
+	})
+	if !done {
+		return
 	}
 	in.State = InstCompleted
 	in.log("", "instance completed")
@@ -607,15 +583,15 @@ func (e *Engine) resumeParentIfDone(ctx context.Context, child *Instance) error 
 		return fmt.Errorf("wf: parent %s has no step %q", snap.ID, child.ParentStep)
 	}
 	ps := &p.steps[i]
-	if snap.Steps[ps.name].State != StepChildRun {
+	if snap.stateAt(p, i) != StepChildRun {
 		return nil
 	}
-	parent := snap.clone()
+	parent := snap.clone(p)
 	if child.State == InstFailed {
 		// The parent is now failed; persisting that is a real durability
 		// obligation, so a persist error must not be dropped on the floor —
 		// join it with whatever propagating further up the chain reports.
-		e.markFailed(parent, ps.def, fmt.Errorf("wf: subworkflow %s failed: %s", child.ID, child.Error))
+		e.markFailed(parent, ps, fmt.Errorf("wf: subworkflow %s failed: %s", child.ID, child.Error))
 		perr := e.persist(parent)
 		rerr := e.resumeParentIfDone(ctx, parent)
 		return errors.Join(perr, rerr)

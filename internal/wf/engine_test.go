@@ -302,7 +302,7 @@ func TestSubworkflowSynchronousSemantics(t *testing.T) {
 	if afterRan {
 		t.Fatal("step after subworkflow ran while subworkflow was parked — control returned early")
 	}
-	childID := parent.Steps["sub"].Child
+	childID := runOf(parent, "sub").Child
 	if childID == "" {
 		t.Fatal("no child recorded")
 	}
@@ -673,4 +673,11 @@ func TestXORJoinFirstWins(t *testing.T) {
 	if in.StepStateOf("join") != wf.StepCompleted {
 		t.Fatalf("join state %s", in.StepStateOf("join"))
 	}
+}
+
+// runOf returns the named step's run (the zero run when the instance has
+// no such step).
+func runOf(in *wf.Instance, name string) wf.StepRun {
+	run, _ := in.StepRunOf(name)
+	return run
 }

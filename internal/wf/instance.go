@@ -2,6 +2,8 @@ package wf
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/doc"
 	"repro/internal/expr"
@@ -71,10 +73,6 @@ type Instance struct {
 	State   InstState
 	// Data is the instance data (variables and documents).
 	Data map[string]any
-	// Steps is the per-step runtime state.
-	Steps map[string]*StepRun
-	// arcs holds arc signals keyed "from→to".
-	Arcs map[string]int
 	// Parent and ParentStep link a subworkflow instance to its caller.
 	Parent     string
 	ParentStep string
@@ -82,7 +80,33 @@ type Instance struct {
 	History []Event
 	// Error records the failure cause for failed instances.
 	Error string
+
+	// lay names runs and sigs by position: the step runs and the arc
+	// signals. An instance the engine started or advanced shares its plan's
+	// layout, so the interpreter reads both by plan index; one built
+	// elsewhere (decoded, migrated, made by a test) has its own, which the
+	// engine converts by name when it first advances the instance.
+	lay  *layout
+	runs []StepRun
+	sigs []signal
+	// events is the pooled buffer History grows in while the engine
+	// advances the instance; persist copies History out of it.
+	events *eventBuf
 }
+
+// layout names an instance's step runs and arc signals by position. A plan
+// holds one for every instance of its type version: its steps in definition
+// order and its distinct arc keys ("from→to") in declaration order, so arcs
+// that share a key share a signal.
+type layout struct {
+	steps []string
+	arcs  []string
+}
+
+// eventBuf is a reusable history buffer (see Instance.events).
+type eventBuf struct{ buf []Event }
+
+var eventPool = sync.Pool{New: func() any { return new(eventBuf) }}
 
 func arcKey(a *Arc) string { return a.From + "→" + a.To }
 
@@ -94,12 +118,84 @@ func (in *Instance) log(step, what string) {
 	in.History = append(in.History, Event{Seq: seq, Step: step, What: what})
 }
 
-// StepStateOf returns the state of the named step.
-func (in *Instance) StepStateOf(name string) StepState {
-	if r, ok := in.Steps[name]; ok {
-		return r.State
+// StepRunOf returns the run of the named step; ok is false when the
+// instance has no such step.
+func (in *Instance) StepRunOf(name string) (run StepRun, ok bool) {
+	if in.lay != nil {
+		if i := slices.Index(in.lay.steps, name); i >= 0 {
+			return in.runs[i], in.runs[i].State != ""
+		}
 	}
-	return ""
+	return StepRun{}, false
+}
+
+// StepStateOf returns the state of the named step ("" when it has none).
+func (in *Instance) StepStateOf(name string) StepState {
+	run, _ := in.StepRunOf(name)
+	return run.State
+}
+
+// RangeSteps calls fn with each step's name and run, in layout order (for
+// an instance the engine advanced, definition order), until fn returns
+// false.
+func (in *Instance) RangeSteps(fn func(name string, run StepRun) bool) {
+	if in.lay == nil {
+		return
+	}
+	for i, name := range in.lay.steps {
+		if in.runs[i].State != "" && !fn(name, in.runs[i]) {
+			return
+		}
+	}
+}
+
+// RangeArcs calls fn with each signaled arc's key ("from→to") and signal (1
+// true, 2 false), in layout order, until fn returns false. Arcs that have
+// not signaled, or whose signal a loop iteration reset, are left out.
+func (in *Instance) RangeArcs(fn func(key string, signal int) bool) {
+	if in.lay == nil {
+		return
+	}
+	for i, key := range in.lay.arcs {
+		if in.sigs[i] != sigUnset && !fn(key, int(in.sigs[i])) {
+			return
+		}
+	}
+}
+
+// SetRuns replaces the instance's step runs and its arc signals (keyed
+// "from→to") with the given ones, for an instance built outside the
+// engine: decoded from a store or made by a test. It lays both out in name
+// order; a run with an empty State and a signal of 0 are left out of the
+// walks.
+func (in *Instance) SetRuns(runs map[string]StepRun, arcs map[string]int) {
+	in.lay = &layout{steps: sortedNames(runs), arcs: sortedNames(arcs)}
+	in.runs = make([]StepRun, len(in.lay.steps))
+	for i, name := range in.lay.steps {
+		in.runs[i] = runs[name]
+	}
+	in.sigs = make([]signal, len(in.lay.arcs))
+	for i, key := range in.lay.arcs {
+		in.sigs[i] = signal(arcs[key])
+	}
+}
+
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// stateAt returns the state of plan step i, reading an instance laid out
+// for another plan by step name.
+func (in *Instance) stateAt(p *Plan, i int) StepState {
+	if in.lay == p.lay {
+		return in.runs[i].State
+	}
+	return in.StepStateOf(p.steps[i].name)
 }
 
 // Env returns the expression environment that conditions evaluate against.
@@ -136,28 +232,80 @@ func (in *Instance) Document() any { return in.Data["document"] }
 // SetDocument replaces the instance's current business document.
 func (in *Instance) SetDocument(d any) { in.Data["document"] = d }
 
-// clone returns a copy of the instance that shares no mutable structure
-// with it: fresh Data, Steps and Arcs maps, its own step runs and its own
-// history. Data values are shared; handlers replace a document
-// (SetDocument) rather than editing it in place.
-func (in *Instance) clone() *Instance {
+// newInstance returns a running instance of p's type version, laid out by
+// p, with empty data, every step pending and its history growing in a
+// pooled buffer.
+func newInstance(p *Plan) *Instance {
+	in := &Instance{
+		Type:    p.def.Name,
+		Version: p.def.Version,
+		State:   InstRunning,
+		Data:    map[string]any{},
+		lay:     p.lay,
+		runs:    make([]StepRun, len(p.lay.steps)),
+		sigs:    make([]signal, len(p.lay.arcs)),
+	}
+	for i := range in.runs {
+		in.runs[i].State = StepPending
+	}
+	in.takeEvents()
+	return in
+}
+
+// clone returns the working copy the engine advances into the next
+// snapshot: it shares no mutable structure with the instance. It has a
+// fresh Data map and its own step runs and arc signals, laid out by p (an
+// instance laid out otherwise is converted by step and arc name; steps and
+// arcs p does not name are dropped). Its history grows in a pooled buffer
+// until persist copies it out. Data values are shared; handlers replace a
+// document (SetDocument) rather than editing it in place.
+func (in *Instance) clone(p *Plan) *Instance {
 	cp := *in
 	cp.Data = make(map[string]any, len(in.Data))
 	for k, v := range in.Data {
 		cp.Data[k] = v
 	}
-	cp.Steps = make(map[string]*StepRun, len(in.Steps))
-	runs := make([]StepRun, 0, len(in.Steps))
-	for k, v := range in.Steps {
-		runs = append(runs, *v)
-		cp.Steps[k] = &runs[len(runs)-1]
+	cp.lay = p.lay
+	cp.runs = make([]StepRun, len(p.lay.steps))
+	cp.sigs = make([]signal, len(p.lay.arcs))
+	if in.lay == p.lay {
+		copy(cp.runs, in.runs)
+		copy(cp.sigs, in.sigs)
+	} else {
+		for i, name := range p.lay.steps {
+			cp.runs[i], _ = in.StepRunOf(name)
+		}
+		in.RangeArcs(func(key string, sig int) bool {
+			if j := slices.Index(p.lay.arcs, key); j >= 0 {
+				cp.sigs[j] = signal(sig)
+			}
+			return true
+		})
 	}
-	cp.Arcs = make(map[string]int, len(in.Arcs))
-	for k, v := range in.Arcs {
-		cp.Arcs[k] = v
-	}
-	cp.History = append([]Event(nil), in.History...)
+	cp.takeEvents()
+	cp.History = append(cp.History, in.History...)
 	return &cp
+}
+
+// takeEvents starts the instance's history in a pooled buffer (empty).
+func (in *Instance) takeEvents() {
+	in.events = eventPool.Get().(*eventBuf)
+	in.History = in.events.buf[:0]
+}
+
+// sealHistory copies the history out of its pooled buffer into a slice of
+// exactly its length, and returns the buffer to the pool: a stored
+// snapshot keeps no append headroom and shares no array a later advance
+// writes.
+func (in *Instance) sealHistory() {
+	if in.events == nil {
+		return
+	}
+	h := make([]Event, len(in.History))
+	copy(h, in.History)
+	in.events.buf = in.History[:0]
+	eventPool.Put(in.events)
+	in.events, in.History = nil, h
 }
 
 // cloneValue deep-copies the data values that support it; batchView uses it
@@ -176,15 +324,17 @@ func cloneValue(v any) any {
 
 // Summary renders a short human-readable state line for tracing.
 func (in *Instance) Summary() string {
-	done, waiting := 0, 0
-	for _, s := range in.Steps {
-		switch s.State {
+	steps, done, waiting := 0, 0, 0
+	in.RangeSteps(func(_ string, run StepRun) bool {
+		steps++
+		switch run.State {
 		case StepCompleted, StepSkipped:
 			done++
 		case StepWaiting:
 			waiting++
 		}
-	}
+		return true
+	})
 	return fmt.Sprintf("%s[%s] %s: %d/%d steps done, %d waiting",
-		in.Type, in.ID, in.State, done, len(in.Steps), waiting)
+		in.Type, in.ID, in.State, done, steps, waiting)
 }

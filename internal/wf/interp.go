@@ -29,16 +29,28 @@ type worklist struct {
 	cur, next     []int
 	inCur, inNext []bool
 	pos           int
+	// heaps and flags back the two heaps and their flags; a pooled
+	// worklist keeps them for the next advance.
+	heaps []int
+	flags []bool
 }
 
-// newWorklist sizes a worklist for n steps. A step sits in at most one of
-// the two heaps, so each gets a fixed half of one int slab, and the flags
-// share one bool slab.
-func newWorklist(n int) *worklist {
-	heaps, flags := make([]int, 2*n), make([]bool, 2*n)
-	return &worklist{
-		cur: heaps[:0:n], next: heaps[n:n], inCur: flags[:n:n], inNext: flags[n:], pos: -1,
+var worklistPool = sync.Pool{New: func() any { return new(worklist) }}
+
+// getWorklist takes a pooled worklist and sizes it for n steps. A step sits
+// in at most one of the two heaps, so each gets a fixed half of one int
+// slab, and the flags share one bool slab. Every advance takes its own, so
+// a nested advance (a subworkflow started by a step) does not share its
+// caller's.
+func getWorklist(n int) *worklist {
+	w := worklistPool.Get().(*worklist)
+	if cap(w.heaps) < 2*n {
+		w.heaps, w.flags = make([]int, 2*n), make([]bool, 2*n)
 	}
+	heaps, flags := w.heaps[:2*n], w.flags[:2*n]
+	clear(flags)
+	w.cur, w.next, w.inCur, w.inNext, w.pos = heaps[:0:n], heaps[n:n:2*n], flags[:n:n], flags[n:], -1
+	return w
 }
 
 // push enqueues step i for (re-)evaluation; already-queued steps are left
@@ -130,9 +142,10 @@ func heapPop(h *[]int) int {
 // to activate regardless of their joins (an expired guard's timeout
 // branch); it may be nil.
 func (e *Engine) advancePlan(ctx context.Context, p *Plan, in *Instance, forced map[string]bool) error {
-	wl := newWorklist(len(p.steps))
-	for i := range p.steps {
-		if run := in.Steps[p.steps[i].name]; run != nil && run.State == StepPending {
+	wl := getWorklist(len(p.steps))
+	defer worklistPool.Put(wl)
+	for i := range in.runs {
+		if in.runs[i].State == StepPending {
 			wl.push(i)
 		}
 	}
@@ -142,8 +155,8 @@ func (e *Engine) advancePlan(ctx context.Context, p *Plan, in *Instance, forced 
 			break
 		}
 		ps := &p.steps[idx]
-		run := in.Steps[ps.name]
-		if run == nil || run.State != StepPending {
+		run := &in.runs[idx]
+		if run.State != StepPending {
 			continue
 		}
 		ready, dead := e.planReady(in, ps, forced)
@@ -192,7 +205,7 @@ func (e *Engine) planReady(in *Instance, ps *planStep, forced map[string]bool) (
 		if ps.in[i].loop {
 			continue
 		}
-		switch signal(in.Arcs[ps.in[i].key]) {
+		switch in.sigs[ps.in[i].sig] {
 		case sigTrue:
 			nTrue++
 		case sigFalse:
@@ -232,9 +245,9 @@ func (e *Engine) planSignalOutgoing(p *Plan, in *Instance, ps *planStep, complet
 			continue
 		}
 		if completed && arcHolds(in, ps, a) {
-			in.Arcs[a.key] = int(sigTrue)
+			in.sigs[a.sig] = sigTrue
 		} else {
-			in.Arcs[a.key] = int(sigFalse)
+			in.sigs[a.sig] = sigFalse
 		}
 		wl.push(a.dst)
 	}
@@ -286,13 +299,13 @@ func (e *Engine) resetLoop(p *Plan, in *Instance, loop *planArc, wl *worklist) {
 			continue
 		}
 		ps := &p.steps[i]
-		in.Steps[ps.name] = &StepRun{State: StepPending}
+		in.runs[i] = StepRun{State: StepPending}
 		for j := range ps.out {
-			delete(in.Arcs, ps.out[j].key)
+			in.sigs[ps.out[j].sig] = sigUnset
 		}
 		for j := range ps.in {
 			if region[ps.in[j].src] {
-				delete(in.Arcs, ps.in[j].key)
+				in.sigs[ps.in[j].sig] = sigUnset
 			}
 		}
 	}
@@ -308,12 +321,12 @@ func (e *Engine) resetLoop(p *Plan, in *Instance, loop *planArc, wl *worklist) {
 // retires its still-pending timeout branch: a guard completing normally
 // dead-paths the alternative.
 func (e *Engine) planCompleteStep(p *Plan, in *Instance, ps *planStep, wl *worklist) {
-	in.Steps[ps.name].State = StepCompleted
+	in.runs[ps.idx].State = StepCompleted
 	in.log(ps.name, "completed")
 	e.planSignalOutgoing(p, in, ps, true, wl)
 	if ps.timeout >= 0 {
 		ts := &p.steps[ps.timeout]
-		if run := in.Steps[ts.name]; run != nil && run.State == StepPending {
+		if run := &in.runs[ts.idx]; run.State == StepPending {
 			run.State = StepSkipped
 			in.log(ts.name, "skipped (guard completed in time)")
 			e.planSignalOutgoing(p, in, ts, false, wl)
@@ -329,7 +342,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Plan, in *Instance, ps *pla
 	start := time.Now()
 	var err error
 	if cerr := ctx.Err(); cerr != nil {
-		err = e.failStep(in, ps.def, cerr)
+		err = e.failStep(in, ps, cerr)
 	} else {
 		err = e.dispatchStep(ctx, p, in, ps, wl)
 	}
@@ -344,7 +357,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Plan, in *Instance, ps *pla
 // do.
 func (e *Engine) dispatchStep(ctx context.Context, p *Plan, in *Instance, ps *planStep, wl *worklist) error {
 	s := ps.def
-	run := in.Steps[s.Name]
+	run := &in.runs[ps.idx]
 	switch s.Kind {
 	case StepNoop:
 		e.planCompleteStep(p, in, ps, wl)
@@ -352,22 +365,22 @@ func (e *Engine) dispatchStep(ctx context.Context, p *Plan, in *Instance, ps *pl
 	case StepTask, StepSend, StepConnection:
 		if s.Kind == StepConnection && s.Dir != DirOut {
 			run.State = StepWaiting
-			in.log(s.Name, "waiting for binding on port "+s.Port)
+			in.log(s.Name, ps.portMsg)
 			break
 		}
 		if err := e.runStepOp(ctx, in, ps); err != nil {
-			return e.failStep(in, s, err)
+			return e.failStep(in, ps, err)
 		}
 		e.completeOp(p, in, ps, wl)
 
 	case StepReceive:
 		run.State = StepWaiting
-		in.log(s.Name, "waiting on port "+s.Port)
+		in.log(s.Name, ps.portMsg)
 
 	case StepSubworkflow:
 		child, err := e.startChild(ctx, s.Subworkflow, in.Data, in.ID, s.Name)
 		if err != nil {
-			return e.failStep(in, s, err)
+			return e.failStep(in, ps, err)
 		}
 		run.Child = child.ID
 		switch child.State {
@@ -375,13 +388,13 @@ func (e *Engine) dispatchStep(ctx context.Context, p *Plan, in *Instance, ps *pl
 			e.absorbChild(in, child)
 			e.planCompleteStep(p, in, ps, wl)
 		case InstFailed:
-			return e.failStep(in, s, fmt.Errorf("wf: subworkflow %s failed: %s", child.ID, child.Error))
+			return e.failStep(in, ps, fmt.Errorf("wf: subworkflow %s failed: %s", child.ID, child.Error))
 		default:
 			run.State = StepChildRun
 			in.log(s.Name, "subworkflow "+child.ID+" running")
 		}
 	default:
-		return e.failStep(in, s, fmt.Errorf("wf: unknown step kind %q", s.Kind))
+		return e.failStep(in, ps, fmt.Errorf("wf: unknown step kind %q", s.Kind))
 	}
 	return nil
 }
@@ -389,11 +402,8 @@ func (e *Engine) dispatchStep(ctx context.Context, p *Plan, in *Instance, ps *pl
 // completeOp completes a task, send or outbound-connection step whose
 // operation succeeded; port steps first log the hand-off.
 func (e *Engine) completeOp(p *Plan, in *Instance, ps *planStep, wl *worklist) {
-	switch ps.def.Kind {
-	case StepSend:
-		in.log(ps.name, "sent on port "+ps.def.Port)
-	case StepConnection:
-		in.log(ps.name, "passed control to binding via port "+ps.def.Port)
+	if ps.portMsg != "" {
+		in.log(ps.name, ps.portMsg)
 	}
 	e.planCompleteStep(p, in, ps, wl)
 }
@@ -469,7 +479,7 @@ func (e *Engine) collectBatch(p *Plan, in *Instance, first *planStep, forced map
 			break
 		}
 		ps := &p.steps[idx]
-		if run := in.Steps[ps.name]; run == nil || run.State != StepPending {
+		if in.runs[idx].State != StepPending {
 			wl.pop() // already terminal or parked: discard and keep looking
 			continue
 		}
@@ -491,19 +501,20 @@ func (e *Engine) collectBatch(p *Plan, in *Instance, first *planStep, forced map
 }
 
 // batchView builds the isolated instance view one batch member executes
-// against: a cloned data map, the member's own step run, and an empty
-// history that the merge replays into the real instance.
-func batchView(in *Instance, ps *planStep) *Instance {
+// against: a cloned data map, its own copy of the step runs and arc
+// signals, and an empty history that the merge replays into the real
+// instance.
+func batchView(in *Instance) *Instance {
 	data := make(map[string]any, len(in.Data))
 	for k, v := range in.Data {
 		data[k] = cloneValue(v)
 	}
-	run := *in.Steps[ps.name]
 	return &Instance{
 		ID: in.ID, Type: in.Type, Version: in.Version, State: in.State,
-		Data:  data,
-		Steps: map[string]*StepRun{ps.name: &run},
-		Arcs:  map[string]int{},
+		Data: data,
+		lay:  in.lay,
+		runs: append([]StepRun(nil), in.runs...),
+		sigs: append([]signal(nil), in.sigs...),
 	}
 }
 
@@ -517,12 +528,12 @@ func (e *Engine) runStepOp(ctx context.Context, view *Instance, ps *planStep) er
 		if fn == nil {
 			return fmt.Errorf("wf: no handler %q registered", s.Handler)
 		}
-		return e.attemptLoop(ctx, view, s, func() error { return fn(ctx, view, s) })
+		return e.attemptLoop(ctx, view, ps, func() error { return fn(ctx, view, s) })
 	}
 	if e.ports == nil {
 		return fmt.Errorf("wf: engine has no port function for %s step %q", s.Kind, s.Name)
 	}
-	return e.attemptLoop(ctx, view, s, func() error { return e.ports(ctx, view, s, outboundPayload(view, s)) })
+	return e.attemptLoop(ctx, view, ps, func() error { return e.ports(ctx, view, s, outboundPayload(view, s)) })
 }
 
 // executeBatch runs the batch members' side effects concurrently on isolated
@@ -533,7 +544,7 @@ func (e *Engine) runStepOp(ctx context.Context, view *Instance, ps *planStep) er
 func (e *Engine) executeBatch(ctx context.Context, p *Plan, in *Instance, batch []*planStep, wl *worklist) error {
 	if cerr := ctx.Err(); cerr != nil {
 		start := time.Now()
-		err := e.failStep(in, batch[0].def, cerr)
+		err := e.failStep(in, batch[0], cerr)
 		if e.observer != nil {
 			e.observer(in, batch[0].def, time.Since(start), err)
 		}
@@ -548,7 +559,7 @@ func (e *Engine) executeBatch(ctx context.Context, p *Plan, in *Instance, batch 
 	members := make([]*member, len(batch))
 	var wg sync.WaitGroup
 	for i, ps := range batch {
-		m := &member{ps: ps, view: batchView(in, ps)}
+		m := &member{ps: ps, view: batchView(in)}
 		members[i] = m
 		wg.Add(1)
 		go func() {
@@ -561,12 +572,12 @@ func (e *Engine) executeBatch(ctx context.Context, p *Plan, in *Instance, batch 
 	wg.Wait()
 	for _, m := range members {
 		s := m.ps.def
-		in.Steps[s.Name].Attempts = m.view.Steps[s.Name].Attempts
+		in.runs[m.ps.idx].Attempts = m.view.runs[m.ps.idx].Attempts
 		for _, ev := range m.view.History {
 			in.log(ev.Step, ev.What)
 		}
 		if m.err != nil {
-			err := e.failStep(in, s, m.err)
+			err := e.failStep(in, m.ps, m.err)
 			if e.observer != nil {
 				e.observer(in, s, m.elapsed, err)
 			}

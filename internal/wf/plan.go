@@ -23,6 +23,9 @@ type Plan struct {
 	key   string
 	steps []planStep
 	index map[string]int
+	// lay is the layout every instance of the plan shares: step i's run is
+	// runs[i], and arc a's signal sigs[a.sig].
+	lay *layout
 	// groups buckets step indices by their longest-path depth from the
 	// entries: steps in one group have no control-flow dependency on each
 	// other and are the candidates for concurrent execution.
@@ -48,7 +51,10 @@ type planStep struct {
 	in  []planArc
 	// fanIn counts the non-loop incoming arcs (the join width).
 	fanIn int
-	join  JoinKind
+	// portMsg is the history entry a port step logs when it sends or parks:
+	// "sent on port P", "waiting on port P" and so on; empty otherwise.
+	portMsg string
+	join    JoinKind
 	// isTimeout marks a step that is the OnTimeout branch of a guard;
 	// guard is that guard's index (-1 otherwise). timeout is the index of
 	// this step's own OnTimeout branch (-1 when none).
@@ -59,13 +65,13 @@ type planStep struct {
 }
 
 // planArc is one compiled control connector: endpoint indices, the parsed
-// condition and the precomputed signal key.
+// condition and the position of its signal in the plan's layout.
 type planArc struct {
 	src, dst  int
 	cond      expr.Node
 	condition string
 	loop      bool
-	key       string
+	sig       int
 }
 
 // Key identifies the plan's type version (name@version).

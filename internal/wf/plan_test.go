@@ -126,9 +126,9 @@ func TestLazyCompile(t *testing.T) {
 	// refused the same way and left as it was stored.
 	migrated := &wf.Instance{
 		ID: "elsewhere-000001", Type: "bad", Version: 1, State: wf.InstRunning,
-		Data: map[string]any{}, Steps: map[string]*wf.StepRun{"a": {State: wf.StepWaiting}},
-		Arcs: map[string]int{},
+		Data: map[string]any{},
 	}
+	migrated.SetRuns(map[string]wf.StepRun{"a": {State: wf.StepWaiting}}, nil)
 	if err := store.PutInstance(migrated); err != nil {
 		t.Fatal(err)
 	}

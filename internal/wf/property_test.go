@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/journal"
@@ -73,7 +74,7 @@ func TestPropertyRandomDAGsTerminate(t *testing.T) {
 		if in.State != wf.InstCompleted {
 			t.Fatalf("iter %d: instance did not complete: %s (%s)", iter, in.State, in.Error)
 		}
-		for name, run := range in.Steps {
+		in.RangeSteps(func(name string, run wf.StepRun) bool {
 			switch run.State {
 			case wf.StepCompleted, wf.StepSkipped:
 			default:
@@ -88,7 +89,8 @@ func TestPropertyRandomDAGsTerminate(t *testing.T) {
 			if run.State == wf.StepSkipped && execCount[name] != 0 {
 				t.Fatalf("iter %d: skipped step %s was executed", iter, name)
 			}
-		}
+			return true
+		})
 		// History sequence is strictly increasing and ends with completion.
 		for i := 1; i < len(in.History); i++ {
 			if in.History[i].Seq != in.History[i-1].Seq+1 {
@@ -120,9 +122,10 @@ func TestPropertyRandomDAGsDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			out := map[string]wf.StepState{}
-			for name, sr := range in.Steps {
+			in.RangeSteps(func(name string, sr wf.StepRun) bool {
 				out[name] = sr.State
-			}
+				return true
+			})
 			return out
 		}
 		a, b := run(), run()
@@ -169,13 +172,19 @@ func TestPropertyPersistenceRoundTrip(t *testing.T) {
 		if got.State != in.State {
 			t.Fatalf("iter %d: state %s vs %s", iter, got.State, in.State)
 		}
-		for name, sr := range in.Steps {
-			if got.Steps[name] == nil || got.Steps[name].State != sr.State {
+		in.RangeSteps(func(name string, sr wf.StepRun) bool {
+			if got.StepStateOf(name) != sr.State {
 				t.Fatalf("iter %d: step %s state lost", iter, name)
 			}
+			return true
+		})
+		signals := func(in *wf.Instance) map[string]int {
+			m := map[string]int{}
+			in.RangeArcs(func(key string, sig int) bool { m[key] = sig; return true })
+			return m
 		}
-		if len(got.Arcs) != len(in.Arcs) {
-			t.Fatalf("iter %d: arc signals lost", iter)
+		if a, b := signals(got), signals(in); !reflect.DeepEqual(a, b) {
+			t.Fatalf("iter %d: arc signals %v, stored %v", iter, a, b)
 		}
 		store2.Close()
 	}

@@ -99,9 +99,9 @@ func TestResumeParentPersistErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kidID := mom.Steps["call"].Child
+	kidID := runOf(mom, "call").Child
 	if kidID == "" {
-		t.Fatalf("child not started: %+v", mom.Steps["call"])
+		t.Fatalf("child not started: %+v", runOf(mom, "call"))
 	}
 
 	// The parent's durable failure record cannot be written.
@@ -121,9 +121,9 @@ func TestResumeParentPersistErrorPropagates(t *testing.T) {
 	// The store still holds the last persisted parent: the failure it could
 	// not write is not visible as if it had been.
 	momNow, _ := store.GetInstance(mom.ID)
-	if momNow.State != InstRunning || momNow.Steps["call"].State != StepChildRun || momNow.Error != "" {
+	if momNow.State != InstRunning || momNow.StepStateOf("call") != StepChildRun || momNow.Error != "" {
 		t.Fatalf("stored parent state %s, call step %s, error %q; want the last persisted %s parent",
-			momNow.State, momNow.Steps["call"].State, momNow.Error, StepChildRun)
+			momNow.State, momNow.StepStateOf("call"), momNow.Error, StepChildRun)
 	}
 }
 
@@ -173,16 +173,23 @@ func TestChildFailureFailsParent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.poke(ctx, e, mom.Steps["call"].Child); !errors.Is(err, fault) {
+			if err := tc.poke(ctx, e, runOf(mom, "call").Child); !errors.Is(err, fault) {
 				t.Fatalf("err = %v, want the child's %v", err, fault)
 			}
 			momNow, err := store.GetInstance(mom.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if momNow.State != InstFailed || momNow.Steps["call"].State != StepFailed {
-				t.Fatalf("parent state %s, call step %s; want failed/failed", momNow.State, momNow.Steps["call"].State)
+			if momNow.State != InstFailed || momNow.StepStateOf("call") != StepFailed {
+				t.Fatalf("parent state %s, call step %s; want failed/failed", momNow.State, momNow.StepStateOf("call"))
 			}
 		})
 	}
+}
+
+// runOf returns the named step's run (the zero run when the instance has
+// no such step).
+func runOf(in *Instance, name string) StepRun {
+	run, _ := in.StepRunOf(name)
+	return run
 }

@@ -3,7 +3,8 @@ package wf_test
 import (
 	"context"
 	"fmt"
-	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,43 +12,48 @@ import (
 	"repro/internal/wfstore"
 )
 
-// copyInstance deep-copies an instance's mutable structure (data values are
-// shared: the engine never edits one in place).
-func copyInstance(in *wf.Instance) *wf.Instance {
-	cp := *in
-	cp.Data = map[string]any{}
-	for k, v := range in.Data {
-		cp.Data[k] = v
+// snapshotState renders everything a transition could change in a stored
+// snapshot: its header, data, step runs, arc signals and history.
+func snapshotState(in *wf.Instance) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %s@%d %s error=%q parent=%s/%s\n", in.ID, in.Type, in.Version, in.State, in.Error, in.Parent, in.ParentStep)
+	keys := make([]string, 0, len(in.Data))
+	for k := range in.Data {
+		keys = append(keys, k)
 	}
-	cp.Steps = map[string]*wf.StepRun{}
-	for k, v := range in.Steps {
-		r := *v
-		cp.Steps[k] = &r
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(&b, "data %s: %T %v\n", k, in.Data[k], in.Data[k])
 	}
-	cp.Arcs = map[string]int{}
-	for k, v := range in.Arcs {
-		cp.Arcs[k] = v
+	in.RangeSteps(func(name string, run wf.StepRun) bool {
+		fmt.Fprintf(&b, "step %s: %+v\n", name, run)
+		return true
+	})
+	in.RangeArcs(func(key string, sig int) bool {
+		fmt.Fprintf(&b, "arc %s: %d\n", key, sig)
+		return true
+	})
+	for _, ev := range in.History {
+		fmt.Fprintf(&b, "event %+v\n", ev)
 	}
-	cp.History = append([]wf.Event(nil), in.History...)
-	return &cp
+	return b.String()
 }
 
-// readSnapshot reads an instance from the engine's store together with a
-// copy taken at read time.
-func readSnapshot(t *testing.T, e *wf.Engine, id string) (got, atRead *wf.Instance) {
+// readSnapshot reads an instance from the engine's store together with its
+// state rendered at read time.
+func readSnapshot(t *testing.T, e *wf.Engine, id string) (got *wf.Instance, atRead string) {
 	t.Helper()
 	got, err := e.Instance(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, copyInstance(got)
+	return got, snapshotState(got)
 }
 
-func assertUnchanged(t *testing.T, got, atRead *wf.Instance) {
+func assertUnchanged(t *testing.T, got *wf.Instance, atRead string) {
 	t.Helper()
-	if !reflect.DeepEqual(got, atRead) {
-		t.Fatalf("stored snapshot %s changed after it was read:\n now     %s, %d events\n at read %s, %d events",
-			got.ID, got.Summary(), len(got.History), atRead.Summary(), len(atRead.History))
+	if now := snapshotState(got); now != atRead {
+		t.Fatalf("stored snapshot %s changed after it was read:\n now:\n%s\n at read:\n%s", got.ID, now, atRead)
 	}
 }
 
@@ -129,7 +135,7 @@ func TestStoredSnapshotIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		childID := parent.Steps["sub"].Child
+		childID := runOf(parent, "sub").Child
 		psnap, patRead := readSnapshot(t, e, parent.ID)
 		csnap, catRead := readSnapshot(t, e, childID)
 		if err := e.Deliver(ctx, childID, "po-in", "PO payload"); err != nil {
@@ -184,13 +190,32 @@ func TestInstanceReadDuringDeliver(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// Read every part of the snapshot a transition writes.
+				// Read every part of the snapshot a transition writes, and
+				// check that the parts agree: the chain has completed k
+				// receives when it has signaled min(k, receives-1) arcs and
+				// waits on one step until the last receive completes.
 				_ = in.Summary()
 				if n := len(in.History); n > 0 && in.History[n-1].Seq != n {
 					t.Errorf("%s: last event seq %d of %d", id, in.History[n-1].Seq, n)
 				}
-				for range in.Arcs {
+				completed, waiting, arcs := 0, 0, 0
+				in.RangeSteps(func(name string, run wf.StepRun) bool {
+					switch run.State {
+					case wf.StepCompleted:
+						completed++
+					case wf.StepWaiting:
+						waiting++
+					}
+					return true
+				})
+				in.RangeArcs(func(key string, sig int) bool {
+					arcs++
+					return true
+				})
+				if want := min(completed, receives-1); arcs != want || waiting != 1 && completed < receives {
+					t.Errorf("%s: %d receives completed, %d waiting, %d arcs signaled (want %d)", id, completed, waiting, arcs, want)
 				}
+				_ = in.StepStateOf("r0")
 				_ = in.Data["document"]
 			}
 		}

@@ -216,7 +216,7 @@ func TestTaskRetries(t *testing.T) {
 	if calls["hopeless"] != 3 { // 1 try + 2 retries, bounded
 		t.Fatalf("hopeless called %d times, want 3", calls["hopeless"])
 	}
-	if in2.Steps["work"].Attempts != 3 {
-		t.Fatalf("attempts %d", in2.Steps["work"].Attempts)
+	if runOf(in2, "work").Attempts != 3 {
+		t.Fatalf("attempts %d", runOf(in2, "work").Attempts)
 	}
 }

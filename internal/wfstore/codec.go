@@ -99,14 +99,15 @@ func unmarshalInto(raw json.RawMessage, v any) error {
 	return json.Unmarshal(raw, v)
 }
 
-// persistedInstance mirrors wf.Instance with codec-friendly data.
+// persistedInstance mirrors wf.Instance with codec-friendly data: step runs
+// keyed by step name, and the signaled arcs keyed "from→to".
 type persistedInstance struct {
 	ID         string                 `json:"id"`
 	Type       string                 `json:"type"`
 	Version    int                    `json:"version"`
 	State      wf.InstState           `json:"state"`
 	Data       map[string]taggedValue `json:"data"`
-	Steps      map[string]*wf.StepRun `json:"steps"`
+	Steps      map[string]wf.StepRun  `json:"steps"`
 	Arcs       map[string]int         `json:"arcs"`
 	Parent     string                 `json:"parent,omitempty"`
 	ParentStep string                 `json:"parentStep,omitempty"`
@@ -118,7 +119,7 @@ func encodeInstance(in *wf.Instance) (json.RawMessage, error) {
 	p := persistedInstance{
 		ID: in.ID, Type: in.Type, Version: in.Version, State: in.State,
 		Data:  map[string]taggedValue{},
-		Steps: in.Steps, Arcs: in.Arcs,
+		Steps: map[string]wf.StepRun{}, Arcs: map[string]int{},
 		Parent: in.Parent, ParentStep: in.ParentStep,
 		History: in.History, Error: in.Error,
 	}
@@ -129,6 +130,14 @@ func encodeInstance(in *wf.Instance) (json.RawMessage, error) {
 		}
 		p.Data[k] = tv
 	}
+	in.RangeSteps(func(name string, run wf.StepRun) bool {
+		p.Steps[name] = run
+		return true
+	})
+	in.RangeArcs(func(key string, sig int) bool {
+		p.Arcs[key] = sig
+		return true
+	})
 	return json.Marshal(p)
 }
 
@@ -139,17 +148,11 @@ func decodeInstance(raw json.RawMessage) (*wf.Instance, error) {
 	}
 	in := &wf.Instance{
 		ID: p.ID, Type: p.Type, Version: p.Version, State: p.State,
-		Data:  map[string]any{},
-		Steps: p.Steps, Arcs: p.Arcs,
+		Data:   map[string]any{},
 		Parent: p.Parent, ParentStep: p.ParentStep,
 		History: p.History, Error: p.Error,
 	}
-	if in.Steps == nil {
-		in.Steps = map[string]*wf.StepRun{}
-	}
-	if in.Arcs == nil {
-		in.Arcs = map[string]int{}
-	}
+	in.SetRuns(p.Steps, p.Arcs)
 	for k, tv := range p.Data {
 		v, err := decodeValue(tv)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -69,7 +68,7 @@ func TestMemStoreTypes(t *testing.T) {
 func TestMemStoreInstances(t *testing.T) {
 	s := NewMemStore()
 	in := &wf.Instance{ID: "i1", Type: "t", Version: 1, State: wf.InstRunning,
-		Data: map[string]any{}, Steps: map[string]*wf.StepRun{}, Arcs: map[string]int{}}
+		Data: map[string]any{}}
 	if err := s.PutInstance(in); err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +115,12 @@ func TestFileStoreRoundTrip(t *testing.T) {
 			"document": po, "source": "TP1", "count": float64(3),
 			"flag": true, "blob": []byte{1, 2, 3},
 		},
-		Steps: map[string]*wf.StepRun{"a": {State: wf.StepCompleted}},
-		Arcs:  map[string]int{"a→wait": 1},
 		History: []wf.Event{
 			{Seq: 1, Step: "", What: "created"},
 			{Seq: 2, Step: "a", What: "completed"},
 		},
 	}
+	in.SetRuns(map[string]wf.StepRun{"a": {State: wf.StepCompleted}}, map[string]int{"a→wait": 1})
 	if err := s.PutInstance(in); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +150,9 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if b := got.Data["blob"].([]byte); len(b) != 3 || b[0] != 1 {
 		t.Fatalf("blob lost: %v", b)
 	}
-	if got.Arcs["a→wait"] != 1 || got.Steps["a"].State != wf.StepCompleted {
+	arcs := map[string]int{}
+	got.RangeArcs(func(key string, sig int) bool { arcs[key] = sig; return true })
+	if len(arcs) != 1 || arcs["a→wait"] != 1 || got.StepStateOf("a") != wf.StepCompleted {
 		t.Fatal("runtime state lost")
 	}
 	if len(got.History) != 2 {
@@ -164,7 +164,7 @@ func TestFileStoreDelete(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wf.log")
 	s := openFile(t, path)
 	in := &wf.Instance{ID: "i1", Type: "t", Version: 1, State: wf.InstCompleted,
-		Data: map[string]any{}, Steps: map[string]*wf.StepRun{}, Arcs: map[string]int{}}
+		Data: map[string]any{}}
 	if err := s.PutInstance(in); err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +182,7 @@ func TestFileStoreRejectsUnsupportedData(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wf.log")
 	s := openFile(t, path)
 	in := &wf.Instance{ID: "i1", Type: "t", Version: 1, State: wf.InstRunning,
-		Data:  map[string]any{"weird": struct{ X int }{1}},
-		Steps: map[string]*wf.StepRun{}, Arcs: map[string]int{}}
+		Data: map[string]any{"weird": struct{ X int }{1}}}
 	if err := s.PutInstance(in); err == nil || !strings.Contains(err.Error(), "unsupported") {
 		t.Fatalf("err %v", err)
 	}
@@ -346,7 +345,7 @@ func TestFailedPersistLeavesLastDurableSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if replayed := replayCopy(t, path, in.ID); !reflect.DeepEqual(got, replayed) {
+			if replayed := replayCopy(t, path, in.ID); !sameSnapshot(t, got, replayed) {
 				t.Fatalf("store serves %s (%d events), its log replays %s (%d events)",
 					got.Summary(), len(got.History), replayed.Summary(), len(replayed.History))
 			}
@@ -368,11 +367,28 @@ func TestFailedPersistLeavesLastDurableSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, replayed) {
+			if !sameSnapshot(t, got, replayed) {
 				t.Fatalf("store served %s, its reopened log replays %s", got.Summary(), replayed.Summary())
 			}
 		})
 	}
+}
+
+// sameSnapshot reports whether two instances have the same stored form. An
+// instance the engine advanced is laid out by its plan and one decoded
+// from a log by step name, so their layouts differ where their state does
+// not.
+func sameSnapshot(t *testing.T, a, b *wf.Instance) bool {
+	t.Helper()
+	ra, err := encodeInstance(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := encodeInstance(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(ra) == string(rb)
 }
 
 // replayCopy returns instance id as a restart would replay it, from a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -114,36 +115,25 @@ func (h *Hub) pinnedVersion(ex *Exchange, typeName string) int {
 	return ex.snap.cfg.Version(classOf(typeName), typeName)
 }
 
-// exchangeOf resolves the exchange a workflow instance belongs to.
-func (h *Hub) exchangeOf(in *wf.Instance) *Exchange {
-	exID, _ := in.Data["exchange"].(string)
-	if exID == "" {
-		return nil
-	}
-	ex, _ := h.ExchangeByID(exID)
-	return ex
-}
-
-// snapshotOf is the snapshot a workflow instance runs on: its exchange's
-// admission snapshot, or the current one for an instance outside any
-// exchange.
-func (h *Hub) snapshotOf(in *wf.Instance) *Snapshot {
-	if ex := h.exchangeOf(in); ex != nil {
+// snapshotOf is the snapshot a step runs on: the admission snapshot of the
+// exchange its context carries, or the current one outside any exchange.
+func (h *Hub) snapshotOf(ctx context.Context) *Snapshot {
+	if ex := exchangeFrom(ctx); ex != nil {
 		return ex.snap
 	}
 	return h.snap.Load()
 }
 
-// evalRules evaluates a rule set of the instance's snapshot.
-func (h *Hub) evalRules(in *wf.Instance, set, source, target string, document any) (rules.Decision, error) {
-	return h.snapshotOf(in).Model.Rules.Evaluate(set, source, target, document)
+// evalRules evaluates a rule set of the step's snapshot.
+func (h *Hub) evalRules(ctx context.Context, set, source, target string, document any) (rules.Decision, error) {
+	return h.snapshotOf(ctx).Model.Rules.Evaluate(set, source, target, document)
 }
 
 // applyXform maps a native value between formats with the program of the
-// instance's snapshot: a swapped-in transformer, or the built-in registry
-// (with its program cache).
-func (h *Hub) applyXform(in *wf.Instance, from, to formats.Format, dt doc.DocType, native any) (any, error) {
-	if s := h.snapshotOf(in); len(s.xforms) > 0 {
+// step's snapshot: a swapped-in transformer, or the built-in registry (with
+// its program cache).
+func (h *Hub) applyXform(ctx context.Context, from, to formats.Format, dt doc.DocType, native any) (any, error) {
+	if s := h.snapshotOf(ctx); len(s.xforms) > 0 {
 		if t, ok := s.xforms[xformKey(from, to, dt)]; ok {
 			return t.Apply(native)
 		}
@@ -170,8 +160,9 @@ func (h *Hub) ActiveCanary(partnerID string) (*cfgstore.Canary, bool) {
 // armCanary attaches the partner's running canary in the exchange's
 // snapshot (if any) and routes the exchange deterministically by its
 // business document ID, so a resubmit lands on the same arm as the original
-// run. Called under h.mu from newExchange.
-func (h *Hub) armCanary(ex *Exchange, key string) {
+// run. The ledger calls it when the exchange starts, before the record is
+// visible.
+func (ex *Exchange) armCanary(key string) {
 	run := ex.snap.canaries[ex.Partner.ID]
 	if run == nil {
 		return

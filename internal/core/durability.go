@@ -122,11 +122,11 @@ type durability struct {
 	probeDone chan struct{}
 }
 
-// journalDown reports whether the hub is in degraded (non-durable) mode.
-func (h *Hub) journalDown() bool {
-	h.dur.mu.Lock()
-	defer h.dur.mu.Unlock()
-	return h.dur.degraded
+// down reports whether the hub is in degraded (non-durable) mode.
+func (d *durability) down() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.degraded
 }
 
 // noteNonDurableAdmit counts one admission served while degraded.

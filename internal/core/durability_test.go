@@ -154,7 +154,7 @@ func TestCloseJournalWhileDegradedStopsProber(t *testing.T) {
 	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
 		t.Fatal(err)
 	}
-	if !h.journalDown() {
+	if !h.dur.down() {
 		t.Fatal("hub did not enter degraded mode")
 	}
 	// Never healed: the prober is mid-loop when the journal closes.
@@ -193,7 +193,7 @@ func TestRecoverParksPoisonedAdmission(t *testing.T) {
 		t.Fatalf("dead-letter queue has %d entries, want the poisoned admission alone", len(dls))
 	}
 	dl := dls[0]
-	if !strings.Contains(dl.Reason.Error(), "poison") || !dl.journaled || dl.req == nil {
+	if !strings.Contains(dl.Reason.Error(), "poison") || !journaledEntry(h, dl.ExchangeID) || dl.req == nil {
 		t.Fatalf("poisoned dead letter %+v, want a journaled, replayable poison entry", dl)
 	}
 	if ds := h.Status().Durability; ds.Poisoned != 1 {
@@ -232,10 +232,10 @@ func TestDLQSpillPinnedWhileJournalDegraded(t *testing.T) {
 	g := doc.NewGenerator(25)
 
 	park := func(id string) {
-		h.parkDeadLetter(DeadLetter{
+		parkBare(h, DeadLetter{
 			ExchangeID: id, Partner: tp1.ID,
-			Reason: errors.New("drill"), At: time.Now(), journaled: true,
-		})
+			Reason: errors.New("drill"), At: time.Now(),
+		}, true)
 	}
 	ids := func() []string {
 		var out []string
@@ -258,7 +258,7 @@ func TestDLQSpillPinnedWhileJournalDegraded(t *testing.T) {
 	if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
 		t.Fatalf("degraded hub rejected an admission: %v", err)
 	}
-	if !h.journalDown() {
+	if !h.dur.down() {
 		t.Fatal("hub did not enter degraded mode on ENOSPC")
 	}
 	if ds := h.Status().Durability; !strings.Contains(ds.LastError, "no space left on device") {

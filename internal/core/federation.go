@@ -116,14 +116,13 @@ func (h *Hub) ParkRequest(req Request, cause error) (*Result, error) {
 	if err := req.normalize(); err != nil {
 		return &Result{Err: err}, err
 	}
-	key, err := h.journalAdmit(&req)
-	if err != nil {
+	if err := h.admit(&req); err != nil {
 		return &Result{Err: err}, err
 	}
 	if cause == nil {
 		cause = ErrPeerUnavailable
 	}
-	res := h.park(req, key, cause, obs.KindCluster, obs.StageCluster, obs.StepForwardFailed)
+	res := h.park(req, cause, obs.KindCluster, obs.StageCluster, obs.StepForwardFailed)
 	return &res, res.Err
 }
 

@@ -57,10 +57,10 @@ func (r *Request) healthKey() string {
 // returns the breaker key ("" when health is not consulted), whether the
 // admitted exchange is a half-open probe, and — when the circuit rejects
 // the exchange — the fast-fail result, already parked under the admission
-// key ("" for none): an exchange record failed with ErrPartnerUnavailable,
-// the request retained on the dead-letter queue for Resubmit, and a
-// KindHealth fast-fail event attributing the rejection to the breaker.
-func (h *Hub) healthGate(req Request, key string) (partner string, probe bool, rejected *Result) {
+// key: an exchange record failed with ErrPartnerUnavailable, the request
+// retained on the dead-letter queue for Resubmit, and a KindHealth
+// fast-fail event attributing the rejection to the breaker.
+func (h *Hub) healthGate(req Request) (partner string, probe bool, rejected *Result) {
 	if h.health == nil {
 		return "", false, nil
 	}
@@ -78,7 +78,7 @@ func (h *Hub) healthGate(req Request, key string) (partner string, probe bool, r
 		return partner, probe, nil
 	}
 	cause := fmt.Errorf("%w: circuit %s", ErrPartnerUnavailable, h.health.StateOf(partner))
-	res := h.park(req, key, cause, obs.KindHealth, obs.StageHealth, obs.StepFastFail)
+	res := h.park(req, cause, obs.KindHealth, obs.StageHealth, obs.StepFastFail)
 	return partner, false, &res
 }
 

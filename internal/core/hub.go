@@ -65,10 +65,9 @@ type Exchange struct {
 	// backend's duplicate-order rejection.
 	resubmit bool
 
-	// deadLettered records that the exchange was parked on the dead-letter
-	// queue. Set by the goroutine driving the exchange before its result
-	// resolves; journalComplete classifies the terminal outcome by it.
-	deadLettered bool
+	// state is the exchange's lifecycle state, kept by the ledger under its
+	// lock.
+	state exState
 
 	// retry is the per-call retry policy override (Request.Retry), nil to
 	// use the hub's configured policies.
@@ -94,9 +93,8 @@ func (ex *Exchange) CanaryArm() bool { return ex.canaryArm }
 
 // routeTask is one queued hop between process instances.
 type routeTask struct {
-	exchangeID string
-	port       string
-	payload    any
+	port    string
+	payload any
 }
 
 // Hub is the integration engine runtime: it hosts the model's workflow
@@ -116,9 +114,13 @@ type Hub struct {
 	reg    *transform.Registry
 	codecs *formats.Registry
 
-	mu        sync.Mutex
-	exchanges map[string]*Exchange
-	exchSeq   int
+	// mu guards Systems and each exchange's hop state (queue, Outbound,
+	// Signals).
+	mu sync.Mutex
+
+	// ledger owns every exchange's lifecycle state: the exchange records,
+	// the dead-letter queue and the journal's live index (see ledger.go).
+	ledger *ledger
 
 	// Observability: every step execution, routing hop and exchange
 	// lifecycle transition is emitted on the bus; metrics, collector,
@@ -146,13 +148,10 @@ type Hub struct {
 
 	handlerReg *wf.Handlers
 
-	// Reliability layer (see retry.go): per-binding retry policies and the
-	// dead-letter queue of exchanges that exhausted theirs.
+	// Reliability layer (see retry.go): per-binding retry policies.
 	retryMu       sync.RWMutex
 	retryPolicies map[string]RetryPolicy
 	defaultRetry  RetryPolicy
-	dlqMu         sync.Mutex
-	dlq           []DeadLetter
 
 	// Partner health tracking (see health.go in this package and
 	// internal/health): nil unless the hub was built WithHealth. The
@@ -164,33 +163,17 @@ type Hub struct {
 	shed          atomic.Int64
 
 	// Durability layer (see journal.go in this package and
-	// internal/journal): nil unless the hub was built WithJournal. jrnMu
-	// orders journal appends and guards the live compaction index
-	// (jrnPending: admissions without a terminal outcome; jrnDead:
-	// unresolved dead letters) plus jrnSeq, the admission-key sequence.
-	// jrnStartup is the open-time replay snapshot, consumed once by
-	// Recover; jrnChanges are the change records the next compaction keeps
-	// (replayed at open or applied since). Lock order: h.mu is never taken
-	// inside jrnMu.
-	// jrnAttempts counts recovery replay attempts per pending admission
-	// key (poison detection); jrnFS is the storage seam under the journal
+	// internal/journal): nil unless the hub was built WithJournal; the
+	// ledger appends to it. jrnStartup is the open-time replay snapshot,
+	// consumed once by Recover; jrnFS is the storage seam under the journal
 	// (and TakeOverJournal's reads), nil meaning the real filesystem.
 	jrn             *journal.Journal
+	jrnStartup      atomic.Pointer[journalSnapshot]
 	jrnFS           journal.FS
-	jrnMu           sync.Mutex
-	jrnSeq          int
-	jrnPending      map[string]*journalRequest
-	jrnDead         map[string]journalOutcome
-	jrnAttempts     map[string]int
-	jrnStartup      *journalSnapshot
-	jrnChanges      []journal.Record
 	recoveryMetrics *obs.RecoveryMetrics
 	// dur is the storage-health state of the durability failure policy
 	// (see durability.go).
 	dur durability
-
-	// dlqCap bounds the in-memory dead-letter queue (0 = unbounded).
-	dlqCap int
 
 	// Runtime change management (see change.go and config.go):
 	// configMetrics derives the change gauges from KindConfig events;
@@ -198,7 +181,7 @@ type Hub struct {
 	// snapshot. bodies keeps the body of every registered rule-set and
 	// transform version (a *rules.Set or a transform.Transformer) for
 	// Rollback; swapMu guards it. Lock order: swapMu is taken before h.mu
-	// and jrnMu.
+	// and the ledger's lock.
 	configMetrics *obs.ConfigMetrics
 	canaryPolicy  cfgstore.CanaryPolicy
 	swapMu        sync.Mutex
@@ -281,7 +264,6 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 		Systems:         map[string]backend.System{},
 		reg:             &transform.Registry{},
 		codecs:          NewCodecRegistry(),
-		exchanges:       map[string]*Exchange{},
 		bus:             cfg.bus,
 		metrics:         obs.NewMetrics(),
 		collector:       obs.NewCollector(0),
@@ -294,8 +276,6 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 		canaryPolicy:    cfg.canaryPolicy,
 		bodies:          map[VersionRef]any{},
 		schedCfg:        cfg,
-		dlqCap:          cfg.dlqCap,
-		exchSeq:         cfg.exchIDBase,
 	}
 	if h.bus == nil {
 		h.bus = obs.NewBus()
@@ -333,8 +313,8 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 			return nil, fmt.Errorf("core: open journal: %w", err)
 		}
 		h.jrn = j
-		h.initJournal()
 	}
+	h.ledger = newLedger(h.jrn, &h.dur, cfg.dlqCap, cfg.exchIDBase)
 	transform.RegisterAll(h.reg)
 	for _, b := range m.Backends {
 		sys, err := newSystem(b)
@@ -395,7 +375,7 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 		return nil, err
 	}
 	if h.jrn != nil {
-		h.replayChanges()
+		h.openJournal()
 	}
 	return h, nil
 }
@@ -456,7 +436,7 @@ func (h *Hub) registerHandlers(reg *wf.Handlers) {
 	for _, p := range []formats.Format{formats.EDI, formats.RosettaNet, formats.OAGIS} {
 		p := p
 		reg.Register("bind-xform-in:"+string(p), func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
-			nd, err := h.applyXform(in, p, formats.Normalized, doc.TypePO, in.Document())
+			nd, err := h.applyXform(ctx, p, formats.Normalized, doc.TypePO, in.Document())
 			if err != nil {
 				return err
 			}
@@ -464,7 +444,7 @@ func (h *Hub) registerHandlers(reg *wf.Handlers) {
 			return nil
 		})
 		reg.Register("bind-xform-out:"+string(p), func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
-			native, err := h.applyXform(in, formats.Normalized, p, doc.TypePOA, in.Document())
+			native, err := h.applyXform(ctx, formats.Normalized, p, doc.TypePOA, in.Document())
 			if err != nil {
 				return err
 			}
@@ -472,7 +452,7 @@ func (h *Hub) registerHandlers(reg *wf.Handlers) {
 			return nil
 		})
 		reg.Register("bind-inv-xform:"+string(p), func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
-			native, err := h.applyXform(in, formats.Normalized, p, doc.TypeINV, in.Document())
+			native, err := h.applyXform(ctx, formats.Normalized, p, doc.TypeINV, in.Document())
 			if err != nil {
 				return err
 			}
@@ -483,7 +463,7 @@ func (h *Hub) registerHandlers(reg *wf.Handlers) {
 	reg.Register("rule:"+ApprovalRuleSet, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
 		source, _ := in.Data["source"].(string)
 		target, _ := in.Data["target"].(string)
-		decision, err := h.evalRules(in, ApprovalRuleSet, source, target, in.Document())
+		decision, err := h.evalRules(ctx, ApprovalRuleSet, source, target, in.Document())
 		if err != nil {
 			return err
 		}
@@ -494,7 +474,7 @@ func (h *Hub) registerHandlers(reg *wf.Handlers) {
 	reg.Register("rule:"+InvoiceReviewRuleSet, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
 		source, _ := in.Data["source"].(string)
 		target, _ := in.Data["target"].(string)
-		decision, err := h.evalRules(in, InvoiceReviewRuleSet, source, target, in.Document())
+		decision, err := h.evalRules(ctx, InvoiceReviewRuleSet, source, target, in.Document())
 		if err != nil {
 			return err
 		}
@@ -553,7 +533,7 @@ func (h *Hub) appHandlersFor(b Backend) {
 			return fmt.Errorf("core: app binding expects a normalized PO, got %T", in.Document())
 		}
 		in.Data["poid"] = po.ID
-		native, err := h.applyXform(in, formats.Normalized, b.Format, doc.TypePO, po)
+		native, err := h.applyXform(ctx, formats.Normalized, b.Format, doc.TypePO, po)
 		if err != nil {
 			return err
 		}
@@ -611,7 +591,7 @@ func (h *Hub) appHandlersFor(b Backend) {
 		return nil
 	})
 	register("app-xform-out:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
-		nd, err := h.applyXform(in, b.Format, formats.Normalized, doc.TypePOA, in.Document())
+		nd, err := h.applyXform(ctx, b.Format, formats.Normalized, doc.TypePOA, in.Document())
 		if err != nil {
 			return err
 		}
@@ -646,7 +626,7 @@ func (h *Hub) appHandlersFor(b Backend) {
 		return nil
 	})
 	register("app-inv-xform:"+bName, func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
-		nd, err := h.applyXform(in, b.Format, formats.Normalized, doc.TypeINV, in.Document())
+		nd, err := h.applyXform(ctx, b.Format, formats.Normalized, doc.TypeINV, in.Document())
 		if err != nil {
 			return err
 		}
@@ -659,18 +639,29 @@ func (h *Hub) appHandlersFor(b Backend) {
 // exchange's pump drains it between engine calls (never re-entering an
 // instance that is still advancing).
 func (h *Hub) portFunc(ctx context.Context, in *wf.Instance, s *wf.StepDef, payload any) error {
-	exID, _ := in.Data["exchange"].(string)
-	if exID == "" {
+	ex := exchangeFrom(ctx)
+	if ex == nil {
 		return fmt.Errorf("core: instance %s has no exchange context", in.ID)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ex, ok := h.exchanges[exID]
-	if !ok {
-		return fmt.Errorf("core: instance %s references unknown exchange %q", in.ID, exID)
-	}
-	ex.queue = append(ex.queue, routeTask{exchangeID: exID, port: s.Port, payload: payload})
+	ex.queue = append(ex.queue, routeTask{port: s.Port, payload: payload})
 	return nil
+}
+
+// exchangeKey is the context key an exchange's goroutine carries its record
+// under, so the engine callbacks of its steps (ports, handlers, retry
+// decisions) find it without taking the ledger's lock.
+type exchangeKey struct{}
+
+func withExchange(ctx context.Context, ex *Exchange) context.Context {
+	return context.WithValue(ctx, exchangeKey{}, ex)
+}
+
+// exchangeFrom returns the exchange ctx carries, nil outside one.
+func exchangeFrom(ctx context.Context) *Exchange {
+	ex, _ := ctx.Value(exchangeKey{}).(*Exchange)
+	return ex
 }
 
 // system looks a backend system up under the hub lock (backends can be

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/doc"
 	"repro/internal/formats"
@@ -143,15 +142,12 @@ func (h *Hub) sendInvoice(ctx context.Context, req Request) ([]byte, *Exchange, 
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPartner, req.PartnerID)
 	}
-	ex := h.newExchange(snap, route, obs.FlowInvoice, &req, req.POID)
-	start := time.Now()
-	h.emitLifecycle(ex, obs.StepStarted, 0, nil)
-	outbound, err := h.runInvoice(ctx, ex, req.POID)
-	err = wrapExchangeErr(ex, obs.StageExchange, "", err)
-	h.emitLifecycle(ex, terminalStep(err), time.Since(start), err)
-	h.recordCanaryOutcome(ex, err)
+	var outbound any
+	ex, err := h.runExchange(ctx, snap, route, obs.FlowInvoice, req, req.POID, func(ctx context.Context, ex *Exchange) (err error) {
+		outbound, err = h.runInvoice(ctx, ex, req.POID)
+		return err
+	})
 	if err != nil {
-		h.deadLetter(ex, err, rerunRequest(req, ex))
 		return nil, ex, err
 	}
 	codec, err := h.codecs.Lookup(route.partner.Protocol, doc.TypeINV)

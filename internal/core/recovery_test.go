@@ -566,8 +566,8 @@ func TestReplayParity(t *testing.T) {
 				if _, ok := h.ExchangeByID(dl.ExchangeID); !ok {
 					t.Errorf("dead letter %s (partner %q) has no exchange record", dl.ExchangeID, dl.Partner)
 				}
-				if !dl.journaled || dl.req == nil {
-					t.Errorf("dead letter %s: journaled=%v, request retained=%v; want both", dl.ExchangeID, dl.journaled, dl.req != nil)
+				if journaled := journaledEntry(h, dl.ExchangeID); !journaled || dl.req == nil {
+					t.Errorf("dead letter %s: journaled=%v, request retained=%v; want both", dl.ExchangeID, journaled, dl.req != nil)
 				}
 			}
 			st := h.Status()
@@ -614,7 +614,7 @@ func TestTakeoverOntoFailingJournalParksInMemory(t *testing.T) {
 		t.Fatalf("dead-letter queue holds %d entries, want the 2 unadmittable admissions", len(dls))
 	}
 	for _, dl := range dls {
-		if dl.journaled || dl.req == nil {
+		if journaledEntry(h, dl.ExchangeID) || dl.req == nil {
 			t.Fatalf("dead letter %+v, want an in-memory entry retaining its request", dl)
 		}
 		if !errors.Is(dl.Reason, ErrJournalUnavailable) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/backend"
@@ -103,27 +102,20 @@ func (h *Hub) policyForScopes(scopes ...string) RetryPolicy {
 	return h.defaultRetry
 }
 
-// overrideFor returns the exchange's per-call retry override (Request.Retry)
-// for the instance, if one was submitted with it.
-func (h *Hub) overrideFor(in *wf.Instance) *RetryPolicy {
-	exID, _ := in.Data["exchange"].(string)
-	if exID == "" {
-		return nil
+// overrideFor returns the per-call retry override (Request.Retry) of the
+// exchange ctx carries, if one was submitted with it.
+func overrideFor(ctx context.Context) *RetryPolicy {
+	if ex := exchangeFrom(ctx); ex != nil {
+		return ex.retry
 	}
-	h.mu.Lock()
-	ex := h.exchanges[exID]
-	h.mu.Unlock()
-	if ex == nil {
-		return nil
-	}
-	return ex.retry
+	return nil
 }
 
 // policyFor resolves the retry policy governing one step of an exchange:
 // the per-call override wins, then application-binding steps resolve by
 // backend name first and everything else by protocol first.
-func (h *Hub) policyFor(in *wf.Instance) RetryPolicy {
-	if p := h.overrideFor(in); p != nil {
+func (h *Hub) policyFor(ctx context.Context, in *wf.Instance) RetryPolicy {
+	if p := overrideFor(ctx); p != nil {
 		return *p
 	}
 	target, _ := in.Data["target"].(string)
@@ -139,7 +131,7 @@ func (h *Hub) policyFor(in *wf.Instance) RetryPolicy {
 // attempt and backoff pause is emitted as a typed event so retries show up
 // in the per-stage histograms and exchange traces.
 func (h *Hub) retryDecider(ctx context.Context, in *wf.Instance, s *wf.StepDef, attempt int, err error) (bool, time.Duration) {
-	pol := h.policyFor(in)
+	pol := h.policyFor(ctx, in)
 	if attempt >= pol.attempts(s) || !retryable(err) || ctx.Err() != nil {
 		return false, 0
 	}
@@ -177,7 +169,7 @@ func retryable(err error) bool {
 func (h *Hub) withAttemptTimeout(bName string, fn wf.Handler) wf.Handler {
 	return func(ctx context.Context, in *wf.Instance, s *wf.StepDef) error {
 		pol := h.policyForScopes(bName)
-		if p := h.overrideFor(in); p != nil {
+		if p := overrideFor(ctx); p != nil {
 			pol = *p
 		}
 		if pol.PerAttemptTimeout <= 0 {
@@ -214,11 +206,6 @@ type DeadLetter struct {
 	// At is when the exchange was dead-lettered.
 	At time.Time
 
-	// journaled marks an entry whose exchange was write-ahead-logged: it
-	// survives a restart through the journal, so the bounded queue may
-	// spill it from memory without losing it.
-	journaled bool
-
 	// req is the submission Resubmit reruns: the failed exchange's own
 	// Request, or the one restored from the journal.
 	req *Request
@@ -239,37 +226,34 @@ func rerunRequest(req Request, ex *Exchange) Request {
 }
 
 // deadLetter parks a failed exchange on the queue with the request
-// Resubmit reruns and emits the dead-letter lifecycle event. Pipeline
-// failures park their rerunRequest; requests rejected at admission
-// (fast-fail, shed, unreachable owner peer) are parked as submitted: they
-// never touched the pipeline or a backend, so a rerun has no duplicate
-// risk.
+// Resubmit reruns (the ledger's park, which journals it first) and emits
+// the dead-letter lifecycle event. Pipeline failures park their
+// rerunRequest; requests rejected at admission (fast-fail, shed,
+// unreachable owner peer) are parked as submitted: they never touched the
+// pipeline or a backend, so a rerun has no duplicate risk.
 func (h *Hub) deadLetter(ex *Exchange, reason error, req Request) {
-	dl := DeadLetter{
-		ExchangeID: ex.ID,
-		Partner:    ex.Partner.ID,
-		Flow:       ex.Flow,
-		Protocol:   ex.Protocol,
-		Reason:     reason,
-		At:         time.Now(),
-		journaled:  req.journaled,
-		req:        &req,
-	}
-	ex.deadLettered = true
-	h.parkDeadLetter(dl)
+	h.emit(h.ledger.park(ex, reason, req))
 	h.emitLifecycle(ex, obs.StepDeadLetter, 0, reason)
+}
+
+// emit puts events a ledger transition returned on the bus.
+func (h *Hub) emit(evs []obs.Event) {
+	for _, ev := range evs {
+		h.bus.Emit(ev)
+	}
 }
 
 // park ends a request the hub decided not to run — an open circuit, the
 // shedder, an unreachable owner peer, a poisoned or refused replay. The
 // request's partner gets an exchange record that starts and fails with
 // cause, the request is dead-lettered as submitted (replayable via
-// Resubmit), an event of the given kind/stage/step explains the rejection,
-// and the outcome is journaled under the admission key ("" for none). A
-// wire PO with no partner hint names its partner only once decoded, so it
-// is parked under its protocol with an empty partner; a request naming a
-// partner the model does not know fails with ErrUnknownPartner instead.
-func (h *Hub) park(req Request, key string, cause error, kind obs.Kind, stage obs.Stage, step string) Result {
+// Resubmit) with its outcome journaled under its admission key (req.key,
+// "" for none), and an event of the given kind/stage/step explains the
+// rejection. A wire PO with no partner hint names its partner only once
+// decoded, so it is parked under its protocol with an empty partner; a
+// request naming a partner the model does not know fails with
+// ErrUnknownPartner instead.
+func (h *Hub) park(req Request, cause error, kind obs.Kind, stage obs.Stage, step string) Result {
 	partner := req.healthKey()
 	snap := h.snap.Load()
 	route, ok := snap.Model.routes[partner]
@@ -279,7 +263,7 @@ func (h *Hub) park(req Request, key string, cause error, kind obs.Kind, stage ob
 		route = &resolvedRoute{partner: TradingPartner{Protocol: req.Protocol}}
 	default:
 		res := Result{Err: fmt.Errorf("%w: %q", ErrUnknownPartner, partner)}
-		h.journalComplete(key, &req, &res)
+		h.ledger.fail(req.key, nil, res.Err)
 		return res
 	}
 	flow := obs.FlowPO
@@ -295,57 +279,12 @@ func (h *Hub) park(req Request, key string, cause error, kind obs.Kind, stage ob
 		ExchangeID: ex.ID, Partner: partner, Flow: flow,
 		Kind: kind, Stage: stage, Step: step, Err: err,
 	})
-	res := Result{Exchange: ex, Err: err}
-	h.journalComplete(key, &req, &res)
-	return res
+	return Result{Exchange: ex, Err: err}
 }
 
-// parkDeadLetter appends one entry to the bounded in-memory queue. At the
-// cap (WithDLQCap; 0 = unbounded), a hub with a journal spills its oldest
-// journaled entry to journal-only retention — the entry's journal records
-// survive (its dead-letter completion, or at worst its admit, which a
-// later Recover re-delivers at most once) — and a hub without one (or
-// whose oldest entry predates the journal) rejects the incoming entry
-// instead. While the journal is degraded (disk down), nothing spills:
-// journal-only retention cannot be trusted when the journal cannot be
-// written, so the queue falls back to bounded in-memory retention and
-// rejects the incoming entry. Either way the pushed-out entry is emitted
-// as a KindHealth dlq-evict event, feeding the DLQEvicted gauge of
-// Status().Partners.
-func (h *Hub) parkDeadLetter(dl DeadLetter) {
-	var evicted *DeadLetter
-	h.dlqMu.Lock()
-	switch {
-	case h.dlqCap <= 0 || len(h.dlq) < h.dlqCap:
-		h.dlq = append(h.dlq, dl)
-	case h.jrn != nil && !h.journalDown() && len(h.dlq) > 0 && h.dlq[0].journaled:
-		old := h.dlq[0]
-		evicted = &old
-		h.removeDeadLetter(0)
-		h.dlq = append(h.dlq, dl)
-	default:
-		evicted = &dl
-	}
-	h.dlqMu.Unlock()
-	if evicted != nil {
-		h.bus.Emit(obs.Event{
-			ExchangeID: evicted.ExchangeID,
-			Partner:    evicted.Partner,
-			Flow:       evicted.Flow,
-			Kind:       obs.KindHealth,
-			Stage:      obs.StageHealth,
-			Step:       obs.StepDLQEvict,
-			Err:        evicted.Reason,
-		})
-	}
-}
-
-// DeadLetters returns a snapshot of the dead-letter queue.
-func (h *Hub) DeadLetters() []DeadLetter {
-	h.dlqMu.Lock()
-	defer h.dlqMu.Unlock()
-	return append([]DeadLetter(nil), h.dlq...)
-}
+// DeadLetters returns a snapshot of the dead-letter queue, in the order the
+// entries were parked.
+func (h *Hub) DeadLetters() []DeadLetter { return h.ledger.deadLetters() }
 
 // Resubmit reruns the dead-lettered exchange exchangeID from its retained
 // Request as a fresh exchange; it is the dead-letter queue's one exit. The
@@ -364,66 +303,27 @@ func (h *Hub) DeadLetters() []DeadLetter {
 // get ErrNotDeadLettered. An entry that retains no request stays queued.
 // Otherwise Resubmit returns when the rerun has finished (ctx bounds the
 // rerun itself) or the scheduler has refused it (the hub is drained, or
-// ctx ended while it waited for room). A rerun that fails and parks a
-// dead letter of its own replaces the entry; any other failure — a
-// refusal, or one before the rerun's exchange existed, such as a partner
-// that left the model — puts the entry back on the queue, so the queue
-// keeps what the journal keeps.
+// ctx ended while it waited for room). A successful rerun resolves the
+// entry; a rerun that fails and parks a dead letter of its own replaces
+// it; any other failure — a refusal, or one before the rerun's exchange
+// existed, such as a partner that left the model — puts the entry back in
+// its place, so the queue keeps what the journal keeps.
 func (h *Hub) Resubmit(ctx context.Context, exchangeID string) (*Exchange, error) {
-	dl, err := h.takeDeadLetter(exchangeID)
+	e, err := h.ledger.take(exchangeID)
 	if err != nil {
 		return nil, err
 	}
+	req := *e.dl.req
+	req.taken = e
 	var res Result
-	if fut, err := h.doAsync(ctx, *dl.req, ""); err != nil {
+	if fut, err := h.doAsync(ctx, req); err != nil {
 		res.Err = err
 	} else {
 		<-fut.Done()
 		res = fut.res
-		// Settle the journal: a successful rerun resolves the entry for
-		// good, a rerun that dead-lettered again takes the original's
-		// place, anything else leaves the original recoverable.
-		h.journalResubmitOutcome(dl, res.Exchange, res.Err)
 	}
-	if res.Err != nil && (res.Exchange == nil || !res.Exchange.deadLettered) {
-		// Put back, not parked anew: the entry was already on the queue,
-		// so the cap does not push it out.
-		h.dlqMu.Lock()
-		h.dlq = append(h.dlq, dl)
-		h.dlqMu.Unlock()
-	}
+	h.ledger.rerun(e, res.Err)
 	return res.Exchange, res.Err
-}
-
-// takeDeadLetter removes one exchange's entry from the queue for a rerun.
-func (h *Hub) takeDeadLetter(exchangeID string) (DeadLetter, error) {
-	h.dlqMu.Lock()
-	defer h.dlqMu.Unlock()
-	for i := range h.dlq {
-		if h.dlq[i].ExchangeID != exchangeID {
-			continue
-		}
-		dl := h.dlq[i]
-		if dl.req == nil {
-			return DeadLetter{}, fmt.Errorf("core: dead letter %s retains no request", exchangeID)
-		}
-		h.removeDeadLetter(i)
-		return dl, nil
-	}
-	return DeadLetter{}, fmt.Errorf("%w: %s", ErrNotDeadLettered, exchangeID)
-}
-
-// removeDeadLetter deletes entry i in place; the caller holds dlqMu. The
-// head — where the cap spills and the order `resubmit all` walks — goes in
-// O(1) by advancing the slice; the vacated slot is zeroed so the backing
-// array does not keep the entry's request alive.
-func (h *Hub) removeDeadLetter(i int) {
-	if i == 0 {
-		h.dlq[0] = DeadLetter{}
-		h.dlq = h.dlq[1:]
-		return
-	}
-	h.dlq = slices.Delete(h.dlq, i, i+1)
 }
 
 // tolerateDuplicate converts the backend's duplicate-order rejection into

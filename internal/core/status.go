@@ -121,18 +121,14 @@ func (h *Hub) Status() StatusSnapshot {
 	}
 	h.schedMu.Unlock()
 
-	h.dlqMu.Lock()
-	s.DLQ = DLQStatus{Depth: len(h.dlq), Cap: h.dlqCap}
-	h.dlqMu.Unlock()
-
+	depth, pending, unresolved := h.ledger.counts()
+	s.DLQ = DLQStatus{Depth: depth, Cap: h.ledger.cap}
 	if h.jrn != nil {
-		h.jrnMu.Lock()
 		s.Journal = JournalStatus{
 			Enabled:               true,
-			PendingAdmits:         len(h.jrnPending),
-			UnresolvedDeadLetters: len(h.jrnDead),
+			PendingAdmits:         pending,
+			UnresolvedDeadLetters: unresolved,
 		}
-		h.jrnMu.Unlock()
 	}
 	s.Cluster = h.clusterStatus()
 	s.Durability = h.durabilityStatus()

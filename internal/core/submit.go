@@ -69,8 +69,12 @@ type Request struct {
 	// binding tolerates the backend's duplicate-order rejection (the
 	// original run may have executed before a crash or downstream failure).
 	resubmit bool
-	// journaled marks a request whose admission was write-ahead-logged.
-	journaled bool
+	// key is the request's journal admission key ("" when none holds it):
+	// its terminal transition writes the outcome record under it.
+	key string
+	// taken is the dead letter a rerun replays: a rerun that parks again
+	// resolves it and takes its place.
+	taken *deadEntry
 }
 
 // normalize fills derivable fields and validates the request.
@@ -187,33 +191,33 @@ func (h *Hub) DoAsync(ctx context.Context, req Request) (*Future, error) {
 	if err := req.normalize(); err != nil {
 		return nil, err
 	}
-	key, err := h.journalAdmit(&req)
-	if err != nil {
+	if err := h.admit(&req); err != nil {
 		return nil, err
 	}
-	fut, err := h.doAsync(ctx, req, key)
+	fut, err := h.doAsync(ctx, req)
 	if err != nil {
-		h.journalAbort(key, err)
+		h.ledger.abort(req.key, err)
 	}
 	return fut, err
 }
 
 // doAsync queues an already-admitted (normalized, journaled) request as a
-// scheduler job, the one place an exchange runs; key is its journal
-// admission key ("" without a journal). Recovery replays re-enter here
-// under their original key and dead-letter reruns with none. A request
-// the scheduler refuses is returned as the error with nothing run, parked
-// or journaled, and each caller settles it: DoAsync journals it as
+// scheduler job, the one place an exchange runs; req.key is its journal
+// admission key ("" without one). Recovery replays re-enter here under
+// their original key and dead-letter reruns with none. The job ends the
+// request in the ledger: complete, or fail unless the exchange parked. A
+// request the scheduler refuses is returned as the error with nothing run,
+// parked or journaled, and each caller settles it: DoAsync journals it as
 // aborted, Resubmit puts the dead letter back on the queue, and a replay
 // leaves its admission pending for the next Recover.
-func (h *Hub) doAsync(ctx context.Context, req Request, key string) (*Future, error) {
+func (h *Hub) doAsync(ctx context.Context, req Request) (*Future, error) {
 	// A stopped hub refuses before the health gate, which would otherwise
 	// fast-fail an open circuit's request into a new dead letter.
 	s, err := h.ensureScheduler()
 	if err != nil {
 		return nil, err
 	}
-	partner, probe, rejected := h.healthGate(req, key)
+	partner, probe, rejected := h.healthGate(req)
 	if rejected != nil {
 		// Open circuit: resolve immediately without queueing a job.
 		fut := &Future{done: make(chan struct{}), res: *rejected}
@@ -228,12 +232,16 @@ func (h *Hub) doAsync(ctx context.Context, req Request, key string) (*Future, er
 		onShed = func() Result {
 			h.shed.Add(1)
 			cause := fmt.Errorf("%w: circuit %s", ErrPartnerUnavailable, h.health.StateOf(partner))
-			return h.park(req, key, cause, obs.KindHealth, obs.StageHealth, obs.StepShed)
+			return h.park(req, cause, obs.KindHealth, obs.StageHealth, obs.StepShed)
 		}
 	}
 	fut, err := s.submit(ctx, req.shardKey(), req.Priority, func(ctx context.Context) Result {
 		res := h.runTracked(ctx, req, partner, probe)
-		h.journalComplete(key, &req, &res)
+		if res.Err == nil {
+			h.ledger.complete(req.key, res.Exchange)
+		} else {
+			h.ledger.fail(req.key, res.Exchange, res.Err)
+		}
 		return res
 	}, onShed)
 	if err != nil {
@@ -336,9 +344,7 @@ func (h *Hub) drainSummary() DrainSummary {
 	for _, n := range c.ByFlow {
 		terminal += n
 	}
-	h.dlqMu.Lock()
-	depth := len(h.dlq)
-	h.dlqMu.Unlock()
+	depth, _, _ := h.ledger.counts()
 	return DrainSummary{
 		Completed:    terminal - c.Failed,
 		Failed:       c.Failed,

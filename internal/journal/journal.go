@@ -295,7 +295,7 @@ func decodeFrame(data []byte, off int64) (Record, int64, bool) {
 // Encode frames one record.
 func Encode(rec Record) ([]byte, error) {
 	w := newFrameWriter()
-	err := w.append(&rec)
+	err := w.append(rec)
 	return w.buf, err
 }
 
@@ -306,6 +306,7 @@ func Encode(rec Record) ([]byte, error) {
 type frameWriter struct {
 	buf []byte
 	enc *json.Encoder // writes into buf
+	rec Record        // the record enc encodes, so a caller's stays on its stack
 }
 
 func newFrameWriter() *frameWriter {
@@ -323,10 +324,13 @@ func (w *frameWriter) Write(p []byte) (int, error) {
 // append frames rec at the end of buf. The payload is json.Marshal(rec)
 // byte for byte: json.Encoder applies Marshal's options and ends the value
 // with a newline, which is dropped. On error buf is left as it was.
-func (w *frameWriter) append(rec *Record) error {
+func (w *frameWriter) append(rec Record) error {
 	start := len(w.buf)
 	w.buf = append(w.buf, make([]byte, headerSize)...)
-	if err := w.enc.Encode(rec); err != nil {
+	w.rec = rec
+	err := w.enc.Encode(&w.rec)
+	w.rec = Record{}
+	if err != nil {
 		w.buf = w.buf[:start]
 		return fmt.Errorf("journal: marshal: %w", err)
 	}
@@ -347,7 +351,7 @@ func (w *frameWriter) append(rec *Record) error {
 func writeFile(fs FS, name string, recs []Record) error {
 	w := newFrameWriter()
 	for i := range recs {
-		if err := w.append(&recs[i]); err != nil {
+		if err := w.append(recs[i]); err != nil {
 			return err
 		}
 	}
@@ -396,7 +400,7 @@ func (j *Journal) Append(rec Record) error {
 		return ErrNoAppender
 	}
 	j.w.buf = j.w.buf[:0]
-	if err := j.w.append(&rec); err != nil {
+	if err := j.w.append(rec); err != nil {
 		return err
 	}
 	frame := j.w.buf

@@ -156,7 +156,7 @@ func quarantine(fs FS, path string, data []byte, regions []CorruptRegion) error 
 		if err != nil {
 			return fmt.Errorf("journal: quarantine %s: %w", qp, err)
 		}
-		if err := w.append(&Record{
+		if err := w.append(Record{
 			Kind:    KindQuarantine,
 			Key:     fmt.Sprintf("%d", r.Offset),
 			Payload: payload,

@@ -32,15 +32,17 @@ import (
 // headroom for runtime differences between Go releases.
 const (
 	// exchangeAllocBudget bounds allocations per in-process PO exchange
-	// (Hub.Do on the Figure 14 hub): 208 measured, one of them the context
-	// value that carries the exchange to its steps; 207 while each step
-	// looked its exchange up in the hub's table, 294 while every instance
-	// snapshot rebuilt string-keyed step and arc maps, regrew and twice
-	// copied its history and took a fresh worklist per advance, 588 while
-	// the SAP IDoc codec built a map per segment, the trace collector
-	// regrew each exchange's event slice and type lookups formatted
-	// "name@version" keys, and 1,026 while conditions read an eagerly built
-	// map and every persist deep-copied the instance.
+	// (Hub.Do on the Figure 14 hub, warmed past exchange 256 and inside the
+	// retention window): 207 measured, one of them the context value that
+	// carries the exchange to its steps, 206 past the window; 208 while the
+	// row measured a process's first hub from its first exchange, 207
+	// while each step looked its exchange up in the hub's table, 294 while
+	// every instance snapshot rebuilt string-keyed step and arc maps,
+	// regrew and twice copied its history and took a fresh worklist per
+	// advance, 588 while the SAP IDoc codec built a map per segment, the
+	// trace collector regrew each exchange's event slice and type lookups
+	// formatted "name@version" keys, and 1,026 while conditions read an
+	// eagerly built map and every persist deep-copied the instance.
 	exchangeAllocBudget = 250
 	// ruleAllocBudget bounds allocations per business-rule decision
 	// (rules.Registry.Evaluate): 2 measured, 16 when the rule environment
@@ -90,11 +92,20 @@ const (
 	// 0 measured, a mean of 171.9-172.0 with the canary and without it.
 	canaryAllocBudget = 0
 	// journalAllocBudget bounds the allocations write-ahead logging adds to
-	// an exchange through Hub.Do (the Figure 14 hub, FsyncNever): 6
-	// measured, 212 with the journal and 206 without (the Hub.Do row reads
-	// 2 more on the first hub a process measures); 8 while Journal.Append's
-	// record escaped to the heap, once per append.
+	// an exchange through Hub.Do (the Figure 14 hub, FsyncNever, both
+	// sides warm): 7 measured, 214 with the journal and 207 without; 6
+	// while both sides measured admission keys below j-00000256, which box
+	// their sequence numbers for free; 8 while Journal.Append's record
+	// escaped to the heap, once per append.
 	journalAllocBudget = 7
+	// ageingAllocBudget bounds the allocations ageing the oldest finished
+	// exchange out of the retention window adds to an exchange through
+	// Hub.Do (past the window, where each exchange ages one out, minus
+	// inside it, on the same documents): -1 measured, 206 past and 207
+	// inside, since once the window is full the trace ring, the exchange
+	// table and the store's instance map stop growing, which saves more
+	// than the age-out, a map delete per record and instance, costs.
+	ageingAllocBudget = 1
 	// seamAllocBudget bounds the allocations a FaultFS with no fault armed
 	// adds to a Journal.Append (FsyncNever) over the real filesystem: 0
 	// measured, 0 through the FaultFS and 0 through OSFS; 1 each while the
@@ -134,6 +145,7 @@ func TestAllocBudgets(t *testing.T) {
 		{"obs.Collector.Emit", "exchange of 32 events into a full ring", emitAllocBudget, emitAllocs},
 		{"an active canary", "TP1 exchange", canaryAllocBudget, canaryAllocs},
 		{"a journal (FsyncNever)", "exchange", journalAllocBudget, journalAllocs},
+		{"ageing out", "exchange past the retention window", ageingAllocBudget, ageingAllocs},
 		{"an unarmed journal.FaultFS", "Journal.Append", seamAllocBudget, seamAllocs},
 		{"server.WriteFrame and ReadFrame", "submit round trip", frameAllocBudget, frameAllocs},
 	}
@@ -165,13 +177,25 @@ func TestAllocBudgets(t *testing.T) {
 	}
 }
 
-// hubDoAllocs measures one in-process PO exchange through Hub.Do on the
+// The Hub.Do rows measure 200 exchanges on a hub that ran warm exchanges
+// first. Below exchange 256 a formatted exchange ID boxes its sequence
+// number for free (the runtime keeps the small integers boxed), and the
+// first hub a process measures reads 2 allocations per exchange more until
+// it is warm; 300 exchanges get past both and keep the measured ones inside
+// the retention window of 1,024 finished exchanges. Past 1,100 each
+// measured exchange ages the oldest retained one out.
+const (
+	warmExchanges       = 300
+	pastWindowExchanges = 1100
+)
+
+// hubDoAllocs measures one in-process PO exchange through Hub.Do on a warm
 // Figure 14 hub.
-func hubDoAllocs(t *testing.T) float64 { return hubDoAllocsWith(t) }
+func hubDoAllocs(t *testing.T) float64 { return hubDoAllocsWith(t, warmExchanges) }
 
 // hubDoAllocsWith measures one in-process PO exchange through Hub.Do on the
-// Figure 14 hub built with opts.
-func hubDoAllocsWith(t *testing.T, opts ...core.HubOption) float64 {
+// Figure 14 hub built with opts, after warm exchanges.
+func hubDoAllocsWith(t *testing.T, warm int, opts ...core.HubOption) float64 {
 	t.Helper()
 	m, err := core.PaperFigure14Model()
 	if err != nil {
@@ -186,9 +210,16 @@ func hubDoAllocsWith(t *testing.T, opts ...core.HubOption) float64 {
 	const runs = 200
 	g := doc.NewGenerator(1)
 	buyers := []doc.Party{benchBuyer, benchBuyer2}
-	pos := make([]*doc.PurchaseOrder, runs+1) // AllocsPerRun adds one warm-up run
+	// Every row measures the same documents, the generator's first, whose
+	// line counts set the allocations; the warm-up runs the ones after.
+	pos := make([]*doc.PurchaseOrder, runs+1+warm) // AllocsPerRun adds one warm-up run
 	for i := range pos {
 		pos[i] = g.PO(buyers[i%len(buyers)], benchSeller)
+	}
+	for _, po := range pos[runs+1:] {
+		if _, err := h.Do(ctx, core.Request{Kind: core.DocPO, PO: po}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	next := 0
 	return testing.AllocsPerRun(runs, func() {
@@ -258,10 +289,21 @@ func canaryAllocs(t *testing.T) float64 {
 // FsyncNever minus its count on a hub without a journal.
 func journalAllocs(t *testing.T) float64 {
 	t.Helper()
-	with := hubDoAllocsWith(t, core.WithJournal(filepath.Join(t.TempDir(), "hub.wal")), core.WithFsyncPolicy(journal.FsyncNever))
-	without := hubDoAllocsWith(t)
+	with := hubDoAllocsWith(t, warmExchanges, core.WithJournal(filepath.Join(t.TempDir(), "hub.wal")), core.WithFsyncPolicy(journal.FsyncNever))
+	without := hubDoAllocsWith(t, warmExchanges)
 	t.Logf("Hub.Do: %.0f allocations with a journal, %.0f without", with, without)
 	return with - without
+}
+
+// ageingAllocs measures what ageing an exchange out of the retention window
+// adds to an exchange through Hub.Do: the Hub.Do row's count on a hub past
+// the window, where every measured exchange ages the oldest retained one
+// out and forgets its instances, minus its count inside the window.
+func ageingAllocs(t *testing.T) float64 {
+	t.Helper()
+	past, inside := hubDoAllocsWith(t, pastWindowExchanges), hubDoAllocsWith(t, warmExchanges)
+	t.Logf("Hub.Do: %.0f allocations past the retention window, %.0f inside it", past, inside)
+	return past - inside
 }
 
 // seamAllocs measures what a FaultFS with no fault armed adds to a

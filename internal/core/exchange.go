@@ -107,10 +107,12 @@ func (h *Hub) runPO(ctx context.Context, ex *Exchange, native any) error {
 	// Start the public process at the exchange's pinned version; it parks on
 	// its receive step.
 	pub, err := h.Engine.StartVersion(ctx, ex.route.publicName, h.pinnedVersion(ex, ex.route.publicName), h.exchangeData(ex))
+	if pub != nil {
+		ex.PublicID = pub.ID // a failed start is stored too, and forgotten with the exchange
+	}
 	if err != nil {
 		return err
 	}
-	ex.PublicID = pub.ID
 	h.emitRoute(ex, "public process "+pub.ID+" started")
 	if err := h.Engine.Deliver(ctx, pub.ID, PortPublicIn, native); err != nil {
 		return err
@@ -130,8 +132,9 @@ func (h *Hub) runPO(ctx context.Context, ex *Exchange, native any) error {
 
 // newExchange allocates an exchange record that runs on the snapshot it was
 // admitted under and starts it in the ledger. It copies the request's
-// execution flags — never the request itself, since records are kept for
-// the process lifetime. canaryKey is the stable business identifier (PO ID)
+// execution flags — never the request itself, since the ledger keeps a
+// record while the exchange runs or is parked and for the retention window
+// after it finished. canaryKey is the stable business identifier (PO ID)
 // canary routing hashes on, so a resubmitted document lands on the same arm
 // as its original run; empty falls back to the exchange ID.
 func (h *Hub) newExchange(snap *Snapshot, route *resolvedRoute, flow obs.Flow, req *Request, canaryKey string) *Exchange {
@@ -303,15 +306,22 @@ func (h *Hub) ensureInstance(ctx context.Context, slot *string, typeName string,
 		return *slot, nil
 	}
 	in, err := h.Engine.StartVersion(ctx, typeName, h.pinnedVersion(ex, typeName), h.exchangeData(ex))
+	if in != nil {
+		*slot = in.ID // a failed start is stored too, and forgotten with the exchange
+	}
 	if err != nil {
 		return "", err
 	}
-	*slot = in.ID
 	return in.ID, nil
 }
 
-// ExchangeByID returns the record of an exchange the hub started, whether
-// it is still running or has finished, or restored from its journal.
+// ExchangeByID returns the record of an exchange the hub started or
+// restored from its journal while the ledger keeps it: as long as it runs
+// or is parked on the dead-letter set, and after it finished until 1,024
+// exchanges finished after it (the retention window, which Recover also
+// restores). An exchange that aged out is not found, and neither are its
+// stage instances (StageVersions, PrivateInstance) nor, once 1,024 newer
+// exchanges started, its trace.
 func (h *Hub) ExchangeByID(id string) (*Exchange, bool) { return h.ledger.lookup(id) }
 
 // PrivateInstance loads the private process instance of an exchange (tests

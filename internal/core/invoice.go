@@ -167,12 +167,14 @@ func (h *Hub) runInvoice(ctx context.Context, ex *Exchange, poID string) (any, e
 	data := h.exchangeData(ex)
 	data["poid"] = poID
 	app, err := h.Engine.StartVersion(ctx, ex.route.invAppBinding, h.pinnedVersion(ex, ex.route.invAppBinding), data)
+	if app != nil {
+		ex.AppID = app.ID // a failed start is stored too, and forgotten with the exchange
+	}
 	if err != nil {
 		// The application binding extracts the invoice from the back end,
 		// so its failure is the endpoint's and counts toward the breaker.
 		return nil, wrapExchangeErr(ex, obs.StageApp, "", err)
 	}
-	ex.AppID = app.ID
 	h.emitRoute(ex, "invoice flow started from application binding "+app.ID)
 	if err := h.pump(ctx, ex); err != nil {
 		return nil, err

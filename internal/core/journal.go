@@ -459,7 +459,8 @@ type RecoveryReport struct {
 	// (a peer's file is only read, so there they are ignored).
 	Records   int
 	TornBytes int64
-	// Restored counts completed exchanges restored as records.
+	// Restored counts finished exchanges restored as records: at most the
+	// retention window's 1,024 newest, however many Records held.
 	Restored int
 	// DeadLetters counts dead letters restored to the queue, replayable
 	// via Resubmit.
@@ -494,8 +495,9 @@ type RecoveryReport struct {
 	Unrebuildable []string
 }
 
-// Recover replays the journal a hub was opened on: completed exchanges
-// come back as records (ExchangeByID), unresolved dead letters come back
+// Recover replays the journal a hub was opened on: the newest finished
+// exchanges, up to the retention window's 1,024, come back as records
+// (ExchangeByID), unresolved dead letters come back
 // on the queue replayable via Resubmit, and unfinished admissions are
 // re-enqueued through the scheduler with duplicate tolerance — a crash
 // between "executed" and "journaled-complete" re-delivers at most once
@@ -527,7 +529,9 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 // or a dead peer's (peer, TakeOverJournal). Only entries whose partner owns
 // claims are replayed (nil claims all); the rest count as Skipped. Per entry:
 //
-//   - a finished outcome is restored as an exchange record and never re-run;
+//   - a finished outcome is restored as an exchange record and never re-run,
+//     the newest retentionWindow of them only, since the retention window
+//     would age the older ones out at once;
 //   - an unresolved dead letter goes back on the queue through the cap; a
 //     peer's is prefixed "taken over" and re-journaled here;
 //   - an unfinished admission re-runs through the scheduler with duplicate
@@ -550,13 +554,18 @@ func (h *Hub) replay(ctx context.Context, snap *journalSnapshot, peer bool, owns
 	start := time.Now()
 	h.bus.Emit(obs.Event{Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepStarted})
 
-	for _, out := range slices.Concat(snap.finished, snap.dead) {
+	finished := snap.finished
+	if n := len(finished) - retentionWindow; n > 0 {
+		finished = finished[n:]
+	}
+	for _, out := range slices.Concat(finished, snap.dead) {
 		if !owns(out.Partner) {
 			rep.Skipped++
 			continue
 		}
-		restored, evs := h.ledger.recover(&out, h.snap.Load(), peer)
+		restored, evs, a := h.ledger.recover(&out, h.snap.Load(), peer)
 		h.emit(evs)
+		h.forget(a)
 		step := obs.StepRestored
 		switch {
 		case out.Outcome == outcomeDeadLetter:
@@ -655,6 +664,10 @@ func (h *Hub) replay(ctx context.Context, snap *journalSnapshot, peer bool, owns
 // exchanges' records are dropped — compaction trades restart-time history
 // for a log that grows with live state and changes, not with traffic — and
 // a restart replays and queues what is left in the order the hub held it.
+// The hub also compacts on its own, inline in the transition whose append
+// makes the records appended since the last compaction reach twice the
+// retention window or the live entries' count, whichever is larger;
+// CheckpointJournal compacts now, as a drain does.
 func (h *Hub) CheckpointJournal() error {
 	if h.jrn == nil {
 		return ErrNoJournal

@@ -16,26 +16,32 @@ import (
 
 // ledger is the one owner of exchange lifecycle state, the hub's
 // counterpart of the engine's workflow database (Figure 4): under one lock,
-// the exchange table and its ID sequence, the dead-letter set and its cap,
-// and the journal's live index (pending admissions with their replay
-// attempts, the admission-key sequence, the change records compaction
-// keeps). Each transition is one method that changes state and writes its
-// journal record together, then returns the events its caller emits once
-// the lock is released, since bus sinks may read the ledger back.
+// the exchange table and its ID sequence, the retention window of finished
+// exchanges, the dead-letter set and its cap, and the journal's live index
+// (pending admissions with their replay attempts, the admission-key
+// sequence, the change records compaction keeps). Each transition is one
+// method that changes state and writes its journal record together, then
+// returns the events its caller emits and the exchanges whose instances it
+// forgets once the lock is released, since bus sinks may read the ledger
+// back.
 //
 //   - An admission is pending from admit until complete, fail, park or
 //     abort writes its terminal record; recoverAdmission journals a replay.
 //   - An exchange runs from start until complete, fail or park; recover
 //     restores journaled ones.
+//   - A finished exchange is retained from complete, fail or recover, and a
+//     parked one from the moment its dead letter leaves the set for good,
+//     until forget ages it out of the window (retain).
 //   - A dead letter is queued from park or recover until take hands it to
 //     a rerun, which resolves it, puts it back in place or, parking again,
 //     replaces it; evict takes one off a full queue, spilled to the
 //     journal's keeping when the journal holds its record.
 //
-// Appends, with their inline batched fsync, run under the lock, so no
-// per-hop path takes it: an exchange's steps find it on their context
-// (withExchange). Lock order: swapMu, then the ledger; h.mu is never held
-// with it; the durability lock is a leaf.
+// Appends, with their inline batched fsync, run under the lock, and so
+// does the automatic compaction a transition's appends trigger (unlock);
+// no per-hop path takes the lock: an exchange's steps find it on their
+// context (withExchange). Lock order: swapMu, then the ledger; h.mu is
+// never held with it; the durability lock is a leaf.
 type ledger struct {
 	jrn *journal.Journal // nil without WithJournal
 	dur *durability
@@ -44,6 +50,12 @@ type ledger struct {
 	mu        sync.Mutex
 	exchSeq   int
 	exchanges map[string]*Exchange
+	// The retention window: the finished exchanges the table keeps, in the
+	// order they finished, in a ring of retentionWindow slots, allocated
+	// with the ledger; once it is full, next is the slot whose occupant the
+	// next one ages out.
+	done []*Exchange
+	next int
 	// The dead-letter set: the queue (queued and taken entries in park
 	// order; a put-back keeps its place), the entries spilled off it in the
 	// order they left, and both by exchange ID. queued counts the takeable
@@ -54,7 +66,24 @@ type ledger struct {
 	keySeq             int
 	pending            map[string]*admission
 	changes            []journal.Record
+	// appended counts the records appended since the journal's last
+	// compaction, attempts the replay attempts of the pending admissions.
+	appended, attempts int
 }
+
+// retentionWindow bounds what the hub keeps of its finished exchanges: the
+// ledger retains that many (their records and, through the engine, their
+// instances), the journal compacts once about that many outcomes outgrow
+// its live entries, and Recover restores at most that many. It is the trace
+// ring's bound, so ExchangeByID, StageVersions and Trace show the same
+// exchanges.
+const retentionWindow = obs.DefaultCollectorSize
+
+// aged holds the exchanges one transition aged out of the retention window,
+// whose instances its caller forgets once the lock is released
+// (Hub.forget). A park ages out at most two: the parked exchange its rerun
+// replaced and one whose unjournaled dead letter a full queue dropped.
+type aged [2]*Exchange
 
 type exState uint8
 
@@ -96,6 +125,7 @@ func newLedger(jrn *journal.Journal, dur *durability, dlqCap, exchIDBase int) *l
 		cap:       dlqCap,
 		exchSeq:   exchIDBase,
 		exchanges: map[string]*Exchange{},
+		done:      make([]*Exchange, 0, retentionWindow),
 		byID:      map[string]*deadEntry{},
 		pending:   map[string]*admission{},
 	}
@@ -112,6 +142,7 @@ func (l *ledger) load(snap *journalSnapshot, maxExch, maxKey int, changes []jour
 	l.changes = changes
 	for _, a := range snap.pending {
 		l.pending[a.key] = a
+		l.attempts += a.attempts
 	}
 	for i := range snap.dead {
 		out := &snap.dead[i]
@@ -123,10 +154,10 @@ func (l *ledger) load(snap *journalSnapshot, maxExch, maxKey int, changes []jour
 // fresh admission key and enters it pending.
 func (l *ledger) admit(a *admission, payload []byte) (string, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	l.keySeq++
 	a.key = fmt.Sprintf("j-%08d", l.keySeq)
-	if err := l.jrn.Append(journal.Record{Kind: recAdmit, Key: a.key, Payload: payload}); err != nil {
+	if err := l.log(journal.Record{Kind: recAdmit, Key: a.key, Payload: payload}); err != nil {
 		return "", err
 	}
 	l.pending[a.key] = a
@@ -144,34 +175,41 @@ func (l *ledger) start(ex *Exchange, canaryKey string) {
 	l.exchanges[ex.ID] = ex
 }
 
-// complete ends a request that succeeded.
-func (l *ledger) complete(key string, ex *Exchange) {
+// complete ends a request that succeeded and retains its exchange.
+func (l *ledger) complete(key string, ex *Exchange) aged {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
+	var a aged
 	if ex != nil {
 		ex.state = exCompleted
+		a[0] = l.retain(ex)
 	}
 	l.retire(key, outcomeOf(ex, outcomeCompleted, nil))
+	return a
 }
 
 // fail ends a request that failed without a dead letter, before its
-// exchange existed (ex nil) or after it finished; one park ended stays so.
-func (l *ledger) fail(key string, ex *Exchange, err error) {
+// exchange existed (ex nil) or after it finished, and retains the exchange;
+// one park ended stays so.
+func (l *ledger) fail(key string, ex *Exchange, err error) aged {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
+	var a aged
 	if ex != nil {
 		if ex.state == exParked {
-			return
+			return a
 		}
 		ex.state = exFailed
+		a[0] = l.retain(ex)
 	}
 	l.retire(key, outcomeOf(ex, outcomeFailed, err))
+	return a
 }
 
 // abort ends a request the scheduler refused, so a restart never runs it.
 func (l *ledger) abort(key string, reason error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	l.retire(key, outcomeOf(nil, outcomeAborted, reason))
 }
 
@@ -179,21 +217,22 @@ func (l *ledger) abort(key string, reason error) {
 // request a rerun replays. Its record is written before it is queued, so no
 // rerun can resolve it first: under the admission key, or, for a rerun that
 // failed again (req.taken), after the resolve of the entry it replaces.
-func (l *ledger) park(ex *Exchange, reason error, req Request) []obs.Event {
+func (l *ledger) park(ex *Exchange, reason error, req Request) ([]obs.Event, aged) {
 	key, taken := req.key, req.taken
 	req.key, req.taken = "", nil
 	out := outcomeOf(ex, outcomeDeadLetter, reason)
 	e := newDeadEntry(&out, reason)
 	e.dl.req = &req
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	ex.state = exParked
+	var a aged
 	switch {
 	case taken != nil:
 		// The record keeps the request the rerun ran, so the entry reruns
 		// the same way before and after a restart.
 		rerun := taken.dl.req // a spill lets go of it
-		l.resolve(taken)
+		a[0] = l.resolve(taken)
 		if l.jrn != nil {
 			out.Request = toJournalRequest(rerun)
 			if l.writeJSON(recComplete, "", &out) == nil {
@@ -207,7 +246,9 @@ func (l *ledger) park(ex *Exchange, reason error, req Request) []obs.Event {
 			e.rec = &out
 		}
 	}
-	return l.enqueue(e)
+	evs, gone := l.enqueue(e)
+	a[1] = gone
+	return evs, a
 }
 
 // take hands a queued entry that retains its request to one rerun.
@@ -229,33 +270,39 @@ func (l *ledger) take(exchangeID string) (*deadEntry, error) {
 // rerun settles a taken entry once its rerun returned: resolved on success,
 // put back in place on a failure that parked nothing (a refusal, or one
 // before the rerun's exchange existed); a rerun that parked replaced it.
-func (l *ledger) rerun(e *deadEntry, err error) {
+func (l *ledger) rerun(e *deadEntry, err error) aged {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	switch {
 	case e.state != dlTaken:
 	case err != nil:
 		e.state = dlQueued
 		l.queued++
 	default:
-		l.resolve(e)
+		return aged{l.resolve(e)}
 	}
+	return aged{}
 }
 
 // recover restores a journaled outcome: its exchange's record (reporting
-// whether it was restored) and a dead letter's entry on the queue. The
-// hub's own dead letters move onto the queue; a dead peer's (peer) are
-// journaled here first and marked "taken over".
-func (l *ledger) recover(out *journalOutcome, snap *Snapshot, peer bool) (bool, []obs.Event) {
+// whether it was restored), retained when it finished, and a dead letter's
+// entry on the queue. The hub's own dead letters move onto the queue; a
+// dead peer's (peer) are journaled here first and marked "taken over".
+func (l *ledger) recover(out *journalOutcome, snap *Snapshot, peer bool) (bool, []obs.Event, aged) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	switch out.Outcome {
-	case outcomeCompleted:
-		return l.restore(out, snap, exCompleted), nil
-	case outcomeFailed:
-		return l.restore(out, snap, exFailed), nil
+	defer l.unlock()
+	if out.Outcome == outcomeCompleted || out.Outcome == outcomeFailed {
+		st := exCompleted
+		if out.Outcome == outcomeFailed {
+			st = exFailed
+		}
+		ex := l.restore(out, snap, st)
+		if ex == nil {
+			return false, nil, aged{}
+		}
+		return true, nil, aged{l.retain(ex)}
 	}
-	restored := l.restore(out, snap, exParked)
+	restored := l.restore(out, snap, exParked) != nil
 	reason := out.Reason
 	if peer {
 		reason = "taken over: " + reason
@@ -267,17 +314,19 @@ func (l *ledger) recover(out *journalOutcome, snap *Snapshot, peer bool) (bool, 
 	} else if peer && l.jrn != nil && l.writeJSON(recComplete, "", out) == nil {
 		e.rec = out
 	}
-	return restored, l.enqueue(e)
+	evs, gone := l.enqueue(e)
+	return restored, evs, aged{gone}
 }
 
 // recoverAdmission journals a replay of a pending admission before it runs,
 // so one that keeps crashing the hub reaches poisonThreshold.
 func (l *ledger) recoverAdmission(key string) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	_ = l.write(journal.Record{Kind: recReplay, Key: key})
 	if a := l.pending[key]; a != nil {
 		a.attempts++
+		l.attempts++
 	}
 }
 
@@ -286,7 +335,7 @@ func (l *ledger) recoverAdmission(key string) {
 // non-durably, for the re-arm compaction.
 func (l *ledger) change(r journal.Record, refused bool) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlock()
 	if !refused {
 		if err := l.write(r); err != nil {
 			return err
@@ -296,45 +345,11 @@ func (l *ledger) change(r journal.Record, refused bool) error {
 	return nil
 }
 
-// checkpoint compacts the journal to the live index: the sequence floors,
-// the pending admissions in key order with their replay attempts (or a
-// poison record could reset its clock every checkpoint), the unresolved
-// dead letters (spilled ones in the order they left the queue, then queued
-// ones in park order, so a restart under the cap queues the ones the hub
-// queued) and the change records.
+// checkpoint compacts the journal to the live index (compact).
 func (l *ledger) checkpoint() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cp, err := json.Marshal(journalCheckpoint{ExchSeq: l.exchSeq, JrnSeq: l.keySeq})
-	if err != nil {
-		return err
-	}
-	live := []journal.Record{{Kind: recCheckpoint, Payload: cp}}
-	keys := make([]string, 0, len(l.pending))
-	for key := range l.pending {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, func(a, b string) int { // the padding may be outgrown
-		return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
-	})
-	for _, key := range keys {
-		a := l.pending[key]
-		if payload, err := json.Marshal(&a.req); err == nil {
-			live = append(live, journal.Record{Kind: recAdmit, Key: key, Payload: payload})
-			for i := 0; i < a.attempts; i++ {
-				live = append(live, journal.Record{Kind: recReplay, Key: key})
-			}
-		}
-	}
-	for _, e := range slices.Concat(l.spilled, l.dead) {
-		if e.rec == nil {
-			continue
-		}
-		if payload, err := json.Marshal(e.rec); err == nil {
-			live = append(live, journal.Record{Kind: recComplete, Payload: payload})
-		}
-	}
-	return l.jrn.Compact(append(live, l.changes...))
+	return l.compact()
 }
 
 func (l *ledger) lookup(id string) (*Exchange, bool) {
@@ -367,6 +382,67 @@ func (l *ledger) counts() (depth, pending, unresolved int) {
 
 // The methods below run under the lock.
 
+// unlock ends a transition. Once the records appended since the journal's
+// last compaction reach twice the retention window, or the live index's
+// record count if that is larger, it first compacts the journal to the
+// live index the transition left, so a compaction writes at most one record
+// per record appended since the last. It skips that while the journal is
+// down (the re-arm compacts) or frozen by a crash point. A failed
+// compaction leaves the old log authoritative and is tried again a window
+// later; it never fails the transition.
+func (l *ledger) unlock() {
+	if l.appended >= max(2*retentionWindow, l.liveRecords()) && !l.dur.down() && !l.jrn.Crashed() {
+		_ = l.compact()
+	}
+	l.mu.Unlock()
+}
+
+// liveRecords counts the records compact writes.
+func (l *ledger) liveRecords() int {
+	return 1 + len(l.pending) + l.attempts + l.unresolved + len(l.changes)
+}
+
+// compact rewrites the journal to the live index: the sequence floors, the
+// pending admissions in key order with their replay attempts (or a poison
+// record could reset its clock every checkpoint), the unresolved dead
+// letters (spilled ones in the order they left the queue, then queued ones
+// in park order, so a restart under the cap queues the ones the hub queued)
+// and the change records. The count toward the next compaction restarts
+// whether or not this one succeeds.
+func (l *ledger) compact() error {
+	l.appended = 0
+	cp, err := json.Marshal(journalCheckpoint{ExchSeq: l.exchSeq, JrnSeq: l.keySeq})
+	if err != nil {
+		return err
+	}
+	live := []journal.Record{{Kind: recCheckpoint, Payload: cp}}
+	keys := make([]string, 0, len(l.pending))
+	for key := range l.pending {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b string) int { // the padding may be outgrown
+		return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
+	})
+	for _, key := range keys {
+		a := l.pending[key]
+		if payload, err := json.Marshal(&a.req); err == nil {
+			live = append(live, journal.Record{Kind: recAdmit, Key: key, Payload: payload})
+			for i := 0; i < a.attempts; i++ {
+				live = append(live, journal.Record{Kind: recReplay, Key: key})
+			}
+		}
+	}
+	for _, e := range slices.Concat(l.spilled, l.dead) {
+		if e.rec == nil {
+			continue
+		}
+		if payload, err := json.Marshal(e.rec); err == nil {
+			live = append(live, journal.Record{Kind: recComplete, Payload: payload})
+		}
+	}
+	return l.jrn.Compact(append(live, l.changes...))
+}
+
 // write appends r unless the journal is down, when the append is skipped
 // and reported done: the live index the caller then moves is what the
 // re-arm compaction writes, so an outcome reached during the outage is not
@@ -376,7 +452,16 @@ func (l *ledger) write(r journal.Record) error {
 	if l.dur.down() {
 		return nil
 	}
-	return l.jrn.Append(r)
+	return l.log(r)
+}
+
+// log appends r and counts it toward the next compaction.
+func (l *ledger) log(r journal.Record) error {
+	if err := l.jrn.Append(r); err != nil {
+		return err
+	}
+	l.appended++
+	return nil
 }
 
 // writeJSON writes a record whose payload is v marshalled.
@@ -395,29 +480,68 @@ func (l *ledger) retire(key string, out journalOutcome) bool {
 	if l.jrn == nil || key == "" || l.writeJSON(recComplete, key, out) != nil {
 		return false
 	}
-	delete(l.pending, key)
+	if a := l.pending[key]; a != nil {
+		l.attempts -= a.attempts
+		delete(l.pending, key)
+	}
 	return true
 }
 
-// resolve writes e's resolve record, when the hub journals, and drops e;
-// if the journal refused it, e keeps its record, spilled, so a restart
-// reruns it at most once more.
-func (l *ledger) resolve(e *deadEntry) {
+// retain enters ex, finished and off the dead-letter set, at the tail of
+// the retention window. Once the window is full the oldest exchange in it
+// goes through forget and is returned, for the caller to forget its
+// instances.
+func (l *ledger) retain(ex *Exchange) *Exchange {
+	if len(l.done) < retentionWindow {
+		l.done = append(l.done, ex)
+		return nil
+	}
+	old := l.done[l.next]
+	l.done[l.next] = ex
+	l.next = (l.next + 1) % retentionWindow
+	l.forget(old)
+	return old
+}
+
+// forget ages ex out of the retention window: its record leaves the table,
+// and with it the snapshot it pinned.
+func (l *ledger) forget(ex *Exchange) {
+	delete(l.exchanges, ex.ID)
+}
+
+// resolve writes e's resolve record, when the hub journals, and drops e,
+// releasing its exchange; if the journal refused it, e keeps its record,
+// spilled, so a restart reruns it at most once more.
+func (l *ledger) resolve(e *deadEntry) *Exchange {
 	refused := l.jrn != nil && l.writeJSON(recResolve, "", journalResolvePayload{ExchangeID: e.dl.ExchangeID}) != nil
 	l.unlink(e)
 	if refused && e.rec != nil {
 		l.link(e, dlSpilled)
+		return nil
 	}
+	return l.release(e)
+}
+
+// release retains the parked exchange of e, a dead letter that left the
+// set for good, if the table holds it, and returns the exchange that aged
+// out.
+func (l *ledger) release(e *deadEntry) *Exchange {
+	ex := l.exchanges[e.dl.ExchangeID]
+	if ex == nil || ex.state != exParked || l.byID[ex.ID] != nil {
+		return nil
+	}
+	return l.retain(ex)
 }
 
 // enqueue queues e. At the cap one entry goes through evict: the oldest
 // queued one (only entries taken by reruns in flight precede it) if the
 // journal holds its record and, not being down, can be trusted to keep
-// it; otherwise e itself.
-func (l *ledger) enqueue(e *deadEntry) []obs.Event {
+// it; otherwise e itself. It returns evict's event and the exchange a
+// dropped entry's release aged out.
+func (l *ledger) enqueue(e *deadEntry) ([]obs.Event, *Exchange) {
 	if l.cap <= 0 || l.queued < l.cap {
 		l.link(e, dlQueued)
-		return nil
+		return nil, nil
 	}
 	victim := e
 	if l.jrn != nil && !l.dur.down() {
@@ -425,20 +549,24 @@ func (l *ledger) enqueue(e *deadEntry) []obs.Event {
 			victim = old
 		}
 	}
-	ev := l.evict(victim)
+	ev, gone := l.evict(victim)
 	if victim != e {
 		l.link(e, dlQueued)
 	}
-	return []obs.Event{ev}
+	return []obs.Event{ev}, gone
 }
 
 // evict takes an entry off a full queue (or keeps e off it), spilled if
 // the journal holds its record (a later Recover restores it) and dropped
-// otherwise; its event feeds the DLQEvicted gauge of Status().Partners.
-func (l *ledger) evict(e *deadEntry) obs.Event {
+// otherwise, releasing its exchange; its event feeds the DLQEvicted gauge
+// of Status().Partners.
+func (l *ledger) evict(e *deadEntry) (obs.Event, *Exchange) {
 	l.unlink(e)
+	var gone *Exchange
 	if e.rec != nil {
 		l.link(e, dlSpilled)
+	} else {
+		gone = l.release(e)
 	}
 	return obs.Event{
 		ExchangeID: e.dl.ExchangeID,
@@ -448,17 +576,17 @@ func (l *ledger) evict(e *deadEntry) obs.Event {
 		Stage:      obs.StageHealth,
 		Step:       obs.StepDLQEvict,
 		Err:        e.dl.Reason,
-	}
+	}, gone
 }
 
 // restore recreates a journaled exchange's record in state st, if its
-// partner is still in the model and no record holds its ID.
-func (l *ledger) restore(out *journalOutcome, snap *Snapshot, st exState) bool {
+// partner is still in the model and no record holds its ID, and returns it.
+func (l *ledger) restore(out *journalOutcome, snap *Snapshot, st exState) *Exchange {
 	route, ok := snap.Model.routes[out.Partner]
 	if _, exists := l.exchanges[out.ExchangeID]; out.ExchangeID == "" || !ok || exists {
-		return false
+		return nil
 	}
-	l.exchanges[out.ExchangeID] = &Exchange{
+	ex := &Exchange{
 		ID:       out.ExchangeID,
 		Partner:  route.partner,
 		Protocol: route.partner.Protocol,
@@ -468,7 +596,8 @@ func (l *ledger) restore(out *journalOutcome, snap *Snapshot, st exState) bool {
 		snap:     snap,
 		state:    st,
 	}
-	return true
+	l.exchanges[out.ExchangeID] = ex
+	return ex
 }
 
 // link enters e, out of the set, in state st at the tail of the queue or

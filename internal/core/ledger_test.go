@@ -41,6 +41,11 @@ func wrapFaulty(h *Hub) map[string]*backend.Faulty {
 //     while queued or taken, and among the spilled entries, with its record
 //     and without its request, while spilled; every queued entry with an
 //     exchange record is a parked exchange;
+//   - the retention window holds at most retentionWindow exchanges, each
+//     once, filed in the table under its ID, finished and off the
+//     dead-letter set; the table holds no other exchange that is not
+//     running or parked on the set, and every instance in the engine's
+//     store belongs to an exchange the table holds;
 //   - on a journaled hub, the journal file holds exactly the ledger's
 //     pending admissions (none whose terminal record it holds, none lost),
 //     and every unresolved dead-letter record in it is queued, taken or
@@ -99,6 +104,7 @@ func checkLedger(t testing.TB, h *Hub, drained bool) {
 	if len(l.byID) != len(seen) {
 		t.Errorf("ledger: the dead-letter set holds %d entries, its index %d", len(seen), len(l.byID))
 	}
+	checkWindow(t, h)
 	if l.queued != queued || l.unresolved != unresolved {
 		t.Errorf("ledger: counts %d queued and %d unresolved, the set holds %d and %d", l.queued, l.unresolved, queued, unresolved)
 	}
@@ -140,6 +146,48 @@ func checkLedger(t testing.TB, h *Hub, drained bool) {
 	}
 }
 
+// checkWindow holds the retention window to its invariants (see
+// checkLedger); the caller holds the ledger's lock.
+func checkWindow(t testing.TB, h *Hub) {
+	t.Helper()
+	l := h.ledger
+	if len(l.done) > retentionWindow {
+		t.Errorf("ledger: the retention window holds %d exchanges, more than %d", len(l.done), retentionWindow)
+	}
+	retained := map[string]bool{}
+	for _, ex := range l.done {
+		switch {
+		case retained[ex.ID]:
+			t.Errorf("ledger: exchange %s is retained twice", ex.ID)
+		case l.exchanges[ex.ID] != ex:
+			t.Errorf("ledger: retained exchange %s is not in the table", ex.ID)
+		case ex.state == exRunning:
+			t.Errorf("ledger: retained exchange %s is still running", ex.ID)
+		case l.byID[ex.ID] != nil:
+			t.Errorf("ledger: retained exchange %s is parked on the dead-letter set", ex.ID)
+		}
+		retained[ex.ID] = true
+	}
+	for id, ex := range l.exchanges {
+		if !retained[id] && ex.state != exRunning && (ex.state != exParked || l.byID[id] == nil) {
+			t.Errorf("ledger: the table keeps exchange %s in state %d, neither retained nor running nor parked", id, ex.state)
+		}
+	}
+	ids, err := h.Engine.Store().ListInstances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		in, err := h.Engine.Instance(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exID, _ := in.Data["exchange"].(string); l.exchanges[exID] == nil {
+			t.Errorf("ledger: instance %s belongs to exchange %q, which the table does not hold", id, exID)
+		}
+	}
+}
+
 // journalOwners maps a journal path to the test hub that opened it last;
 // newHub records it and lets go of it once the hub's checks have run.
 var journalOwners sync.Map
@@ -152,9 +200,10 @@ func parkBare(h *Hub, dl DeadLetter, record bool) {
 		e.rec = &journalOutcome{ExchangeID: dl.ExchangeID, Partner: dl.Partner, Outcome: outcomeDeadLetter}
 	}
 	h.ledger.mu.Lock()
-	evs := h.ledger.enqueue(e)
+	evs, gone := h.ledger.enqueue(e)
 	h.ledger.mu.Unlock()
 	h.emit(evs)
+	h.forget(aged{gone})
 }
 
 // journaledEntry reports whether the journal holds an unresolved

@@ -232,7 +232,9 @@ func rerunRequest(req Request, ex *Exchange) Request {
 // unreachable owner peer) are parked as submitted: they never touched the
 // pipeline or a backend, so a rerun has no duplicate risk.
 func (h *Hub) deadLetter(ex *Exchange, reason error, req Request) {
-	h.emit(h.ledger.park(ex, reason, req))
+	evs, a := h.ledger.park(ex, reason, req)
+	h.emit(evs)
+	h.forget(a)
 	h.emitLifecycle(ex, obs.StepDeadLetter, 0, reason)
 }
 
@@ -240,6 +242,22 @@ func (h *Hub) deadLetter(ex *Exchange, reason error, req Request) {
 func (h *Hub) emit(evs []obs.Event) {
 	for _, ev := range evs {
 		h.bus.Emit(ev)
+	}
+}
+
+// forget deletes the stage instances of the exchanges a ledger transition
+// aged out of the retention window, with their subworkflow children, from
+// the engine's workflow database.
+func (h *Hub) forget(a aged) {
+	for _, ex := range a {
+		if ex == nil {
+			continue
+		}
+		for _, id := range [...]string{ex.PublicID, ex.BindingID, ex.PrivateID, ex.AppID} {
+			if id != "" {
+				_ = h.Engine.Forget(id)
+			}
+		}
 	}
 }
 
@@ -322,7 +340,7 @@ func (h *Hub) Resubmit(ctx context.Context, exchangeID string) (*Exchange, error
 		<-fut.Done()
 		res = fut.res
 	}
-	h.ledger.rerun(e, res.Err)
+	h.forget(h.ledger.rerun(e, res.Err))
 	return res.Exchange, res.Err
 }
 

@@ -238,9 +238,9 @@ func (h *Hub) doAsync(ctx context.Context, req Request) (*Future, error) {
 	fut, err := s.submit(ctx, req.shardKey(), req.Priority, func(ctx context.Context) Result {
 		res := h.runTracked(ctx, req, partner, probe)
 		if res.Err == nil {
-			h.ledger.complete(req.key, res.Exchange)
+			h.forget(h.ledger.complete(req.key, res.Exchange))
 		} else {
-			h.ledger.fail(req.key, res.Exchange, res.Err)
+			h.forget(h.ledger.fail(req.key, res.Exchange, res.Err))
 		}
 		return res
 	}, onShed)

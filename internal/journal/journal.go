@@ -188,9 +188,12 @@ type Journal struct {
 	path string
 	fs   FS
 
-	mu        sync.Mutex
-	f         File
+	mu sync.Mutex
+	f  File
+	// replayed holds the open-time replay until Records hands it over;
+	// records keeps its count for Stats.
 	replayed  []Record
+	records   int
 	appends   int64
 	rotations int64
 	syncer    syncer
@@ -209,8 +212,8 @@ type Journal struct {
 // the package's one recovery rule: a torn tail is truncated away and
 // mid-file corrupt regions are quarantined (see repair), so replay
 // proceeds past them; Stats accounts for both. An orphan compaction file
-// from a crashed Compact is discarded. The replayed records are available
-// via Records.
+// from a crashed Compact is discarded. Records hands the replayed records
+// over once.
 func Open(path string, opts Options) (*Journal, error) {
 	if opts.Fsync == "" {
 		opts.Fsync = FsyncBatched
@@ -229,6 +232,7 @@ func Open(path string, opts Options) (*Journal, error) {
 		if j.replayed, j.scrub, err = repair(fs, path, data); err != nil {
 			return nil, err
 		}
+		j.records = len(j.replayed)
 		// A rewrite around corrupt regions already dropped the torn tail.
 		if j.scrub.Corrupt == 0 && j.scrub.TornBytes > 0 {
 			if terr := fs.Truncate(path, int64(len(data))-j.scrub.TornBytes); terr != nil {
@@ -379,11 +383,16 @@ func writeSyncClose(f File, buf []byte) error {
 	return err
 }
 
-// Records returns the records the open-time replay yielded.
+// Records hands over the records the open-time replay yielded. The journal
+// keeps no reference to them, so their payloads live only as long as the
+// caller keeps them, and a second call returns nil; Stats().Records keeps
+// their count.
 func (j *Journal) Records() []Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return append([]Record(nil), j.replayed...)
+	recs := j.replayed
+	j.replayed = nil
+	return recs
 }
 
 // Append writes one record under the journal's fsync policy. When the
@@ -535,7 +544,7 @@ func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Stats{
-		Records:          len(j.replayed),
+		Records:          j.records,
 		TornBytes:        j.scrub.TornBytes,
 		Corrupt:          j.scrub.Corrupt,
 		QuarantinedBytes: j.scrub.QuarantinedBytes,

@@ -35,7 +35,12 @@ const (
 	slotWarmCap = 32
 )
 
-// DefaultCollectorSize bounds the collector a hub attaches by default.
+// DefaultCollectorSize bounds the collector a hub attaches by default. It
+// is also the hub's retention window: the hub keeps the records and
+// workflow instances of that many finished exchanges, and its journal and
+// restart follow the same bound (see core's ledger). The ring counts
+// exchanges as they start and the window as they finish, so for exchanges
+// run one at a time both hold the same ones.
 const DefaultCollectorSize = 1024
 
 // NewCollector returns a collector retaining at most maxExchanges

@@ -512,3 +512,30 @@ func TestDaemonConcurrentClients(t *testing.T) {
 		t.Fatalf("started %d exchanges, want %d", got, goroutines*perG)
 	}
 }
+
+// TestDaemonTraceFollowsTheRetentionWindow: after more exchanges than the
+// hub's retention window of 1,024 finished exchanges, the trace op answers
+// for exactly the newest 1,024 and not-found for the older ones.
+func TestDaemonTraceFollowsTheRetentionWindow(t *testing.T) {
+	const window, agedOut = obs.DefaultCollectorSize, 8
+	h, _, c := newDaemon(t)
+	ctx := context.Background()
+	g := doc.NewGenerator(13)
+	ids := make([]string, window+agedOut)
+	for i := range ids {
+		res, err := h.Do(ctx, core.Request{Kind: core.DocPO, PO: g.PO(tp1, seller)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = res.Exchange.ID
+	}
+	for i, id := range ids {
+		tr, err := c.Trace(ctx, id)
+		switch {
+		case i < agedOut && (err == nil || !strings.Contains(err.Error(), "not found")):
+			t.Errorf("trace of aged-out exchange %s = %v, want not-found", id, err)
+		case i >= agedOut && (err != nil || tr.ExchangeID != id || len(tr.Trace) == 0):
+			t.Errorf("trace of retained exchange %s = %+v, %v", id, tr, err)
+		}
+	}
+}

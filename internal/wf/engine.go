@@ -88,7 +88,8 @@ type Store interface {
 	GetInstance(id string) (*Instance, error)
 	// ListInstances lists stored instance IDs, sorted.
 	ListInstances() ([]string, error)
-	// DeleteInstance removes an instance (used after migration).
+	// DeleteInstance removes an instance; deleting an unknown ID is not an
+	// error. Engine.Forget deletes an instance tree through it.
 	DeleteInstance(id string) error
 }
 
@@ -457,6 +458,27 @@ func (e *Engine) settle(ctx context.Context, in *Instance, advanceErr error) err
 // snapshot instead of changing it.
 func (e *Engine) Instance(id string) (*Instance, error) {
 	return e.store.GetInstance(id)
+}
+
+// Forget deletes an instance the caller is done with from the workflow
+// database, and with it, depth first, the children its subworkflow steps
+// started (StepRun.Child). The instance's state does not matter: one parked
+// on a receive step of an exchange that failed is forgotten like a
+// completed one. The hub forgets the instances of every exchange that ages
+// out of its retention window. Nothing may advance the tree meanwhile.
+func (e *Engine) Forget(id string) error {
+	in, err := e.store.GetInstance(id)
+	if err != nil {
+		return err
+	}
+	var errs error
+	in.RangeSteps(func(_ string, run StepRun) bool {
+		if run.Child != "" {
+			errs = errors.Join(errs, e.Forget(run.Child))
+		}
+		return true
+	})
+	return errors.Join(errs, e.store.DeleteInstance(id))
 }
 
 // persist stores the instance as its next snapshot (Figure 4's "store the

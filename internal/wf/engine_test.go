@@ -681,3 +681,31 @@ func runOf(in *wf.Instance, name string) wf.StepRun {
 	run, _ := in.StepRunOf(name)
 	return run
 }
+
+// TestForgetDeletesInstanceTree: Forget deletes an instance and the
+// children its subworkflow steps started, whatever their state: here the
+// child is parked on a receive step and the parent waits on it.
+func TestForgetDeletesInstanceTree(t *testing.T) {
+	e, _ := newEngine(t, nil)
+	deploy(t, e, &wf.TypeDef{Name: "child", Steps: []wf.StepDef{{Name: "wait", Kind: wf.StepReceive, Port: "in"}}})
+	deploy(t, e, &wf.TypeDef{Name: "parent", Steps: []wf.StepDef{{Name: "call", Kind: wf.StepSubworkflow, Subworkflow: "child"}}})
+	in, err := e.Start(context.Background(), "parent", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := runOf(in, "call")
+	if run.Child == "" || run.State != wf.StepChildRun {
+		t.Fatalf("parent %s did not wait on a child: %+v", in.ID, run)
+	}
+	if err := e.Forget(in.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{in.ID, run.Child} {
+		if _, err := e.Instance(id); !errors.Is(err, wf.ErrNotFound) {
+			t.Errorf("instance %s after Forget: %v, want ErrNotFound", id, err)
+		}
+	}
+	if ids, _ := e.Store().ListInstances(); len(ids) != 0 {
+		t.Errorf("the store still holds %v", ids)
+	}
+}

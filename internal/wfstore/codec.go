@@ -152,6 +152,12 @@ func decodeInstance(raw json.RawMessage) (*wf.Instance, error) {
 		Parent: p.Parent, ParentStep: p.ParentStep,
 		History: p.History, Error: p.Error,
 	}
+	if p.History != nil {
+		// Like the engine's persist, keep no append headroom: Unmarshal
+		// grows the slice by append.
+		in.History = make([]wf.Event, len(p.History))
+		copy(in.History, p.History)
+	}
 	in.SetRuns(p.Steps, p.Arcs)
 	for k, tv := range p.Data {
 		v, err := decodeValue(tv)

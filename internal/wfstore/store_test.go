@@ -409,3 +409,32 @@ func replayCopy(t *testing.T, path, id string) *wf.Instance {
 	}
 	return in
 }
+
+// TestReplayedHistoryHasNoHeadroom: a snapshot replayed from the log keeps
+// its history at exactly its length, as the engine's persist stores it,
+// not in the larger array json.Unmarshal grew it in.
+func TestReplayedHistoryHasNoHeadroom(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wf.log")
+	ctx := context.Background()
+	s1 := openFile(t, path)
+	e := wf.NewEngine("e", s1, wf.NewHandlers(), nil)
+	if err := e.Deploy(sampleType()); err != nil {
+		t.Fatal(err)
+	}
+	in, err := e.Start(ctx, "t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Deliver(ctx, in.ID, "in", "payload"); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+
+	got, err := openFile(t, path).GetInstance(in.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.History) == 0 || cap(got.History) != len(got.History) {
+		t.Fatalf("replayed history holds %d events in an array of %d, want an exact fit", len(got.History), cap(got.History))
+	}
+}

@@ -33,10 +33,12 @@ import (
 const (
 	// exchangeAllocBudget bounds allocations per in-process PO exchange
 	// (Hub.Do on the Figure 14 hub, warmed past exchange 256 and inside the
-	// retention window): 207 measured, one of them the context value that
-	// carries the exchange to its steps, 206 past the window; 208 while the
-	// row measured a process's first hub from its first exchange, 207
-	// while each step looked its exchange up in the hub's table, 294 while
+	// retention window): 204 measured, one of them the context value that
+	// carries the exchange to its steps, 205 past the window; 207 while the
+	// exchange ID was formatted with fmt.Sprintf, which boxed its sequence
+	// number, and each new exchange's trace buffer regrew from empty; 208
+	// while the row measured a process's first hub from its first exchange,
+	// 207 while each step looked its exchange up in the hub's table, 294 while
 	// every instance snapshot rebuilt string-keyed step and arc maps,
 	// regrew and twice copied its history and took a fresh worklist per
 	// advance, 588 while the SAP IDoc codec built a map per segment, the
@@ -67,8 +69,10 @@ const (
 	// ID were formatted strings.
 	startAllocBudget = 7
 	// emitAllocBudget bounds allocations per exchange of 32 events emitted
-	// into a full trace collector: 0 measured, 6 while each exchange's
-	// event slice regrew from empty instead of reusing an evicted buffer.
+	// into the trace collector with a full window of exchanges open, the
+	// oldest forgotten as each new one opens: 0 measured, 6 while each
+	// exchange's event slice regrew from empty instead of reusing a
+	// forgotten exchange's buffer.
 	emitAllocBudget = 0
 	// idocEncodeAllocBudget bounds allocations per SAP IDoc encode (ORDERS,
 	// ORDRSP, INVOIC): 1 measured, the output copy; 71-86 while every
@@ -93,18 +97,20 @@ const (
 	canaryAllocBudget = 0
 	// journalAllocBudget bounds the allocations write-ahead logging adds to
 	// an exchange through Hub.Do (the Figure 14 hub, FsyncNever, both
-	// sides warm): 7 measured, 214 with the journal and 207 without; 6
-	// while both sides measured admission keys below j-00000256, which box
-	// their sequence numbers for free; 8 while Journal.Append's record
+	// sides warm): 6 measured, 210 with the journal and 204 without; 7
+	// while the admission key was formatted with fmt.Sprintf, which boxed
+	// its sequence number past j-00000255; 8 while Journal.Append's record
 	// escaped to the heap, once per append.
 	journalAllocBudget = 7
 	// ageingAllocBudget bounds the allocations ageing the oldest finished
 	// exchange out of the retention window adds to an exchange through
 	// Hub.Do (past the window, where each exchange ages one out, minus
-	// inside it, on the same documents): -1 measured, 206 past and 207
-	// inside, since once the window is full the trace ring, the exchange
-	// table and the store's instance map stop growing, which saves more
-	// than the age-out, a map delete per record and instance, costs.
+	// inside it, on the same documents): 1 measured, 205 past and 204
+	// inside. Past the window a new exchange's trace reuses the buffer of
+	// the one aged out, and the exchange table, the collector's index and
+	// the store's instance map stop growing; the age-out's map deletes
+	// cost a little more than that saves. -1 while inside the window each
+	// new trace buffer regrew from empty (two allocations more).
 	ageingAllocBudget = 1
 	// seamAllocBudget bounds the allocations a FaultFS with no fault armed
 	// adds to a Journal.Append (FsyncNever) over the real filesystem: 0
@@ -142,7 +148,7 @@ func TestAllocBudgets(t *testing.T) {
 		{"rules.Registry.Evaluate", "decision", ruleAllocBudget, ruleAllocs},
 		{"wf.Engine.Deliver", "delivery", deliverAllocBudget, deliverAllocs},
 		{"wf.Engine.Start", "application-binding start", startAllocBudget, startAllocs},
-		{"obs.Collector.Emit", "exchange of 32 events into a full ring", emitAllocBudget, emitAllocs},
+		{"obs.Collector.Emit", "exchange of 32 events, a full window open", emitAllocBudget, emitAllocs},
 		{"an active canary", "TP1 exchange", canaryAllocBudget, canaryAllocs},
 		{"a journal (FsyncNever)", "exchange", journalAllocBudget, journalAllocs},
 		{"ageing out", "exchange past the retention window", ageingAllocBudget, ageingAllocs},
@@ -178,12 +184,10 @@ func TestAllocBudgets(t *testing.T) {
 }
 
 // The Hub.Do rows measure 200 exchanges on a hub that ran warm exchanges
-// first. Below exchange 256 a formatted exchange ID boxes its sequence
-// number for free (the runtime keeps the small integers boxed), and the
-// first hub a process measures reads 2 allocations per exchange more until
-// it is warm; 300 exchanges get past both and keep the measured ones inside
-// the retention window of 1,024 finished exchanges. Past 1,100 each
-// measured exchange ages the oldest retained one out.
+// first. The first hub a process measures reads 2 allocations per exchange
+// more until it is warm; 300 exchanges get past that and keep the measured
+// ones inside the retention window of 1,024 finished exchanges. Past 1,100
+// each measured exchange ages the oldest retained one out.
 const (
 	warmExchanges       = 300
 	pastWindowExchanges = 1100
@@ -537,27 +541,32 @@ func startAllocs(t *testing.T) float64 {
 	})
 }
 
-// emitAllocs measures one exchange's 32 events emitted into a default-size
-// trace collector whose ring is already full.
+// emitAllocs measures one exchange's 32 events emitted into the trace
+// collector the way the hub keeps it: a full window of exchanges open, each
+// measured exchange opened as the oldest is forgotten.
 func emitAllocs(t *testing.T) float64 {
 	t.Helper()
 	const events, runs = 32, 200
-	c := obs.NewCollector(0)
-	ids := make([]string, obs.DefaultCollectorSize+runs+1) // AllocsPerRun adds one warm-up run
+	c := obs.NewCollector(core.RetentionWindow)
+	ids := make([]string, core.RetentionWindow+runs+1) // AllocsPerRun adds one warm-up run
 	for i := range ids {
 		ids[i] = fmt.Sprintf("ex-%06d", i+1)
 	}
-	emit := func(id string) {
-		for i := 0; i < events; i++ {
-			c.Emit(obs.Event{ExchangeID: id, Partner: "TP1", Kind: obs.KindStep, Stage: obs.StagePrivate, Step: "step"})
+	run := func(i int) {
+		c.Open(ids[i])
+		for range events {
+			c.Emit(obs.Event{ExchangeID: ids[i], Partner: "TP1", Kind: obs.KindStep, Stage: obs.StagePrivate, Step: "step"})
+		}
+		if i >= core.RetentionWindow {
+			c.Forget(ids[i-core.RetentionWindow])
 		}
 	}
-	for _, id := range ids[:obs.DefaultCollectorSize] {
-		emit(id)
+	for i := range core.RetentionWindow {
+		run(i)
 	}
-	next := obs.DefaultCollectorSize
+	next := core.RetentionWindow
 	return testing.AllocsPerRun(runs, func() {
-		emit(ids[next])
+		run(next)
 		next++
 	})
 }

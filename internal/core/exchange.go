@@ -317,11 +317,11 @@ func (h *Hub) ensureInstance(ctx context.Context, slot *string, typeName string,
 
 // ExchangeByID returns the record of an exchange the hub started or
 // restored from its journal while the ledger keeps it: as long as it runs
-// or is parked on the dead-letter set, and after it finished until 1,024
-// exchanges finished after it (the retention window, which Recover also
-// restores). An exchange that aged out is not found, and neither are its
-// stage instances (StageVersions, PrivateInstance) nor, once 1,024 newer
-// exchanges started, its trace.
+// or is parked on the dead-letter set, and after it finished until
+// RetentionWindow exchanges finished after it (which Recover also
+// restores). Its trace (Trace, Events) is kept exactly as long. An exchange
+// that aged out is not found, and neither are its stage instances
+// (StageVersions, PrivateInstance) nor its trace.
 func (h *Hub) ExchangeByID(id string) (*Exchange, bool) { return h.ledger.lookup(id) }
 
 // PrivateInstance loads the private process instance of an exchange (tests

@@ -197,12 +197,13 @@ type Hub struct {
 // Bus exposes the hub's event bus; attach sinks to observe the pipeline.
 func (h *Hub) Bus() *obs.Bus { return h.bus }
 
-// Events returns the retained event history of one exchange in emission
-// order.
+// Events returns the event history of one exchange in emission order, from
+// its first event on, for as long as ExchangeByID finds it: nil once the
+// exchange aged out of the retention window.
 func (h *Hub) Events(exchangeID string) []obs.Event { return h.collector.Events(exchangeID) }
 
 // Trace renders an exchange's routing journey as human-readable hop
-// strings — the structured replacement for the old Exchange.Trace journal.
+// strings, kept as long as Events keeps its events.
 func (h *Hub) Trace(exchangeID string) []string { return h.collector.Trace(exchangeID) }
 
 // stageOf maps a workflow type name ("public:EDI", "binding-inv:RosettaNet",
@@ -249,8 +250,7 @@ func NewCodecRegistry() *formats.Registry {
 
 // NewHub deploys the model onto a fresh engine with simulated back ends.
 // Options configure the sharded scheduler (WithShards, WithWorkersPerShard,
-// WithQueueDepth) and the event bus (WithBus); a hub built without options
-// behaves like the former single-pool hub.
+// WithQueueDepth), the event bus (WithBus), the journal and the rest.
 func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 	cfg := hubConfig{
 		shards:          DefaultShards,
@@ -266,7 +266,7 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 		codecs:          NewCodecRegistry(),
 		bus:             cfg.bus,
 		metrics:         obs.NewMetrics(),
-		collector:       obs.NewCollector(0),
+		collector:       obs.NewCollector(RetentionWindow),
 		counters:        obs.NewExchangeCounters(),
 		schedMetrics:    obs.NewSchedMetrics(),
 		planMetrics:     obs.NewPlanMetrics(),
@@ -314,7 +314,7 @@ func NewHub(m *Model, opts ...HubOption) (*Hub, error) {
 		}
 		h.jrn = j
 	}
-	h.ledger = newLedger(h.jrn, &h.dur, cfg.dlqCap, cfg.exchIDBase)
+	h.ledger = newLedger(h.jrn, &h.dur, h.collector, cfg.dlqCap, cfg.exchIDBase)
 	transform.RegisterAll(h.reg)
 	for _, b := range m.Backends {
 		sys, err := newSystem(b)

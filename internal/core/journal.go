@@ -530,7 +530,7 @@ func (h *Hub) Recover(ctx context.Context) (RecoveryReport, error) {
 // claims are replayed (nil claims all); the rest count as Skipped. Per entry:
 //
 //   - a finished outcome is restored as an exchange record and never re-run,
-//     the newest retentionWindow of them only, since the retention window
+//     the newest RetentionWindow of them only, since the retention window
 //     would age the older ones out at once;
 //   - an unresolved dead letter goes back on the queue through the cap; a
 //     peer's is prefixed "taken over" and re-journaled here;
@@ -555,7 +555,7 @@ func (h *Hub) replay(ctx context.Context, snap *journalSnapshot, peer bool, owns
 	h.bus.Emit(obs.Event{Kind: obs.KindRecovery, Stage: obs.StageRecovery, Step: obs.StepStarted})
 
 	finished := snap.finished
-	if n := len(finished) - retentionWindow; n > 0 {
+	if n := len(finished) - RetentionWindow; n > 0 {
 		finished = finished[n:]
 	}
 	for _, out := range slices.Concat(finished, snap.dead) {

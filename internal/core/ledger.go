@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -16,14 +17,14 @@ import (
 
 // ledger is the one owner of exchange lifecycle state, the hub's
 // counterpart of the engine's workflow database (Figure 4): under one lock,
-// the exchange table and its ID sequence, the retention window of finished
-// exchanges, the dead-letter set and its cap, and the journal's live index
-// (pending admissions with their replay attempts, the admission-key
-// sequence, the change records compaction keeps). Each transition is one
-// method that changes state and writes its journal record together, then
-// returns the events its caller emits and the exchanges whose instances it
-// forgets once the lock is released, since bus sinks may read the ledger
-// back.
+// the exchange table, its ID sequence and a trace per record, the retention
+// window of finished exchanges, the dead-letter set and its cap, and the
+// journal's live index (pending admissions with their replay attempts, the
+// admission-key sequence, the change records compaction keeps). Each
+// transition is one method that changes state and writes its journal record
+// together, then returns the events its caller emits and the exchanges
+// whose instances it forgets once the lock is released, since bus sinks may
+// read the ledger back.
 //
 //   - An admission is pending from admit until complete, fail, park or
 //     abort writes its terminal record; recoverAdmission journals a replay.
@@ -41,17 +42,18 @@ import (
 // does the automatic compaction a transition's appends trigger (unlock);
 // no per-hop path takes the lock: an exchange's steps find it on their
 // context (withExchange). Lock order: swapMu, then the ledger; h.mu is
-// never held with it; the durability lock is a leaf.
+// never held with it; the durability and collector locks are leaves.
 type ledger struct {
-	jrn *journal.Journal // nil without WithJournal
-	dur *durability
-	cap int // dead-letter queue bound, 0 = unbounded
+	jrn    *journal.Journal // nil without WithJournal
+	dur    *durability
+	traces *obs.Collector
+	cap    int // dead-letter queue bound, 0 = unbounded
 
 	mu        sync.Mutex
 	exchSeq   int
 	exchanges map[string]*Exchange
 	// The retention window: the finished exchanges the table keeps, in the
-	// order they finished, in a ring of retentionWindow slots, allocated
+	// order they finished, in a ring of RetentionWindow slots, allocated
 	// with the ledger; once it is full, next is the slot whose occupant the
 	// next one ages out.
 	done []*Exchange
@@ -71,13 +73,12 @@ type ledger struct {
 	appended, attempts int
 }
 
-// retentionWindow bounds what the hub keeps of its finished exchanges: the
-// ledger retains that many (their records and, through the engine, their
-// instances), the journal compacts once about that many outcomes outgrow
-// its live entries, and Recover restores at most that many. It is the trace
-// ring's bound, so ExchangeByID, StageVersions and Trace show the same
-// exchanges.
-const retentionWindow = obs.DefaultCollectorSize
+// RetentionWindow bounds what the hub keeps of its finished exchanges: the
+// ledger retains that many (their records, their traces and, through the
+// engine, their instances), the journal compacts once about that many
+// outcomes outgrow its live entries, and Recover restores at most that
+// many.
+const RetentionWindow = 1024
 
 // aged holds the exchanges one transition aged out of the retention window,
 // whose instances its caller forgets once the lock is released
@@ -118,14 +119,15 @@ type admission struct {
 	attempts int
 }
 
-func newLedger(jrn *journal.Journal, dur *durability, dlqCap, exchIDBase int) *ledger {
+func newLedger(jrn *journal.Journal, dur *durability, traces *obs.Collector, dlqCap, exchIDBase int) *ledger {
 	return &ledger{
 		jrn:       jrn,
 		dur:       dur,
+		traces:    traces,
 		cap:       dlqCap,
 		exchSeq:   exchIDBase,
 		exchanges: map[string]*Exchange{},
-		done:      make([]*Exchange, 0, retentionWindow),
+		done:      make([]*Exchange, 0, RetentionWindow),
 		byID:      map[string]*deadEntry{},
 		pending:   map[string]*admission{},
 	}
@@ -156,7 +158,7 @@ func (l *ledger) admit(a *admission, payload []byte) (string, error) {
 	l.mu.Lock()
 	defer l.unlock()
 	l.keySeq++
-	a.key = fmt.Sprintf("j-%08d", l.keySeq)
+	a.key = seqID("j-", 8, l.keySeq)
 	if err := l.log(journal.Record{Kind: recAdmit, Key: a.key, Payload: payload}); err != nil {
 		return "", err
 	}
@@ -164,15 +166,24 @@ func (l *ledger) admit(a *admission, payload []byte) (string, error) {
 	return a.key, nil
 }
 
-// start enters ex running under the next ID and arms its canary by
-// canaryKey.
+// start enters ex running under the next ID, opening its trace, and arms
+// its canary by canaryKey.
 func (l *ledger) start(ex *Exchange, canaryKey string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.exchSeq++
-	ex.ID = fmt.Sprintf("ex-%06d", l.exchSeq)
+	ex.ID = seqID("ex-", 6, l.exchSeq)
 	ex.armCanary(canaryKey)
 	l.exchanges[ex.ID] = ex
+	l.traces.Open(ex.ID)
+}
+
+// seqID is fmt.Sprintf("%s%0*d", prefix, width, n) for n >= 0 and
+// width <= 8, without boxing n.
+func seqID(prefix string, width, n int) string {
+	var scratch [20]byte
+	digits := strconv.AppendInt(scratch[:0], int64(n), 10)
+	return prefix + "00000000"[min(len(digits), width):width] + string(digits)
 }
 
 // complete ends a request that succeeded and retains its exchange.
@@ -391,7 +402,7 @@ func (l *ledger) counts() (depth, pending, unresolved int) {
 // compaction leaves the old log authoritative and is tried again a window
 // later; it never fails the transition.
 func (l *ledger) unlock() {
-	if l.appended >= max(2*retentionWindow, l.liveRecords()) && !l.dur.down() && !l.jrn.Crashed() {
+	if l.appended >= max(2*RetentionWindow, l.liveRecords()) && !l.dur.down() && !l.jrn.Crashed() {
 		_ = l.compact()
 	}
 	l.mu.Unlock()
@@ -492,21 +503,22 @@ func (l *ledger) retire(key string, out journalOutcome) bool {
 // goes through forget and is returned, for the caller to forget its
 // instances.
 func (l *ledger) retain(ex *Exchange) *Exchange {
-	if len(l.done) < retentionWindow {
+	if len(l.done) < RetentionWindow {
 		l.done = append(l.done, ex)
 		return nil
 	}
 	old := l.done[l.next]
 	l.done[l.next] = ex
-	l.next = (l.next + 1) % retentionWindow
+	l.next = (l.next + 1) % RetentionWindow
 	l.forget(old)
 	return old
 }
 
 // forget ages ex out of the retention window: its record leaves the table,
-// and with it the snapshot it pinned.
+// and with it the snapshot it pinned and its trace.
 func (l *ledger) forget(ex *Exchange) {
 	delete(l.exchanges, ex.ID)
+	l.traces.Forget(ex.ID)
 }
 
 // resolve writes e's resolve record, when the hub journals, and drops e,
@@ -579,8 +591,8 @@ func (l *ledger) evict(e *deadEntry) (obs.Event, *Exchange) {
 	}, gone
 }
 
-// restore recreates a journaled exchange's record in state st, if its
-// partner is still in the model and no record holds its ID, and returns it.
+// restore recreates a journaled exchange's record in state st, and its
+// trace, if its partner is still in the model and no record holds its ID.
 func (l *ledger) restore(out *journalOutcome, snap *Snapshot, st exState) *Exchange {
 	route, ok := snap.Model.routes[out.Partner]
 	if _, exists := l.exchanges[out.ExchangeID]; out.ExchangeID == "" || !ok || exists {
@@ -597,6 +609,7 @@ func (l *ledger) restore(out *journalOutcome, snap *Snapshot, st exState) *Excha
 		state:    st,
 	}
 	l.exchanges[out.ExchangeID] = ex
+	l.traces.Open(ex.ID)
 	return ex
 }
 

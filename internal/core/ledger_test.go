@@ -41,11 +41,13 @@ func wrapFaulty(h *Hub) map[string]*backend.Faulty {
 //     while queued or taken, and among the spilled entries, with its record
 //     and without its request, while spilled; every queued entry with an
 //     exchange record is a parked exchange;
-//   - the retention window holds at most retentionWindow exchanges, each
+//   - the retention window holds at most RetentionWindow exchanges, each
 //     once, filed in the table under its ID, finished and off the
 //     dead-letter set; the table holds no other exchange that is not
 //     running or parked on the set, and every instance in the engine's
 //     store belongs to an exchange the table holds;
+//   - the collector holds a trace, with its events, for exactly the
+//     exchanges in the table;
 //   - on a journaled hub, the journal file holds exactly the ledger's
 //     pending admissions (none whose terminal record it holds, none lost),
 //     and every unresolved dead-letter record in it is queued, taken or
@@ -105,6 +107,7 @@ func checkLedger(t testing.TB, h *Hub, drained bool) {
 		t.Errorf("ledger: the dead-letter set holds %d entries, its index %d", len(seen), len(l.byID))
 	}
 	checkWindow(t, h)
+	checkTraces(t, h)
 	if l.queued != queued || l.unresolved != unresolved {
 		t.Errorf("ledger: counts %d queued and %d unresolved, the set holds %d and %d", l.queued, l.unresolved, queued, unresolved)
 	}
@@ -151,8 +154,8 @@ func checkLedger(t testing.TB, h *Hub, drained bool) {
 func checkWindow(t testing.TB, h *Hub) {
 	t.Helper()
 	l := h.ledger
-	if len(l.done) > retentionWindow {
-		t.Errorf("ledger: the retention window holds %d exchanges, more than %d", len(l.done), retentionWindow)
+	if len(l.done) > RetentionWindow {
+		t.Errorf("ledger: the retention window holds %d exchanges, more than %d", len(l.done), RetentionWindow)
 	}
 	retained := map[string]bool{}
 	for _, ex := range l.done {
@@ -184,6 +187,35 @@ func checkWindow(t testing.TB, h *Hub) {
 		}
 		if exID, _ := in.Data["exchange"].(string); l.exchanges[exID] == nil {
 			t.Errorf("ledger: instance %s belongs to exchange %q, which the table does not hold", id, exID)
+		}
+	}
+}
+
+// checkTraces holds the collector to the table (see checkLedger); the
+// caller holds the ledger's lock.
+func checkTraces(t testing.TB, h *Hub) {
+	t.Helper()
+	l := h.ledger
+	if n := h.collector.Exchanges(); n != len(l.exchanges) {
+		t.Errorf("ledger: the collector holds %d traces, the table %d records", n, len(l.exchanges))
+	}
+	for id := range l.exchanges {
+		if h.collector.Events(id) == nil {
+			t.Errorf("ledger: exchange %s in the table has no trace", id)
+		}
+	}
+}
+
+// TestSeqIDMatchesSprintf pins exchange IDs and admission keys to the
+// fmt.Sprintf formats they were written with, inside their padding and
+// past it.
+func TestSeqIDMatchesSprintf(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 999999, 1000000, 2000001, 99999999, 100000000} {
+		if got, want := seqID("ex-", 6, n), fmt.Sprintf("ex-%06d", n); got != want {
+			t.Errorf("exchange ID %d: %q, want %q", n, got, want)
+		}
+		if got, want := seqID("j-", 8, n), fmt.Sprintf("j-%08d", n); got != want {
+			t.Errorf("admission key %d: %q, want %q", n, got, want)
 		}
 	}
 }

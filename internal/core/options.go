@@ -79,7 +79,9 @@ func WithQueueDepth(n int) HubOption {
 
 // WithBus makes the hub emit on an externally owned event bus instead of
 // creating its own, so several hubs (or a test harness) can share one
-// observer fabric.
+// observer fabric. Each hub's trace collector then sees every hub's events:
+// hubs that share a bus need disjoint exchange IDs (WithExchangeIDBase),
+// or same-numbered exchanges share a trace.
 func WithBus(b *obs.Bus) HubOption {
 	return func(c *hubConfig) {
 		if b != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/doc"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/wf"
 )
 
@@ -37,14 +38,13 @@ func checkVisible(t *testing.T, h *Hub, ex *Exchange, want, wantTraced bool) {
 }
 
 // TestRetentionWindowVisibility drives exchanges one at a time past the
-// retention window: exactly the newest retentionWindow finished exchanges
+// retention window: exactly the newest RetentionWindow finished exchanges
 // stay visible through ExchangeByID, StageVersions, PrivateInstance, Trace
 // and Events, and the older ones through none of them, their instances gone
 // from the engine's store. Dead letters parked before the run keep their
-// records and instances however many exchanges finished after them; their
-// traces have left the trace ring, which counts exchanges as they start.
-// Rerun to success, each joins the window after its rerun, and the two age
-// out the window's four oldest exchanges.
+// records, instances and traces however many exchanges finished after
+// them. Rerun to success, each joins the window after its rerun, and the
+// two age out the window's four oldest exchanges.
 func TestRetentionWindowVisibility(t *testing.T) {
 	ctx := context.Background()
 	h := newFig14Hub(t)
@@ -64,7 +64,7 @@ func TestRetentionWindowVisibility(t *testing.T) {
 	sap.SetSchedule(backend.FaultSchedule{})
 
 	const agedOut = 64
-	finished := make([]*Exchange, retentionWindow+agedOut)
+	finished := make([]*Exchange, RetentionWindow+agedOut)
 	for i := range finished {
 		_, ex, err := roundTrip(h, ctx, g.PO(tp1, seller))
 		if err != nil {
@@ -76,10 +76,10 @@ func TestRetentionWindowVisibility(t *testing.T) {
 		checkVisible(t, h, ex, i >= agedOut, i >= agedOut)
 	}
 	for _, ex := range parked {
-		checkVisible(t, h, ex, true, false)
+		checkVisible(t, h, ex, true, true)
 	}
-	if ids, _ := h.Engine.Store().ListInstances(); len(ids) != 4*(retentionWindow+len(parked)) {
-		t.Errorf("the store holds %d instances, want 4 for each of %d retained and %d parked exchanges", len(ids), retentionWindow, len(parked))
+	if ids, _ := h.Engine.Store().ListInstances(); len(ids) != 4*(RetentionWindow+len(parked)) {
+		t.Errorf("the store holds %d instances, want 4 for each of %d retained and %d parked exchanges", len(ids), RetentionWindow, len(parked))
 	}
 	if dls := h.DeadLetters(); len(dls) != len(parked) {
 		t.Fatalf("dead-letter queue %v, want the %d parked exchanges", dls, len(parked))
@@ -91,22 +91,60 @@ func TestRetentionWindowVisibility(t *testing.T) {
 		}
 	}
 	for _, ex := range finished[:agedOut+2*len(parked)] {
-		if _, found := h.ExchangeByID(ex.ID); found || len(h.StageVersions(ex)) != 0 {
-			t.Errorf("exchange %s is still retained after the reruns", ex.ID)
-		}
+		checkVisible(t, h, ex, false, false)
 	}
 	for _, ex := range slices.Concat(finished[agedOut+2*len(parked):], parked) {
-		if _, found := h.ExchangeByID(ex.ID); !found || len(h.StageVersions(ex)) != 4 {
-			t.Errorf("exchange %s aged out, want it retained", ex.ID)
+		checkVisible(t, h, ex, true, true)
+	}
+}
+
+// TestSlowExchangeKeepsItsWholeTrace holds one TP1 exchange in SAP while
+// RetentionWindow TP2 exchanges start and finish. Once it finishes it keeps
+// its whole trace, from its started event on, with the same hops as a TP1
+// exchange that was not held: its trace lives as long as its record, not
+// for a number of exchanges started after it.
+func TestSlowExchangeKeepsItsWholeTrace(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	h := newFig14Hub(t)
+	gate := gateSubmits(ctx, h, "SAP", 0)
+	g := doc.NewGenerator(53)
+	fut, err := h.DoAsync(ctx, Request{Kind: DocPO, PO: g.PO(tp1, seller)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return gate.maxInside() == 1 })
+	for i := 0; i < RetentionWindow; i++ {
+		if _, _, err := roundTrip(h, ctx, g.PO(tp2, seller)); err != nil {
+			t.Fatalf("exchange %d: %v", i, err)
 		}
+	}
+	close(gate.open)
+	res := fut.Result(ctx)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	slow := res.Exchange
+	checkVisible(t, h, slow, true, true)
+	evs := h.Events(slow.ID)
+	if len(evs) == 0 || evs[0].Kind != obs.KindExchange || evs[0].Step != obs.StepStarted {
+		t.Fatalf("the slow exchange's trace starts with %+v, want its started event", evs)
+	}
+	_, ref, err := roundTrip(h, ctx, g.PO(tp1, seller))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first hop names the exchange's public instance.
+	if got, want := h.Trace(slow.ID), h.Trace(ref.ID); len(got) == 0 || len(got) != len(want) || !slices.Equal(got[1:], want[1:]) {
+		t.Errorf("the slow exchange's hops are %v, want those of an exchange that was not held: %v", got, want)
 	}
 }
 
 // TestRetentionSoak runs 20,000 exchanges through a journaled Figure 14 hub
 // (FsyncNever): what the hub keeps follows the retention window, not
-// traffic. At 5,000 and at 20,000 exchanges the record table, the window,
-// the trace ring and the store's instances (four per exchange) are within
-// one window; the live heap after GC grows at most 1,024 B per exchange
+// traffic. At 5,000 and at 20,000 exchanges the record table and the window
+// each hold one window, the collector holds a trace for each record, and
+// the store's instances (four per exchange) are within one window; the live heap after GC grows at most 1,024 B per exchange
 // between the two; the journal, sampled every 250 exchanges, never exceeds
 // 1.1 times the largest sample of the first 5,000; and a restart restores
 // at most one window. It logs the restart's time and the stall a
@@ -147,9 +185,9 @@ func TestRetentionSoak(t *testing.T) {
 		}
 		traces := h.collector.Exchanges()
 		t.Logf("at %d exchanges: %d records, %d retained, %d traces, %d instances", at, table, window, traces, len(ids))
-		if table != retentionWindow || window != retentionWindow || traces > retentionWindow || len(ids) > 4*retentionWindow {
-			t.Errorf("at %d exchanges the hub keeps %d records, %d retained, %d traces and %d instances; want %d, %d, at most %d and at most %d",
-				at, table, window, traces, len(ids), retentionWindow, retentionWindow, retentionWindow, 4*retentionWindow)
+		if table != RetentionWindow || window != RetentionWindow || traces != table || len(ids) > 4*RetentionWindow {
+			t.Errorf("at %d exchanges the hub keeps %d records, %d retained, %d traces and %d instances; want %d, %d, one per record and at most %d",
+				at, table, window, traces, len(ids), RetentionWindow, RetentionWindow, 4*RetentionWindow)
 		}
 	}
 	liveHeap := func() uint64 {
@@ -200,8 +238,8 @@ func TestRetentionSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("restart: %d records read, %d exchanges restored in %v", rep.Records, rep.Restored, time.Since(start))
-	if rep.Restored > retentionWindow {
-		t.Errorf("restart restored %d exchanges, more than the window's %d", rep.Restored, retentionWindow)
+	if rep.Restored > RetentionWindow {
+		t.Errorf("restart restored %d exchanges, more than the window's %d", rep.Restored, RetentionWindow)
 	}
 	// The restarted hub holds the soak's live state: no admission pending,
 	// no dead letter.
@@ -227,7 +265,7 @@ func TestAgeOutCrashDrill(t *testing.T) {
 }
 
 func ageOutCrash(t *testing.T, point string) {
-	const n, crashAt = retentionWindow + 16, retentionWindow + 8
+	const n, crashAt = RetentionWindow + 16, RetentionWindow + 8
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	g := doc.NewGenerator(71)
@@ -238,7 +276,7 @@ func ageOutCrash(t *testing.T, point string) {
 	var first *Exchange
 	for i := 0; i < n; i++ {
 		switch {
-		case point == "compaction" && i == retentionWindow-1:
+		case point == "compaction" && i == RetentionWindow-1:
 			// The exchange that brings the appended records to twice
 			// the window compacts; the crash leaves the rewrite unrenamed.
 			h1.Journal().ArmCompactCrash()
@@ -279,8 +317,8 @@ func ageOutCrash(t *testing.T, point string) {
 		// to extract, so the replay parks once more.
 		wantReplays = 1
 	}
-	if rep.Restored > retentionWindow || rep.Reenqueued != wantReplays || rep.Recovered+rep.Redelivered != wantReplays || len(h2.DeadLetters()) != rep.Redelivered {
-		t.Errorf("recovery %+v with %d dead letters; want at most %d restored and %d replays", rep, len(h2.DeadLetters()), retentionWindow, wantReplays)
+	if rep.Restored > RetentionWindow || rep.Reenqueued != wantReplays || rep.Recovered+rep.Redelivered != wantReplays || len(h2.DeadLetters()) != rep.Redelivered {
+		t.Errorf("recovery %+v with %d dead letters; want at most %d restored and %d replays", rep, len(h2.DeadLetters()), RetentionWindow, wantReplays)
 	}
 	for _, dl := range h2.DeadLetters() {
 		_, _ = h2.Resubmit(ctx, dl.ExchangeID)
@@ -326,7 +364,7 @@ func TestAutomaticCompaction(t *testing.T) {
 		}
 	}
 
-	cycle(retentionWindow - 1)
+	cycle(RetentionWindow - 1)
 	compactions(0)
 	cycle(1)
 	compactions(1)
@@ -335,13 +373,13 @@ func TestAutomaticCompaction(t *testing.T) {
 	}
 
 	ffs.Arm(journal.FaultSyncLoss) // appends are not synced under FsyncNever; the compaction's rewrite is
-	cycle(retentionWindow)
+	cycle(RetentionWindow)
 	compactions(1)
-	if recs := fileRecords(t, path); len(recs) != 1+2*retentionWindow {
-		t.Fatalf("after a failed compaction the journal holds %d records, want the old log's %d", len(recs), 1+2*retentionWindow)
+	if recs := fileRecords(t, path); len(recs) != 1+2*RetentionWindow {
+		t.Fatalf("after a failed compaction the journal holds %d records, want the old log's %d", len(recs), 1+2*RetentionWindow)
 	}
 	ffs.Heal()
-	cycle(retentionWindow - 1)
+	cycle(RetentionWindow - 1)
 	compactions(1)
 	cycle(1)
 	compactions(2)
@@ -373,9 +411,9 @@ func TestAutomaticCompaction(t *testing.T) {
 
 // TestRecoverRestoresOneWindow: a journal holding more finished outcomes
 // than the retention window (one no automatic compaction has trimmed) is
-// read whole, but only its newest retentionWindow exchanges are restored.
+// read whole, but only its newest RetentionWindow exchanges are restored.
 func TestRecoverRestoresOneWindow(t *testing.T) {
-	const n = retentionWindow + 10
+	const n = RetentionWindow + 10
 	path := filepath.Join(t.TempDir(), "hub.wal")
 	recs := make([]journal.Record, n)
 	for i := range recs {
@@ -388,12 +426,12 @@ func TestRecoverRestoresOneWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Records != n || rep.Restored != retentionWindow {
-		t.Fatalf("recovery %+v; want %d records read and %d exchanges restored", rep, n, retentionWindow)
+	if rep.Records != n || rep.Restored != RetentionWindow {
+		t.Fatalf("recovery %+v; want %d records read and %d exchanges restored", rep, n, RetentionWindow)
 	}
 	for i := 1; i <= n; i++ {
 		id := fmt.Sprintf("ex-%06d", i)
-		if _, ok := h.ExchangeByID(id); ok != (i > n-retentionWindow) {
+		if _, ok := h.ExchangeByID(id); ok != (i > n-RetentionWindow) {
 			t.Errorf("exchange %s restored: %v", id, ok)
 		}
 	}
@@ -446,9 +484,9 @@ func TestFailedStartIsForgotten(t *testing.T) {
 		failed = append(failed, ex)
 	}
 	// The queue kept the first dead letter and dropped the second, whose
-	// exchange the window retains until retentionWindow newer ones finish.
+	// exchange the window retains until RetentionWindow newer ones finish.
 	g := doc.NewGenerator(52)
-	for i := 0; i < retentionWindow; i++ {
+	for i := 0; i < RetentionWindow; i++ {
 		if _, _, err := roundTrip(h, ctx, g.PO(tp1, seller)); err != nil {
 			t.Fatal(err)
 		}

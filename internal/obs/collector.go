@@ -2,96 +2,77 @@ package obs
 
 import "sync"
 
-// Collector is a Sink that retains the full event history of the most
-// recent exchanges, bounded by exchange count with FIFO eviction — the
-// structured replacement for the old per-exchange Trace journal. It is
-// safe for concurrent use.
+// Collector is a Sink that keeps the full event history of the exchanges
+// its owner opened and has not forgotten yet, and drops every other event.
+// It has no bound or eviction order of its own: the hub's ledger opens an
+// exchange's trace as it files the exchange's record and forgets it as the
+// record leaves. It is safe for concurrent use.
 //
-// The retained exchanges sit in a ring of at most max slots, in order of
-// their first event. A new exchange on a full ring evicts the oldest slot
-// and takes over its event buffer, so once the ring has filled, emitting
-// allocates nothing.
+// A forgotten exchange's buffer is cleared and handed to the next exchange
+// opened, so once the hub forgets exchanges as fast as it opens them,
+// emitting allocates nothing.
 type Collector struct {
 	mu    sync.Mutex
-	max   int
-	slots []exchangeSlot
-	// oldest is the slot the next new exchange evicts once the ring is full.
-	oldest int
-	index  map[string]int // exchange ID → slot
+	index map[string]int // open exchange ID → its buffer in bufs
+	bufs  [][]Event
+	free  []int // buffers of forgotten exchanges, cleared
 }
 
-// exchangeSlot holds one retained exchange's events.
-type exchangeSlot struct {
-	id     string
-	events []Event
+// NewCollector returns a collector with room reserved for n open exchanges.
+func NewCollector(n int) *Collector {
+	n = max(n, 0)
+	return &Collector{index: make(map[string]int, n), bufs: make([][]Event, 0, n)}
 }
 
-// slotWarmLen and slotWarmCap size a slot's buffer: at its third event a
-// buffer grows straight to room for a whole exchange (an exchange emits
-// about 34 events). Partner-less plan and config keys, which emit one or
-// two events each, stay small.
-const (
-	slotWarmLen = 2
-	slotWarmCap = 32
-)
-
-// DefaultCollectorSize bounds the collector a hub attaches by default. It
-// is also the hub's retention window: the hub keeps the records and
-// workflow instances of that many finished exchanges, and its journal and
-// restart follow the same bound (see core's ledger). The ring counts
-// exchanges as they start and the window as they finish, so for exchanges
-// run one at a time both hold the same ones.
-const DefaultCollectorSize = 1024
-
-// NewCollector returns a collector retaining at most maxExchanges
-// exchanges (DefaultCollectorSize if maxExchanges <= 0).
-func NewCollector(maxExchanges int) *Collector {
-	if maxExchanges <= 0 {
-		maxExchanges = DefaultCollectorSize
+// Open starts keeping the events of exchangeID; it does nothing while the
+// exchange is open.
+func (c *Collector) Open(exchangeID string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, open := c.index[exchangeID]; open {
+		return
 	}
-	return &Collector{max: maxExchanges, index: map[string]int{}}
+	i := len(c.bufs)
+	if n := len(c.free); n > 0 {
+		i = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else { // an exchange emits about 34 events: regrown at most once
+		c.bufs = append(c.bufs, make([]Event, 0, 32))
+	}
+	c.index[exchangeID] = i
 }
 
-// Emit implements Sink.
+// Forget drops the events of exchangeID, if it is open. Its buffer is
+// cleared first so the dropped events' strings and errors do not stay
+// reachable.
+func (c *Collector) Forget(exchangeID string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i, open := c.index[exchangeID]
+	if !open {
+		return
+	}
+	delete(c.index, exchangeID)
+	clear(c.bufs[i])
+	c.bufs[i] = c.bufs[i][:0]
+	c.free = append(c.free, i)
+}
+
+// Emit implements Sink: an event of an open exchange is kept, any other
+// dropped.
 func (c *Collector) Emit(e Event) {
 	if e.ExchangeID == "" {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, known := c.index[e.ExchangeID]
-	if !known {
-		i = c.claim(e.ExchangeID)
+	if i, open := c.index[e.ExchangeID]; open {
+		c.bufs[i] = append(c.bufs[i], e)
 	}
-	s := &c.slots[i]
-	if len(s.events) == slotWarmLen && cap(s.events) < slotWarmCap {
-		s.events = append(make([]Event, 0, slotWarmCap), s.events...)
-	}
-	s.events = append(s.events, e)
 }
 
-// claim registers a new exchange in a fresh slot or, on a full ring, in the
-// oldest slot, whose buffer it reuses. The buffer is cleared first so the
-// evicted events' strings and errors do not stay reachable.
-func (c *Collector) claim(id string) int {
-	i := len(c.slots)
-	if i < c.max {
-		c.slots = append(c.slots, exchangeSlot{})
-	} else {
-		i = c.oldest
-		c.oldest = (c.oldest + 1) % c.max
-		s := &c.slots[i]
-		delete(c.index, s.id)
-		clear(s.events)
-		s.events = s.events[:0]
-	}
-	c.slots[i].id = id
-	c.index[id] = i
-	return i
-}
-
-// Events returns a copy of the retained events of one exchange, in
-// emission order (nil when the exchange is unknown or evicted).
+// Events returns a copy of the events of one exchange, in emission order
+// (nil when the exchange is not open).
 func (c *Collector) Events(exchangeID string) []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -99,7 +80,7 @@ func (c *Collector) Events(exchangeID string) []Event {
 	if !ok {
 		return nil
 	}
-	return append([]Event(nil), c.slots[i].events...)
+	return append([]Event(nil), c.bufs[i]...)
 }
 
 // Trace renders an exchange's routing journey as hop strings — the
@@ -114,7 +95,7 @@ func (c *Collector) Trace(exchangeID string) []string {
 	return hops
 }
 
-// Exchanges reports how many exchanges are currently retained.
+// Exchanges reports how many exchanges are open.
 func (c *Collector) Exchanges() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -3,11 +3,9 @@
 // between the chain's process instances, exchange start and completion —
 // is emitted as a typed Event on a Bus that fans out to pluggable Sinks.
 //
-// The package replaces two ad-hoc mechanisms that grew with the seed:
-// the per-exchange Trace []string journal and hand-rolled mutex counters.
-// Both are now derived views over the event stream (see Collector and
-// ExchangeCounters), which the hub's Status snapshot reads; latency
-// histograms per pipeline stage come for free (see Metrics).
+// Exchange traces (Collector), activity counters (ExchangeCounters) and
+// per-stage latency histograms (Metrics) are derived views over the event
+// stream, which the hub's Status snapshot reads.
 package obs
 
 import (

@@ -515,12 +515,30 @@ func TestDaemonConcurrentClients(t *testing.T) {
 
 // TestDaemonTraceFollowsTheRetentionWindow: after more exchanges than the
 // hub's retention window of 1,024 finished exchanges, the trace op answers
-// for exactly the newest 1,024 and not-found for the older ones.
+// for exactly the newest 1,024 and not-found for the older ones; a dead
+// letter parked before them all is answered with its hops.
 func TestDaemonTraceFollowsTheRetentionWindow(t *testing.T) {
-	const window, agedOut = obs.DefaultCollectorSize, 8
+	const window, agedOut = core.RetentionWindow, 8
 	h, _, c := newDaemon(t)
 	ctx := context.Background()
 	g := doc.NewGenerator(13)
+
+	var faults []*backend.Faulty
+	h.WrapBackends(func(sys backend.System) backend.System {
+		f := backend.NewFaulty(sys, backend.FaultSchedule{ErrProb: 1, Seed: 3})
+		faults = append(faults, f)
+		return f
+	})
+	h.SetDefaultRetryPolicy(core.RetryPolicy{MaxAttempts: 1})
+	res, err := h.Do(ctx, core.Request{Kind: core.DocPO, PO: g.PO(tp1, seller)})
+	if err == nil || res.Exchange == nil {
+		t.Fatalf("an order against a down back end: %+v, %v; want a dead letter", res, err)
+	}
+	parked := res.Exchange.ID
+	for _, f := range faults {
+		f.SetSchedule(backend.FaultSchedule{})
+	}
+
 	ids := make([]string, window+agedOut)
 	for i := range ids {
 		res, err := h.Do(ctx, core.Request{Kind: core.DocPO, PO: g.PO(tp1, seller)})
@@ -537,5 +555,11 @@ func TestDaemonTraceFollowsTheRetentionWindow(t *testing.T) {
 		case i >= agedOut && (err != nil || tr.ExchangeID != id || len(tr.Trace) == 0):
 			t.Errorf("trace of retained exchange %s = %+v, %v", id, tr, err)
 		}
+	}
+	if dls := h.DeadLetters(); len(dls) != 1 || dls[0].ExchangeID != parked {
+		t.Fatalf("dead letters %+v, want %s alone", dls, parked)
+	}
+	if tr, err := c.Trace(ctx, parked); err != nil || tr.ExchangeID != parked || len(tr.Trace) == 0 {
+		t.Errorf("trace of dead letter %s parked before %d exchanges = %+v, %v; want its hops", parked, len(ids), tr, err)
 	}
 }
